@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_DEDUP_TOL = 1e-12
+from .spectrum import DEFAULT_DEDUP_TOL
 
 
 @dataclass(frozen=True)

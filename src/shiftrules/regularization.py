@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .spectrum import FrequencySet
 from .synthesis import (
     FIRST_DERIVATIVE,
+    IllPosedError,
     LinearSystem,
     ShiftRule,
     _normalize_orders,
@@ -77,12 +77,20 @@ class GammaSelection:
 
 
 def _regularized_coefficients(sys: LinearSystem, gamma: float) -> np.ndarray:
+    import scipy.linalg  # lazily: only the Tikhonov path needs scipy
+
     E = sys.matrix
     cols = E.shape[1]
     A = gamma * np.eye(cols) + E.conj().T @ E
     rhs = E.conj().T @ sys.rhs
-    b = scipy.linalg.solve(A, rhs, assume_a="pos")
-    return b
+    try:
+        return scipy.linalg.solve(A, rhs, assume_a="pos")
+    except np.linalg.LinAlgError as exc:
+        # the normal equations square cond(E); at a tiny gamma the
+        # Cholesky factorization can meet a non-positive pivot
+        raise IllPosedError(
+            f"Tikhonov normal equations are numerically singular at gamma = {gamma:.3g} ({exc})"
+        ) from exc
 
 
 def tikhonov_solve(sys: LinearSystem, gamma: float) -> RegularizedSolution:
@@ -90,8 +98,9 @@ def tikhonov_solve(sys: LinearSystem, gamma: float) -> RegularizedSolution:
 
     Works for singular and non-square systems (rows = distinct gaps,
     columns = phases); gamma > 0 keeps the symmetric solve positive
-    definite.  The solution of a conjugate-row-paired system is real up
-    to round-off; the real part is returned.
+    definite in exact arithmetic.  The solution of a conjugate-row-paired
+    system is real up to round-off; the real part is returned.  Raises
+    IllPosedError when the solve is numerically singular at this gamma.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -159,8 +168,9 @@ def regularized_rule(
 
     Builds the possibly rank-deficient system, selects gamma (given or
     by discrepancy), and stamps gamma, residual, and solution norm into
-    the diagnostics.  Never fails on ill-posedness; solution quality is
-    expressed by the diagnostics instead.
+    the diagnostics.  Solution quality is expressed by the diagnostics;
+    the only failure is an IllPosedError when the normal equations are
+    numerically singular at the selected gamma.
     """
     cfg = cfg or RegularizationConfig()
     orders = _normalize_orders(orders)

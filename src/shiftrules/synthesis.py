@@ -318,9 +318,5 @@ def compatibility_residual(rule: ShiftRule, freq: FrequencySet, orders=None) -> 
     model precisely when this vanishes.
     """
     orders = _normalize_orders(orders if orders is not None else rule.orders)
-    gaps = freq.distinct_gaps
-    E = np.exp(1j * np.outer(gaps, rule.phases))
-    target = np.zeros(len(gaps), dtype=complex)
-    for p, w in orders:
-        target += w * (np.ones(len(gaps)) if p == 0 else (1j * gaps) ** p)
-    return float(np.abs(E @ rule.coefficients - target).max())
+    E = np.exp(1j * np.outer(freq.distinct_gaps, rule.phases))
+    return float(np.abs(E @ rule.coefficients - _combined_rhs(freq, orders)).max())

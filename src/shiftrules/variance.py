@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import minimize
 
 from .regularization import tikhonov_solve
 from .spectrum import FrequencySet, gap_generator
@@ -180,6 +178,8 @@ def _objective_state(freq, phases, orders, condition_cap=1e8, with_hessian=False
     -b_y E^{-1} u_y with u_y the phase-derivative of column y, and the
     Hessian differentiates that expression once more.
     """
+    import scipy.linalg  # lazily: keeps scipy off the CLI import path
+
     sys = build_system(freq, phases, orders)
     E = sys.matrix
     s = np.linalg.svd(E, compute_uv=False)
@@ -274,6 +274,8 @@ def _symmetric_start(freq, orders, width, rng):
     symmetric basins are numerically gentle, unlike the ridge-hugging
     asymmetric minima.
     """
+    from scipy.optimize import minimize
+
     m = freq.m
     k = (m - 1) // 2
     if k < 1:
@@ -317,6 +319,8 @@ def optimize_shifts(
 
     Raises IllPosedError when phi0 and every start are ill-posed.
     """
+    from scipy.optimize import minimize
+
     cfg = cfg or OptimizationConfig()
     orders = _normalize_orders(orders)
     phi0 = np.asarray(phi0, dtype=float)

@@ -1,11 +1,34 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shiftrules import Spectrum, serialize
-from shiftrules.cli import cli
+import shiftrules
+from conftest import well_posed_phases
+from shiftrules import (
+    Spectrum,
+    analytic_derivative,
+    apply_rule,
+    evaluate,
+    frequency_differences,
+    serialize,
+    synthesize_rule,
+)
+from shiftrules.cli import _random_models, cli
+
+SRC = str(Path(shiftrules.__file__).resolve().parents[1])
+
+
+def _python(args, cwd=None):
+    """Run the interpreter on the package under test in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture
@@ -98,6 +121,18 @@ def test_synthesize_auto_falls_back_to_tikhonov(runner, near_degenerate, tmp_pat
     assert report["warnings"]
 
 
+def test_synthesize_singular_tikhonov_solve_exits_ill_posed(tmp_path):
+    # at --seed 0 the auto phases of this m = 31 spectrum fall back to
+    # Tikhonov, whose normal equations are singular at the grid-floor gamma
+    spec = _write(tmp_path, "s31.json", {"eigenvalues": [0.0, 0.7, 1.9, 3.2, 3.3, 5.0]})
+    result = _python(["-m", "shiftrules.cli", "--seed", "0", "--output", "rule.json",
+                      "synthesize", spec], cwd=tmp_path)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and "gamma = 1e-14" in result.stderr
+    assert not (tmp_path / "rule.json").exists()
+
+
 def test_synthesize_duplicate_phases(runner, two_level, tmp_path):
     out = str(tmp_path / "rule.json")
     result = runner.invoke(
@@ -169,6 +204,83 @@ def test_validate_model_file_in_band(runner, two_level, tmp_path):
                    {"a0": 0.3, "terms": [{"omega": 1.0, "a": 0.5, "b": -0.2}]})
     result = runner.invoke(cli, ["validate", out, "--model", model], obj={})
     assert result.exit_code == 0
+
+
+def _scalar_validate(rule, models, grid):
+    """Reference for validate: the scalar apply_rule loop, point by point."""
+    errs, scaled = [], []
+    for fm in models:
+        for t in grid:
+            target = sum(w * analytic_derivative(fm, t, p) for p, w in rule.orders)
+            estimate = apply_rule(rule, lambda x: evaluate(fm, x), float(t))
+            errs.append(abs(estimate - target))
+            scaled.append(errs[-1] / (1.0 + abs(target)))
+    mean = sum(errs) / len(errs) if errs else 0.0
+    return max(errs, default=0.0), mean, max(scaled, default=0.0)
+
+
+def _s7_rule_file(runner, tmp_path):
+    spec = _write(tmp_path, "s7.json", {"eigenvalues": [0.0, 1.0, 2.5]})
+    out = str(tmp_path / "s7-rule.json")
+    assert runner.invoke(cli, ["--output", out, "synthesize", spec], obj={}).exit_code == 0
+    return out
+
+
+def _mixed_order_rule_file(tmp_path):
+    freq = frequency_differences(Spectrum((0.0, 1.0, 2.5)))
+    phases = well_posed_phases(freq, np.random.default_rng(5))
+    rule = synthesize_rule(freq, phases, orders=((0, 0.5), (2, -1.5)))
+    out = str(tmp_path / "mixed-rule.json")
+    serialize.save_rule(rule, out)
+    return out
+
+
+def _broken_rule_file(runner, tmp_path):
+    data = json.loads(open(_s7_rule_file(runner, tmp_path)).read())
+    data["coefficients"][0] += 1e-3
+    out = str(tmp_path / "broken-rule.json")
+    open(out, "w").write(json.dumps(data))
+    return out
+
+
+@pytest.mark.parametrize("case, t_grid", [
+    ("s7", "-2:2:9"),
+    ("mixed", "-3:1:7"),
+    ("model_file", "-1:2:5"),
+    ("broken", "0:3:6"),
+    ("s7", "0:1:0"),
+])
+def test_validate_matches_scalar_oracle(runner, tmp_path, case, t_grid):
+    seed = 3
+    if case == "mixed":
+        rule_file = _mixed_order_rule_file(tmp_path)
+    elif case == "broken":
+        rule_file = _broken_rule_file(runner, tmp_path)
+    else:
+        rule_file = _s7_rule_file(runner, tmp_path)
+    rule = serialize.load_rule(rule_file)
+    if case == "model_file":
+        terms = [{"omega": w, "a": 0.4 - 0.3 * k, "b": 0.2 * k - 0.5}
+                 for k, w in enumerate(rule.frequencies)]
+        model_arg = _write(tmp_path, "model.json", {"a0": 0.7, "terms": terms})
+        models = [serialize.load_fourier_model(model_arg)]
+    else:
+        model_arg = "random:3"
+        models = _random_models(rule.frequencies, 3, seed)
+    lo, hi, count = t_grid.split(":")
+    grid = np.linspace(float(lo), float(hi), int(count))
+
+    result = runner.invoke(cli, ["--seed", str(seed), "validate", rule_file,
+                                 "--model", model_arg, "--t-grid", t_grid], obj={})
+    report = json.loads(result.output)
+    max_err, mean_err, max_scaled = _scalar_validate(rule, models, grid)
+    assert report["grid_points"] == len(grid)
+    assert report["max_abs_error"] == pytest.approx(max_err, rel=0, abs=1e-14)
+    assert report["mean_abs_error"] == pytest.approx(mean_err, rel=0, abs=1e-14)
+    assert report["max_scaled_error"] == pytest.approx(max_scaled, rel=0, abs=1e-14)
+    assert report["passed"] is (max_scaled <= report["bound"])
+    assert result.exit_code == (0 if report["passed"] else 1)
+    assert report["passed"] is (case != "broken")
 
 
 def test_rule_file_round_trip_is_bit_identical(runner, eq_spectrum, tmp_path):
@@ -254,3 +366,37 @@ def test_variance_invalid_eta(runner, two_level, tmp_path):
     runner.invoke(cli, ["--output", out, "synthesize", two_level], obj={})
     result = runner.invoke(cli, ["variance", out, "--eta", "1.5"], obj={})
     assert result.exit_code == 3
+
+
+_SCIPY_PROBE = """
+import json, sys
+import numpy as np
+import shiftrules.cli, shiftrules
+from shiftrules import Spectrum, frequency_differences
+from shiftrules.variance import OptimizationConfig, optimize_shifts
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+on_import = scipy_modules()
+freq = frequency_differences(Spectrum((0.0, 1.0, 2.5)))
+phases, rule = optimize_shifts(freq, -np.linspace(0.5, 5.5, freq.m),
+                               OptimizationConfig(multistarts=2, seed=0))
+print(json.dumps({"on_import": on_import, "after_optimize": scipy_modules(),
+                  "square_norm": rule.square_norm, "phases": list(phases)}))
+"""
+
+
+def test_scipy_loads_only_on_the_optimizer_path():
+    result = _python(["-c", _SCIPY_PROBE])
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout)
+    assert probe["on_import"] == []
+    assert "scipy.optimize" in probe["after_optimize"]
+    assert "scipy.linalg" in probe["after_optimize"]
+    # the optimum this S7 search reached while scipy was imported eagerly
+    assert probe["square_norm"] == pytest.approx(1.1601179447131866, rel=1e-12)
+    np.testing.assert_allclose(probe["phases"], [
+        -0.7535069242650562, -11.812863690094117, -4.274030242051252, -8.29234037230792,
+        -5.629325278243164, -6.937045336116008, -6.283185307179586,
+    ], rtol=0, atol=1e-9)
