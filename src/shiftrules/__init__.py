@@ -1,4 +1,8 @@
-"""Parameter-shift rule synthesis for arbitrary eigenvalue spectra."""
+"""Parameter-shift rule synthesis for arbitrary eigenvalue spectra.
+
+The paper's alternative closed forms (Cramer, Jacobi, determinant
+stationarity, ...) live in ``shiftrules.checks``, which is not imported here.
+"""
 
 from .equidistant import (
     EquidistantStructure,
@@ -16,11 +20,9 @@ from .fourier import (
     evaluate,
     from_hamiltonian,
     sample_noisy,
-    vandermonde_expansion_coeffs,
 )
 from .perturbation import (
     PerturbationData,
-    condition_number,
     error_bound,
     linearized_solution,
     perturbation_matrices,
@@ -49,7 +51,7 @@ from .synthesis import (
     apply_rule,
     build_system,
     compatibility_residual,
-    cramer_coefficient,
+    condition_number,
     derivative_rhs,
     solve_direct,
     synthesize_rule,
@@ -59,7 +61,6 @@ from .variance import (
     VarianceReport,
     confidence_interval,
     optimize_shifts,
-    regularized_stationarity_residual,
     stationarity_residual,
     variance_of_estimate,
 )
@@ -94,7 +95,6 @@ __all__ = [
     "compatibility_residual",
     "condition_number",
     "confidence_interval",
-    "cramer_coefficient",
     "derivative_rhs",
     "dirichlet_kernel",
     "error_bound",
@@ -107,13 +107,11 @@ __all__ = [
     "orthogonality_residual",
     "perturbation_matrices",
     "regularized_rule",
-    "regularized_stationarity_residual",
     "sample_noisy",
     "select_gamma_discrepancy",
     "solve_direct",
     "stationarity_residual",
     "synthesize_rule",
     "tikhonov_solve",
-    "vandermonde_expansion_coeffs",
     "variance_of_estimate",
 ]

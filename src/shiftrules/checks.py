@@ -1,0 +1,256 @@
+"""The paper's alternative forms of quantities the package computes once.
+
+Cramer and Jacobi coefficients, the determinant and explicit
+stationarity identities, the symmetric Vandermonde expansion, the
+Dirichlet kernel ratio, the exactly perturbed system and the
+undeduplicated design system: independent checks of the production
+paths, cost-capped where they take determinants.  ``shiftrules`` itself
+does not import this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .perturbation import PerturbationData
+from .regularization import tikhonov_solve
+from .spectrum import FrequencySet
+from .synthesis import (
+    FIRST_DERIVATIVE,
+    IMAG_TOL,
+    IllPosedError,
+    LinearSystem,
+    Orders,
+    _gap_rhs,
+    _normalize_orders,
+    build_system,
+)
+from .variance import _fd_stationarity
+
+CRAMER_SIZE_CAP = 9
+DETERMINANT_SIZE_CAP = 7
+
+
+def build_full_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearSystem:
+    """Design system with one row per signed eigenvalue pair (no dedup).
+
+    Coincident gaps then produce duplicate rows and a singular square
+    matrix; this variant exists for ill-posedness experiments and for
+    the regularized path, which tolerates rank deficiency.
+    """
+    phases = np.asarray(phases, dtype=float)
+    orders = _normalize_orders(orders)
+    entries = sorted(
+        ((abs(g), -np.sign(g), g) for _, g in freq.signed_gaps),
+        key=lambda e: (e[0], e[1]),
+    )
+    gaps = np.asarray([g for _, _, g in entries])
+    E = np.exp(1j * np.outer(gaps, phases))
+    return LinearSystem(matrix=E, rhs=_gap_rhs(gaps, orders), row_gaps=gaps, phases=phases)
+
+
+def cramer_coefficient(sys: LinearSystem, x: int) -> float:
+    """Coefficient b_x via Cramer's rule: det E(phi/phi_x) / det E.
+
+    Restricted to systems of size <= 9 (determinant cost guard).
+    """
+    E = sys.matrix
+    if not sys.is_square:
+        raise ValueError("Cramer's rule needs a square system")
+    m = E.shape[0]
+    if m > CRAMER_SIZE_CAP:
+        raise ValueError(f"Cramer path limited to m <= {CRAMER_SIZE_CAP}, got {m}")
+    if not 0 <= x < m:
+        raise IndexError("column index out of range")
+    det = np.linalg.det(E)
+    if det == 0 or not np.isfinite(abs(det)):
+        raise IllPosedError("singular design matrix in Cramer's rule")
+    M = E.copy()
+    M[:, x] = sys.rhs
+    value = np.linalg.det(M) / det
+    if abs(value.imag) > IMAG_TOL * max(1.0, abs(value)):
+        raise ValueError("Cramer coefficient came out non-real")
+    return float(value.real)
+
+
+def jacobi_coefficient(sys: LinearSystem, x: int, step: float = 1e-4) -> float:
+    """Coefficient b_x from the determinant-derivative form.
+
+    Numerator: d/ds det E with column x evaluated at phase s, at s = 0
+    (Richardson-extrapolated central differences); denominator: det E at
+    the given phases.  Agrees with cramer_coefficient because the
+    phase-derivative of a column at zero phase is exactly the
+    first-derivative right-hand side.
+    """
+    E = sys.matrix
+    if not sys.is_square:
+        raise ValueError("Jacobi form needs a square system")
+    det = np.linalg.det(E)
+    if det == 0:
+        raise IllPosedError("singular design matrix in Jacobi form")
+
+    def det_at(s: float) -> complex:
+        M = E.copy()
+        M[:, x] = np.exp(1j * sys.row_gaps * s)
+        return np.linalg.det(M)
+
+    def central(h: float) -> complex:
+        return (det_at(h) - det_at(-h)) / (2 * h)
+
+    deriv = (4 * central(step / 2) - central(step)) / 3
+    value = deriv / det
+    return float(value.real)
+
+
+def determinant_stationarity_residual(
+    freq: FrequencySet,
+    phases,
+    orders: Orders = FIRST_DERIVATIVE,
+) -> np.ndarray:
+    """Square-norm stationarity residual from the determinant identity.
+
+    Evaluates the identity behind ``variance.stationarity_residual``
+    (first-derivative target only, m <= 7) and returns the normalized
+    side difference of that identity, which equals S_y.
+    """
+    phases = np.asarray(phases, dtype=float)
+    m = len(phases)
+    orders = _normalize_orders(orders)
+    if orders != FIRST_DERIVATIVE:
+        raise ValueError("determinant form is defined for the first-derivative target")
+    if m > DETERMINANT_SIZE_CAP:
+        raise ValueError(f"determinant form limited to m <= {DETERMINANT_SIZE_CAP}")
+    sys = build_system(freq, phases, orders)
+    E, mu, gaps = sys.matrix, sys.rhs, sys.row_gaps
+    D = np.linalg.det(E)
+    if D == 0:
+        raise IllPosedError("singular system in determinant stationarity form")
+    Dx = np.empty(m, dtype=complex)
+    for x in range(m):
+        M = E.copy()
+        M[:, x] = mu
+        Dx[x] = np.linalg.det(M)
+    out = np.zeros(m)
+    for y in range(m):
+        uy = 1j * gaps * np.exp(1j * gaps * phases[y])
+        Ey = E.copy()
+        Ey[:, y] = uy
+        lhs = 0j
+        for x in range(m):
+            if x == y:
+                continue  # the x = y cross determinant vanishes identically
+            M = E.copy()
+            M[:, y] = uy
+            M[:, x] = mu
+            lhs += Dx[x] * np.linalg.det(M)
+        rhs = np.linalg.det(Ey) / D * np.sum(Dx**2)
+        out[y] = ((lhs - rhs) / D**2).real
+    return out
+
+
+def regularized_stationarity_residual(
+    freq: FrequencySet,
+    phases,
+    gamma: float,
+    method: str = "finite_difference",
+    orders: Orders = FIRST_DERIVATIVE,
+    step: float = 1e-6,
+) -> np.ndarray:
+    """Stationarity residual of the Tikhonov coefficients' square-norm.
+
+    ``finite_difference`` differentiates the regularized solve itself;
+    ``explicit`` expands the derivative with the matrix identity
+    d(Y^{-1}) = -Y^{-1} dY Y^{-1} (m <= 7) as an independent cross-check.
+    """
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    phases = np.asarray(phases, dtype=float)
+    m = len(phases)
+    orders = _normalize_orders(orders)
+
+    def coeffs(ph):
+        return tikhonov_solve(build_system(freq, ph, orders), gamma).coefficients
+
+    if method == "finite_difference":
+        return _fd_stationarity(coeffs, phases, step)
+
+    if method == "explicit":
+        if m > DETERMINANT_SIZE_CAP:
+            raise ValueError(f"explicit form limited to m <= {DETERMINANT_SIZE_CAP}")
+        sys = build_system(freq, phases, orders)
+        E, mu, gaps = sys.matrix, sys.rhs, sys.row_gaps
+        M = gamma * np.eye(m) + E.conj().T @ E
+        b = np.linalg.solve(M, E.conj().T @ mu)
+        out = np.zeros(m)
+        for y in range(m):
+            uy = 1j * gaps * np.exp(1j * gaps * phases[y])
+            e_y = np.zeros(m)
+            e_y[y] = 1.0
+            dEdag_mu = e_y * (uy.conj() @ mu)
+            dM = np.outer(e_y, uy.conj() @ E) + np.outer(E.conj().T @ uy, e_y)
+            db = np.linalg.solve(M, dEdag_mu - dM @ b)
+            out[y] = float(b.real @ db.real)
+        return out
+
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _elementary_symmetric(roots: np.ndarray) -> np.ndarray:
+    """[S_0, S_1, ..., S_d] for the given roots (S_0 = 1)."""
+    coeffs = np.poly(roots)  # x^d + c1 x^{d-1} + ... with c_k = (-1)^k S_k
+    signs = (-1.0) ** np.arange(len(coeffs))
+    return signs * coeffs
+
+
+def vandermonde_expansion_coeffs(
+    eigenvalues,
+    t: float,
+    method: str = "solve",
+    distinct_tol: float = 1e-9,
+) -> np.ndarray:
+    """Coefficients c_p with exp(i*lam_j*t) = sum_p c_p lam_j^p for all j.
+
+    ``method="solve"`` solves the Vandermonde system directly;
+    ``method="symmetric"`` uses the closed form built from elementary
+    symmetric polynomials of the complementary eigenvalues.  Both agree
+    to round-off; the closed form exists as an independent check.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    n = len(lam)
+    if n < 1:
+        raise ValueError("need at least one eigenvalue")
+    scale = max(1.0, float(np.abs(lam).max()))
+    if n > 1:
+        gaps = np.abs(lam[:, None] - lam[None, :])[~np.eye(n, dtype=bool)]
+        if gaps.min() <= distinct_tol * scale:
+            raise ValueError("eigenvalues must be pairwise distinct")
+    values = np.exp(1j * lam * t)
+
+    if method == "solve":
+        V = np.vander(lam, increasing=True).astype(complex)
+        return np.linalg.solve(V, values)
+    if method == "symmetric":
+        c = np.zeros(n, dtype=complex)
+        for j in range(n):
+            others = np.delete(lam, j)
+            denom = np.prod(others - lam[j]) if n > 1 else 1.0
+            S = _elementary_symmetric(others)  # S_0..S_{n-1}
+            for i in range(n):
+                c[i] += (-1.0) ** i * S[n - 1 - i] / denom * values[j]
+        return c
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _dirichlet_kernel_ratio(order: int, x: float) -> float:
+    # Closed form of equidistant.dirichlet_kernel; invalid where sin(x/2) = 0.
+    return float(np.sin((order + 0.5) * x) / np.sin(0.5 * x))
+
+
+def exact_perturbed_solution(
+    E: np.ndarray,
+    pd: PerturbationData,
+    rhs: np.ndarray,
+    eps: float,
+) -> np.ndarray:
+    """Solve the exactly perturbed system (E + eps R) b = rhs + eps r."""
+    return np.linalg.solve(E + eps * pd.matrix, rhs + eps * pd.vector)

@@ -34,7 +34,7 @@ from .synthesis import (
     build_system,
     check_phase_distinctness,
     condition_number,
-    solve_direct,
+    synthesize_rule,
 )
 from .variance import confidence_interval, optimize_shifts, variance_of_estimate
 
@@ -69,8 +69,10 @@ def cli(ctx, config_path, seed, output, quiet):
     """Synthesize and validate parameter-shift rules from eigenvalue spectra."""
     ctx.ensure_object(dict)
     try:
-        ctx.obj["config"] = serialize.load_config(config_path)
-    except (OSError, ValueError) as exc:
+        cfg = ctx.obj["config"] = serialize.load_config(config_path)
+        ctx.obj["regularization"] = serialize.regularization_config(cfg["regularization"])
+        ctx.obj["optimization"] = serialize.optimization_config(cfg["optimization"], seed=seed)
+    except (OSError, TypeError, ValueError) as exc:
         _fail(EXIT_INVALID, f"cannot read config: {exc}")
     ctx.obj["seed"] = seed
     ctx.obj["output"] = output
@@ -78,12 +80,15 @@ def cli(ctx, config_path, seed, output, quiet):
 
 
 def _load_spectrum(ctx_obj, path):
+    """(spectrum, rel_tol, structure class, frequency set); exit 3 when malformed."""
+    cfg = ctx_obj["config"]
     try:
         spec, extra = serialize.load_spectrum(path)
+        rel_tol = float(extra.get("rel_tol", cfg["rel_tol"]))
+        cls = classify_structure(spec, rel_tol=rel_tol)
+        return spec, rel_tol, cls, frequency_differences(spec, dedup_tol=cfg["dedup_tol"])
     except (OSError, ValueError) as exc:
         _fail(EXIT_INVALID, str(exc))
-    rel_tol = float(extra.get("rel_tol", ctx_obj["config"]["rel_tol"]))
-    return spec, rel_tol
 
 
 def _auto_phases(freq, seed, tries=64):
@@ -101,7 +106,7 @@ def _auto_phases(freq, seed, tries=64):
     best_cond, best = np.inf, None
     for _ in range(tries):
         ph = rng.uniform(lo + 1e-3, -1e-3, freq.m)
-        c = condition_number(np.exp(1j * np.outer(freq.distinct_gaps, ph)))
+        c = condition_number(build_system(freq, ph).matrix)
         if best is None or c < best_cond:
             best_cond, best = c, ph
     return best
@@ -109,9 +114,12 @@ def _auto_phases(freq, seed, tries=64):
 
 def _parse_phases(text):
     try:
-        return np.asarray([float(v) for v in text.split(",")], dtype=float)
+        phases = np.asarray([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         _fail(EXIT_INVALID, f"cannot parse phases {text!r}: {exc}")
+    if not np.isfinite(phases).all():
+        _fail(EXIT_INVALID, f"phases must be finite, got {text!r}")
+    return phases
 
 
 @cli.command()
@@ -119,12 +127,7 @@ def _parse_phases(text):
 @click.pass_context
 def analyze(ctx, spectrum_file):
     """Classify a spectrum and report its gap structure."""
-    spec, rel_tol = _load_spectrum(ctx.obj, spectrum_file)
-    try:
-        cls = classify_structure(spec, rel_tol=rel_tol)
-        freq = frequency_differences(spec, dedup_tol=ctx.obj["config"]["dedup_tol"])
-    except ValueError as exc:
-        _fail(EXIT_INVALID, str(exc))
+    spec, rel_tol, cls, freq = _load_spectrum(ctx.obj, spectrum_file)
     _emit(ctx.obj, {
         "kind": cls.kind.value,
         "delta": cls.delta,
@@ -152,15 +155,9 @@ def analyze(ctx, spectrum_file):
 def synthesize(ctx, spectrum_file, order, method, phases):
     """Synthesize a shift rule for a spectrum and write it to a rule file."""
     t0 = time.perf_counter()
-    cfg = ctx.obj["config"]
-    spec, rel_tol = _load_spectrum(ctx.obj, spectrum_file)
+    spec, _, cls, freq = _load_spectrum(ctx.obj, spectrum_file)
     if order < 0:
         _fail(EXIT_INVALID, "order must be non-negative")
-    try:
-        freq = frequency_differences(spec, dedup_tol=cfg["dedup_tol"])
-    except ValueError as exc:
-        _fail(EXIT_INVALID, str(exc))
-    cls = classify_structure(spec, rel_tol=rel_tol)
     orders = ((order, 1.0),)
     warnings: list[str] = []
 
@@ -199,30 +196,22 @@ def synthesize(ctx, spectrum_file, order, method, phases):
                     "spectrum is perturbed-equidistant; closed-form rule carries "
                     "a first-order coefficient error bound in its diagnostics"
                 )
-        elif method in ("auto", "direct"):
+        else:  # direct, tikhonov, or auto without equidistant structure
             ph = explicit if explicit is not None else _auto_phases(freq, ctx.obj["seed"])
-            try:
-                rule = solve_direct(build_system(freq, ph, orders), orders=orders)
-                method_used = "direct"
-            except IllPosedError as exc:
-                if method == "direct":
-                    cond = exc.condition_number
-                    _fail(EXIT_ILL_POSED,
-                          f"direct synthesis is ill-posed ({exc}); "
-                          f"condition number {cond if cond is not None else 'n/a'}")
-                warnings.append(f"direct synthesis ill-posed ({exc}); falling back to tikhonov")
-                rule = regularized_rule(
-                    freq, ph, orders,
-                    serialize.regularization_config(cfg.get("regularization", {})),
-                )
+            if method != "tikhonov":
+                try:
+                    rule = synthesize_rule(freq, ph, orders)
+                    method_used = "direct"
+                except IllPosedError as exc:
+                    if method == "direct":
+                        cond = exc.condition_number
+                        _fail(EXIT_ILL_POSED,
+                              f"direct synthesis is ill-posed ({exc}); "
+                              f"condition number {cond if cond is not None else 'n/a'}")
+                    warnings.append(f"direct synthesis ill-posed ({exc}); falling back to tikhonov")
+            if rule is None:
+                rule = regularized_rule(freq, ph, orders, ctx.obj["regularization"])
                 method_used = "regularized"
-        else:  # tikhonov
-            ph = explicit if explicit is not None else _auto_phases(freq, ctx.obj["seed"])
-            rule = regularized_rule(
-                freq, ph, orders,
-                serialize.regularization_config(cfg.get("regularization", {})),
-            )
-            method_used = "regularized"
     except IllPosedError as exc:
         _fail(EXIT_ILL_POSED, str(exc))
 
@@ -281,6 +270,8 @@ def validate(ctx, rule_file, model, t_grid, bound):
             count_models = int(model.split(":", 1)[1])
         except ValueError as exc:
             _fail(EXIT_INVALID, f"cannot parse model spec {model!r}: {exc}")
+        if count_models < 1:
+            _fail(EXIT_INVALID, f"model spec {model!r} asks for no models")
         if not rule.frequencies:
             _fail(EXIT_INVALID, "rule file carries no frequency set; supply a model file")
         models = _random_models(rule.frequencies, count_models, ctx.obj["seed"])
@@ -333,32 +324,28 @@ def validate(ctx, rule_file, model, t_grid, bound):
 def optimize(ctx, spectrum_file, order, phases):
     """Minimize the coefficient square-norm over shift phases."""
     t0 = time.perf_counter()
-    cfg = ctx.obj["config"]
-    spec, rel_tol = _load_spectrum(ctx.obj, spectrum_file)
-    try:
-        freq = frequency_differences(spec, dedup_tol=cfg["dedup_tol"])
-    except ValueError as exc:
-        _fail(EXIT_INVALID, str(exc))
-    ocfg = serialize.optimization_config(cfg.get("optimization", {}), seed=ctx.obj["seed"])
+    spec, _, cls, freq = _load_spectrum(ctx.obj, spectrum_file)
+    if order < 0:
+        _fail(EXIT_INVALID, "order must be non-negative")
     orders = ((order, 1.0),)
 
     if phases == "auto":
-        cls = classify_structure(spec, rel_tol=rel_tol)
         if cls.kind is StructureKind.EQUIDISTANT:
             phi0 = closed_form_rule(EquidistantStructure(spec.n, cls.delta), order).phases
         else:
             phi0 = _auto_phases(freq, ctx.obj["seed"])
     else:
         phi0 = _parse_phases(phases)
+        if len(phi0) != freq.m:
+            _fail(EXIT_INVALID, f"need {freq.m} starting phases (one per distinct gap), got {len(phi0)}")
 
     before = None
     try:
-        start_rule = solve_direct(build_system(freq, phi0, orders), orders=orders)
-        before = start_rule.square_norm
+        before = synthesize_rule(freq, phi0, orders).square_norm
     except IllPosedError:
         pass
     try:
-        phi_star, rule = optimize_shifts(freq, phi0, ocfg, orders=orders)
+        phi_star, rule = optimize_shifts(freq, phi0, ctx.obj["optimization"], orders=orders)
     except IllPosedError as exc:
         _fail(EXIT_ILL_POSED, str(exc))
 

@@ -91,11 +91,6 @@ def dirichlet_kernel(order: int, x) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _dirichlet_kernel_ratio(order: int, x: float) -> float:
-    # Cross-check form; invalid where sin(x/2) = 0.
-    return float(np.sin((order + 0.5) * x) / np.sin(0.5 * x))
-
-
 def orthogonality_residual(freq: FrequencySet, phases) -> float:
     """Max normalized off-diagonal column overlap |v(phi_j)^* v(phi_i)| / m.
 

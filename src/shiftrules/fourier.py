@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import DEFAULT_DEDUP_TOL
+from .spectrum import DEFAULT_DEDUP_TOL, _dedup_values
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,17 @@ class NoiseSpec:
             raise ValueError("sigma must be non-negative")
 
 
-def evaluate(model: FourierModel, t):
-    """Evaluate the series at t (scalar or array)."""
+def _series(a0: float, terms, t):
     t = np.asarray(t, dtype=float)
-    out = np.full_like(t, model.a0, dtype=float)
-    for w, a, b in model.terms:
+    out = np.full_like(t, a0, dtype=float)
+    for w, a, b in terms:
         out = out + a * np.cos(w * t) + b * np.sin(w * t)
     return float(out) if out.ndim == 0 else out
+
+
+def evaluate(model: FourierModel, t):
+    """Evaluate the series at t (scalar or array)."""
+    return _series(model.a0, model.terms, t)
 
 
 def analytic_derivative(model: FourierModel, t, p: int = 1):
@@ -97,18 +101,12 @@ def analytic_derivative(model: FourierModel, t, p: int = 1):
     """
     if p < 0:
         raise ValueError("derivative order must be non-negative")
-    if p == 0:
-        return evaluate(model, t)
     terms = []
     for w, a, b in model.terms:
         for _ in range(p):
             a, b = w * b, -w * a
         terms.append((w, a, b))
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t, dtype=float)
-    for w, a, b in terms:
-        out = out + a * np.cos(w * t) + b * np.sin(w * t)
-    return float(out) if out.ndim == 0 else out
+    return _series(model.a0 if p == 0 else 0.0, terms, t)
 
 
 def from_hamiltonian(
@@ -120,96 +118,35 @@ def from_hamiltonian(
 
     Works entirely in the eigenbasis: the weight of each signed gap
     g = lam_l - lam_k is w_kl = conj(psi_k) C_kl psi_l, and conjugate
-    gap pairs combine into real cosine/sine terms.  Gap values closer
-    than ``dedup_tol * max|lam|`` share one frequency.  Terms whose
+    gap pairs combine into real cosine/sine terms.  Gap values are merged
+    into frequencies by the single-linkage grouping of
+    ``frequency_differences`` at ``dedup_tol * max|lam|``.  Terms whose
     combined amplitude falls below ``coeff_tol`` (relative) are dropped.
     """
     lam = np.asarray(hm.eigenvalues, dtype=float)
-    C = hm.observable
-    psi = hm.state
-    n = len(lam)
-    weights = np.conj(psi)[:, None] * C * psi[None, :]
+    weights = np.conj(hm.state)[:, None] * hm.observable * hm.state[None, :]
+    gaps = lam[None, :] - lam[:, None]  # gaps[k, l] = lam_l - lam_k
 
-    scale = max(float(np.abs(lam).max()), 1e-300)
-    tol = dedup_tol * scale
-
-    a0 = 0.0 + 0.0j
-    gap_weights: dict[int, complex] = {}
-    gap_values: list[list[float]] = []
-    for k in range(n):
-        for l in range(n):
-            g = lam[l] - lam[k]
-            if abs(g) <= tol:
-                a0 += weights[k, l]
-            elif g > 0:
-                for gi, group in enumerate(gap_values):
-                    if abs(g - group[0]) <= tol:
-                        group.append(g)
-                        gap_weights[gi] += weights[k, l]
-                        break
-                else:
-                    gap_values.append([g])
-                    gap_weights[len(gap_values) - 1] = weights[k, l]
+    tol = dedup_tol * max(float(np.abs(lam).max()), 1e-300)
+    # weights are summed in (k, l) order, the order of the expansion,
+    # so each group's members are taken in index order
+    a0 = sum(weights[np.abs(gaps) <= tol], 0j)
+    positive = gaps > tol
+    pos_gaps, pos_weights = gaps[positive], weights[positive]
+    groups = [sorted(g) for g in _dedup_values(pos_gaps, tol)]
 
     if abs(a0.imag) > 1e-10 * max(1.0, abs(a0)):
         raise ValueError("constant term came out non-real; observable not Hermitian?")
 
     terms = []
-    for gi, group in enumerate(gap_values):
-        z = gap_weights[gi]
-        terms.append((float(np.mean(group)), 2.0 * z.real, -2.0 * z.imag))
+    for g in groups:
+        z = sum(pos_weights[g], 0j)
+        terms.append((float(np.mean(pos_gaps[g])), 2.0 * z.real, -2.0 * z.imag))
     amp_scale = max(1.0, max((abs(a) + abs(b) for _, a, b in terms), default=0.0))
     terms = [
         (w, a, b) for (w, a, b) in terms if abs(a) + abs(b) > coeff_tol * amp_scale
     ]
-    terms.sort(key=lambda term: term[0])
     return FourierModel(a0=float(a0.real), terms=tuple(terms))
-
-
-def _elementary_symmetric(roots: np.ndarray) -> np.ndarray:
-    """[S_0, S_1, ..., S_d] for the given roots (S_0 = 1)."""
-    coeffs = np.poly(roots)  # x^d + c1 x^{d-1} + ... with c_k = (-1)^k S_k
-    signs = (-1.0) ** np.arange(len(coeffs))
-    return signs * coeffs
-
-
-def vandermonde_expansion_coeffs(
-    eigenvalues,
-    t: float,
-    method: str = "solve",
-    distinct_tol: float = 1e-9,
-) -> np.ndarray:
-    """Coefficients c_p with exp(i*lam_j*t) = sum_p c_p lam_j^p for all j.
-
-    ``method="solve"`` solves the Vandermonde system directly;
-    ``method="symmetric"`` uses the closed form built from elementary
-    symmetric polynomials of the complementary eigenvalues.  Both agree
-    to round-off; the closed form exists as an independent check.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    n = len(lam)
-    if n < 1:
-        raise ValueError("need at least one eigenvalue")
-    scale = max(1.0, float(np.abs(lam).max()))
-    if n > 1:
-        gaps = np.abs(lam[:, None] - lam[None, :])[~np.eye(n, dtype=bool)]
-        if gaps.min() <= distinct_tol * scale:
-            raise ValueError("eigenvalues must be pairwise distinct")
-    values = np.exp(1j * lam * t)
-
-    if method == "solve":
-        V = np.vander(lam, increasing=True).astype(complex)
-        return np.linalg.solve(V, values)
-    if method == "symmetric":
-        c = np.zeros(n, dtype=complex)
-        for j in range(n):
-            others = np.delete(lam, j)
-            denom = np.prod(others - lam[j]) if n > 1 else 1.0
-            S = _elementary_symmetric(others)  # S_0..S_{n-1}
-            for i in range(n):
-                c[i] += (-1.0) ** i * S[n - 1 - i] / denom * values[j]
-        return c
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _stream(noise: NoiseSpec, t: float) -> np.random.Generator:
@@ -225,11 +162,7 @@ def sample_noisy(model: FourierModel, t: float, noise: NoiseSpec, draw: int = 0)
     stream depends only on (seed, t), so parallel sampling is
     reproducible regardless of call order.
     """
-    exact = evaluate(model, t)
-    if noise.sigma == 0.0:
-        return exact
-    g = _stream(noise, t).standard_normal(draw + 1)[-1]
-    return exact + noise.sigma * g
+    return float(sample_noisy_batch(model, t, noise, draw + 1)[-1])
 
 
 def sample_noisy_batch(model: FourierModel, t: float, noise: NoiseSpec, shots: int) -> np.ndarray:

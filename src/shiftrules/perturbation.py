@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equidistant import EquidistantStructure, normalized_system
-from .synthesis import condition_number as _cond
+from .synthesis import condition_number
 
 
 @dataclass(frozen=True)
@@ -68,23 +68,6 @@ def linearized_solution(
     db = np.linalg.solve(E, pd.vector - pd.matrix @ np.asarray(b0, dtype=complex))
     out = np.asarray(b0, dtype=complex) + eps * db
     return out
-
-
-def exact_perturbed_solution(
-    E: np.ndarray,
-    pd: PerturbationData,
-    rhs: np.ndarray,
-    eps: float,
-) -> np.ndarray:
-    """Solve the exactly perturbed system (E + eps R) b = rhs + eps r."""
-    return np.linalg.solve(E + eps * pd.matrix, rhs + eps * pd.vector)
-
-
-def condition_number(E: np.ndarray, norm: str = "l2") -> float:
-    """l2 condition number sigma_max / sigma_min; +inf when singular."""
-    if norm != "l2":
-        raise ValueError("only the l2 norm is implemented")
-    return _cond(np.asarray(E))
 
 
 @dataclass(frozen=True)

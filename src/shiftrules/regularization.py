@@ -63,6 +63,7 @@ class RegularizedSolution:
     gamma: float
     residual: float
     norm: float
+    max_imag_discarded: float
     target: float | None = None
 
 
@@ -106,12 +107,12 @@ def tikhonov_solve(sys: LinearSystem, gamma: float) -> RegularizedSolution:
         raise ValueError("gamma must be positive")
     b = _regularized_coefficients(sys, gamma)
     coeffs = b.real.copy()
-    residual = float(np.linalg.norm(sys.matrix @ b - sys.rhs))
     return RegularizedSolution(
         coefficients=coeffs,
         gamma=float(gamma),
-        residual=residual,
+        residual=float(np.linalg.norm(sys.matrix @ b - sys.rhs)),
         norm=float(np.linalg.norm(coeffs)),
+        max_imag_discarded=float(np.abs(b.imag).max()),
     )
 
 
@@ -183,23 +184,21 @@ def regularized_rule(
         selection = select_gamma_discrepancy(sys, cfg)
         gamma = selection.gamma
 
-    b_complex = _regularized_coefficients(sys, gamma)
-    b = b_complex.real.copy()
-    residual = float(np.linalg.norm(sys.matrix @ b_complex - sys.rhs))
+    sol = tikhonov_solve(sys, gamma)
     diagnostics = {
         "method": "tikhonov",
         "condition_number": condition_number(sys.matrix),
-        "residual": residual,
-        "max_imag_discarded": float(np.abs(b_complex.imag).max()),
-        "gamma": float(gamma),
-        "solution_norm": float(np.linalg.norm(b)),
+        "residual": sol.residual,
+        "max_imag_discarded": sol.max_imag_discarded,
+        "gamma": sol.gamma,
+        "solution_norm": sol.norm,
     }
     if selection is not None:
         diagnostics["gamma_selection"] = selection.status
         diagnostics["discrepancy_target"] = selection.target
     return ShiftRule(
         phases=sys.phases.copy(),
-        coefficients=b,
+        coefficients=sol.coefficients,
         orders=orders,
         frequencies=tuple(freq.unique_frequencies),
         diagnostics=diagnostics,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fourier import FourierModel
 from .regularization import RegularizationConfig
-from .spectrum import Spectrum
+from .spectrum import DEFAULT_DEDUP_TOL, DEFAULT_REL_TOL, Spectrum
 from .synthesis import ShiftRule
 from .variance import OptimizationConfig
 
@@ -63,6 +63,8 @@ def load_spectrum(path: str | Path) -> tuple[Spectrum, dict]:
         raise ValueError(f"{path}: 'eigenvalues' must be an array of numbers")
     spec = Spectrum(eigenvalues=tuple(float(v) for v in sorted(values)), label=data.get("label"))
     extra = {k: data[k] for k in ("rel_tol",) if k in data}
+    if not all(isinstance(v, (int, float)) and v > 0 for v in extra.values()):
+        raise ValueError(f"{path}: 'rel_tol' must be a positive number")
     return spec, extra
 
 
@@ -122,7 +124,10 @@ def load_rule(path: str | Path) -> ShiftRule:
     for key in ("phases", "coefficients", "orders"):
         if key not in data:
             raise ValueError(f"{path}: missing '{key}' field")
-    orders = tuple((int(o["p"]), float(o["weight"])) for o in data["orders"])
+    try:
+        orders = tuple((int(o["p"]), float(o["weight"])) for o in data["orders"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed 'orders' entry: {exc!r}") from exc
     return ShiftRule(
         phases=np.asarray(data["phases"], dtype=float),
         coefficients=np.asarray(data["coefficients"], dtype=float),
@@ -135,8 +140,8 @@ def load_rule(path: str | Path) -> ShiftRule:
 # -- CLI config --------------------------------------------------------------
 
 DEFAULT_CONFIG = {
-    "rel_tol": 1e-9,
-    "dedup_tol": 1e-12,
+    "rel_tol": DEFAULT_REL_TOL,
+    "dedup_tol": DEFAULT_DEDUP_TOL,
     "validation_bound": 1e-8,
 }
 
@@ -151,32 +156,31 @@ def load_config(path: str | Path | None) -> dict:
         for key in DEFAULT_CONFIG:
             if key in data:
                 cfg[key] = float(data[key])
-        cfg["regularization"] = data.get("regularization", {}) or {}
-        cfg["optimization"] = data.get("optimization", {}) or {}
+        for section in ("regularization", "optimization"):
+            cfg[section] = data.get(section) or {}
+            if not isinstance(cfg[section], dict):
+                raise ValueError(f"{path}: '{section}' must be an object")
     return cfg
 
 
+def _set_keys(section: dict, casts: dict, prefix: str = "") -> dict:
+    # Only the keys the file sets: the config dataclasses hold the defaults.
+    return {prefix + key: cast(section[key]) for key, cast in casts.items() if key in section}
+
+
 def regularization_config(section: dict) -> RegularizationConfig:
+    kwargs = _set_keys(section, {"data_error": float, "operator_error": float})
+    kwargs.update(_set_keys(section.get("grid", {}) or {},
+                            {"min": float, "max": float, "points": int}, prefix="grid_"))
     gamma = section.get("gamma", "auto")
     if isinstance(gamma, str):
         if gamma.lower() != "auto":
             raise ValueError(f"gamma must be a number or 'auto', got {gamma!r}")
-        gamma = None
-    grid = section.get("grid", {}) or {}
-    return RegularizationConfig(
-        gamma=gamma,
-        data_error=float(section.get("data_error", 0.0)),
-        operator_error=float(section.get("operator_error", 0.0)),
-        grid_min=float(grid.get("min", 1e-14)),
-        grid_max=float(grid.get("max", 1e2)),
-        grid_points=int(grid.get("points", 33)),
-    )
+    else:
+        kwargs["gamma"] = gamma
+    return RegularizationConfig(**kwargs)
 
 
 def optimization_config(section: dict, seed: int = 0) -> OptimizationConfig:
-    return OptimizationConfig(
-        max_iters=int(section.get("max_iters", 300)),
-        tol=float(section.get("tol", 1e-9)),
-        multistarts=int(section.get("multistarts", 8)),
-        seed=seed,
-    )
+    kwargs = _set_keys(section, {"max_iters": int, "tol": float, "multistarts": int})
+    return OptimizationConfig(seed=seed, **kwargs)

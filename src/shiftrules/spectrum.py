@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 DEFAULT_DEDUP_TOL = 1e-12
+DEFAULT_REL_TOL = 1e-9
 PERTURBED_FRACTION = 0.1
 
 
@@ -145,14 +146,20 @@ class ClusterSet:
         return np.asarray(out, dtype=float)
 
 
-def _dedup_values(values: np.ndarray, tol: float) -> list[list[float]]:
-    """Single-linkage grouping of sorted values with link threshold tol."""
-    groups: list[list[float]] = []
-    for v in np.sort(values):
-        if groups and v - groups[-1][-1] < tol:
-            groups[-1].append(v)
+def _dedup_values(values, tol: float) -> list[list[int]]:
+    """Single-linkage grouping of values with link threshold tol.
+
+    Returns the indices into ``values`` of each group, groups in increasing
+    value order and members in ascending value order: two sorted neighbours
+    share a group when they differ by less than tol.
+    """
+    vals = np.asarray(values, dtype=float).tolist()
+    groups: list[list[int]] = []
+    for i in sorted(range(len(vals)), key=vals.__getitem__):
+        if groups and vals[i] - vals[groups[-1][-1]] < tol:
+            groups[-1].append(i)
         else:
-            groups.append([v])
+            groups.append([i])
     return groups
 
 
@@ -170,7 +177,7 @@ def frequency_differences(spectrum: Spectrum, dedup_tol: float = DEFAULT_DEDUP_T
     scale = max(float(np.abs(lam).max()), 1e-300)
     tol = dedup_tol * scale
 
-    levels = np.asarray([float(np.mean(g)) for g in _dedup_values(lam, tol)])
+    levels = np.asarray([float(np.mean(lam[g])) for g in _dedup_values(lam, tol)])
     n = len(levels)
     if n < 2:
         raise ValueError("need at least 2 distinct eigenvalues after merging")
@@ -185,8 +192,9 @@ def frequency_differences(spectrum: Spectrum, dedup_tol: float = DEFAULT_DEDUP_T
             if k > l:
                 positive.append(float(levels[k] - levels[l]))
 
-    groups = _dedup_values(np.asarray(positive), tol)
-    freqs = tuple(float(np.mean(g)) for g in groups)
+    positive = np.asarray(positive)
+    groups = _dedup_values(positive, tol)
+    freqs = tuple(float(np.mean(positive[g])) for g in groups)
     mult = tuple(len(g) for g in groups)
     return FrequencySet(
         signed_gaps=tuple(signed),
@@ -198,7 +206,7 @@ def frequency_differences(spectrum: Spectrum, dedup_tol: float = DEFAULT_DEDUP_T
 
 def classify_structure(
     spectrum: Spectrum,
-    rel_tol: float = 1e-9,
+    rel_tol: float = DEFAULT_REL_TOL,
     perturbed_fraction: float = PERTURBED_FRACTION,
 ) -> StructureClass:
     """Classify a spectrum as equidistant, perturbed-equidistant, or unstructured.
@@ -239,22 +247,16 @@ def cluster_realizations(realizations: list[Spectrum], gap_factor: float) -> Clu
         raise ValueError("all realizations must have the same number of eigenvalues")
     k = len(realizations)
 
-    pooled = sorted(
-        (float(v), l) for l, spec in enumerate(realizations) for v in spec.eigenvalues
-    )
+    pooled = [(float(v), l) for l, spec in enumerate(realizations) for v in spec.eigenvalues]
     values = np.asarray([v for v, _ in pooled])
-    span = values[-1] - values[0]
+    span = values.max() - values.min()
     if span <= 0:
         raise ValueError("pooled eigenvalues are all identical; cannot form clusters")
     mean_gap = span / (len(values) - 1)
     threshold = gap_factor * mean_gap
-
-    clusters: list[list[tuple[float, int]]] = [[pooled[0]]]
-    for prev, cur in zip(pooled, pooled[1:]):
-        if cur[0] - prev[0] <= threshold:
-            clusters[-1].append(cur)
-        else:
-            clusters.append([cur])
+    # neighbours link at a gap of at most threshold: the next float up is the strict bound
+    groups = _dedup_values(values, np.nextafter(threshold, np.inf))
+    clusters = [[pooled[i] for i in g] for g in groups]
 
     if len(clusters) != n:
         raise ValueError(

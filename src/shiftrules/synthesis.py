@@ -19,7 +19,6 @@ from .spectrum import FrequencySet, gap_generator
 
 CONDITION_CAP = 1e8
 IMAG_TOL = 1e-9
-CRAMER_SIZE_CAP = 9
 
 Orders = tuple[tuple[int, float], ...]
 FIRST_DERIVATIVE: Orders = ((1, 1.0),)
@@ -84,6 +83,14 @@ def _normalize_orders(orders) -> Orders:
     return out
 
 
+def _gap_rhs(gaps: np.ndarray, orders: Orders) -> np.ndarray:
+    """Target sum_p w_p (i * g) ** p per gap value g (p = 0 gives exactly 1)."""
+    rhs = np.zeros(len(gaps), dtype=complex)
+    for p, w in orders:
+        rhs += w * (1j * gaps) ** p
+    return rhs
+
+
 def derivative_rhs(freq: FrequencySet, p: int) -> np.ndarray:
     """Right-hand side for an order-p rule: (i * gap) ** p per distinct gap.
 
@@ -92,17 +99,7 @@ def derivative_rhs(freq: FrequencySet, p: int) -> np.ndarray:
     """
     if p < 0:
         raise ValueError("derivative order must be non-negative")
-    gaps = freq.distinct_gaps
-    if p == 0:
-        return np.ones(len(gaps), dtype=complex)
-    return (1j * gaps) ** p
-
-
-def _combined_rhs(freq: FrequencySet, orders: Orders) -> np.ndarray:
-    rhs = np.zeros(freq.m, dtype=complex)
-    for p, w in orders:
-        rhs += w * derivative_rhs(freq, p)
-    return rhs
+    return _gap_rhs(freq.distinct_gaps, ((p, 1.0),))
 
 
 def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearSystem:
@@ -121,31 +118,7 @@ def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearS
     orders = _normalize_orders(orders)
     gaps = freq.distinct_gaps
     E = np.exp(1j * np.outer(gaps, phases))
-    return LinearSystem(matrix=E, rhs=_combined_rhs(freq, orders), row_gaps=gaps, phases=phases)
-
-
-def build_full_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearSystem:
-    """Design system with one row per signed eigenvalue pair (no dedup).
-
-    Coincident gaps then produce duplicate rows and a singular square
-    matrix; this variant exists for ill-posedness experiments and for
-    the regularized path, which tolerates rank deficiency.
-    """
-    phases = np.asarray(phases, dtype=float)
-    orders = _normalize_orders(orders)
-    entries = sorted(
-        ((abs(g), -np.sign(g), g) for _, g in freq.signed_gaps),
-        key=lambda e: (e[0], e[1]),
-    )
-    gaps = np.asarray([g for _, _, g in entries])
-    E = np.exp(1j * np.outer(gaps, phases))
-    rhs = np.zeros(len(gaps), dtype=complex)
-    for p, w in orders:
-        if p == 0:
-            rhs += w * np.ones(len(gaps))
-        else:
-            rhs += w * (1j * gaps) ** p
-    return LinearSystem(matrix=E, rhs=rhs, row_gaps=gaps, phases=phases)
+    return LinearSystem(matrix=E, rhs=_gap_rhs(gaps, orders), row_gaps=gaps, phases=phases)
 
 
 def check_phase_distinctness(phases, frequencies) -> None:
@@ -181,6 +154,17 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
+def _capped_solve(E: np.ndarray, rhs: np.ndarray, condition_cap: float = CONDITION_CAP):
+    """(np.linalg.solve(E, rhs), cond(E)); IllPosedError when cond(E) exceeds the cap."""
+    cond = condition_number(E)
+    if not np.isfinite(cond) or cond > condition_cap:
+        raise IllPosedError(
+            f"condition number {cond:.3g} exceeds cap {condition_cap:.3g}",
+            condition_number=cond,
+        )
+    return np.linalg.solve(E, rhs), cond
+
+
 def _extract_real(b: np.ndarray, context: str) -> tuple[np.ndarray, float]:
     scale = max(float(np.linalg.norm(b)), 1e-300)
     max_imag = float(np.abs(b.imag).max())
@@ -212,13 +196,7 @@ def solve_direct(
         )
     pos = sys.row_gaps[sys.row_gaps > 0]
     check_phase_distinctness(sys.phases, pos)
-    cond = condition_number(E)
-    if not np.isfinite(cond) or cond > condition_cap:
-        raise IllPosedError(
-            f"condition number {cond:.3g} exceeds cap {condition_cap:.3g}",
-            condition_number=cond,
-        )
-    b = np.linalg.solve(E, sys.rhs)
+    b, cond = _capped_solve(E, sys.rhs, condition_cap)
     coeffs, max_imag = _extract_real(b, "solve_direct")
     residual = float(np.linalg.norm(E @ b - sys.rhs))
     return ShiftRule(
@@ -233,59 +211,6 @@ def solve_direct(
             "max_imag_discarded": max_imag,
         },
     )
-
-
-def cramer_coefficient(sys: LinearSystem, x: int) -> float:
-    """Coefficient b_x via Cramer's rule: det E(phi/phi_x) / det E.
-
-    Restricted to systems of size <= 9 (determinant cost guard).
-    """
-    E = sys.matrix
-    if not sys.is_square:
-        raise ValueError("Cramer's rule needs a square system")
-    m = E.shape[0]
-    if m > CRAMER_SIZE_CAP:
-        raise ValueError(f"Cramer path limited to m <= {CRAMER_SIZE_CAP}, got {m}")
-    if not 0 <= x < m:
-        raise IndexError("column index out of range")
-    det = np.linalg.det(E)
-    if det == 0 or not np.isfinite(abs(det)):
-        raise IllPosedError("singular design matrix in Cramer's rule")
-    M = E.copy()
-    M[:, x] = sys.rhs
-    value = np.linalg.det(M) / det
-    if abs(value.imag) > IMAG_TOL * max(1.0, abs(value)):
-        raise ValueError("Cramer coefficient came out non-real")
-    return float(value.real)
-
-
-def jacobi_coefficient(sys: LinearSystem, x: int, step: float = 1e-4) -> float:
-    """Coefficient b_x from the determinant-derivative form.
-
-    Numerator: d/ds det E with column x evaluated at phase s, at s = 0
-    (Richardson-extrapolated central differences); denominator: det E at
-    the given phases.  Agrees with cramer_coefficient because the
-    phase-derivative of a column at zero phase is exactly the
-    first-derivative right-hand side.
-    """
-    E = sys.matrix
-    if not sys.is_square:
-        raise ValueError("Jacobi form needs a square system")
-    det = np.linalg.det(E)
-    if det == 0:
-        raise IllPosedError("singular design matrix in Jacobi form")
-
-    def det_at(s: float) -> complex:
-        M = E.copy()
-        M[:, x] = np.exp(1j * sys.row_gaps * s)
-        return np.linalg.det(M)
-
-    def central(h: float) -> complex:
-        return (det_at(h) - det_at(-h)) / (2 * h)
-
-    deriv = (4 * central(step / 2) - central(step)) / 3
-    value = deriv / det
-    return float(value.real)
 
 
 def synthesize_rule(
@@ -317,6 +242,5 @@ def compatibility_residual(rule: ShiftRule, freq: FrequencySet, orders=None) -> 
     Independent of any test function: a rule is exact for every in-band
     model precisely when this vanishes.
     """
-    orders = _normalize_orders(orders if orders is not None else rule.orders)
-    E = np.exp(1j * np.outer(freq.distinct_gaps, rule.phases))
-    return float(np.abs(E @ rule.coefficients - _combined_rhs(freq, orders)).max())
+    sys = build_system(freq, rule.phases, orders if orders is not None else rule.orders)
+    return float(np.abs(sys.matrix @ rule.coefficients - sys.rhs).max())

@@ -14,21 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regularization import tikhonov_solve
 from .spectrum import FrequencySet, gap_generator
 from .synthesis import (
-    CONDITION_CAP,
     FIRST_DERIVATIVE,
     IllPosedError,
     Orders,
     ShiftRule,
+    _capped_solve,
     _normalize_orders,
     build_system,
     condition_number,
-    solve_direct,
+    synthesize_rule,
 )
-
-DETERMINANT_SIZE_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,7 @@ class OptimizationConfig:
     """
 
     max_iters: int = 300
-    tol: float = 1e-7
+    tol: float = 1e-9
     multistarts: int = 8
     seed: int = 0
     bounds: tuple[float, float] | None = None
@@ -94,81 +91,39 @@ def confidence_interval(report: VarianceReport, eta: float) -> float:
     return float(np.sqrt(report.variance / eta))
 
 
-def _solve_coefficients(freq: FrequencySet, phases, orders: Orders) -> np.ndarray:
-    # Lenient solve for derivative probing: condition-capped but without
-    # the realness assertion (round-off imaginaries grow with conditioning).
-    sys = build_system(freq, phases, orders)
-    cond = condition_number(sys.matrix)
-    if not np.isfinite(cond) or cond > CONDITION_CAP:
-        raise IllPosedError(f"ill-posed at these phases (condition {cond:.3g})",
-                            condition_number=cond)
-    return np.linalg.solve(sys.matrix, sys.rhs).real
+def _fd_stationarity(solve, phases: np.ndarray, step: float) -> np.ndarray:
+    # S_y = b . db/dphi_y with each derivative a central difference of re-solves
+    b = solve(phases)
+    out = np.zeros(len(phases))
+    for y in range(len(phases)):
+        h = step * max(1.0, abs(phases[y]))
+        up, dn = phases.copy(), phases.copy()
+        up[y] += h
+        dn[y] -= h
+        out[y] = float(b @ ((solve(up) - solve(dn)) / (2 * h)))
+    return out
 
 
 def stationarity_residual(
     freq: FrequencySet,
     phases,
-    method: str = "finite_difference",
     orders: Orders = FIRST_DERIVATIVE,
     step: float = 1e-6,
 ) -> np.ndarray:
     """The gradient-type residual S_y = sum_x b_x * d b_x / d phi_y.
 
     All components vanish exactly at a stationary point of the
-    square-norm objective.  ``finite_difference`` re-solves the system at
-    shifted phases; ``determinant`` evaluates the equivalent determinant
-    identity (first-derivative target only, m <= 7) and returns the
-    normalized side difference of that identity.
+    square-norm objective.  The derivatives are central differences of
+    condition-capped re-solves; the realness assertion is skipped, as
+    round-off imaginaries grow with conditioning.
     """
-    phases = np.asarray(phases, dtype=float)
-    m = len(phases)
     orders = _normalize_orders(orders)
 
-    if method == "finite_difference":
-        b = _solve_coefficients(freq, phases, orders)
-        out = np.zeros(m)
-        for y in range(m):
-            h = step * max(1.0, abs(phases[y]))
-            up, dn = phases.copy(), phases.copy()
-            up[y] += h
-            dn[y] -= h
-            db = (_solve_coefficients(freq, up, orders) - _solve_coefficients(freq, dn, orders)) / (2 * h)
-            out[y] = float(b @ db)
-        return out
+    def solve(ph):
+        sys = build_system(freq, ph, orders)
+        return _capped_solve(sys.matrix, sys.rhs)[0].real
 
-    if method == "determinant":
-        if orders != FIRST_DERIVATIVE:
-            raise ValueError("determinant form is defined for the first-derivative target")
-        if m > DETERMINANT_SIZE_CAP:
-            raise ValueError(f"determinant form limited to m <= {DETERMINANT_SIZE_CAP}")
-        sys = build_system(freq, phases, orders)
-        E, mu, gaps = sys.matrix, sys.rhs, sys.row_gaps
-        D = np.linalg.det(E)
-        if D == 0:
-            raise IllPosedError("singular system in determinant stationarity form")
-        Dx = np.empty(m, dtype=complex)
-        for x in range(m):
-            M = E.copy()
-            M[:, x] = mu
-            Dx[x] = np.linalg.det(M)
-        out = np.zeros(m)
-        for y in range(m):
-            uy = 1j * gaps * np.exp(1j * gaps * phases[y])
-            Ey = E.copy()
-            Ey[:, y] = uy
-            lhs = 0j
-            for x in range(m):
-                if x == y:
-                    continue  # the x = y cross determinant vanishes identically
-                M = E.copy()
-                M[:, y] = uy
-                M[:, x] = mu
-                lhs += Dx[x] * np.linalg.det(M)
-            rhs = np.linalg.det(Ey) / D * np.sum(Dx**2)
-            out[y] = ((lhs - rhs) / D**2).real
-        return out
-
-    raise ValueError(f"unknown method {method!r}")
+    return _fd_stationarity(solve, np.asarray(phases, dtype=float), step)
 
 
 def _objective_state(freq, phases, orders, condition_cap=1e8, with_hessian=False):
@@ -182,8 +137,8 @@ def _objective_state(freq, phases, orders, condition_cap=1e8, with_hessian=False
 
     sys = build_system(freq, phases, orders)
     E = sys.matrix
-    s = np.linalg.svd(E, compute_uv=False)
-    if s[-1] <= 0 or not np.isfinite(s[0]) or s[0] / s[-1] > condition_cap:
+    cond = condition_number(E)
+    if not np.isfinite(cond) or cond > condition_cap:
         return None
     lu = scipy.linalg.lu_factor(E)
     b = scipy.linalg.lu_solve(lu, sys.rhs).real
@@ -379,7 +334,7 @@ def optimize_shifts(
 
     def try_rule(ph):
         try:
-            return solve_direct(build_system(freq, ph, orders), orders=orders)
+            return synthesize_rule(freq, ph, orders)
         except (IllPosedError, ValueError):
             return None
 
@@ -423,58 +378,3 @@ def optimize_shifts(
     pool = certified if certified else candidates
     _, _, best_ph, best_rule = min(pool, key=lambda c: c[0])
     return np.asarray(best_ph), best_rule
-
-
-def regularized_stationarity_residual(
-    freq: FrequencySet,
-    phases,
-    gamma: float,
-    method: str = "finite_difference",
-    orders: Orders = FIRST_DERIVATIVE,
-    step: float = 1e-6,
-) -> np.ndarray:
-    """Stationarity residual of the Tikhonov coefficients' square-norm.
-
-    ``finite_difference`` differentiates the regularized solve itself;
-    ``explicit`` expands the derivative with the matrix identity
-    d(Y^{-1}) = -Y^{-1} dY Y^{-1} (m <= 7) as an independent cross-check.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    phases = np.asarray(phases, dtype=float)
-    m = len(phases)
-    orders = _normalize_orders(orders)
-
-    def coeffs(ph):
-        return tikhonov_solve(build_system(freq, ph, orders), gamma).coefficients
-
-    if method == "finite_difference":
-        b = coeffs(phases)
-        out = np.zeros(m)
-        for y in range(m):
-            h = step * max(1.0, abs(phases[y]))
-            up, dn = phases.copy(), phases.copy()
-            up[y] += h
-            dn[y] -= h
-            out[y] = float(b @ ((coeffs(up) - coeffs(dn)) / (2 * h)))
-        return out
-
-    if method == "explicit":
-        if m > DETERMINANT_SIZE_CAP:
-            raise ValueError(f"explicit form limited to m <= {DETERMINANT_SIZE_CAP}")
-        sys = build_system(freq, phases, orders)
-        E, mu, gaps = sys.matrix, sys.rhs, sys.row_gaps
-        M = gamma * np.eye(m) + E.conj().T @ E
-        b = np.linalg.solve(M, E.conj().T @ mu)
-        out = np.zeros(m)
-        for y in range(m):
-            uy = 1j * gaps * np.exp(1j * gaps * phases[y])
-            e_y = np.zeros(m)
-            e_y[y] = 1.0
-            dEdag_mu = e_y * (uy.conj() @ mu)
-            dM = np.outer(e_y, uy.conj() @ E) + np.outer(E.conj().T @ uy, e_y)
-            db = np.linalg.solve(M, dEdag_mu - dM @ b)
-            out[y] = float(b.real @ db.real)
-        return out
-
-    raise ValueError(f"unknown method {method!r}")

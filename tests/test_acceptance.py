@@ -26,7 +26,6 @@ from shiftrules import (
     closed_form_rule,
     compatibility_residual,
     confidence_interval,
-    cramer_coefficient,
     evaluate,
     frequency_differences,
     optimal_phases,
@@ -39,16 +38,21 @@ from shiftrules import (
     variance_of_estimate,
 )
 from shiftrules import serialize
+from shiftrules.checks import (
+    cramer_coefficient,
+    determinant_stationarity_residual,
+    exact_perturbed_solution,
+    jacobi_coefficient,
+)
 from shiftrules.cli import cli
 from shiftrules.equidistant import normalized_system
 from shiftrules.fourier import sample_noisy_batch
 from shiftrules.perturbation import (
     error_bound,
-    exact_perturbed_solution,
     linearized_solution,
     perturbation_matrices,
 )
-from shiftrules.synthesis import LinearSystem, jacobi_coefficient
+from shiftrules.synthesis import LinearSystem
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -337,9 +341,9 @@ def test_criterion_09b_equidistant_phases_stationarity():
     m = len(phases)
     expected = np.array([-np.sqrt(3) / 9, np.sqrt(3) / 9, 0.0])
     resid_err = {
-        method: float(np.abs(stationarity_residual(freq, phases, method=method)
-                             - expected).max())
-        for method in ("finite_difference", "determinant")
+        method: float(np.abs(residual(freq, phases) - expected).max())
+        for method, residual in (("finite_difference", stationarity_residual),
+                                 ("determinant", determinant_stationarity_residual))
     }
     resid_ok = all(err <= 1e-8 for err in resid_err.values())
 

@@ -368,6 +368,44 @@ def test_variance_invalid_eta(runner, two_level, tmp_path):
     assert result.exit_code == 3
 
 
+_RULE = {"phases": [-2.0943951023931953, -4.1887902047863905, -6.283185307179586],
+         "coefficients": [-0.5773502691896258, 0.5773502691896258, 0.0],
+         "orders": [{"p": 1, "weight": 1.0}], "frequencies": [1.0]}
+
+
+@pytest.mark.parametrize("args", [
+    ["optimize", "--order", "-1", "{spec}"],
+    ["synthesize", "--phases", "nan,-1,-2", "{spec}"],
+    ["optimize", "--phases", "nan,-1,-2", "{spec}"],
+    ["optimize", "--phases", "-1,-2", "{spec}"],
+    ["optimize", "--phases", "-1,-2,-3,-4", "{spec}"],
+    ["validate", "{rule_no_p}"],
+    ["variance", "{rule_no_weight}"],
+    ["analyze", "{spec_bad_rel_tol}"],
+    ["synthesize", "{spec_bad_rel_tol}"],
+    ["validate", "--model", "random:0", "{rule}"],
+    ["validate", "--model", "random:-2", "{rule}"],
+    ["--config", "{cfg_section}", "synthesize", "{spec}"],
+    ["--config", "{cfg_null_tol}", "optimize", "{spec}"],
+])
+def test_malformed_input_exits_invalid(runner, tmp_path, args):
+    files = {
+        "spec": _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0]}),
+        "spec_bad_rel_tol": _write(tmp_path, "bad.json", {"eigenvalues": [0.0, 1.0], "rel_tol": "x"}),
+        "rule": _write(tmp_path, "rule.json", _RULE),
+        "rule_no_p": _write(tmp_path, "no_p.json", dict(_RULE, orders=[{"weight": 1.0}])),
+        "rule_no_weight": _write(tmp_path, "no_w.json", dict(_RULE, orders=[{"p": 1}])),
+        "cfg_section": _write(tmp_path, "cfg1.json", {"regularization": 5}),
+        "cfg_null_tol": _write(tmp_path, "cfg2.json", {"optimization": {"tol": None}}),
+    }
+    out = str(tmp_path / "out.json")
+    result = runner.invoke(cli, ["--output", out] + [a.format(**files) for a in args], obj={})
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 3
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out.json").exists()
+
+
 _SCIPY_PROBE = """
 import json, sys
 import numpy as np

@@ -14,7 +14,8 @@ from shiftrules import (
     orthogonality_residual,
     solve_direct,
 )
-from shiftrules.equidistant import _dirichlet_kernel_ratio, normalized_system
+from shiftrules.checks import _dirichlet_kernel_ratio
+from shiftrules.equidistant import normalized_system
 from shiftrules.synthesis import build_system
 
 

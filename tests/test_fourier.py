@@ -11,8 +11,8 @@ from shiftrules import (
     evaluate,
     from_hamiltonian,
     sample_noisy,
-    vandermonde_expansion_coeffs,
 )
+from shiftrules.checks import vandermonde_expansion_coeffs
 from shiftrules.fourier import sample_noisy_batch
 
 

@@ -9,7 +9,7 @@ from shiftrules import (
     perturbation_matrices,
 )
 from shiftrules.equidistant import normalized_system
-from shiftrules.perturbation import exact_perturbed_solution
+from shiftrules.checks import exact_perturbed_solution
 
 
 def _unperturbed(n, delta=1.0):

@@ -18,7 +18,8 @@ from shiftrules import (
     solve_direct,
     tikhonov_solve,
 )
-from shiftrules.synthesis import LinearSystem, build_full_system
+from shiftrules.checks import build_full_system
+from shiftrules.synthesis import LinearSystem
 
 
 def _noisy_system(sys, noise):

@@ -10,14 +10,14 @@ from shiftrules import (
     apply_rule,
     build_system,
     compatibility_residual,
-    cramer_coefficient,
     derivative_rhs,
     evaluate,
     frequency_differences,
     solve_direct,
     synthesize_rule,
 )
-from shiftrules.synthesis import LinearSystem, ShiftRule, build_full_system, jacobi_coefficient
+from shiftrules.checks import build_full_system, cramer_coefficient, jacobi_coefficient
+from shiftrules.synthesis import LinearSystem, ShiftRule
 
 FREQ01 = frequency_differences(Spectrum((0.0, 1.0)))
 EQ_PHASES = np.array([-2 * np.pi / 3, -4 * np.pi / 3, -2 * np.pi])

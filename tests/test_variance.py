@@ -15,11 +15,11 @@ from shiftrules import (
     confidence_interval,
     frequency_differences,
     optimize_shifts,
-    regularized_stationarity_residual,
     stationarity_residual,
     synthesize_rule,
     variance_of_estimate,
 )
+from shiftrules.checks import determinant_stationarity_residual, regularized_stationarity_residual
 from shiftrules.fourier import evaluate, sample_noisy_batch
 from shiftrules.synthesis import apply_rule
 
@@ -93,8 +93,8 @@ def test_stationarity_methods_agree():
     for _ in range(5):
         freq = frequency_differences(random_spectrum(rng, 2))
         phases = well_posed_phases(freq, rng)
-        fd = stationarity_residual(freq, phases, method="finite_difference")
-        det = stationarity_residual(freq, phases, method="determinant")
+        fd = stationarity_residual(freq, phases)
+        det = determinant_stationarity_residual(freq, phases)
         scale = 1 + np.abs(fd).max()
         assert np.abs(fd - det).max() / scale <= 1e-5
 
@@ -111,7 +111,7 @@ def test_stationarity_determinant_guards():
     freq = frequency_differences(random_spectrum(rng, 4))  # m = 13
     phases = well_posed_phases(freq, rng)
     with pytest.raises(ValueError, match="m <= 7"):
-        stationarity_residual(freq, phases, method="determinant")
+        determinant_stationarity_residual(freq, phases)
 
 
 def test_optimize_from_equidistant_start_finds_symmetric_rule():
