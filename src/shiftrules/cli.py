@@ -349,6 +349,13 @@ def optimize(ctx, spectrum_file, order, phases):
     except IllPosedError as exc:
         _fail(EXIT_ILL_POSED, str(exc))
 
+    warnings = []
+    if not rule.diagnostics["certified"]:
+        warnings.append(
+            f"no optimizer candidate is stationary within tol "
+            f"{ctx.obj['optimization'].tol:.3g}; the lowest square-norm found is returned "
+            f"uncertified (max stationarity residual {rule.diagnostics['stationarity']:.3g})"
+        )
     out_path = ctx.obj.get("output") or "optimized_rule.json"
     serialize.save_rule(rule, out_path)
     report = {
@@ -357,6 +364,7 @@ def optimize(ctx, spectrum_file, order, phases):
         "square_norm_after": rule.square_norm,
         "phases": [float(p) for p in phi_star],
         "elapsed_s": time.perf_counter() - t0,
+        "warnings": warnings,
     }
     if not ctx.obj.get("quiet"):
         click.echo(serialize.dumps_report(report))

@@ -4,13 +4,17 @@ Under independent noise on each shifted evaluation, the derivative
 estimator's variance is sum_x b_x^2 sigma_x^2.  With equal per-point
 variances the natural objective for choosing phases is the coefficient
 square-norm sum_x b_x^2; this module evaluates its stationarity
-conditions (finite-difference and determinant forms) and minimizes it
-numerically with a multistart local search.
+residual by finite differences and minimizes it numerically with a
+multistart local search on its exact gradient and Hessian (one LU
+factorization of the design matrix per phase vector).  The determinant
+form of the stationarity conditions is a cross-check in
+``shiftrules.checks``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,56 +130,83 @@ def stationarity_residual(
     return _fd_stationarity(solve, np.asarray(phases, dtype=float), step)
 
 
-def _objective_state(freq, phases, orders, condition_cap=1e8, with_hessian=False):
-    """(sum b^2, exact gradient, exact Hessian or None); None when ill-posed.
+class _PhasePoint:
+    """The square-norm objective at one phase vector, from one LU of E.
 
-    One LU factorization per call; the gradient uses db/dphi_y =
-    -b_y E^{-1} u_y with u_y the phase-derivative of column y, and the
-    Hessian differentiates that expression once more.
+    ``_evaluate_point`` builds E, rejects it (returns None) when its
+    condition number exceeds the cap, and factors it once with LAPACK
+    getrf; ``solve`` applies that LU (getrs).  b and ``value`` = sum b^2
+    are eager; ``gradient`` and ``hessian`` are lazy: the first access to
+    ``gradient`` solves E A = U for the phase-derivative columns u_y
+    (db/dphi_y = -b_y E^{-1} u_y), the first access to ``hessian``
+    solves for du_y/dphi_y and differentiates once more; both reuse the
+    factorization and are computed at most once.
     """
-    import scipy.linalg  # lazily: keeps scipy off the CLI import path
+
+    def __init__(self, sys, solve):
+        self._sys, self._solve = sys, solve
+        self.b = solve(sys.rhs).real
+        self.value = float(self.b @ self.b)
+
+    @cached_property
+    def _derivatives(self):
+        sys = self._sys
+        A = self._solve((1j * sys.row_gaps)[:, None] * sys.matrix)   # A[:, y] = E^{-1} u_y
+        D = -self.b[None, :] * A                                     # D[:, y] = db/dphi_y
+        return A, D
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        return 2.0 * (self.b @ self._derivatives[1].real)
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        sys, b = self._sys, self.b
+        A, D = self._derivatives
+        Bw = self._solve(((1j * sys.row_gaps) ** 2)[:, None] * sys.matrix)  # E^{-1} du_y/dphi_y
+        m = len(b)
+        H = np.empty((m, m))
+        Dr = D.real
+        for y in range(m):
+            for z in range(m):
+                if y == z:
+                    h2 = -D[y, y] * A[:, y] + b[y] * A[y, y] * A[:, y] - b[y] * Bw[:, y]
+                else:
+                    h2 = -D[y, z] * A[:, y] + b[y] * A[z, y] * A[:, z]
+                H[y, z] = 2.0 * float(Dr[:, y] @ Dr[:, z] + b @ h2.real)
+        return 0.5 * (H + H.T)
+
+
+def _evaluate_point(freq, phases, orders, condition_cap=1e8) -> _PhasePoint | None:
+    """The objective at ``phases`` (see _PhasePoint); None when ill-posed."""
+    from scipy.linalg import get_lapack_funcs  # lazily: keeps scipy off the CLI import path
 
     sys = build_system(freq, phases, orders)
-    E = sys.matrix
-    cond = condition_number(E)
+    cond = condition_number(sys.matrix)
     if not np.isfinite(cond) or cond > condition_cap:
         return None
-    lu = scipy.linalg.lu_factor(E)
-    b = scipy.linalg.lu_solve(lu, sys.rhs).real
-    U = (1j * sys.row_gaps)[:, None] * E
-    A = scipy.linalg.lu_solve(lu, U)       # A[:, y] = E^{-1} u_y
-    D = -b[None, :] * A                    # D[:, y] = db/dphi_y
-    f = float(b @ b)
-    grad = 2.0 * (b @ D.real)
-    if not with_hessian:
-        return f, grad, None
-    W = ((1j * sys.row_gaps) ** 2)[:, None] * E
-    Bw = scipy.linalg.lu_solve(lu, W)      # Bw[:, y] = E^{-1} du_y/dphi_y
-    m = len(phases)
-    H = np.empty((m, m))
-    Dr = D.real
-    for y in range(m):
-        for z in range(m):
-            if y == z:
-                h2 = -D[y, y] * A[:, y] + b[y] * A[y, y] * A[:, y] - b[y] * Bw[:, y]
-            else:
-                h2 = -D[y, z] * A[:, y] + b[y] * A[z, y] * A[:, z]
-            H[y, z] = 2.0 * float(Dr[:, y] @ Dr[:, z] + b @ h2.real)
-    return f, grad, 0.5 * (H + H.T)
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (sys.matrix,))
+    lu, piv, _ = getrf(sys.matrix)
+    return _PhasePoint(sys, lambda rhs: getrs(lu, piv, rhs)[0])
 
 
 def _newton_polish(freq, phases, orders, lo, hi, max_iters=80):
-    """Damped Newton with the exact Hessian to sharpen stationarity."""
+    """Damped Newton with the exact Hessian to sharpen stationarity.
+
+    The Hessian is built only at points a step is taken from: the start
+    and each accepted trial that does not end the polish.
+    """
     ph = np.asarray(phases, dtype=float).copy()
-    state = _objective_state(freq, ph, orders, with_hessian=True)
-    if state is None:
+    cur = _evaluate_point(freq, ph, orders)
+    if cur is None:
         return ph
-    f, g, H = state
     m = len(ph)
     lam = 1e-10
     for _ in range(max_iters):
+        g = cur.gradient
         if np.abs(g).max() < 1e-12:
             break
+        H = cur.hessian
         moved = False
         for _ in range(50):
             try:
@@ -187,11 +218,11 @@ def _newton_polish(freq, phases, orders, lo, hi, max_iters=80):
             if cand.min() < lo or cand.max() > hi:
                 lam *= 10
                 continue
-            nxt = _objective_state(freq, cand, orders, with_hessian=True)
+            nxt = _evaluate_point(freq, cand, orders)
             if nxt is not None and (
-                np.abs(nxt[1]).max() < np.abs(g).max() or nxt[0] < f - 1e-14
+                np.abs(nxt.gradient).max() < np.abs(g).max() or nxt.value < cur.value - 1e-14
             ):
-                ph, (f, g, H) = cand, nxt
+                ph, cur = cand, nxt
                 lam = max(lam * 0.25, 1e-12)
                 moved = True
                 break
@@ -241,8 +272,8 @@ def _symmetric_start(freq, orders, width, rng):
             return 1e12
         if len(mags) > 1 and np.min(np.diff(np.sort(mags))) < 1e-6:
             return 1e12
-        state = _objective_state(freq, _pairs_to_phases(mags, width), orders)
-        return 1e12 if state is None else state[0]
+        point = _evaluate_point(freq, _pairs_to_phases(mags, width), orders)
+        return 1e12 if point is None else point.value
 
     seeds = [width / 2 * (np.arange(1, k + 1) / (k + 1))]
     seeds += [np.sort(rng.uniform(0.05, 0.95, k)) * width / 2 for _ in range(3)]
@@ -270,7 +301,10 @@ def optimize_shifts(
     polishes each candidate with exact-Hessian damped Newton steps, and
     certifies candidates by the finite-difference stationarity residual.
     Among certified candidates the lowest objective wins; the returned
-    objective never exceeds the one at phi0 (plus tolerance).
+    objective never exceeds the one at phi0 (plus tolerance).  When no
+    candidate certifies, the lowest objective among all of them wins.
+    The rule's diagnostics say which: ``certified`` (bool) and
+    ``stationarity``, the winner's max residual |S_y|.
 
     Raises IllPosedError when phi0 and every start are ill-posed.
     """
@@ -296,20 +330,16 @@ def optimize_shifts(
     rng = np.random.default_rng(cfg.seed)
 
     def scipy_objective(ph):
-        state = _objective_state(freq, ph, orders)
-        if state is None:
+        point = _evaluate_point(freq, ph, orders)
+        if point is None:
             return 1e12, np.zeros(m)
-        return state[0], state[1]
+        return point.value, point.gradient
 
     def polish(ph):
         if wrap is None:
             return _newton_polish(freq, ph, orders, lo, hi)
         ph = _newton_polish(freq, ph, orders, -np.inf, np.inf)
         return -np.mod(-ph, wrap)
-
-    def objective(ph):
-        state = _objective_state(freq, ph, orders)
-        return None if state is None else state[0]
 
     # the symmetric-descent start counts against the multistart budget
     starts = [phi0]
@@ -325,12 +355,11 @@ def optimize_shifts(
         rng.uniform(lo + 1e-3, hi - 1e-3, m)
         for _ in range(extra - n_paired)
     ]
-    feasible = [st for st in starts if objective(st) is not None]
+    points = [_evaluate_point(freq, st, orders) for st in starts]
+    feasible = [st for st, pt in zip(starts, points) if pt is not None]
     if not feasible:
         raise IllPosedError("all optimization starts are ill-posed")
-    f0 = objective(phi0)
-    if f0 is None:
-        f0 = np.inf
+    f0 = np.inf if points[0] is None else points[0].value
 
     def try_rule(ph):
         try:
@@ -361,20 +390,20 @@ def optimize_shifts(
                 options=dict(maxiter=cfg.max_iters * 10, ftol=1e-18, gtol=1e-12, maxls=80),
             )
             ph = polish(res.x)
-            state = _objective_state(freq, ph, orders)
-            if state is not None and np.abs(state[1]).max() < 1e-10:
+            point = _evaluate_point(freq, ph, orders)
+            if point is not None and np.abs(point.gradient).max() < 1e-10:
                 break
-        f = objective(ph)
-        if f is None:
+        if point is None:
             continue
         rule = try_rule(ph)
         if rule is None:
             continue
-        candidates.append((f, certify(ph), ph, rule))
+        candidates.append((point.value, certify(ph), ph, rule))
 
     if not candidates:
         raise IllPosedError("no solvable candidate found")
     certified = [c for c in candidates if c[1] <= cfg.tol and c[0] <= f0 + cfg.tol]
     pool = certified if certified else candidates
-    _, _, best_ph, best_rule = min(pool, key=lambda c: c[0])
+    _, stationarity, best_ph, best_rule = min(pool, key=lambda c: c[0])
+    best_rule.diagnostics.update(certified=bool(certified), stationarity=stationarity)
     return np.asarray(best_ph), best_rule

@@ -321,6 +321,20 @@ def test_optimize_equidistant_start_improves_to_symmetric_minimum(runner, two_le
     assert report["square_norm_after"] == pytest.approx(0.5, abs=1e-6)
 
 
+def test_optimize_reports_uncertified_winner(runner, two_level, tmp_path):
+    spectra = {"two": two_level, "u16": _write(tmp_path, "u16.json", {"eigenvalues": [0.0, 1.0, 2.6]})}
+    for name, spec in spectra.items():
+        out = tmp_path / f"{name}.json"
+        result = runner.invoke(cli, ["--output", str(out), "optimize", spec], obj={})
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        diag = json.loads(out.read_text())["diagnostics"]
+        assert diag["certified"] == (name == "two")
+        assert (diag["stationarity"] <= 1e-9) == diag["certified"]
+        assert len(report["warnings"]) == (0 if diag["certified"] else 1)
+        assert all("uncertified" in w for w in report["warnings"])
+
+
 def test_optimize_infeasible_start_no_multistarts(runner, two_level, tmp_path):
     cfg = _write(tmp_path, "cfg.json", {"optimization": {"multistarts": 0}})
     result = runner.invoke(
