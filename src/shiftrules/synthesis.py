@@ -121,6 +121,72 @@ def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearS
     return LinearSystem(matrix=E, rhs=_gap_rhs(gaps, orders), row_gaps=gaps, phases=phases)
 
 
+@dataclass(frozen=True)
+class ReducedSystem:
+    """The design system at the negation-symmetric phases (0, -x_1..-x_R, +x_1..+x_R).
+
+    Unitary row and column rotations (rows 1, sqrt2*cos(w .), sqrt2*sin(w .);
+    columns e_0, (e_+x +- e_-x)/sqrt2) split E into two real blocks, so E's
+    singular values are those of ``cos`` and ``sin`` together:
+
+      cos = [[1, sqrt2 * 1^T], [sqrt2 * 1, 2 cos(w_j x_k)]]   (R+1, R+1)
+      sin = 2 sin(w_j x_k)                                     (R, R)
+
+    A target of one parity excites one block: ``matrix`` u = ``rhs`` with
+    ``matrix`` = sin for odd orders and cos for even ones.  u holds
+    sqrt2 * c_k per pair (the coefficients are -c_k, +c_k for odd orders
+    and b_0 = u_0, c_k, c_k for even ones), so sum b^2 = |u|^2.  x may
+    carry leading batch axes, which both blocks keep.
+    """
+
+    cos: np.ndarray
+    sin: np.ndarray
+    rhs: np.ndarray
+    odd: bool
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.sin if self.odd else self.cos
+
+    def condition_number(self) -> np.ndarray:
+        """cond(E) at the lifted phases per batch entry; +inf where singular."""
+        s = np.concatenate([np.linalg.svd(self.cos, compute_uv=False),
+                            np.linalg.svd(self.sin, compute_uv=False)], axis=-1)
+        smax, smin = s.max(axis=-1), s.min(axis=-1)
+        regular = smin > smax * s.shape[-1] * np.finfo(float).eps  # False for NaN too
+        return np.where(regular, smax / np.where(regular, smin, 1.0), np.inf)
+
+
+def reduced_parity(orders) -> bool | None:
+    """True when every order is odd, False when every order is even, None when mixed."""
+    parities = {p % 2 for p, _ in _normalize_orders(orders)}
+    return None if len(parities) > 1 else parities.pop() == 1
+
+
+def build_reduced_system(freq: FrequencySet, x, orders=FIRST_DERIVATIVE) -> ReducedSystem:
+    """The real block system at phases (0, -x, +x); see ``ReducedSystem``.
+
+    ``x`` has R = len(freq.unique_frequencies) magnitudes on its last
+    axis.  Mixed-parity orders excite both blocks and raise ValueError.
+    """
+    odd = reduced_parity(orders)
+    if odd is None:
+        raise ValueError("orders of mixed parity have no negation-symmetric rule")
+    w = np.asarray(freq.unique_frequencies, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != w.shape:
+        raise ValueError(f"need {len(w)} magnitudes on the last axis, got shape {x.shape}")
+    wx = w[:, None] * x[..., None, :]
+    cos = np.empty(x.shape[:-1] + (len(w) + 1, len(w) + 1))
+    cos[..., 0, 0] = 1.0
+    cos[..., 0, 1:] = cos[..., 1:, 0] = np.sqrt(2.0)
+    cos[..., 1:, 1:] = 2.0 * np.cos(wx)
+    t = _gap_rhs(np.concatenate([[0.0], w]), _normalize_orders(orders))
+    t[1:] *= np.sqrt(2.0)
+    rhs = t[1:].imag if odd else t.real
+    return ReducedSystem(cos=cos, sin=2.0 * np.sin(wx), rhs=rhs, odd=odd)
+
+
 def check_phase_distinctness(phases, frequencies) -> None:
     """Reject duplicate phases (equal modulo the column period).
 

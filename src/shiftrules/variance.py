@@ -3,33 +3,39 @@
 Under independent noise on each shifted evaluation, the derivative
 estimator's variance is sum_x b_x^2 sigma_x^2.  With equal per-point
 variances the natural objective for choosing phases is the coefficient
-square-norm sum_x b_x^2; this module evaluates its stationarity
-residual by finite differences and minimizes it numerically with a
-multistart local search on its exact gradient and Hessian (one LU
-factorization of the design matrix per phase vector).  The determinant
-form of the stationarity conditions is a cross-check in
-``shiftrules.checks``.
+square-norm sum_x b_x^2.  ``stationarity_residual`` gives half its
+gradient by finite differences; the optimizer uses the exact gradient
+and Hessian of the solve, on the negation-symmetric phases (0, -x, +x)
+first: by symmetric criticality (Palais, Comm. Math. Phys. 69, 1979) a
+critical point there is one of the full problem.  The determinant form
+of the stationarity conditions is a cross-check in ``shiftrules.checks``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from .spectrum import FrequencySet, gap_generator
 from .synthesis import (
+    CONDITION_CAP,
     FIRST_DERIVATIVE,
     IllPosedError,
     Orders,
     ShiftRule,
     _capped_solve,
     _normalize_orders,
+    build_reduced_system,
     build_system,
     condition_number,
+    reduced_parity,
     synthesize_rule,
 )
+
+SCREEN_SIZE = 4096  # seeded points of the symmetric family ranked before any Newton step
 
 
 @dataclass(frozen=True)
@@ -47,17 +53,17 @@ class VarianceReport:
 class OptimizationConfig:
     """Settings for the square-norm phase search.
 
-    The default box spans one period of the objective: 2*pi over the
-    common generator of the gap values when one exists, else 2*pi over
-    the smallest frequency.  ``tol`` is the stationarity certification
-    tolerance, measured with the finite-difference residual.
+    ``multistarts`` is the number of Newton starts taken from the best
+    points of the seeded screen of the symmetric family (0 searches from
+    phi0 alone); ``max_iters`` caps the Newton steps of each descent.
+    A candidate is certified when half its analytic gradient,
+    max_y |S_y|, is at most ``tol``.
     """
 
     max_iters: int = 300
     tol: float = 1e-9
     multistarts: int = 8
     seed: int = 0
-    bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -130,162 +136,100 @@ def stationarity_residual(
     return _fd_stationarity(solve, np.asarray(phases, dtype=float), step)
 
 
-class _PhasePoint:
-    """The square-norm objective at one phase vector, from one LU of E.
+class _Point:
+    """sum u^2 for u = Re(M^{-1} t), with its exact gradient and Hessian.
 
-    ``_evaluate_point`` builds E, rejects it (returns None) when its
-    condition number exceeds the cap, and factors it once with LAPACK
-    getrf; ``solve`` applies that LU (getrs).  b and ``value`` = sum b^2
-    are eager; ``gradient`` and ``hessian`` are lazy: the first access to
-    ``gradient`` solves E A = U for the phase-derivative columns u_y
-    (db/dphi_y = -b_y E^{-1} u_y), the first access to ``hessian``
-    solves for du_y/dphi_y and differentiates once more; both reuse the
-    factorization and are computed at most once.
+    Variable k moves only column ``cols[k]`` of M; ``dM`` and ``ddM`` hold
+    the first and second derivatives of those columns.  One solve of
+    [t | dM | ddM] gives u, A = M^{-1} dM and B = M^{-1} ddM, so
+    du/dv_k = -u[cols[k]] A[:, k] (column k of D) and, differentiating
+    once more, d2u/dv_k dv_l = -A[:, l] D[cols[l], k] - A[:, k] D[cols[k], l]
+    - [k = l] u[cols[k]] B[:, k].
     """
 
-    def __init__(self, sys, solve):
-        self._sys, self._solve = sys, solve
-        self.b = solve(sys.rhs).real
-        self.value = float(self.b @ self.b)
-
-    @cached_property
-    def _derivatives(self):
-        sys = self._sys
-        A = self._solve((1j * sys.row_gaps)[:, None] * sys.matrix)   # A[:, y] = E^{-1} u_y
-        D = -self.b[None, :] * A                                     # D[:, y] = db/dphi_y
-        return A, D
-
-    @cached_property
-    def gradient(self) -> np.ndarray:
-        return 2.0 * (self.b @ self._derivatives[1].real)
+    def __init__(self, M, t, dM, ddM, cols):
+        k = len(cols)
+        sol = np.linalg.solve(M, np.column_stack([t, dM, ddM]))
+        self.u = sol[:, 0].real
+        self.value = float(self.u @ self.u)
+        self._A, self._B, self._cols = sol[:, 1:k + 1], sol[:, k + 1:], cols
+        self._D = -self.u[cols] * self._A
+        self.gradient = 2.0 * (self.u @ self._D.real)
 
     @cached_property
     def hessian(self) -> np.ndarray:
-        sys, b = self._sys, self.b
-        A, D = self._derivatives
-        Bw = self._solve(((1j * sys.row_gaps) ** 2)[:, None] * sys.matrix)  # E^{-1} du_y/dphi_y
-        m = len(b)
-        H = np.empty((m, m))
-        Dr = D.real
-        for y in range(m):
-            for z in range(m):
-                if y == z:
-                    h2 = -D[y, y] * A[:, y] + b[y] * A[y, y] * A[:, y] - b[y] * Bw[:, y]
-                else:
-                    h2 = -D[y, z] * A[:, y] + b[y] * A[z, y] * A[:, z]
-                H[y, z] = 2.0 * float(Dr[:, y] @ Dr[:, z] + b @ h2.real)
-        return 0.5 * (H + H.T)
+        u, D, cols = self.u, self._D, self._cols
+        aP = (u @ self._A)[:, None] * D[cols]
+        H = D.real.T @ D.real - (aP + aP.T).real - np.diag(u[cols] * (u @ self._B).real)
+        return 2.0 * H
 
 
-def _evaluate_point(freq, phases, orders, condition_cap=1e8) -> _PhasePoint | None:
-    """The objective at ``phases`` (see _PhasePoint); None when ill-posed."""
-    from scipy.linalg import get_lapack_funcs  # lazily: keeps scipy off the CLI import path
-
+def _evaluate_point(freq, phases, orders, condition_cap=CONDITION_CAP) -> _Point | None:
+    """Sum b^2 at ``phases`` (u = b, one variable per phase); None past the cap."""
     sys = build_system(freq, phases, orders)
-    cond = condition_number(sys.matrix)
-    if not np.isfinite(cond) or cond > condition_cap:
+    if not condition_number(sys.matrix) <= condition_cap:
         return None
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (sys.matrix,))
-    lu, piv, _ = getrf(sys.matrix)
-    return _PhasePoint(sys, lambda rhs: getrs(lu, piv, rhs)[0])
+    ig = (1j * sys.row_gaps)[:, None]
+    U = ig * sys.matrix  # dE[:, y]/dphi_y
+    return _Point(sys.matrix, sys.rhs, U, ig * U, np.arange(len(sys.phases)))
 
 
-def _newton_polish(freq, phases, orders, lo, hi, max_iters=80):
-    """Damped Newton with the exact Hessian to sharpen stationarity.
+def _evaluate_reduced(freq, x, orders, condition_cap=CONDITION_CAP) -> _Point | None:
+    """Sum b^2 at the lifted phases (0, -x, +x) from the real block; None past the cap on cond(E).
 
-    The Hessian is built only at points a step is taken from: the start
-    and each accepted trial that does not end the polish.
+    d/dx_k 2 sin(w x_k) = w * 2 cos(w x_k), an entry of the cos block, and
+    d/dx_k 2 cos(w x_k) = -w * 2 sin(w x_k); second derivatives are -w^2 times the block.
     """
-    ph = np.asarray(phases, dtype=float).copy()
-    cur = _evaluate_point(freq, ph, orders)
-    if cur is None:
-        return ph
-    m = len(ph)
-    lam = 1e-10
+    rs = build_reduced_system(freq, x, orders)
+    if not rs.condition_number() <= condition_cap:
+        return None
+    w = np.asarray(freq.unique_frequencies)
+    if rs.odd:
+        rows, cols, dM = w, np.arange(len(w)), w[:, None] * rs.cos[1:, 1:]
+    else:  # the constant first row and column do not move
+        rows, cols = np.concatenate([[0.0], w]), np.arange(1, len(w) + 1)
+        dM = -rows[:, None] * np.vstack([np.zeros(len(w)), rs.sin])
+    return _Point(rs.matrix, rs.rhs, dM, -(rows**2)[:, None] * rs.matrix[:, cols], cols)
+
+
+def _screen(freq, orders, width, rng) -> np.ndarray:
+    """SCREEN_SIZE seeded x in (0, width/2)^R by sum b^2 from one batched solve, no cap."""
+    xs = rng.uniform(0.0, width / 2, (SCREEN_SIZE, len(freq.unique_frequencies)))
+    rs = build_reduced_system(freq, xs, orders)
+    u = np.linalg.solve(rs.matrix, np.broadcast_to(rs.rhs[:, None], rs.matrix.shape[:-1] + (1,)))
+    return xs[np.argsort(np.einsum("ij,ij->i", u[..., 0], u[..., 0]), kind="stable")]
+
+
+def _newton(evaluate, freq, orders, v, max_iters):
+    """Damped exact Newton descent from v: (v, point, accepted steps), None if v is ill-posed.
+
+    lam grows until H + lam*I gives an accepted trial: one that lowers the
+    objective, or keeps it within round-off and lowers max |gradient|
+    (the quadratic end game), so the descent never climbs to a saddle.
+    """
+    if (cur := evaluate(freq, v, orders)) is None:
+        return None
+    lam, steps = 1e-10, 0
     for _ in range(max_iters):
-        g = cur.gradient
-        if np.abs(g).max() < 1e-12:
+        g = np.abs(cur.gradient).max()
+        if g < 1e-12:
             break
-        H = cur.hessian
-        moved = False
+        slack = 1e-14 * max(cur.value, 1.0)
         for _ in range(50):
             try:
-                step = np.linalg.solve(H + lam * np.eye(m), -g)
+                step = np.linalg.solve(cur.hessian + lam * np.eye(len(v)), -cur.gradient)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
-            cand = ph + step
-            if cand.min() < lo or cand.max() > hi:
-                lam *= 10
-                continue
-            nxt = _evaluate_point(freq, cand, orders)
-            if nxt is not None and (
-                np.abs(nxt.gradient).max() < np.abs(g).max() or nxt.value < cur.value - 1e-14
-            ):
-                ph, cur = cand, nxt
-                lam = max(lam * 0.25, 1e-12)
-                moved = True
+            nxt = evaluate(freq, v + step, orders)
+            if nxt is not None and (nxt.value < cur.value - slack or (
+                    nxt.value <= cur.value + slack and np.abs(nxt.gradient).max() < g)):
+                v, cur, lam, steps = v + step, nxt, max(lam * 0.25, 1e-12), steps + 1
                 break
             lam *= 10
-        if not moved:
+        else:
             break
-    return ph
-
-
-def _paired_start(rng, m, width):
-    # Symmetric shift pairs (-a, +a modulo the box width) tend to lie in
-    # gentle basins of the square-norm; one leftover phase sits mid-box.
-    ph = []
-    for _ in range((m - 1) // 2):
-        a = float(rng.uniform(0.05, 0.95)) * width / 2
-        ph.extend([-a, a - width])
-    ph.append(-width / 2 * float(rng.uniform(0.8, 1.2)))
-    return np.asarray(ph)
-
-
-def _pairs_to_phases(mags, width):
-    ph = []
-    for a in mags:
-        ph.extend([-a, a - width])
-    ph.append(-width / 2)
-    return np.asarray(ph)
-
-
-def _symmetric_start(freq, orders, width, rng):
-    """Minimize over the negation-symmetric phase family (pairs +-a).
-
-    The family {(-a_1, a_1 - T, ..., -T/2)} is the fixed-point set of the
-    phase-negation symmetry of the objective, so a minimum over the
-    magnitudes is a stationary point of the full problem -- and these
-    symmetric basins are numerically gentle, unlike the ridge-hugging
-    asymmetric minima.
-    """
-    from scipy.optimize import minimize
-
-    m = freq.m
-    k = (m - 1) // 2
-    if k < 1:
-        return None
-
-    def objective(mags):
-        if np.any(mags <= 1e-3) or np.any(mags >= width / 2 - 1e-3):
-            return 1e12
-        if len(mags) > 1 and np.min(np.diff(np.sort(mags))) < 1e-6:
-            return 1e12
-        point = _evaluate_point(freq, _pairs_to_phases(mags, width), orders)
-        return 1e12 if point is None else point.value
-
-    seeds = [width / 2 * (np.arange(1, k + 1) / (k + 1))]
-    seeds += [np.sort(rng.uniform(0.05, 0.95, k)) * width / 2 for _ in range(3)]
-    best_val, best = np.inf, None
-    for s0 in seeds:
-        res = minimize(objective, s0, method="Nelder-Mead",
-                       options=dict(xatol=1e-12, fatol=1e-14, maxiter=2000))
-        if res.fun < best_val:
-            best_val, best = res.fun, res.x
-    if best is None or best_val >= 1e12:
-        return None
-    return _pairs_to_phases(best, width)
+    return v, cur, steps
 
 
 def optimize_shifts(
@@ -294,116 +238,62 @@ def optimize_shifts(
     cfg: OptimizationConfig | None = None,
     orders: Orders = FIRST_DERIVATIVE,
 ) -> tuple[np.ndarray, ShiftRule]:
-    """Minimize the coefficient square-norm over phases in a box.
+    """Minimize the coefficient square-norm over the shift phases.
 
-    Runs a gradient local search (exact analytic gradient of the solve)
-    from phi0 plus ``multistarts`` random and symmetric-pair starts,
-    polishes each candidate with exact-Hessian damped Newton steps, and
-    certifies candidates by the finite-difference stationarity residual.
-    Among certified candidates the lowest objective wins; the returned
-    objective never exceeds the one at phi0 (plus tolerance).  When no
-    candidate certifies, the lowest objective among all of them wins.
-    The rule's diagnostics say which: ``certified`` (bool) and
-    ``stationarity``, the winner's max residual |S_y|.
+    Screens the negation-symmetric phases (0, -x, +x), x in (0, T/2)^R,
+    runs damped exact Newton in R dimensions from the ``multistarts``
+    lowest points under the condition cap, and polishes each optimum
+    once with full-space Newton.  phi0 gets the same full-space descent,
+    the only search for mixed-parity ``orders`` or ``multistarts=0``.
+    Phases are wrapped into [-T, 0] when the gaps share a generator g
+    (T = 2*pi / g).  Candidates whose half analytic gradient is at most
+    ``cfg.tol`` are certified; the lowest certified one no higher than
+    phi0's square-norm (plus tol) wins, else the lowest of all.  The
+    rule's diagnostics add ``certified``, ``stationarity`` (the winner's
+    max |S_y|), ``winner_start`` ("phi0" or "reduced"), ``starts``
+    (Newton descents run) and ``newton_steps`` (accepted steps in all).
 
     Raises IllPosedError when phi0 and every start are ill-posed.
     """
-    from scipy.optimize import minimize
-
     cfg = cfg or OptimizationConfig()
     orders = _normalize_orders(orders)
     phi0 = np.asarray(phi0, dtype=float)
-    m = len(phi0)
-
+    if len(phi0) != freq.m:
+        raise ValueError(f"need {freq.m} starting phases, got {len(phi0)}")
     generator = gap_generator(freq.unique_frequencies)
     period = 2 * np.pi / generator if generator is not None else None
-    if cfg.bounds is not None:
-        lo, hi = cfg.bounds
-        wrap = None  # custom box: keep the polish inside it
-    else:
-        width = period if period is not None else 2 * np.pi / min(freq.unique_frequencies)
-        lo, hi = -width, 0.0
-        # with a generator the objective is exactly periodic over the box,
-        # so the polish may run unconstrained and wrap back afterwards
-        wrap = period
-    bounds = [(lo, hi)] * m
-    rng = np.random.default_rng(cfg.seed)
+    width = period if period is not None else 2 * np.pi / min(freq.unique_frequencies)
 
-    def scipy_objective(ph):
-        point = _evaluate_point(freq, ph, orders)
-        if point is None:
-            return 1e12, np.zeros(m)
-        return point.value, point.gradient
-
-    def polish(ph):
-        if wrap is None:
-            return _newton_polish(freq, ph, orders, lo, hi)
-        ph = _newton_polish(freq, ph, orders, -np.inf, np.inf)
-        return -np.mod(-ph, wrap)
-
-    # the symmetric-descent start counts against the multistart budget
-    starts = [phi0]
-    extra = cfg.multistarts
-    if extra > 0:
-        sym = _symmetric_start(freq, orders, hi - lo, rng)
-        if sym is not None:
-            starts.append(sym)
-            extra -= 1
-    n_paired = extra // 2
-    starts += [_paired_start(rng, m, hi - lo) for _ in range(n_paired)]
-    starts += [
-        rng.uniform(lo + 1e-3, hi - 1e-3, m)
-        for _ in range(extra - n_paired)
-    ]
-    points = [_evaluate_point(freq, st, orders) for st in starts]
-    feasible = [st for st, pt in zip(starts, points) if pt is not None]
-    if not feasible:
+    descents = [("phi0", _newton(_evaluate_point, freq, orders, phi0, cfg.max_iters))]
+    if cfg.multistarts > 0 and reduced_parity(orders) is not None:
+        screened = _screen(freq, orders, width, np.random.default_rng(cfg.seed))
+        runs = (_newton(_evaluate_reduced, freq, orders, x, cfg.max_iters) for x in screened)
+        for x, _, steps in islice(filter(None, runs), cfg.multistarts):  # None: over the cap
+            lifted = _newton(_evaluate_point, freq, orders, np.concatenate([[0.0], -x, x]),
+                             cfg.max_iters)
+            descents.append(("reduced", lifted and lifted[:2] + (steps + lifted[2],)))
+    descents = [(kind, run) for kind, run in descents if run is not None]
+    if not descents:
         raise IllPosedError("all optimization starts are ill-posed")
-    f0 = np.inf if points[0] is None else points[0].value
 
-    def try_rule(ph):
-        try:
-            return synthesize_rule(freq, ph, orders)
-        except (IllPosedError, ValueError):
-            return None
-
-    def certify(ph):
-        try:
-            return float(np.abs(stationarity_residual(freq, ph, orders=orders)).max())
-        except IllPosedError:
-            return np.inf
-
-    candidates: list[tuple[float, float, np.ndarray, ShiftRule]] = []
-    if np.isfinite(f0):
-        rule0 = try_rule(phi0)
-        if rule0 is not None:
-            candidates.append((f0, certify(phi0), phi0, rule0))
-    for st in feasible:
-        ph = st
-        for _ in range(3):  # descent + polish rounds
-            res = minimize(
-                scipy_objective,
-                ph,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options=dict(maxiter=cfg.max_iters * 10, ftol=1e-18, gtol=1e-12, maxls=80),
-            )
-            ph = polish(res.x)
+    candidates = []
+    for kind, (ph, point, _) in descents:
+        if period is not None:  # the objective is periodic in each phase
+            ph = -np.mod(-ph, period)
             point = _evaluate_point(freq, ph, orders)
-            if point is not None and np.abs(point.gradient).max() < 1e-10:
-                break
-        if point is None:
+        try:
+            rule = synthesize_rule(freq, ph, orders)
+        except (IllPosedError, ValueError):
             continue
-        rule = try_rule(ph)
-        if rule is None:
-            continue
-        candidates.append((point.value, certify(ph), ph, rule))
-
+        if point is not None:
+            candidates.append((rule.square_norm, np.abs(point.gradient).max() / 2, ph, rule, kind))
     if not candidates:
         raise IllPosedError("no solvable candidate found")
+    f0 = np.inf if (start := _evaluate_point(freq, phi0, orders)) is None else start.value
     certified = [c for c in candidates if c[1] <= cfg.tol and c[0] <= f0 + cfg.tol]
-    pool = certified if certified else candidates
-    _, stationarity, best_ph, best_rule = min(pool, key=lambda c: c[0])
-    best_rule.diagnostics.update(certified=bool(certified), stationarity=stationarity)
+    _, stationarity, best_ph, best_rule, kind = min(certified or candidates, key=lambda c: c[0])
+    best_rule.diagnostics.update(
+        certified=bool(certified), stationarity=float(stationarity), winner_start=kind,
+        starts=len(descents), newton_steps=sum(run[2] for _, run in descents),
+    )
     return np.asarray(best_ph), best_rule

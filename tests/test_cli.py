@@ -322,15 +322,19 @@ def test_optimize_equidistant_start_improves_to_symmetric_minimum(runner, two_le
 
 
 def test_optimize_reports_uncertified_winner(runner, two_level, tmp_path):
-    spectra = {"two": two_level, "u16": _write(tmp_path, "u16.json", {"eigenvalues": [0.0, 1.0, 2.6]})}
-    for name, spec in spectra.items():
+    # n = 2 certifies with no warning; a tolerance no residual meets forces
+    # the uncertified case on (0, 1, 2.6)
+    cfg = _write(tmp_path, "cfg.json", {"optimization": {"tol": 1e-300}})
+    u16 = _write(tmp_path, "u16.json", {"eigenvalues": [0.0, 1.0, 2.6]})
+    runs = {"two": (two_level, []), "u16": (u16, ["--config", cfg])}
+    for name, (spec, config) in runs.items():
         out = tmp_path / f"{name}.json"
-        result = runner.invoke(cli, ["--output", str(out), "optimize", spec], obj={})
+        result = runner.invoke(cli, config + ["--output", str(out), "optimize", spec], obj={})
         assert result.exit_code == 0
         report = json.loads(result.output)
         diag = json.loads(out.read_text())["diagnostics"]
         assert diag["certified"] == (name == "two")
-        assert (diag["stationarity"] <= 1e-9) == diag["certified"]
+        assert (diag["stationarity"] <= (1e-9 if name == "two" else 1e-300)) == diag["certified"]
         assert len(report["warnings"]) == (0 if diag["certified"] else 1)
         assert all("uncertified" in w for w in report["warnings"])
 
@@ -444,11 +448,10 @@ def test_scipy_loads_only_on_the_optimizer_path():
     assert result.returncode == 0, result.stderr
     probe = json.loads(result.stdout)
     assert probe["on_import"] == []
-    assert "scipy.optimize" in probe["after_optimize"]
-    assert "scipy.linalg" in probe["after_optimize"]
-    # the optimum this S7 search reached while scipy was imported eagerly
+    assert probe["after_optimize"] == []
+    # S7's global optimum, at symmetric phases (0, -x, +x) wrapped into [-4*pi, 0]
     assert probe["square_norm"] == pytest.approx(1.1601179447131866, rel=1e-12)
     np.testing.assert_allclose(probe["phases"], [
-        -0.7535069242650562, -11.812863690094117, -4.274030242051252, -8.29234037230792,
-        -5.629325278243164, -6.937045336116008, -6.283185307179586,
+        0.0, -5.629325278243164, -0.7535069242650563, -4.274030242051252,
+        -6.937045336116008, -11.812863690094115, -8.29234037230792,
     ], rtol=0, atol=1e-9)

@@ -17,7 +17,7 @@ from shiftrules import (
     synthesize_rule,
 )
 from shiftrules.checks import build_full_system, cramer_coefficient, jacobi_coefficient
-from shiftrules.synthesis import LinearSystem, ShiftRule
+from shiftrules.synthesis import LinearSystem, ShiftRule, build_reduced_system, condition_number
 
 FREQ01 = frequency_differences(Spectrum((0.0, 1.0)))
 EQ_PHASES = np.array([-2 * np.pi / 3, -4 * np.pi / 3, -2 * np.pi])
@@ -262,3 +262,36 @@ def test_two_term_baseline_recovery():
         f = lambda t: evaluate(model, t)
         baseline = omega / (2 * np.sin(omega * 0.7)) * (f(0.7) - f(-0.7))
         assert apply_rule(rule, f, 0.0) == pytest.approx(baseline, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_lifted_reduced_rule_is_a_full_rule(p):
+    # the real block solve at x, lifted to (0, -x, +x), against the full
+    # complex system: same coefficients, exact, same condition number
+    rng = np.random.default_rng(20 + p)
+    for _ in range(5):
+        freq = frequency_differences(random_spectrum(rng, int(rng.integers(2, 5))))
+        R = len(freq.unique_frequencies)
+        xs = rng.uniform(0.1, np.pi / freq.unique_frequencies[0], (256, R))
+        x = xs[np.argmin(build_reduced_system(freq, xs).condition_number())]
+        reduced = build_reduced_system(freq, x, ((p, 1.0),))
+        u = np.linalg.solve(reduced.matrix, reduced.rhs)
+        rule = synthesize_rule(freq, np.concatenate([[0.0], -x, x]), ((p, 1.0),))
+        assert compatibility_residual(rule, freq) <= 1e-8
+        b = np.asarray(rule.coefficients)
+        scale = np.abs(b).max()
+        if p % 2:
+            assert abs(b[0]) <= 1e-10
+            np.testing.assert_allclose(b[R + 1:], u / np.sqrt(2), rtol=0, atol=1e-9 * scale)
+            np.testing.assert_allclose(b[1:R + 1], -b[R + 1:], rtol=0, atol=1e-9 * scale)
+        else:
+            np.testing.assert_allclose(b[[0, *range(R + 1, 2 * R + 1)]], u / [1, *[np.sqrt(2)] * R],
+                                       rtol=0, atol=1e-9 * scale)
+            np.testing.assert_allclose(b[1:R + 1], b[R + 1:], rtol=0, atol=1e-9 * scale)
+        assert reduced.condition_number() == pytest.approx(
+            condition_number(build_system(freq, rule.phases).matrix), rel=1e-8)
+
+
+def test_reduced_system_rejects_mixed_parity():
+    with pytest.raises(ValueError, match="mixed parity"):
+        build_reduced_system(FREQ01, [1.0], ((1, 1.0), (2, 1.0)))
