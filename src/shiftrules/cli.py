@@ -94,15 +94,15 @@ def _load_spectrum(ctx_obj, path):
 def _auto_phases(freq, seed, tries=64):
     """Best-conditioned random phase set out of `tries` seeded draws.
 
-    The window spans the smallest frequency's period but never more than
-    four periods of the median frequency: gap values orders of magnitude
-    below the typical scale are treated as unresolvable at practical
-    shifts, so near-coincident gaps surface as ill-posed downstream.
+    The window is one period, 2*pi / resolution, of the frequency
+    resolution: the smallest spacing of (0, w_1, ..., w_R), floored at
+    1e-2 times the largest gap.  Gap values closer than the floor are
+    unresolvable at practical shifts and surface as ill-posed downstream.
     """
     rng = np.random.default_rng(seed)
-    freqs = freq.unique_frequencies
-    g_ref = max(min(freqs), float(np.median(freqs)) / 4.0)
-    lo = -2 * np.pi / g_ref
+    freqs = np.asarray(freq.unique_frequencies)
+    resolution = np.diff(freqs, prepend=0.0).min()
+    lo = -2 * np.pi / max(resolution, 1e-2 * freqs[-1])
     best_cond, best = np.inf, None
     for _ in range(tries):
         ph = rng.uniform(lo + 1e-3, -1e-3, freq.m)

@@ -2,10 +2,14 @@
 
 Coincident or nearly coincident gaps make the design system singular or
 hopelessly ill-conditioned, so the plain inverse is replaced by the
-regularized one (gamma*I + E^dag E)^{-1} E^dag, trading a controlled bias
-for stability.  The regularization strength is either supplied or picked
-by the discrepancy principle: choose gamma so the residual matches the
-known data-error level.
+minimizer of |E b - mu|^2 + gamma |b|^2, trading a controlled bias for
+stability.  With the thin SVD E = U diag(s) V^dag it is
+b = V diag(s / (s^2 + gamma)) U^dag mu (filter factors; Hansen, SIAM
+Review 34, 1992): one factorization serves every gamma, and the normal
+equations, which square cond(E), are never formed.  The residual
+r(gamma)^2 = sum (gamma / (s^2 + gamma))^2 |U^dag mu|^2 + |mu - U U^dag mu|^2
+is non-decreasing in gamma; gamma is either supplied or picked by the
+discrepancy principle, where r(gamma) meets the known error level.
 """
 
 from __future__ import annotations
@@ -17,21 +21,21 @@ import numpy as np
 from .spectrum import FrequencySet
 from .synthesis import (
     FIRST_DERIVATIVE,
-    IllPosedError,
     LinearSystem,
     ShiftRule,
     _normalize_orders,
+    _singular_value_condition,
     build_system,
-    condition_number,
 )
 
 
 @dataclass(frozen=True)
 class RegularizationConfig:
-    """Regularization strength, error levels, and the gamma search grid.
+    """Regularization strength, error levels, and the gamma search interval.
 
     ``gamma=None`` means automatic selection by the discrepancy
-    principle with target ``data_error + operator_error``.
+    principle with target ``data_error + operator_error``, searched on
+    [grid_min, grid_max].
     """
 
     gamma: float | None = None
@@ -39,7 +43,6 @@ class RegularizationConfig:
     operator_error: float = 0.0
     grid_min: float = 1e-14
     grid_max: float = 1e2
-    grid_points: int = 33
 
     def __post_init__(self):
         if self.gamma is not None and self.gamma <= 0:
@@ -48,11 +51,6 @@ class RegularizationConfig:
             raise ValueError("error levels must be non-negative")
         if not (0 < self.grid_min < self.grid_max):
             raise ValueError("grid must satisfy 0 < min < max")
-        if self.grid_points < 2:
-            raise ValueError("grid needs at least 2 points")
-
-    def grid(self) -> np.ndarray:
-        return np.geomspace(self.grid_min, self.grid_max, self.grid_points)
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ class RegularizedSolution:
     residual: float
     norm: float
     max_imag_discarded: float
-    target: float | None = None
 
 
 @dataclass(frozen=True)
@@ -77,86 +74,60 @@ class GammaSelection:
     status: str  # "bracketed" | "target_below_min" | "target_above_max"
 
 
-def _regularized_coefficients(sys: LinearSystem, gamma: float) -> np.ndarray:
-    import scipy.linalg  # lazily: only the Tikhonov path needs scipy
-
-    E = sys.matrix
-    cols = E.shape[1]
-    A = gamma * np.eye(cols) + E.conj().T @ E
-    rhs = E.conj().T @ sys.rhs
-    try:
-        return scipy.linalg.solve(A, rhs, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        # the normal equations square cond(E); at a tiny gamma the
-        # Cholesky factorization can meet a non-positive pivot
-        raise IllPosedError(
-            f"Tikhonov normal equations are numerically singular at gamma = {gamma:.3g} ({exc})"
-        ) from exc
-
-
 def tikhonov_solve(sys: LinearSystem, gamma: float) -> RegularizedSolution:
-    """Solve min |E b - mu|^2 + gamma |b|^2 via the normal equations.
+    """Minimize |E b - mu|^2 + gamma |b|^2 with the filter factors s / (s^2 + gamma).
 
     Works for singular and non-square systems (rows = distinct gaps,
-    columns = phases); gamma > 0 keeps the symmetric solve positive
-    definite in exact arithmetic.  The solution of a conjugate-row-paired
-    system is real up to round-off; the real part is returned.  Raises
-    IllPosedError when the solve is numerically singular at this gamma.
+    columns = phases).  The minimizer for a conjugate-row-paired system
+    is real up to round-off; the real part is returned, and ``residual``
+    is |E b - mu| for those real coefficients, the ones a rule stores.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    b = _regularized_coefficients(sys, gamma)
+    U, s, Vh = sys.svd
+    b = Vh.conj().T @ (s / (s**2 + gamma) * (U.conj().T @ sys.rhs))
     coeffs = b.real.copy()
     return RegularizedSolution(
         coefficients=coeffs,
         gamma=float(gamma),
-        residual=float(np.linalg.norm(sys.matrix @ b - sys.rhs)),
+        residual=float(np.linalg.norm(sys.matrix @ coeffs - sys.rhs)),
         norm=float(np.linalg.norm(coeffs)),
         max_imag_discarded=float(np.abs(b.imag).max()),
     )
 
 
 def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> GammaSelection:
-    """Pick gamma so the residual matches the error target (mismatch rule).
+    """Pick gamma so the residual matches the error target (discrepancy principle).
 
-    The residual is non-decreasing in gamma, so the grid point pair that
-    brackets the target is refined by bisection in log-gamma.  When even
-    the smallest grid gamma already overshoots the target, the grid
-    minimum is returned with status "target_below_min".
+    The closed-form residual r(gamma) is non-decreasing, so 60 bisection
+    steps in log-gamma on [grid_min, grid_max] locate the target.  When
+    r(grid_min) already reaches the target, grid_min is returned with
+    status "target_below_min"; when r(grid_max) stays at or below it,
+    grid_max with status "target_above_max".
     """
     target = cfg.data_error + cfg.operator_error
-    grid = cfg.grid()
-    residuals = np.array([tikhonov_solve(sys, g).residual for g in grid])
+    U, s, _ = sys.svd
+    beta = U.conj().T @ sys.rhs
+    outside = np.linalg.norm(sys.rhs - U @ beta)  # the part of mu outside range(E)
 
-    if residuals[0] >= target:
-        return GammaSelection(
-            gamma=float(grid[0]),
-            residual=float(residuals[0]),
-            target=target,
-            status="target_below_min",
-        )
-    if residuals[-1] <= target:
-        return GammaSelection(
-            gamma=float(grid[-1]),
-            residual=float(residuals[-1]),
-            target=target,
-            status="target_above_max",
-        )
-    i = int(np.searchsorted(residuals, target, side="left"))
-    lo, hi = np.log(grid[i - 1]), np.log(grid[i])
+    def residual(gamma):
+        return float(np.hypot(np.linalg.norm(gamma / (s**2 + gamma) * beta), outside))
+
+    r_min = residual(cfg.grid_min)
+    if r_min >= target:
+        return GammaSelection(float(cfg.grid_min), r_min, target, "target_below_min")
+    r_max = residual(cfg.grid_max)
+    if r_max <= target:
+        return GammaSelection(float(cfg.grid_max), r_max, target, "target_above_max")
+    lo, hi = np.log(cfg.grid_min), np.log(cfg.grid_max)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if tikhonov_solve(sys, float(np.exp(mid))).residual < target:
+        if residual(np.exp(mid)) < target:
             lo = mid
         else:
             hi = mid
     gamma = float(np.exp(0.5 * (lo + hi)))
-    return GammaSelection(
-        gamma=gamma,
-        residual=tikhonov_solve(sys, gamma).residual,
-        target=target,
-        status="bracketed",
-    )
+    return GammaSelection(gamma, residual(gamma), target, "bracketed")
 
 
 def regularized_rule(
@@ -167,27 +138,20 @@ def regularized_rule(
 ) -> ShiftRule:
     """Shift rule through the Tikhonov path (no condition-number cap).
 
-    Builds the possibly rank-deficient system, selects gamma (given or
-    by discrepancy), and stamps gamma, residual, and solution norm into
-    the diagnostics.  Solution quality is expressed by the diagnostics;
-    the only failure is an IllPosedError when the normal equations are
-    numerically singular at the selected gamma.
+    Builds the possibly rank-deficient system, factors it once, selects
+    gamma (given or by discrepancy), and stamps gamma, the residual of
+    the real coefficients, and the solution norm into the diagnostics.
+    Solution quality is expressed by the diagnostics, not by an error.
     """
     cfg = cfg or RegularizationConfig()
     orders = _normalize_orders(orders)
     sys = build_system(freq, phases, orders)
 
-    selection: GammaSelection | None = None
-    if cfg.gamma is not None:
-        gamma = cfg.gamma
-    else:
-        selection = select_gamma_discrepancy(sys, cfg)
-        gamma = selection.gamma
-
-    sol = tikhonov_solve(sys, gamma)
+    selection = select_gamma_discrepancy(sys, cfg) if cfg.gamma is None else None
+    sol = tikhonov_solve(sys, cfg.gamma if selection is None else selection.gamma)
     diagnostics = {
         "method": "tikhonov",
-        "condition_number": condition_number(sys.matrix),
+        "condition_number": _singular_value_condition(sys.svd[1], max(sys.matrix.shape)),
         "residual": sol.residual,
         "max_imag_discarded": sol.max_imag_discarded,
         "gamma": sol.gamma,

@@ -171,7 +171,7 @@ def _set_keys(section: dict, casts: dict, prefix: str = "") -> dict:
 def regularization_config(section: dict) -> RegularizationConfig:
     kwargs = _set_keys(section, {"data_error": float, "operator_error": float})
     kwargs.update(_set_keys(section.get("grid", {}) or {},
-                            {"min": float, "max": float, "points": int}, prefix="grid_"))
+                            {"min": float, "max": float}, prefix="grid_"))
     gamma = section.get("gamma", "auto")
     if isinstance(gamma, str):
         if gamma.lower() != "auto":

@@ -11,6 +11,7 @@ is (i * mu) ** p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -44,6 +45,11 @@ class LinearSystem:
     @property
     def is_square(self) -> bool:
         return self.matrix.shape[0] == self.matrix.shape[1]
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD (U, s, Vh) of E, computed once per system."""
+        return np.linalg.svd(self.matrix, full_matrices=False)
 
 
 @dataclass(frozen=True)
@@ -213,8 +219,12 @@ def check_phase_distinctness(phases, frequencies) -> None:
 
 def condition_number(matrix: np.ndarray) -> float:
     """Spectral (l2) condition number; +inf for (numerically) singular matrices."""
-    s = np.linalg.svd(matrix, compute_uv=False)
-    rank_tol = s[0] * max(matrix.shape) * np.finfo(float).eps
+    return _singular_value_condition(np.linalg.svd(matrix, compute_uv=False), max(matrix.shape))
+
+
+def _singular_value_condition(s: np.ndarray, size: int) -> float:
+    """s[0] / s[-1] from descending singular values; +inf below the rank tolerance."""
+    rank_tol = s[0] * size * np.finfo(float).eps
     if s[-1] <= rank_tol or not np.isfinite(s[-1]):
         return float("inf")
     return float(s[0] / s[-1])

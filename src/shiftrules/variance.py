@@ -45,8 +45,6 @@ class VarianceReport:
     variance: float
     per_point: tuple[float, ...]
     square_norm: float
-    eta: float | None = None
-    nu: float | None = None
 
 
 @dataclass(frozen=True)

@@ -121,16 +121,21 @@ def test_synthesize_auto_falls_back_to_tikhonov(runner, near_degenerate, tmp_pat
     assert report["warnings"]
 
 
-def test_synthesize_singular_tikhonov_solve_exits_ill_posed(tmp_path):
-    # at --seed 0 the auto phases of this m = 31 spectrum fall back to
-    # Tikhonov, whose normal equations are singular at the grid-floor gamma
-    spec = _write(tmp_path, "s31.json", {"eigenvalues": [0.0, 0.7, 1.9, 3.2, 3.3, 5.0]})
-    result = _python(["-m", "shiftrules.cli", "--seed", "0", "--output", "rule.json",
-                      "synthesize", spec], cwd=tmp_path)
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    assert result.stderr.startswith("error: ") and "gamma = 1e-14" in result.stderr
-    assert not (tmp_path / "rule.json").exists()
+@pytest.mark.parametrize("eigenvalues", [
+    [0.0, 1.0, 2.5, 4.1, 6.0],        # m = 21, gap resolution 0.1
+    [0.0, 0.7, 1.9, 3.2, 3.3, 5.0],   # m = 31, gap resolution 0.1
+], ids=["S21", "S31"])
+def test_synthesize_auto_phases_resolve_close_gaps(runner, tmp_path, eigenvalues):
+    # auto phases spanning one period of the gap resolution keep the
+    # system well-conditioned, so the rule is direct and validates
+    spec = _write(tmp_path, "spec.json", {"eigenvalues": eigenvalues})
+    out = str(tmp_path / "rule.json")
+    result = runner.invoke(cli, ["--seed", "0", "--output", out, "synthesize", spec], obj={})
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["method"] == "direct"
+    result = runner.invoke(cli, ["--seed", "0", "validate", out, "--model", "random:4"], obj={})
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["passed"] is True
 
 
 def test_synthesize_duplicate_phases(runner, two_level, tmp_path):
@@ -428,7 +433,7 @@ _SCIPY_PROBE = """
 import json, sys
 import numpy as np
 import shiftrules.cli, shiftrules
-from shiftrules import Spectrum, frequency_differences
+from shiftrules import Spectrum, frequency_differences, regularized_rule
 from shiftrules.variance import OptimizationConfig, optimize_shifts
 
 def scipy_modules():
@@ -438,7 +443,11 @@ on_import = scipy_modules()
 freq = frequency_differences(Spectrum((0.0, 1.0, 2.5)))
 phases, rule = optimize_shifts(freq, -np.linspace(0.5, 5.5, freq.m),
                                OptimizationConfig(multistarts=2, seed=0))
-print(json.dumps({"on_import": on_import, "after_optimize": scipy_modules(),
+after_optimize = scipy_modules()
+near = frequency_differences(Spectrum((0.0, 1.0, 1.0 + 1e-9)))
+regularized_rule(near, np.linspace(-6.0, -0.5, near.m))
+print(json.dumps({"on_import": on_import, "after_optimize": after_optimize,
+                  "after_regularize": scipy_modules(),
                   "square_norm": rule.square_norm, "phases": list(phases)}))
 """
 
@@ -449,6 +458,7 @@ def test_scipy_loads_only_on_the_optimizer_path():
     probe = json.loads(result.stdout)
     assert probe["on_import"] == []
     assert probe["after_optimize"] == []
+    assert probe["after_regularize"] == []
     # S7's global optimum, at symmetric phases (0, -x, +x) wrapped into [-4*pi, 0]
     assert probe["square_norm"] == pytest.approx(1.1601179447131866, rel=1e-12)
     np.testing.assert_allclose(probe["phases"], [

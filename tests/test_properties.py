@@ -13,6 +13,7 @@ from shiftrules import (
     from_hamiltonian,
     synthesize_rule,
 )
+from shiftrules.cli import _auto_phases
 from shiftrules.synthesis import build_system
 
 MIN_SEPARATION = 1e-3
@@ -59,4 +60,13 @@ def test_synthesized_rule_is_compatible(spec, seed):
     phases = min(draws, key=lambda ph: condition_number(build_system(freq, ph).matrix))
     assume(condition_number(build_system(freq, phases).matrix) <= 1e6)
     rule = synthesize_rule(freq, phases)
+    assert compatibility_residual(rule, freq) <= 1e-8
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(spec=spectra(), seed=st.integers(0, 2**32 - 1))
+def test_auto_phases_give_exact_direct_rule(spec, seed):
+    # the CLI's auto phases resolve every gap separation >= 1e-3 here
+    freq = frequency_differences(spec)
+    rule = synthesize_rule(freq, _auto_phases(freq, seed))
     assert compatibility_residual(rule, freq) <= 1e-8

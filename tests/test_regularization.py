@@ -11,6 +11,7 @@ from shiftrules import (
     apply_rule,
     build_system,
     compatibility_residual,
+    condition_number,
     evaluate,
     frequency_differences,
     regularized_rule,
@@ -70,8 +71,7 @@ def test_residual_monotone_in_gamma():
     rng = np.random.default_rng(4)
     freq = frequency_differences(random_spectrum(rng, 3))
     sys = build_system(freq, well_posed_phases(freq, rng))
-    cfg = RegularizationConfig()
-    residuals = [tikhonov_solve(sys, g).residual for g in cfg.grid()]
+    residuals = [tikhonov_solve(sys, g).residual for g in np.geomspace(1e-14, 1e2, 33)]
     assert all(b >= a - 1e-12 for a, b in zip(residuals, residuals[1:]))
 
 
@@ -183,6 +183,71 @@ def test_regularized_compatibility_matches_reported_residual():
     rule = regularized_rule(freq, well_posed_phases(freq, rng),
                             cfg=RegularizationConfig(gamma=1e-6))
     assert compatibility_residual(rule, freq) <= rule.diagnostics["residual"] + 1e-12
+
+
+def test_closed_form_residual_matches_solution_residual():
+    # a real tall system: mu has a part outside range(E), the residual floor
+    rng = np.random.default_rng(13)
+    E, mu = rng.standard_normal((9, 5)), rng.standard_normal(9)
+    sys = LinearSystem(matrix=E, rhs=mu, row_gaps=np.arange(9.0), phases=np.arange(5.0))
+    floor = np.linalg.norm(mu - E @ np.linalg.lstsq(E, mu, rcond=None)[0])
+    for frac in (1e-6, 0.1, 0.5):
+        target = floor + frac * (np.linalg.norm(mu) - floor)
+        sel = select_gamma_discrepancy(sys, RegularizationConfig(data_error=target))
+        assert sel.status == "bracketed"
+        assert sel.residual == pytest.approx(target, rel=1e-9)
+        assert tikhonov_solve(sys, sel.gamma).residual == pytest.approx(target, rel=1e-9)
+    sel = select_gamma_discrepancy(sys, RegularizationConfig(data_error=0.99 * floor))
+    assert sel.status == "target_below_min"
+
+
+def test_regularized_rule_condition_number_matches_condition_number():
+    rng = np.random.default_rng(14)
+    freq = frequency_differences(random_spectrum(rng, 3))
+    phases = well_posed_phases(freq, rng)
+    rule = regularized_rule(freq, phases, cfg=RegularizationConfig(gamma=1e-3))
+    cond = condition_number(build_system(freq, phases).matrix)
+    assert rule.diagnostics["condition_number"] == pytest.approx(cond, rel=1e-9)
+
+
+def _ill_conditioned_s31():
+    # S31 at phases drawn over 2*pi / max(min gap, median gap / 4): that
+    # window is too short to resolve the 0.1 gap spacing, cond(E) ~ 4e12
+    freq = frequency_differences(Spectrum((0.0, 0.7, 1.9, 3.2, 3.3, 5.0)))
+    freqs = freq.unique_frequencies
+    width = 2 * np.pi / max(min(freqs), float(np.median(freqs)) / 4.0)
+    rng = np.random.default_rng(0)
+    draws = [rng.uniform(-width + 1e-3, -1e-3, freq.m) for _ in range(64)]
+    return freq, min(draws, key=lambda ph: condition_number(build_system(freq, ph).matrix))
+
+
+def test_regularized_rule_is_finite_at_grid_floor_of_ill_conditioned_system():
+    freq, phases = _ill_conditioned_s31()
+    assert condition_number(build_system(freq, phases).matrix) >= 1e12
+    rule = regularized_rule(freq, phases)
+    assert rule.diagnostics["gamma"] == RegularizationConfig().grid_min
+    assert rule.diagnostics["gamma_selection"] == "target_below_min"
+    assert rule.diagnostics["condition_number"] >= 1e12
+    assert np.isfinite(rule.coefficients).all()
+    assert compatibility_residual(rule, freq) <= rule.diagnostics["residual"] + 1e-12
+
+
+def test_regularized_rule_factors_once(monkeypatch):
+    freq, phases = _ill_conditioned_s31()
+    calls = {"svd": 0, "solve": 0}
+    svd, solve = np.linalg.svd, np.linalg.solve
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", solve))
+    regularized_rule(freq, phases, cfg=RegularizationConfig(data_error=1e-3))
+    regularized_rule(freq, phases, cfg=RegularizationConfig(gamma=1e-6))
+    assert calls == {"svd": 2, "solve": 0}
 
 
 def test_config_validation():
