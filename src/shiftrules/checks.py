@@ -34,17 +34,16 @@ DETERMINANT_SIZE_CAP = 7
 def build_full_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearSystem:
     """Design system with one row per signed eigenvalue pair (no dedup).
 
-    Coincident gaps then produce duplicate rows and a singular square
-    matrix; this variant exists for ill-posedness experiments and for
-    the regularized path, which tolerates rank deficiency.
+    Rows are the zero gap once, then +w and -w for each frequency w,
+    each repeated ``multiplicity`` times.  Coincident gaps therefore
+    produce duplicate rows and a singular square matrix; this variant
+    exists for ill-posedness experiments and for the regularized path,
+    which tolerates rank deficiency.
     """
     phases = np.asarray(phases, dtype=float)
     orders = _normalize_orders(orders)
-    entries = sorted(
-        ((abs(g), -np.sign(g), g) for _, g in freq.signed_gaps),
-        key=lambda e: (e[0], e[1]),
-    )
-    gaps = np.asarray([g for _, _, g in entries])
+    counts = np.concatenate([[1], np.repeat(freq.multiplicities, 2)])
+    gaps = np.repeat(freq.distinct_gaps, counts)
     E = np.exp(1j * np.outer(gaps, phases))
     return LinearSystem(matrix=E, rhs=_gap_rhs(gaps, orders), row_gaps=gaps, phases=phases)
 

@@ -212,6 +212,10 @@ def synthesize(ctx, spectrum_file, order, method, phases):
             if rule is None:
                 rule = regularized_rule(freq, ph, orders, ctx.obj["regularization"])
                 method_used = "regularized"
+                residual = rule.diagnostics["residual"]
+                if residual > (bound := ctx.obj["config"]["validation_bound"]):
+                    warnings.append(f"regularized rule is inexact: residual {residual:.3g} "
+                                    f"exceeds validation_bound {bound:.3g}")
     except IllPosedError as exc:
         _fail(EXIT_ILL_POSED, str(exc))
 

@@ -51,18 +51,11 @@ class EquidistantStructure:
         return 2 * np.pi / (2 * self.n - 1)
 
     def frequency_set(self) -> FrequencySet:
-        """The reduced frequency set {k*delta : k = 1..n-1}."""
+        """The reduced frequency set {k*delta : k = 1..n-1}, k*delta shared by n-k pairs."""
         n, d = self.n, self.delta
-        signed = [((0, 0), 0.0)]
-        for k in range(n):
-            for l in range(n):
-                if k != l:
-                    signed.append(((k, l), (k - l) * d))
         return FrequencySet(
-            signed_gaps=tuple(signed),
             unique_frequencies=tuple(k * d for k in range(1, n)),
             multiplicities=tuple(n - k for k in range(1, n)),
-            m=2 * n - 1,
         )
 
 
@@ -169,41 +162,25 @@ def cluster_rule_estimates(
     delta = cs.median_gap
     combined = closed_form_rule(EquidistantStructure(n=n, delta=delta), p)
 
-    rules: list[ShiftRule] = []
-    fitted_gaps: list[float] = []
-    additive_gaps: list[float] = []
-    for l in range(cs.n_realizations):
-        vals = cs.realization_values(l)
-        gap_l = float(np.diff(vals).mean())
-        fitted_gaps.append(gap_l)
-        rules.append(closed_form_rule(EquidistantStructure(n=n, delta=gap_l), p))
-        # First-order additive recombination: subtract the net offset drift.
-        offsets = vals - np.asarray(cs.medians)
-        additive_gaps.append(gap_l - float(offsets[-1] - offsets[0]) / (n - 1))
+    fitted_gaps = np.diff(cs.values, axis=1).mean(axis=1)
+    # First-order additive recombination: subtract the net offset drift.
+    offsets = cs.values - np.asarray(cs.medians)
+    additive_gaps = fitted_gaps - (offsets[:, -1] - offsets[:, 0]) / (n - 1)
+    rules = [closed_form_rule(EquidistantStructure(n=n, delta=float(g)), p) for g in fitted_gaps]
 
     b0 = combined.coefficients
-    spread = max(
-        float(np.abs(r.coefficients - b0).max()) for r in rules
-    )
+    spread = max(float(np.abs(r.coefficients - b0).max()) for r in rules)
     # At the equidistant phases the coefficient vector scales as gap**p.
     additive_dev = max(
-        float(np.abs((g / delta) ** p * b0 - b0).max()) for g in additive_gaps
+        float(np.abs((g / delta) ** p * b0 - b0).max()) for g in additive_gaps.tolist()
     )
-    diag = dict(combined.diagnostics)
-    diag.update(
+    combined.diagnostics.update(
         method="equidistant_cluster",
         coefficient_spread=spread,
-        per_realization_gaps=fitted_gaps,
-        additive_gap_estimates=additive_gaps,
+        per_realization_gaps=fitted_gaps.tolist(),
+        additive_gap_estimates=additive_gaps.tolist(),
         additive_deviation=additive_dev,
         median_gap=delta,
         median_gap_deviation=cs.median_gap_deviation,
-    )
-    combined = ShiftRule(
-        phases=combined.phases,
-        coefficients=combined.coefficients,
-        orders=combined.orders,
-        frequencies=combined.frequencies,
-        diagnostics=diag,
     )
     return rules, combined

@@ -27,11 +27,8 @@ class PerturbationData:
 
     matrix: np.ndarray
     vector: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError("scale must be non-negative")
         if np.abs(self.matrix[0]).max() != 0.0:
             raise ValueError("the gap-0 row of the perturbation matrix must be zero")
 
@@ -51,7 +48,7 @@ def perturbation_matrices(es: EquidistantStructure) -> PerturbationData:
         R[2 * k] = -(1j * tau / d) * x * np.exp(1j * k * x * tau)
     R /= np.sqrt(m)
     r = 1j * np.ones(m) / np.sqrt(m)
-    return PerturbationData(matrix=R, vector=r, scale=1.0)
+    return PerturbationData(matrix=R, vector=r)
 
 
 def linearized_solution(

@@ -93,30 +93,16 @@ def load_fourier_model(path: str | Path) -> FourierModel:
     return FourierModel(a0=float(data["a0"]), terms=tuple(sorted(parsed)))
 
 
-def save_fourier_model(model: FourierModel, path: str | Path) -> None:
-    dump_json(
-        {
-            "a0": model.a0,
-            "terms": [{"omega": w, "a": a, "b": b} for (w, a, b) in model.terms],
-        },
-        path,
-    )
-
-
 # -- shift rule --------------------------------------------------------------
 
-def rule_to_dict(rule: ShiftRule) -> dict:
-    return {
+def save_rule(rule: ShiftRule, path: str | Path) -> None:
+    dump_json({
         "phases": [float(p) for p in rule.phases],
         "coefficients": [float(b) for b in rule.coefficients],
         "orders": [{"p": p, "weight": w} for (p, w) in rule.orders],
         "frequencies": [float(w) for w in rule.frequencies],
         "diagnostics": dict(rule.diagnostics),
-    }
-
-
-def save_rule(rule: ShiftRule, path: str | Path) -> None:
-    dump_json(rule_to_dict(rule), path)
+    }, path)
 
 
 def load_rule(path: str | Path) -> ShiftRule:

@@ -1,10 +1,10 @@
 """Eigenvalue spectra, pairwise gap structure, and cluster grouping.
 
-A spectrum is an ordered list of Hamiltonian eigenvalues.  Everything the
-shift-rule machinery needs is derived from the signed pairwise differences
-(the "gaps"): the deduplicated positive gap values are the frequencies of
-the expectation function, and the number of distinct gap values (zero
-included) fixes the size of the design system.
+A spectrum is an ordered list of Hamiltonian eigenvalues.  A
+``FrequencySet`` keeps its deduplicated positive pairwise differences (the
+frequencies of the expectation function) with their multiplicities; the
+signed gaps and the design-system size derive from them.  A ``ClusterSet``
+keeps the eigenvalues of several realizations, one row per realization.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ PERTURBED_FRACTION = 0.1
 class StructureKind(Enum):
     EQUIDISTANT = "equidistant"
     PERTURBED_EQUIDISTANT = "perturbed_equidistant"
-    CLUSTERED_SETS = "clustered_sets"
     UNSTRUCTURED = "unstructured"
 
 
@@ -53,40 +52,36 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Signed pairwise gaps and the deduplicated positive frequencies.
+    """The distinct positive gaps of a spectrum and how many pairs share each.
 
-    ``signed_gaps`` keeps one entry per ordered index pair (k, l) with
-    k != l, plus a single zero entry for the diagonal, so the list is
-    closed under negation.  ``unique_frequencies`` are the distinct
-    positive gap values (strictly increasing) with their multiplicities,
-    and ``m = 2 * len(unique_frequencies) + 1`` is the system size.
+    ``unique_frequencies`` are strictly increasing; ``multiplicities[j]``
+    counts the eigenvalue pairs k > l whose gap merged into frequency j.
+    ``distinct_gaps`` and the system size ``m`` derive from the frequencies.
     """
 
-    signed_gaps: tuple[tuple[tuple[int, int], float], ...]
     unique_frequencies: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    m: int
 
     def __post_init__(self):
         freqs = self.unique_frequencies
+        if len(self.multiplicities) != len(freqs):
+            raise ValueError("need one multiplicity per frequency")
         if any(f <= 0 for f in freqs):
             raise ValueError("frequencies must be positive")
         if any(a >= b for a, b in zip(freqs, freqs[1:])):
             raise ValueError("frequencies must be strictly increasing")
-        if self.m != 2 * len(freqs) + 1:
-            raise ValueError("m must equal 2 * len(unique_frequencies) + 1")
+
+    @property
+    def m(self) -> int:
+        return 2 * len(self.unique_frequencies) + 1
 
     @property
     def distinct_gaps(self) -> np.ndarray:
         """Distinct gap values ordered (0, +w1, -w1, +w2, -w2, ...)."""
-        out = [0.0]
-        for w in self.unique_frequencies:
-            out.extend((w, -w))
-        return np.asarray(out, dtype=float)
-
-    def pairwise_gaps(self) -> np.ndarray:
-        """All signed gap values in storage order (zero entry first)."""
-        return np.asarray([g for _, g in self.signed_gaps], dtype=float)
+        w = np.asarray(self.unique_frequencies, dtype=float)
+        out = np.empty(self.m)
+        out[0], out[1::2], out[2::2] = 0.0, w, -w
+        return out
 
 
 @dataclass(frozen=True)
@@ -98,11 +93,7 @@ class StructureClass:
     epsilon: float | None = None
 
     def __post_init__(self):
-        needs_delta = self.kind in (
-            StructureKind.EQUIDISTANT,
-            StructureKind.PERTURBED_EQUIDISTANT,
-            StructureKind.CLUSTERED_SETS,
-        )
+        needs_delta = self.kind is not StructureKind.UNSTRUCTURED
         if needs_delta and (self.delta is None or self.delta <= 0):
             raise ValueError(f"{self.kind} requires a positive base gap")
         if not needs_delta and self.delta is not None:
@@ -115,35 +106,39 @@ class StructureClass:
 class ClusterSet:
     """Eigenvalues from several spectrum realizations grouped into sets.
 
-    ``members[i]`` lists ``(realization, value, offset)`` for cluster i,
-    where offset is the distance to the cluster median.  ``widths[i]`` is
-    the maximum absolute offset in cluster i.
+    ``values[l, i]`` is the eigenvalue of realization l in cluster i, a
+    (k, n) array for k realizations of n eigenvalues.  The cluster
+    medians, widths (largest distance to the median) and the spacing of
+    the medians are derived from it.
     """
 
-    medians: tuple[float, ...]
-    members: tuple[tuple[tuple[int, float, float], ...], ...]
-    widths: tuple[float, ...]
-    n_realizations: int
-    median_gap_deviation: float
+    values: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.medians)
+        return self.values.shape[1]
+
+    @property
+    def n_realizations(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def medians(self) -> tuple[float, ...]:
+        return tuple(np.median(self.values, axis=0).tolist())
+
+    @property
+    def widths(self) -> tuple[float, ...]:
+        return tuple(np.abs(self.values - self.medians).max(axis=0).tolist())
 
     @property
     def median_gap(self) -> float:
-        gaps = np.diff(self.medians)
-        return float(gaps.mean())
+        return float(np.diff(self.medians).mean())
 
-    def realization_values(self, l: int) -> np.ndarray:
-        """Eigenvalues of realization ``l`` ordered by cluster index."""
-        out = []
-        for cluster in self.members:
-            vals = [v for (r, v, _) in cluster if r == l]
-            if len(vals) != 1:
-                raise ValueError(f"realization {l} missing from a cluster")
-            out.append(vals[0])
-        return np.asarray(out, dtype=float)
+    @property
+    def median_gap_deviation(self) -> float:
+        """Largest |adjacent median gap - median_gap|, relative to median_gap."""
+        mean = self.median_gap
+        return float(np.abs(np.diff(self.medians) - mean).max() / mean)
 
 
 def _dedup_values(values, tol: float) -> list[list[int]]:
@@ -164,7 +159,7 @@ def _dedup_values(values, tol: float) -> list[list[int]]:
 
 
 def frequency_differences(spectrum: Spectrum, dedup_tol: float = DEFAULT_DEDUP_TOL) -> FrequencySet:
-    """Compute all signed pairwise gaps and the deduplicated frequencies.
+    """Compute the positive pairwise gaps and deduplicate them into frequencies.
 
     Gap values that differ by less than ``dedup_tol * max|eigenvalue|``
     are merged into one frequency whose multiplicity counts the merged
@@ -182,25 +177,12 @@ def frequency_differences(spectrum: Spectrum, dedup_tol: float = DEFAULT_DEDUP_T
     if n < 2:
         raise ValueError("need at least 2 distinct eigenvalues after merging")
 
-    signed: list[tuple[tuple[int, int], float]] = [((0, 0), 0.0)]
-    positive: list[float] = []
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                continue
-            signed.append(((k, l), float(levels[k] - levels[l])))
-            if k > l:
-                positive.append(float(levels[k] - levels[l]))
-
-    positive = np.asarray(positive)
+    # levels[k] - levels[l] for the pairs k > l, k-major
+    positive = (levels[:, None] - levels)[np.tri(n, k=-1, dtype=bool)]
     groups = _dedup_values(positive, tol)
-    freqs = tuple(float(np.mean(positive[g])) for g in groups)
-    mult = tuple(len(g) for g in groups)
     return FrequencySet(
-        signed_gaps=tuple(signed),
-        unique_frequencies=freqs,
-        multiplicities=mult,
-        m=2 * len(freqs) + 1,
+        unique_frequencies=tuple(float(np.mean(positive[g])) for g in groups),
+        multiplicities=tuple(len(g) for g in groups),
     )
 
 
@@ -245,53 +227,33 @@ def cluster_realizations(realizations: list[Spectrum], gap_factor: float) -> Clu
     n = realizations[0].n
     if any(s.n != n for s in realizations):
         raise ValueError("all realizations must have the same number of eigenvalues")
-    k = len(realizations)
 
-    pooled = [(float(v), l) for l, spec in enumerate(realizations) for v in spec.eigenvalues]
-    values = np.asarray([v for v, _ in pooled])
-    span = values.max() - values.min()
+    values = np.asarray([spec.eigenvalues for spec in realizations])
+    pooled = values.ravel()
+    span = pooled.max() - pooled.min()
     if span <= 0:
         raise ValueError("pooled eigenvalues are all identical; cannot form clusters")
-    mean_gap = span / (len(values) - 1)
-    threshold = gap_factor * mean_gap
+    threshold = gap_factor * (span / (len(pooled) - 1))
     # neighbours link at a gap of at most threshold: the next float up is the strict bound
-    groups = _dedup_values(values, np.nextafter(threshold, np.inf))
-    clusters = [[pooled[i] for i in g] for g in groups]
+    groups = _dedup_values(pooled, np.nextafter(threshold, np.inf))
 
-    if len(clusters) != n:
+    if len(groups) != n:
         raise ValueError(
-            f"grouping produced {len(clusters)} clusters, expected {n} "
+            f"grouping produced {len(groups)} clusters, expected {n} "
             f"(link threshold {threshold:.3g})"
         )
-    for i, cluster in enumerate(clusters):
-        reals = sorted(r for _, r in cluster)
-        if reals != list(range(k)):
+    for i, group in enumerate(groups):
+        # pooled index j is eigenvalue j % n of realization j // n
+        if sorted(j // n for j in group) != list(range(len(realizations))):
             raise ValueError(
                 f"cluster {i} does not contain exactly one eigenvalue per realization"
             )
 
-    medians = tuple(float(np.median([v for v, _ in c])) for c in clusters)
-    members = tuple(
-        tuple((r, v, v - med) for v, r in c) for c, med in zip(clusters, medians)
-    )
-    widths = tuple(
-        float(max(abs(off) for _, _, off in cluster)) for cluster in members
-    )
-
-    med_gaps = np.diff(medians)
-    min_gap = float(med_gaps.min())
-    if any(w >= min_gap for w in widths):
+    # each realization is sorted, so its i-th eigenvalue sits in cluster i
+    cs = ClusterSet(values)
+    if max(cs.widths) >= np.diff(cs.medians).min():
         raise ValueError("a cluster width reaches the minimum inter-median gap")
-    mean_med_gap = float(med_gaps.mean())
-    deviation = float(np.abs(med_gaps - mean_med_gap).max() / mean_med_gap)
-
-    return ClusterSet(
-        medians=medians,
-        members=members,
-        widths=widths,
-        n_realizations=k,
-        median_gap_deviation=deviation,
-    )
+    return cs
 
 
 def gap_generator(values, rel_tol: float = 1e-9) -> float | None:

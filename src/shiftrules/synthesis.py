@@ -241,13 +241,14 @@ def _capped_solve(E: np.ndarray, rhs: np.ndarray, condition_cap: float = CONDITI
     return np.linalg.solve(E, rhs), cond
 
 
-def _extract_real(b: np.ndarray, context: str) -> tuple[np.ndarray, float]:
+def _extract_real(b: np.ndarray, context: str, condition_number=None) -> tuple[np.ndarray, float]:
     scale = max(float(np.linalg.norm(b)), 1e-300)
     max_imag = float(np.abs(b.imag).max())
     if max_imag > IMAG_TOL * scale:
-        raise ValueError(
+        raise IllPosedError(
             f"{context}: solution has non-negligible imaginary part "
-            f"({max_imag:.3g} vs norm {scale:.3g})"
+            f"({max_imag:.3g} vs norm {scale:.3g})",
+            condition_number=condition_number,
         )
     return b.real.copy(), max_imag
 
@@ -260,9 +261,9 @@ def solve_direct(
     """Solve the square system E b = rhs and return the real coefficients.
 
     Raises IllPosedError when the system is not square, contains
-    duplicate phases, or has a condition number above ``condition_cap``
-    (ill-posed spectra must go through the equidistant or regularized
-    paths instead).
+    duplicate phases, has a condition number above ``condition_cap`` or
+    a solution with a non-negligible imaginary part (ill-posed spectra
+    must go through the equidistant or regularized paths instead).
     """
     E = sys.matrix
     if not sys.is_square:
@@ -273,7 +274,7 @@ def solve_direct(
     pos = sys.row_gaps[sys.row_gaps > 0]
     check_phase_distinctness(sys.phases, pos)
     b, cond = _capped_solve(E, sys.rhs, condition_cap)
-    coeffs, max_imag = _extract_real(b, "solve_direct")
+    coeffs, max_imag = _extract_real(b, "solve_direct", cond)
     residual = float(np.linalg.norm(E @ b - sys.rhs))
     return ShiftRule(
         phases=sys.phases.copy(),

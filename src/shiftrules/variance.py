@@ -43,7 +43,6 @@ class VarianceReport:
     """Variance of the shift-rule estimator plus the square-norm objective."""
 
     variance: float
-    per_point: tuple[float, ...]
     square_norm: float
 
 
@@ -82,7 +81,6 @@ def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:
         raise ValueError("variances must be non-negative")
     return VarianceReport(
         variance=float(b**2 @ sig2),
-        per_point=tuple(float(s) for s in sig2),
         square_norm=float(b @ b),
     )
 
@@ -281,7 +279,7 @@ def optimize_shifts(
             point = _evaluate_point(freq, ph, orders)
         try:
             rule = synthesize_rule(freq, ph, orders)
-        except (IllPosedError, ValueError):
+        except IllPosedError:
             continue
         if point is not None:
             candidates.append((rule.square_norm, np.abs(point.gradient).max() / 2, ph, rule, kind))

@@ -20,6 +20,7 @@ from shiftrules import (
     synthesize_rule,
 )
 from shiftrules.cli import _random_models, cli
+from shiftrules.synthesis import build_system, condition_number
 
 SRC = str(Path(shiftrules.__file__).resolve().parents[1])
 
@@ -119,6 +120,67 @@ def test_synthesize_auto_falls_back_to_tikhonov(runner, near_degenerate, tmp_pat
     report = json.loads(result.output)
     assert report["method"] == "regularized"
     assert report["warnings"]
+
+
+def test_synthesize_warns_when_regularized_rule_is_inexact(runner, near_degenerate, tmp_path):
+    out = str(tmp_path / "rule.json")
+    result = runner.invoke(cli, ["--seed", "0", "--output", out, "synthesize", near_degenerate],
+                           obj={})
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    residual = report["diagnostics"]["residual"]
+    assert residual > 1e-8
+    inexact = [w for w in report["warnings"] if "inexact" in w]
+    assert inexact == [f"regularized rule is inexact: residual {residual:.3g} "
+                       "exceeds validation_bound 1e-08"]
+    result = runner.invoke(cli, ["--seed", "0", "validate", out, "--model", "random:4"], obj={})
+    assert result.exit_code == 1
+
+
+@pytest.fixture
+def imaginary_part_case(tmp_path):
+    """A spectrum and phases under the condition cap (cond 6.4e7) whose direct
+    solution keeps an imaginary part above the 1e-9 relative tolerance."""
+    eigenvalues = (0.0, 0.513114, 1.229844, 2.009326, 3.425672)
+    freq = frequency_differences(Spectrum(eigenvalues))
+    w = np.asarray(freq.unique_frequencies)
+    lo = -2 * np.pi / max(w.min(), np.median(w) / 4)
+    rng = np.random.default_rng(2)
+    draws = [rng.uniform(lo + 1e-3, -1e-3, freq.m) for _ in range(64)]
+    phases = min(draws, key=lambda ph: condition_number(build_system(freq, ph).matrix))
+    path = _write(tmp_path, "imag.json", {"eigenvalues": list(eigenvalues)})
+    return path, ",".join(repr(float(p)) for p in phases)
+
+
+def test_synthesize_direct_imaginary_part_is_ill_posed(runner, imaginary_part_case, tmp_path):
+    spec, phases = imaginary_part_case
+    out = str(tmp_path / "rule.json")
+    result = runner.invoke(cli, ["--output", out, "synthesize", spec, "--method", "direct",
+                                 "--phases", phases], obj={})
+    assert result.exit_code == 2
+    assert "error: direct synthesis is ill-posed" in result.output
+    assert "imaginary part" in result.output and "condition number 6375" in result.output
+
+
+def test_synthesize_auto_imaginary_part_falls_back(runner, imaginary_part_case, tmp_path):
+    spec, phases = imaginary_part_case
+    out = str(tmp_path / "rule.json")
+    result = runner.invoke(cli, ["--output", out, "synthesize", spec, "--phases", phases], obj={})
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert report["method"] == "regularized"
+    assert any("imaginary part" in w and "falling back to tikhonov" in w
+               for w in report["warnings"])
+
+
+def test_optimize_imaginary_part_start_has_no_before(runner, imaginary_part_case, tmp_path):
+    spec, phases = imaginary_part_case
+    out = str(tmp_path / "opt.json")
+    result = runner.invoke(cli, ["--output", out, "optimize", spec, "--phases", phases], obj={})
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert report["square_norm_before"] is None
+    assert report["square_norm_after"] > 0
 
 
 @pytest.mark.parametrize("eigenvalues", [

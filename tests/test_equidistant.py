@@ -170,6 +170,13 @@ def test_cluster_rules_jittered_spread_is_small():
     assert len(rules) == 5
     assert combined.diagnostics["coefficient_spread"] <= 1e-2
     assert combined.diagnostics["additive_deviation"] <= 1e-2
+    # per-realization reference: mean adjacent gap, minus the net offset drift
+    for l, spec in enumerate(reals):
+        v = spec.eigenvalues
+        gap = float(np.diff(v).mean())
+        drift = ((v[-1] - cs.medians[-1]) - (v[0] - cs.medians[0])) / 2
+        assert combined.diagnostics["per_realization_gaps"][l] == gap
+        assert combined.diagnostics["additive_gap_estimates"][l] == gap - drift
 
 
 def test_cluster_rules_zero_width_gaps_coincide():

@@ -9,7 +9,7 @@ from shiftrules import (
     cluster_realizations,
     frequency_differences,
 )
-from shiftrules.spectrum import gap_generator
+from shiftrules.spectrum import _dedup_values, gap_generator
 
 
 def test_spectrum_rejects_short_unsorted_and_nonfinite():
@@ -25,8 +25,7 @@ def test_single_pair_gaps():
     freq = frequency_differences(Spectrum((0.0, 1.0)), dedup_tol=1e-12)
     assert freq.m == 3
     assert freq.unique_frequencies == (1.0,)
-    gaps = sorted(g for _, g in freq.signed_gaps)
-    assert gaps == [-1.0, 0.0, 1.0]
+    assert sorted(freq.distinct_gaps) == [-1.0, 0.0, 1.0]
 
 
 def test_equidistant_gap_count_reduces():
@@ -58,7 +57,7 @@ def test_signed_gaps_closed_under_negation_zero_once():
     for _ in range(20):
         spec = random_spectrum(rng, int(rng.integers(2, 6)))
         freq = frequency_differences(spec)
-        gaps = freq.pairwise_gaps()
+        gaps = freq.distinct_gaps
         assert np.count_nonzero(gaps == 0.0) == 1
         nonzero = sorted(gaps[gaps != 0.0])
         np.testing.assert_allclose(nonzero, sorted(-g for g in nonzero))
@@ -76,6 +75,25 @@ def test_repeated_eigenvalues_merge_before_gaps():
     assert freq.m == 3
     with pytest.raises(ValueError, match="distinct"):
         frequency_differences(Spectrum((1.0, 1.0)))
+
+
+def test_frequencies_match_pair_loop_reference():
+    # gaps of the merged levels for pairs k > l in k-major order, grouped as in
+    # frequency_differences: the frequencies must agree bit for bit
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        n = int(rng.integers(2, 8))
+        lam = np.sort(np.round(rng.uniform(0, 4, n), 1) + rng.normal(0, 1e-13, n))
+        if np.ptp(lam) < 0.05:
+            continue
+        tol = 1e-12 * np.abs(lam).max()
+        levels = [float(np.mean(lam[g])) for g in _dedup_values(lam, tol)]
+        gaps = [levels[k] - levels[l] for k in range(len(levels)) for l in range(k)]
+        groups = _dedup_values(gaps, tol)
+        freq = frequency_differences(Spectrum(tuple(lam)))
+        means = tuple(float(np.mean([gaps[i] for i in g])) for g in groups)
+        assert freq.unique_frequencies == means
+        assert freq.multiplicities == tuple(len(g) for g in groups)
 
 
 def test_classify_exact_equidistant():
@@ -126,8 +144,40 @@ def test_cluster_three_jittered_realizations():
     ]
     cs = cluster_realizations(reals, gap_factor=0.25)
     assert cs.n == 3
-    assert all(len(c) == 3 for c in cs.members)
+    assert cs.values.shape == (3, 3)
     assert all(w <= 0.02 for w in cs.widths)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_cluster_values_rows_are_realizations(k):
+    rng = np.random.default_rng(7)
+    base = np.array([0.0, 1.0, 2.2, 3.1])
+    reals = [Spectrum(tuple(np.sort(base + rng.uniform(-0.01, 0.01, 4)))) for _ in range(k)]
+    cs = cluster_realizations(reals, gap_factor=0.25)
+    assert cs.values.shape == (k, 4)
+    for l, spec in enumerate(reals):
+        assert cs.values[l].tolist() == list(spec.eigenvalues)
+    for i in range(4):
+        column = sorted(spec.eigenvalues[i] for spec in reals)
+        median = column[k // 2] if k % 2 else (column[k // 2 - 1] + column[k // 2]) / 2
+        assert cs.medians[i] == median
+        assert cs.widths[i] == max(abs(v - median) for v in column)
+
+
+def test_cluster_from_one_realization_errors():
+    # two clusters emerge, but each holds both eigenvalues of one realization
+    reals = [Spectrum((0.0, 0.1)), Spectrum((5.0, 5.1))]
+    with pytest.raises(ValueError, match="exactly one eigenvalue per realization"):
+        cluster_realizations(reals, gap_factor=0.25)
+
+
+def test_cluster_wider_than_median_gap_errors():
+    # links at 0.3 but not at 0.4: the first cluster chains down to -0.6 around
+    # its median 0, wider than the 0.4 gap to the next median
+    lower = (-0.6, -0.3, 0.0, 0.0, 0.0)
+    reals = [Spectrum((v, 0.4)) for v in lower]
+    with pytest.raises(ValueError, match="cluster width reaches"):
+        cluster_realizations(reals, gap_factor=3.0)
 
 
 def test_cluster_overlapping_structure_errors():

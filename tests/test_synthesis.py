@@ -77,6 +77,20 @@ def test_full_pairwise_system_of_equidistant_spectrum_is_singular():
         solve_direct(sys)
 
 
+@pytest.mark.parametrize("eigenvalues",
+                         [(0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.5), (0.0, 0.5, 1.0, 2.5)])
+def test_full_pairwise_system_repeats_each_signed_gap_by_multiplicity(eigenvalues):
+    freq = frequency_differences(Spectrum(eigenvalues))
+    n = len(eigenvalues)
+    sys = build_full_system(freq, np.linspace(-1.0, -0.1, 5))
+    assert sys.matrix.shape == (n * (n - 1) + 1, 5)
+    expected = [0.0]
+    for w, count in zip(freq.unique_frequencies, freq.multiplicities):
+        expected += [w] * count + [-w] * count
+    assert sys.row_gaps.tolist() == expected
+    np.testing.assert_array_equal(sys.matrix, np.exp(1j * np.outer(expected, sys.phases)))
+
+
 def test_first_derivative_coefficients_sum_to_zero():
     rng = np.random.default_rng(4)
     for _ in range(10):
