@@ -31,9 +31,8 @@ from .spectrum import (
 )
 from .synthesis import (
     IllPosedError,
-    build_system,
+    _singular_value_condition,
     check_phase_distinctness,
-    condition_number,
     synthesize_rule,
 )
 from .variance import confidence_interval, optimize_shifts, variance_of_estimate
@@ -99,17 +98,13 @@ def _auto_phases(freq, seed, tries=64):
     1e-2 times the largest gap.  Gap values closer than the floor are
     unresolvable at practical shifts and surface as ill-posed downstream.
     """
-    rng = np.random.default_rng(seed)
     freqs = np.asarray(freq.unique_frequencies)
     resolution = np.diff(freqs, prepend=0.0).min()
     lo = -2 * np.pi / max(resolution, 1e-2 * freqs[-1])
-    best_cond, best = np.inf, None
-    for _ in range(tries):
-        ph = rng.uniform(lo + 1e-3, -1e-3, freq.m)
-        c = condition_number(build_system(freq, ph).matrix)
-        if best is None or c < best_cond:
-            best_cond, best = c, ph
-    return best
+    draws = np.random.default_rng(seed).uniform(lo + 1e-3, -1e-3, (tries, freq.m))
+    E = np.exp(1j * freq.distinct_gaps[:, None] * draws[:, None, :])  # one design matrix per draw
+    s = np.linalg.svd(E, compute_uv=False)
+    return draws[np.argmin([_singular_value_condition(row, freq.m) for row in s])]
 
 
 def _parse_phases(text):

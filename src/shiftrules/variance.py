@@ -189,23 +189,41 @@ def _evaluate_reduced(freq, x, orders, condition_cap=CONDITION_CAP) -> _Point | 
 
 
 def _screen(freq, orders, width, rng) -> np.ndarray:
-    """SCREEN_SIZE seeded x in (0, width/2)^R by sum b^2 from one batched solve, no cap."""
+    """SCREEN_SIZE seeded x in (0, width/2)^R by sum b^2 from one batched solve, no cap.
+
+    An exactly singular point fails the batched solve; then each point is
+    solved alone and the singular ones rank last.
+    """
     xs = rng.uniform(0.0, width / 2, (SCREEN_SIZE, len(freq.unique_frequencies)))
     rs = build_reduced_system(freq, xs, orders)
-    u = np.linalg.solve(rs.matrix, np.broadcast_to(rs.rhs[:, None], rs.matrix.shape[:-1] + (1,)))
-    return xs[np.argsort(np.einsum("ij,ij->i", u[..., 0], u[..., 0]), kind="stable")]
+    try:
+        u = np.linalg.solve(rs.matrix, np.broadcast_to(rs.rhs[:, None], rs.matrix.shape[:-1] + (1,)))
+    except np.linalg.LinAlgError:
+        values = np.array([_square_norm_or_inf(M, rs.rhs) for M in rs.matrix])
+    else:
+        values = np.einsum("ij,ij->i", u[..., 0], u[..., 0])
+    return xs[np.argsort(values, kind="stable")]
+
+
+def _square_norm_or_inf(M, t) -> float:
+    try:
+        u = np.linalg.solve(M, t)
+    except np.linalg.LinAlgError:
+        return np.inf
+    return float(u @ u)
 
 
 def _newton(evaluate, freq, orders, v, max_iters):
-    """Damped exact Newton descent from v: (v, point, accepted steps), None if v is ill-posed.
+    """Damped exact Newton from v: (v, point, accepted steps, evaluations); None if v is ill-posed.
 
     lam grows until H + lam*I gives an accepted trial: one that lowers the
     objective, or keeps it within round-off and lowers max |gradient|
     (the quadratic end game), so the descent never climbs to a saddle.
+    ``evaluations`` counts every call of ``evaluate``, rejected trials included.
     """
     if (cur := evaluate(freq, v, orders)) is None:
         return None
-    lam, steps = 1e-10, 0
+    lam, steps, evaluations = 1e-10, 0, 1
     for _ in range(max_iters):
         g = np.abs(cur.gradient).max()
         if g < 1e-12:
@@ -218,6 +236,7 @@ def _newton(evaluate, freq, orders, v, max_iters):
                 lam *= 10
                 continue
             nxt = evaluate(freq, v + step, orders)
+            evaluations += 1
             if nxt is not None and (nxt.value < cur.value - slack or (
                     nxt.value <= cur.value + slack and np.abs(nxt.gradient).max() < g)):
                 v, cur, lam, steps = v + step, nxt, max(lam * 0.25, 1e-12), steps + 1
@@ -225,7 +244,23 @@ def _newton(evaluate, freq, orders, v, max_iters):
             lam *= 10
         else:
             break
-    return v, cur, steps
+    return v, cur, steps, evaluations
+
+
+def _candidates(freq, orders, period, descents) -> list:
+    """(sum b^2, max |S_y|, phases, rule, start kind) per descent end that solves."""
+    out = []
+    for kind, (ph, point, *_) in descents:
+        if period is not None:  # the objective is periodic in each phase
+            ph = -np.mod(-ph, period)
+            point = _evaluate_point(freq, ph, orders)
+        try:
+            rule = synthesize_rule(freq, ph, orders)
+        except IllPosedError:
+            continue
+        if point is not None:
+            out.append((rule.square_norm, np.abs(point.gradient).max() / 2, ph, rule, kind))
+    return out
 
 
 def optimize_shifts(
@@ -239,15 +274,18 @@ def optimize_shifts(
     Screens the negation-symmetric phases (0, -x, +x), x in (0, T/2)^R,
     runs damped exact Newton in R dimensions from the ``multistarts``
     lowest points under the condition cap, and polishes each optimum
-    once with full-space Newton.  phi0 gets the same full-space descent,
-    the only search for mixed-parity ``orders`` or ``multistarts=0``.
-    Phases are wrapped into [-T, 0] when the gaps share a generator g
-    (T = 2*pi / g).  Candidates whose half analytic gradient is at most
-    ``cfg.tol`` are certified; the lowest certified one no higher than
-    phi0's square-norm (plus tol) wins, else the lowest of all.  The
-    rule's diagnostics add ``certified``, ``stationarity`` (the winner's
-    max |S_y|), ``winner_start`` ("phi0" or "reduced"), ``starts``
-    (Newton descents run) and ``newton_steps`` (accepted steps in all).
+    once with full-space Newton.  Phases are wrapped into [-T, 0] when
+    the gaps share a generator g (T = 2*pi / g).  Candidates whose half
+    analytic gradient is at most ``cfg.tol`` are certified when their
+    square-norm is no higher than phi0's (plus tol).  phi0 gets the same
+    full-space descent only when no symmetric candidate is certified:
+    always for mixed-parity ``orders`` or ``multistarts=0``, where it is
+    the only search.  The lowest certified candidate wins, else the
+    lowest of all.  The rule's diagnostics add ``certified``,
+    ``stationarity`` (the winner's max |S_y|), ``winner_start`` ("phi0"
+    or "reduced"), ``starts`` (Newton descents run, counting phi0's only
+    when it ran), ``newton_steps`` (accepted steps in all) and
+    ``evaluations`` (objective evaluations in all, rejected trials included).
 
     Raises IllPosedError when phi0 and every start are ill-posed.
     """
@@ -260,36 +298,37 @@ def optimize_shifts(
     period = 2 * np.pi / generator if generator is not None else None
     width = period if period is not None else 2 * np.pi / min(freq.unique_frequencies)
 
-    descents = [("phi0", _newton(_evaluate_point, freq, orders, phi0, cfg.max_iters))]
+    start = _evaluate_point(freq, phi0, orders)
+    f0 = np.inf if start is None else start.value
+
+    def certify(candidates):
+        return [c for c in candidates if c[1] <= cfg.tol and c[0] <= f0 + cfg.tol]
+
+    descents = []
     if cfg.multistarts > 0 and reduced_parity(orders) is not None:
         screened = _screen(freq, orders, width, np.random.default_rng(cfg.seed))
         runs = (_newton(_evaluate_reduced, freq, orders, x, cfg.max_iters) for x in screened)
-        for x, _, steps in islice(filter(None, runs), cfg.multistarts):  # None: over the cap
+        for x, _, steps, evals in islice(filter(None, runs), cfg.multistarts):  # None: over the cap
             lifted = _newton(_evaluate_point, freq, orders, np.concatenate([[0.0], -x, x]),
                              cfg.max_iters)
-            descents.append(("reduced", lifted and lifted[:2] + (steps + lifted[2],)))
-    descents = [(kind, run) for kind, run in descents if run is not None]
+            if lifted is not None:
+                ph, point, more_steps, more_evals = lifted
+                descents.append(("reduced", (ph, point, steps + more_steps, evals + more_evals)))
+    candidates = _candidates(freq, orders, period, descents)
+    certified = certify(candidates)
+    # phi0 is descended only when the symmetric search certified nothing
+    if not certified and (run := _newton(_evaluate_point, freq, orders, phi0, cfg.max_iters)):
+        descents.insert(0, ("phi0", run))
+        candidates = _candidates(freq, orders, period, descents[:1]) + candidates
+        certified = certify(candidates)
     if not descents:
         raise IllPosedError("all optimization starts are ill-posed")
-
-    candidates = []
-    for kind, (ph, point, _) in descents:
-        if period is not None:  # the objective is periodic in each phase
-            ph = -np.mod(-ph, period)
-            point = _evaluate_point(freq, ph, orders)
-        try:
-            rule = synthesize_rule(freq, ph, orders)
-        except IllPosedError:
-            continue
-        if point is not None:
-            candidates.append((rule.square_norm, np.abs(point.gradient).max() / 2, ph, rule, kind))
     if not candidates:
         raise IllPosedError("no solvable candidate found")
-    f0 = np.inf if (start := _evaluate_point(freq, phi0, orders)) is None else start.value
-    certified = [c for c in candidates if c[1] <= cfg.tol and c[0] <= f0 + cfg.tol]
     _, stationarity, best_ph, best_rule, kind = min(certified or candidates, key=lambda c: c[0])
     best_rule.diagnostics.update(
         certified=bool(certified), stationarity=float(stationarity), winner_start=kind,
         starts=len(descents), newton_steps=sum(run[2] for _, run in descents),
+        evaluations=sum(run[3] for _, run in descents),
     )
     return np.asarray(best_ph), best_rule

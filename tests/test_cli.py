@@ -19,7 +19,7 @@ from shiftrules import (
     serialize,
     synthesize_rule,
 )
-from shiftrules.cli import _random_models, cli
+from shiftrules.cli import _auto_phases, _random_models, cli
 from shiftrules.synthesis import build_system, condition_number
 
 SRC = str(Path(shiftrules.__file__).resolve().parents[1])
@@ -198,6 +198,27 @@ def test_synthesize_auto_phases_resolve_close_gaps(runner, tmp_path, eigenvalues
     result = runner.invoke(cli, ["--seed", "0", "validate", out, "--model", "random:4"], obj={})
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["passed"] is True
+
+
+@pytest.mark.parametrize("eigenvalues", [
+    (0.0, 1.0, 2.5), (0.0, 1.0, 2.6), (0.0, 1.0, 2.5, 4.1), (0.0, 1.0, 2.5, 4.1, 6.0),
+    (0.0, 1.0, 1.0 + 1e-9),
+])
+def test_auto_phases_match_per_draw_loop(eigenvalues):
+    # the batched draw returns exactly the first best-conditioned of the
+    # same 64 draws taken and conditioned one at a time
+    freq = frequency_differences(Spectrum(eigenvalues))
+    freqs = np.asarray(freq.unique_frequencies)
+    lo = -2 * np.pi / max(np.diff(freqs, prepend=0.0).min(), 1e-2 * freqs[-1])
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        best_cond, best = np.inf, None
+        for _ in range(64):
+            ph = rng.uniform(lo + 1e-3, -1e-3, freq.m)
+            c = condition_number(build_system(freq, ph).matrix)
+            if best is None or c < best_cond:
+                best_cond, best = c, ph
+        assert np.array_equal(_auto_phases(freq, seed), best)
 
 
 def test_synthesize_duplicate_phases(runner, two_level, tmp_path):

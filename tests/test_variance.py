@@ -27,6 +27,7 @@ from shiftrules import (
     variance_of_estimate,
 )
 from shiftrules.checks import determinant_stationarity_residual, regularized_stationarity_residual
+from shiftrules.cli import _auto_phases
 from shiftrules.fourier import evaluate, sample_noisy_batch
 from shiftrules.synthesis import FIRST_DERIVATIVE, apply_rule
 from shiftrules.variance import _evaluate_point, _evaluate_reduced
@@ -242,8 +243,36 @@ def test_optimize_reports_which_start_won():
     _, rule = optimize_shifts(FREQ01, EQ_RULE.phases, OptimizationConfig(), orders=mixed)
     assert (rule.diagnostics["winner_start"], rule.diagnostics["starts"]) == ("phi0", 1)
     assert rule.square_norm <= before + 1e-9
+    # the reduced search certifies here, so phi0 is not descended
     _, rule = optimize_shifts(FREQ01, EQ_RULE.phases, OptimizationConfig(multistarts=3))
-    assert rule.diagnostics["starts"] == 4
+    assert rule.diagnostics["starts"] == 3
+    # no reduced candidate certifies at tol 1e-300: the phi0 fallback runs and wins
+    cfg = OptimizationConfig(tol=1e-300, multistarts=3)
+    _, rule = optimize_shifts(FREQ01, EQ_RULE.phases, cfg)
+    assert (rule.diagnostics["starts"], rule.diagnostics["winner_start"]) == (4, "phi0")
+    # p = 2: the reduced optima do not certify, so phi0 is descended as well
+    _, rule = optimize_shifts(FREQ01, EQ_RULE.phases, OptimizationConfig(), orders=((2, 1.0),))
+    assert rule.diagnostics["starts"] == 9
+    assert rule.square_norm == pytest.approx(0.375, rel=1e-9)
+
+
+@pytest.mark.parametrize("eigenvalues, square_norm", [
+    ((0.0, 1.0), 0.5),
+    ((0.0, 1.0, 2.5), 1.1601179447131866),
+    ((0.0, 1.0, 2.4), 0.9714295610481637),
+    ((0.0, 1.0, 2.6), 1.129483176141322),
+    ((0.0, 1.0, 2.9), 1.4298864362214996),
+    ((0.0, 1.0, 2.5, 4.1), 2.100041430600614),
+], ids=["n2", "S7", "u1.4", "u1.6", "u1.9", "N4"])
+def test_optimize_skips_phi0_descent_when_reduced_certifies(eigenvalues, square_norm):
+    # the optimize benchmark spectra from the CLI's --seed 0 start: the
+    # symmetric search certifies, so only its eight descents run
+    freq = frequency_differences(Spectrum(eigenvalues))
+    _, rule = optimize_shifts(freq, _auto_phases(freq, 0), OptimizationConfig())
+    assert rule.diagnostics["starts"] == 8
+    assert rule.diagnostics["winner_start"] == "reduced"
+    assert rule.diagnostics["certified"] is True
+    assert rule.square_norm == pytest.approx(square_norm, rel=1e-12)
 
 
 def test_optimize_from_equidistant_start_finds_symmetric_rule():
@@ -270,6 +299,16 @@ def test_optimize_never_increases_objective():
         before = synthesize_rule(freq, phi0).square_norm
         _, rule = optimize_shifts(freq, phi0, OptimizationConfig(multistarts=2, seed=seed))
         assert rule.square_norm <= before + 1e-9
+
+
+def test_optimize_screen_survives_exactly_singular_point():
+    # p = 2 here: one of the 4096 screen points has an exactly singular
+    # cos block, which must not fail the batched screen solve
+    freq = frequency_differences(Spectrum((0.0, 1.4598697485727319, 2.660772350287959,
+                                           3.7165231409500312)))
+    phi0, orders = _auto_phases(freq, 0), ((2, 1.0),)
+    _, rule = optimize_shifts(freq, phi0, OptimizationConfig(), orders=orders)
+    assert rule.square_norm < synthesize_rule(freq, phi0, orders).square_norm
 
 
 def test_optimize_all_starts_ill_posed():
