@@ -298,8 +298,7 @@ def optimize_shifts(
     period = 2 * np.pi / generator if generator is not None else None
     width = period if period is not None else 2 * np.pi / min(freq.unique_frequencies)
 
-    start = _evaluate_point(freq, phi0, orders)
-    f0 = np.inf if start is None else start.value
+    f0 = np.inf if (start := _evaluate_point(freq, phi0, orders)) is None else start.value
 
     def certify(candidates):
         return [c for c in candidates if c[1] <= cfg.tol and c[0] <= f0 + cfg.tol]
