@@ -18,7 +18,7 @@ from .fourier import (
     FourierModel,
     NoiseSpec,
     analytic_derivative,
-    evaluate,
+    evaluate_models,
     sample_noisy_batch,
 )
 from .perturbation import error_bound, perturbation_matrices
@@ -285,12 +285,11 @@ def validate(ctx, rule_file, model, t_grid, bound):
                       f"model frequency {w} is outside the rule's frequency set")
         models = [loaded]
 
-    # One (grid x phases) evaluation per model.  The columns are summed in
-    # apply_rule's order, so each estimate equals the scalar rule bit for bit.
+    # One (grid x phases) evaluation of all models.  The columns are summed
+    # in apply_rule's order, so each estimate equals the scalar rule bit for bit.
     shifted = grid[:, None] + np.asarray(rule.phases, dtype=float)[None, :]
     max_err = max_scaled = err_sum = 0.0
-    for fm in models:
-        values = evaluate(fm, shifted)
+    for fm, values in zip(models, evaluate_models(models, shifted)):
         estimate = sum(b * column for b, column in zip(rule.coefficients, values.T))
         target = sum(w * analytic_derivative(fm, grid, p) for p, w in rule.orders)
         err = np.abs(estimate - target)

@@ -93,6 +93,28 @@ def evaluate(model: FourierModel, t):
     return _series(model.a0, model.terms, t)
 
 
+def evaluate_models(models, t) -> list[np.ndarray]:
+    """``evaluate(model, t)`` as an array for each model, bit for bit.
+
+    The frequencies run in the outer loop, so cos(w t) and sin(w t) are
+    computed once per frequency for all the models that share it.  Each
+    model still adds a*cos then b*s per term, in its own increasing
+    frequency order, and in place, so only two scratch arrays of t's
+    shape exist besides the results.
+    """
+    t = np.asarray(t, dtype=float)
+    outs = [np.full_like(t, m.a0) for m in models]
+    coeffs = [{w: (a, b) for w, a, b in m.terms} for m in models]
+    table, term = np.empty_like(t), np.empty_like(t)
+    for w in sorted({w for m in models for w in m.frequencies}):
+        users = [(out, terms[w]) for out, terms in zip(outs, coeffs) if w in terms]
+        for trig, i in ((np.cos, 0), (np.sin, 1)):
+            trig(np.multiply(w, t, out=table), out=table)
+            for out, ab in users:
+                out += np.multiply(ab[i], table, out=term)
+    return outs
+
+
 def analytic_derivative(model: FourierModel, t, p: int = 1):
     """Exact p-th derivative of the series at t; p=0 is plain evaluation.
 

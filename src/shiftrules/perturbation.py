@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equidistant import EquidistantStructure, normalized_system
-from .synthesis import condition_number
+from .synthesis import _singular_value_condition
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ def error_bound(
         raise ValueError("eps must be non-negative")
     E, mu = normalized_system(es)
     b0 = np.asarray(b0, dtype=float)
-    kE = condition_number(E)
-    norm_E = float(np.linalg.norm(E, 2))
+    s = np.linalg.svd(E, compute_uv=False)  # one factorization for cond(E) and |E|_2
+    kE = _singular_value_condition(s, max(E.shape))
+    norm_E = float(s.max())
     norm_R = float(np.linalg.norm(pd.matrix, 2))
     norm_r = float(np.linalg.norm(pd.vector))
     norm_mu = float(np.linalg.norm(mu))

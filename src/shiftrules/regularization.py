@@ -99,19 +99,24 @@ def tikhonov_solve(sys: LinearSystem, gamma: float) -> RegularizedSolution:
 def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> GammaSelection:
     """Pick gamma so the residual matches the error target (discrepancy principle).
 
-    The closed-form residual r(gamma) is non-decreasing, so 60 bisection
-    steps in log-gamma on [grid_min, grid_max] locate the target.  When
-    r(grid_min) already reaches the target, grid_min is returned with
-    status "target_below_min"; when r(grid_max) stays at or below it,
-    grid_max with status "target_above_max".
+    The closed-form residual r(gamma) is non-decreasing, so up to 60
+    bisection steps in log-gamma on [grid_min, grid_max] locate the
+    target; the bisection stops early once the interval reaches float
+    resolution, where its midpoint, and so gamma, can no longer move.
+    When r(grid_min) already reaches the target, grid_min is returned
+    with status "target_below_min"; when r(grid_max) stays at or below
+    it, grid_max with status "target_above_max".
     """
     target = cfg.data_error + cfg.operator_error
     U, s, _ = sys.svd
     beta = U.conj().T @ sys.rhs
     outside = np.linalg.norm(sys.rhs - U @ beta)  # the part of mu outside range(E)
+    s2 = s**2
 
     def residual(gamma):
-        return float(np.hypot(np.linalg.norm(gamma / (s**2 + gamma) * beta), outside))
+        x = gamma / (s2 + gamma) * beta
+        # np.linalg.norm(x) spelled out: the same dot products, without its dispatch
+        return float(np.hypot(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)), outside))
 
     r_min = residual(cfg.grid_min)
     if r_min >= target:
@@ -122,6 +127,8 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
     lo, hi = np.log(cfg.grid_min), np.log(cfg.grid_max)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # every further step keeps 0.5 * (lo + hi) == mid
         if residual(np.exp(mid)) < target:
             lo = mid
         else:

@@ -9,6 +9,7 @@ keeps the eigenvalues of several realizations, one row per realization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,7 +38,7 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", vals)
         if len(vals) < 2:
             raise ValueError("need at least 2 eigenvalues")
-        if not all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("eigenvalues must be finite")
         if any(a > b for a, b in zip(vals, vals[1:])):
             raise ValueError("eigenvalues must be sorted non-decreasing")
@@ -168,21 +169,28 @@ def frequency_differences(spectrum: Spectrum, dedup_tol: float = DEFAULT_DEDUP_T
     """
     if dedup_tol <= 0:
         raise ValueError("dedup_tol must be positive")
-    lam = spectrum.as_array()
-    scale = max(float(np.abs(lam).max()), 1e-300)
-    tol = dedup_tol * scale
+    lam = spectrum.eigenvalues  # sorted, so max|eigenvalue| sits at an end
+    tol = dedup_tol * max(abs(lam[0]), abs(lam[-1]), 1e-300)
 
-    levels = np.asarray([float(np.mean(lam[g])) for g in _dedup_values(lam, tol)])
+    levels = _group_means(lam, _dedup_values(lam, tol))
     n = len(levels)
     if n < 2:
         raise ValueError("need at least 2 distinct eigenvalues after merging")
 
     # levels[k] - levels[l] for the pairs k > l, k-major
-    positive = (levels[:, None] - levels)[np.tri(n, k=-1, dtype=bool)]
+    positive = [levels[k] - levels[l] for k in range(1, n) for l in range(k)]
     groups = _dedup_values(positive, tol)
     return FrequencySet(
-        unique_frequencies=tuple(float(np.mean(positive[g])) for g in groups),
+        unique_frequencies=_group_means(positive, groups),
         multiplicities=tuple(len(g) for g in groups),
+    )
+
+
+def _group_means(values, groups) -> tuple[float, ...]:
+    """np.mean of each group of values; a group of one keeps its value as it is."""
+    return tuple(
+        values[g[0]] if len(g) == 1 else float(np.mean([values[i] for i in g]))
+        for g in groups
     )
 
 

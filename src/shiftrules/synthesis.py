@@ -10,6 +10,7 @@ is (i * mu) ** p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -22,7 +23,17 @@ CONDITION_CAP = 1e8
 IMAG_TOL = 1e-9
 
 Orders = tuple[tuple[int, float], ...]
-FIRST_DERIVATIVE: Orders = ((1, 1.0),)
+
+
+class _NormalizedOrders(tuple):
+    """Orders that ``_normalize_orders`` built; it returns them as they are.
+
+    ``synthesize_rule`` normalizes once, and ``build_system`` and
+    ``solve_direct`` then pass the same tuple through.
+    """
+
+
+FIRST_DERIVATIVE: Orders = _NormalizedOrders(((1, 1.0),))
 
 
 class IllPosedError(RuntimeError):
@@ -79,14 +90,16 @@ class ShiftRule:
 
 
 def _normalize_orders(orders) -> Orders:
+    if type(orders) is _NormalizedOrders:
+        return orders
     out = tuple((int(p), float(w)) for p, w in orders)
     if not out:
         raise ValueError("need at least one derivative order")
     if any(p < 0 for p, _ in out):
         raise ValueError("derivative orders must be non-negative")
-    if not all(np.isfinite(w) for _, w in out):
+    if not all(math.isfinite(w) for _, w in out):
         raise ValueError("order weights must be finite")
-    return out
+    return _NormalizedOrders(out)
 
 
 def _gap_rhs(gaps: np.ndarray, orders: Orders) -> np.ndarray:
@@ -201,15 +214,18 @@ def check_phase_distinctness(phases, frequencies) -> None:
     period produce identical columns; the constraint is
     phi_i != phi_j + 2*pi*c / g for every integer c.
     """
-    phases = np.asarray(phases, dtype=float)
+    phases = np.asarray(phases, dtype=float).tolist()
     g = gap_generator(frequencies)
-    tol = 1e-12 * max(1.0, float(np.abs(phases).max()))
-    for i in range(len(phases)):
+    tol = 1e-12 * max(1.0, max(map(abs, phases)))
+    period = None if g is None else 2 * np.pi / g
+    # plain floats: Python's % equals np.remainder for these non-negative operands
+    for i, a in enumerate(phases):
         for j in range(i + 1, len(phases)):
-            d = abs(phases[i] - phases[j])
-            if g is not None:
-                period = 2 * np.pi / g
-                d = min(d % period, period - d % period)
+            d = abs(a - phases[j])
+            if period is not None:
+                d %= period
+                if period - d < d:
+                    d = period - d
             if d < tol:
                 raise IllPosedError(
                     f"duplicate shift phases: phi_{i} and phi_{j} coincide "
