@@ -1,11 +1,12 @@
 """The paper's alternative forms of quantities the package computes once.
 
-Cramer and Jacobi coefficients, the determinant and explicit
-stationarity identities, the symmetric Vandermonde expansion, the
-Dirichlet kernel ratio, the exactly perturbed system and the
-undeduplicated design system: independent checks of the production
-paths, cost-capped where they take determinants.  ``shiftrules`` itself
-does not import this module.
+Cramer and Jacobi coefficients, the finite-difference, determinant and
+explicit stationarity residuals, the symmetric Vandermonde expansion,
+the Dirichlet kernel in its sum and ratio forms, the column
+orthogonality residual, the linearized and the exactly perturbed
+solutions and the undeduplicated design system: independent checks of
+the production paths, cost-capped where they take determinants.
+``shiftrules`` itself does not import this module.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .synthesis import (
     IllPosedError,
     LinearSystem,
     Orders,
+    _capped_solve,
     _gap_rhs,
     _normalize_orders,
     build_system,
 )
-from .variance import _fd_stationarity
 
 CRAMER_SIZE_CAP = 9
 DETERMINANT_SIZE_CAP = 7
@@ -45,7 +46,8 @@ def build_full_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> Li
     counts = np.concatenate([[1], np.repeat(freq.multiplicities, 2)])
     gaps = np.repeat(freq.distinct_gaps, counts)
     E = np.exp(1j * np.outer(gaps, phases))
-    return LinearSystem(matrix=E, rhs=_gap_rhs(gaps, orders), row_gaps=gaps, phases=phases)
+    return LinearSystem(matrix=E, rhs=_gap_rhs(gaps, orders), row_gaps=gaps, phases=phases,
+                        orders=orders)
 
 
 def cramer_coefficient(sys: LinearSystem, x: int) -> float:
@@ -101,6 +103,41 @@ def jacobi_coefficient(sys: LinearSystem, x: int, step: float = 1e-4) -> float:
     return float(value.real)
 
 
+def _fd_stationarity(solve, phases: np.ndarray, step: float) -> np.ndarray:
+    # S_y = b . db/dphi_y with each derivative a central difference of re-solves
+    b = solve(phases)
+    out = np.zeros(len(phases))
+    for y in range(len(phases)):
+        h = step * max(1.0, abs(phases[y]))
+        up, dn = phases.copy(), phases.copy()
+        up[y] += h
+        dn[y] -= h
+        out[y] = float(b @ ((solve(up) - solve(dn)) / (2 * h)))
+    return out
+
+
+def stationarity_residual(
+    freq: FrequencySet,
+    phases,
+    orders: Orders = FIRST_DERIVATIVE,
+    step: float = 1e-6,
+) -> np.ndarray:
+    """The gradient-type residual S_y = sum_x b_x * d b_x / d phi_y.
+
+    All components vanish exactly at a stationary point of the
+    square-norm objective.  The derivatives are central differences of
+    condition-capped re-solves; the realness assertion is skipped, as
+    round-off imaginaries grow with conditioning.
+    """
+    orders = _normalize_orders(orders)
+
+    def solve(ph):
+        sys = build_system(freq, ph, orders)
+        return _capped_solve(sys.matrix, sys.rhs)[0].real
+
+    return _fd_stationarity(solve, np.asarray(phases, dtype=float), step)
+
+
 def determinant_stationarity_residual(
     freq: FrequencySet,
     phases,
@@ -108,7 +145,7 @@ def determinant_stationarity_residual(
 ) -> np.ndarray:
     """Square-norm stationarity residual from the determinant identity.
 
-    Evaluates the identity behind ``variance.stationarity_residual``
+    Evaluates the identity behind ``stationarity_residual``
     (first-derivative target only, m <= 7) and returns the normalized
     side difference of that identity, which equals S_y.
     """
@@ -240,9 +277,48 @@ def vandermonde_expansion_coeffs(
     raise ValueError(f"unknown method {method!r}")
 
 
+def dirichlet_kernel(order: int, x) -> float | np.ndarray:
+    """D_k(x) = 1 + 2*sum_{j=1..k} cos(j*x), computed by the sum form."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    for j in range(1, order + 1):
+        out = out + 2 * np.cos(j * x)
+    return float(out) if out.ndim == 0 else out
+
+
+def orthogonality_residual(freq: FrequencySet, phases) -> float:
+    """Max normalized off-diagonal column overlap |v(phi_j)^* v(phi_i)| / m.
+
+    Zero exactly when the (reduced) design columns are orthogonal, which
+    happens only for equidistant spectra at the equidistant phases.
+    """
+    sys = build_system(freq, phases)
+    G = sys.matrix.conj().T @ sys.matrix
+    off = G - np.diag(np.diag(G))
+    return float(np.abs(off).max() / sys.matrix.shape[0])
+
+
 def _dirichlet_kernel_ratio(order: int, x: float) -> float:
-    # Closed form of equidistant.dirichlet_kernel; invalid where sin(x/2) = 0.
+    # Closed form of dirichlet_kernel; invalid where sin(x/2) = 0.
     return float(np.sin((order + 0.5) * x) / np.sin(0.5 * x))
+
+
+def linearized_solution(
+    E: np.ndarray,
+    pd: PerturbationData,
+    b0: np.ndarray,
+    eps: float,
+) -> np.ndarray:
+    """First-order solution b0 + eps * E^{-1} (r - R b0).
+
+    E must be the nonsingular (normalized) unperturbed matrix and b0 its
+    exact solution; the quadratic remainder is o(eps).
+    """
+    db = np.linalg.solve(E, pd.vector - pd.matrix @ np.asarray(b0, dtype=complex))
+    out = np.asarray(b0, dtype=complex) + eps * db
+    return out
 
 
 def exact_perturbed_solution(

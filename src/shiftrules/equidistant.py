@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import ClusterSet, FrequencySet
+from .spectrum import FrequencySet
 from .synthesis import (
     FIRST_DERIVATIVE,
     Orders,
@@ -73,29 +73,6 @@ def optimal_phases(es: EquidistantStructure) -> np.ndarray:
     return -2 * np.pi * j / (m * es.delta)
 
 
-def dirichlet_kernel(order: int, x) -> float | np.ndarray:
-    """D_k(x) = 1 + 2*sum_{j=1..k} cos(j*x), computed by the sum form."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    for j in range(1, order + 1):
-        out = out + 2 * np.cos(j * x)
-    return float(out) if out.ndim == 0 else out
-
-
-def orthogonality_residual(freq: FrequencySet, phases) -> float:
-    """Max normalized off-diagonal column overlap |v(phi_j)^* v(phi_i)| / m.
-
-    Zero exactly when the (reduced) design columns are orthogonal, which
-    happens only for equidistant spectra at the equidistant phases.
-    """
-    sys = build_system(freq, phases)
-    G = sys.matrix.conj().T @ sys.matrix
-    off = G - np.diag(np.diag(G))
-    return float(np.abs(off).max() / sys.matrix.shape[0])
-
-
 def normalized_system(es: EquidistantStructure, orders: Orders = FIRST_DERIVATIVE):
     """(E_tilde, rhs_tilde): the reduced system scaled by 1/sqrt(2n-1).
 
@@ -135,52 +112,3 @@ def closed_form_rule(es: EquidistantStructure, p: int = 1) -> ShiftRule:
             "max_imag_discarded": max_imag,
         },
     )
-
-
-def cluster_rule_estimates(
-    cs: ClusterSet,
-    p: int = 1,
-    median_gap_tol: float = 0.1,
-) -> tuple[list[ShiftRule], ShiftRule]:
-    """Per-realization equidistant rules plus the median-gap combination.
-
-    Each realization l gets a rule at its fitted gap (the least-squares
-    common gap, i.e. the mean adjacent gap of that realization's
-    eigenvalues ordered by cluster).  The combined rule uses the mean
-    adjacent gap of the cluster medians; its diagnostics report the
-    spread of the per-realization coefficient vectors and the additive
-    first-order recombination for comparison.
-    """
-    if cs.median_gap_deviation > median_gap_tol:
-        raise ValueError(
-            f"cluster medians are not equidistant within {median_gap_tol:.3g} "
-            f"(relative deviation {cs.median_gap_deviation:.3g})"
-        )
-    n = cs.n
-    if n < 2:
-        raise ValueError("need at least 2 clusters")
-    delta = cs.median_gap
-    combined = closed_form_rule(EquidistantStructure(n=n, delta=delta), p)
-
-    fitted_gaps = np.diff(cs.values, axis=1).mean(axis=1)
-    # First-order additive recombination: subtract the net offset drift.
-    offsets = cs.values - np.asarray(cs.medians)
-    additive_gaps = fitted_gaps - (offsets[:, -1] - offsets[:, 0]) / (n - 1)
-    rules = [closed_form_rule(EquidistantStructure(n=n, delta=float(g)), p) for g in fitted_gaps]
-
-    b0 = combined.coefficients
-    spread = max(float(np.abs(r.coefficients - b0).max()) for r in rules)
-    # At the equidistant phases the coefficient vector scales as gap**p.
-    additive_dev = max(
-        float(np.abs((g / delta) ** p * b0 - b0).max()) for g in additive_gaps.tolist()
-    )
-    combined.diagnostics.update(
-        method="equidistant_cluster",
-        coefficient_spread=spread,
-        per_realization_gaps=fitted_gaps.tolist(),
-        additive_gap_estimates=additive_gaps.tolist(),
-        additive_deviation=additive_dev,
-        median_gap=delta,
-        median_gap_deviation=cs.median_gap_deviation,
-    )
-    return rules, combined

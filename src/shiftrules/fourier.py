@@ -177,18 +177,12 @@ def _stream(noise: NoiseSpec, t: float) -> np.random.Generator:
     return np.random.default_rng([noise.seed & 0xFFFFFFFFFFFFFFFF, t_bits])
 
 
-def sample_noisy(model: FourierModel, t: float, noise: NoiseSpec, draw: int = 0) -> float:
-    """One noisy evaluation: exact value plus deterministic Gaussian noise.
-
-    ``draw`` indexes independent samples at the same t; the underlying
-    stream depends only on (seed, t), so parallel sampling is
-    reproducible regardless of call order.
-    """
-    return float(sample_noisy_batch(model, t, noise, draw + 1)[-1])
-
-
 def sample_noisy_batch(model: FourierModel, t: float, noise: NoiseSpec, shots: int) -> np.ndarray:
-    """The first ``shots`` noisy draws at t (vectorized sample_noisy)."""
+    """The first ``shots`` noisy draws at t: exact value plus seeded Gaussian noise.
+
+    Draw k is the same whatever ``shots`` is, and the stream depends only
+    on (seed, t), so sampling is reproducible regardless of call order.
+    """
     exact = evaluate(model, t)
     if noise.sigma == 0.0:
         return np.full(shots, exact)

@@ -51,22 +51,6 @@ def perturbation_matrices(es: EquidistantStructure) -> PerturbationData:
     return PerturbationData(matrix=R, vector=r)
 
 
-def linearized_solution(
-    E: np.ndarray,
-    pd: PerturbationData,
-    b0: np.ndarray,
-    eps: float,
-) -> np.ndarray:
-    """First-order solution b0 + eps * E^{-1} (r - R b0).
-
-    E must be the nonsingular (normalized) unperturbed matrix and b0 its
-    exact solution; the quadratic remainder is o(eps).
-    """
-    db = np.linalg.solve(E, pd.vector - pd.matrix @ np.asarray(b0, dtype=complex))
-    out = np.asarray(b0, dtype=complex) + eps * db
-    return out
-
-
 @dataclass(frozen=True)
 class PerturbationBound:
     """First-order error bounds on the coefficient deviation.

@@ -23,7 +23,6 @@ from .synthesis import (
     FIRST_DERIVATIVE,
     LinearSystem,
     ShiftRule,
-    _normalize_orders,
     _singular_value_condition,
     build_system,
 )
@@ -151,7 +150,6 @@ def regularized_rule(
     Solution quality is expressed by the diagnostics, not by an error.
     """
     cfg = cfg or RegularizationConfig()
-    orders = _normalize_orders(orders)
     sys = build_system(freq, phases, orders)
 
     selection = select_gamma_discrepancy(sys, cfg) if cfg.gamma is None else None
@@ -170,7 +168,7 @@ def regularized_rule(
     return ShiftRule(
         phases=sys.phases.copy(),
         coefficients=sol.coefficients,
-        orders=orders,
+        orders=sys.orders,
         frequencies=tuple(freq.unique_frequencies),
         diagnostics=diagnostics,
     )

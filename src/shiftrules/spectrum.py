@@ -1,10 +1,9 @@
-"""Eigenvalue spectra, pairwise gap structure, and cluster grouping.
+"""Eigenvalue spectra and their pairwise gap structure.
 
 A spectrum is an ordered list of Hamiltonian eigenvalues.  A
 ``FrequencySet`` keeps its deduplicated positive pairwise differences (the
 frequencies of the expectation function) with their multiplicities; the
-signed gaps and the design-system size derive from them.  A ``ClusterSet``
-keeps the eigenvalues of several realizations, one row per realization.
+signed gaps and the design-system size derive from them.
 """
 
 from __future__ import annotations
@@ -103,45 +102,6 @@ class StructureClass:
             raise ValueError("epsilon is only meaningful for perturbed-equidistant spectra")
 
 
-@dataclass(frozen=True)
-class ClusterSet:
-    """Eigenvalues from several spectrum realizations grouped into sets.
-
-    ``values[l, i]`` is the eigenvalue of realization l in cluster i, a
-    (k, n) array for k realizations of n eigenvalues.  The cluster
-    medians, widths (largest distance to the median) and the spacing of
-    the medians are derived from it.
-    """
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def n_realizations(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def medians(self) -> tuple[float, ...]:
-        return tuple(np.median(self.values, axis=0).tolist())
-
-    @property
-    def widths(self) -> tuple[float, ...]:
-        return tuple(np.abs(self.values - self.medians).max(axis=0).tolist())
-
-    @property
-    def median_gap(self) -> float:
-        return float(np.diff(self.medians).mean())
-
-    @property
-    def median_gap_deviation(self) -> float:
-        """Largest |adjacent median gap - median_gap|, relative to median_gap."""
-        mean = self.median_gap
-        return float(np.abs(np.diff(self.medians) - mean).max() / mean)
-
-
 def _dedup_values(values, tol: float) -> list[list[int]]:
     """Single-linkage grouping of values with link threshold tol.
 
@@ -217,51 +177,6 @@ def classify_structure(
     if eps <= perturbed_fraction * delta:
         return StructureClass(StructureKind.PERTURBED_EQUIDISTANT, delta=delta, epsilon=eps)
     return StructureClass(StructureKind.UNSTRUCTURED)
-
-
-def cluster_realizations(realizations: list[Spectrum], gap_factor: float) -> ClusterSet:
-    """Sort eigenvalues from k spectrum realizations into n clusters.
-
-    Pools all k*n eigenvalues and applies single-linkage grouping: two
-    adjacent sorted values link when their gap is at most ``gap_factor``
-    times the mean adjacent gap of the pooled values.  Exactly n clusters
-    of size k (one member per realization) must emerge, and every cluster
-    width must stay below the minimum gap between adjacent medians.
-    """
-    if gap_factor <= 0:
-        raise ValueError("gap_factor must be positive")
-    if not realizations:
-        raise ValueError("need at least one realization")
-    n = realizations[0].n
-    if any(s.n != n for s in realizations):
-        raise ValueError("all realizations must have the same number of eigenvalues")
-
-    values = np.asarray([spec.eigenvalues for spec in realizations])
-    pooled = values.ravel()
-    span = pooled.max() - pooled.min()
-    if span <= 0:
-        raise ValueError("pooled eigenvalues are all identical; cannot form clusters")
-    threshold = gap_factor * (span / (len(pooled) - 1))
-    # neighbours link at a gap of at most threshold: the next float up is the strict bound
-    groups = _dedup_values(pooled, np.nextafter(threshold, np.inf))
-
-    if len(groups) != n:
-        raise ValueError(
-            f"grouping produced {len(groups)} clusters, expected {n} "
-            f"(link threshold {threshold:.3g})"
-        )
-    for i, group in enumerate(groups):
-        # pooled index j is eigenvalue j % n of realization j // n
-        if sorted(j // n for j in group) != list(range(len(realizations))):
-            raise ValueError(
-                f"cluster {i} does not contain exactly one eigenvalue per realization"
-            )
-
-    # each realization is sorted, so its i-th eigenvalue sits in cluster i
-    cs = ClusterSet(values)
-    if max(cs.widths) >= np.diff(cs.medians).min():
-        raise ValueError("a cluster width reaches the minimum inter-median gap")
-    return cs
 
 
 def gap_generator(values, rel_tol: float = 1e-9) -> float | None:

@@ -28,8 +28,8 @@ Orders = tuple[tuple[int, float], ...]
 class _NormalizedOrders(tuple):
     """Orders that ``_normalize_orders`` built; it returns them as they are.
 
-    ``synthesize_rule`` normalizes once, and ``build_system`` and
-    ``solve_direct`` then pass the same tuple through.
+    ``build_system`` normalizes once and stores the tuple on the
+    ``LinearSystem``, which labels every rule solved from it.
     """
 
 
@@ -46,12 +46,13 @@ class IllPosedError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """The design system E b = mu for a fixed gap set and phase vector."""
+    """The design system E b = mu for a fixed gap set, phase vector and target."""
 
     matrix: np.ndarray          # (rows, cols) complex, E[r, x] = exp(i g_r phi_x)
     rhs: np.ndarray             # (rows,) complex
     row_gaps: np.ndarray        # gap value per row
     phases: np.ndarray          # phase per column
+    orders: Orders              # the target sum_p w_p f^(p) that rhs encodes
 
     @property
     def is_square(self) -> bool:
@@ -110,17 +111,6 @@ def _gap_rhs(gaps: np.ndarray, orders: Orders) -> np.ndarray:
     return rhs
 
 
-def derivative_rhs(freq: FrequencySet, p: int) -> np.ndarray:
-    """Right-hand side for an order-p rule: (i * gap) ** p per distinct gap.
-
-    p = 1 reproduces the plain first-derivative system; p = 0 gives the
-    all-ones vector whose solution reconstructs the function itself.
-    """
-    if p < 0:
-        raise ValueError("derivative order must be non-negative")
-    return _gap_rhs(freq.distinct_gaps, ((p, 1.0),))
-
-
 def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearSystem:
     """Build the design system with one row per distinct gap value.
 
@@ -137,7 +127,8 @@ def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearS
     orders = _normalize_orders(orders)
     gaps = freq.distinct_gaps
     E = np.exp(1j * np.outer(gaps, phases))
-    return LinearSystem(matrix=E, rhs=_gap_rhs(gaps, orders), row_gaps=gaps, phases=phases)
+    return LinearSystem(matrix=E, rhs=_gap_rhs(gaps, orders), row_gaps=gaps, phases=phases,
+                        orders=orders)
 
 
 @dataclass(frozen=True)
@@ -269,13 +260,10 @@ def _extract_real(b: np.ndarray, context: str, condition_number=None) -> tuple[n
     return b.real.copy(), max_imag
 
 
-def solve_direct(
-    sys: LinearSystem,
-    orders: Orders = FIRST_DERIVATIVE,
-    condition_cap: float = CONDITION_CAP,
-) -> ShiftRule:
+def solve_direct(sys: LinearSystem, condition_cap: float = CONDITION_CAP) -> ShiftRule:
     """Solve the square system E b = rhs and return the real coefficients.
 
+    The rule is labelled with the orders the system was built for.
     Raises IllPosedError when the system is not square, contains
     duplicate phases, has a condition number above ``condition_cap`` or
     a solution with a non-negligible imaginary part (ill-posed spectra
@@ -295,7 +283,7 @@ def solve_direct(
     return ShiftRule(
         phases=sys.phases.copy(),
         coefficients=coeffs,
-        orders=_normalize_orders(orders),
+        orders=sys.orders,
         frequencies=tuple(sorted(pos)),
         diagnostics={
             "method": "direct",
@@ -317,9 +305,7 @@ def synthesize_rule(
     The resulting rule satisfies sum_p w_p f^(p)(t) = sum_x b_x f(t+phi_x)
     for every model whose frequencies lie in ``freq``, at every t.
     """
-    orders = _normalize_orders(orders)
-    sys = build_system(freq, phases, orders)
-    return solve_direct(sys, orders=orders, condition_cap=condition_cap)
+    return solve_direct(build_system(freq, phases, orders), condition_cap)
 
 
 def apply_rule(rule: ShiftRule, f: Callable[[float], float], t: float) -> float:

@@ -3,12 +3,12 @@
 Under independent noise on each shifted evaluation, the derivative
 estimator's variance is sum_x b_x^2 sigma_x^2.  With equal per-point
 variances the natural objective for choosing phases is the coefficient
-square-norm sum_x b_x^2.  ``stationarity_residual`` gives half its
-gradient by finite differences; the optimizer uses the exact gradient
-and Hessian of the solve, on the negation-symmetric phases (0, -x, +x)
+square-norm sum_x b_x^2.  The optimizer uses the exact gradient and
+Hessian of the solve, on the negation-symmetric phases (0, -x, +x)
 first: by symmetric criticality (Palais, Comm. Math. Phys. 69, 1979) a
-critical point there is one of the full problem.  The determinant form
-of the stationarity conditions is a cross-check in ``shiftrules.checks``.
+critical point there is one of the full problem.  The finite-difference
+and determinant forms of the stationarity conditions are cross-checks
+in ``shiftrules.checks``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .synthesis import (
     IllPosedError,
     Orders,
     ShiftRule,
-    _capped_solve,
     _normalize_orders,
     build_reduced_system,
     build_system,
@@ -95,41 +94,6 @@ def confidence_interval(report: VarianceReport, eta: float) -> float:
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
     return float(np.sqrt(report.variance / eta))
-
-
-def _fd_stationarity(solve, phases: np.ndarray, step: float) -> np.ndarray:
-    # S_y = b . db/dphi_y with each derivative a central difference of re-solves
-    b = solve(phases)
-    out = np.zeros(len(phases))
-    for y in range(len(phases)):
-        h = step * max(1.0, abs(phases[y]))
-        up, dn = phases.copy(), phases.copy()
-        up[y] += h
-        dn[y] -= h
-        out[y] = float(b @ ((solve(up) - solve(dn)) / (2 * h)))
-    return out
-
-
-def stationarity_residual(
-    freq: FrequencySet,
-    phases,
-    orders: Orders = FIRST_DERIVATIVE,
-    step: float = 1e-6,
-) -> np.ndarray:
-    """The gradient-type residual S_y = sum_x b_x * d b_x / d phi_y.
-
-    All components vanish exactly at a stationary point of the
-    square-norm objective.  The derivatives are central differences of
-    condition-capped re-solves; the realness assertion is skipped, as
-    round-off imaginaries grow with conditioning.
-    """
-    orders = _normalize_orders(orders)
-
-    def solve(ph):
-        sys = build_system(freq, ph, orders)
-        return _capped_solve(sys.matrix, sys.rhs)[0].real
-
-    return _fd_stationarity(solve, np.asarray(phases, dtype=float), step)
 
 
 class _Point:

@@ -32,7 +32,6 @@ from shiftrules import (
     optimize_shifts,
     regularized_rule,
     solve_direct,
-    stationarity_residual,
     synthesize_rule,
     tikhonov_solve,
     variance_of_estimate,
@@ -43,15 +42,13 @@ from shiftrules.checks import (
     determinant_stationarity_residual,
     exact_perturbed_solution,
     jacobi_coefficient,
+    linearized_solution,
+    stationarity_residual,
 )
 from shiftrules.cli import cli
 from shiftrules.equidistant import normalized_system
 from shiftrules.fourier import sample_noisy_batch
-from shiftrules.perturbation import (
-    error_bound,
-    linearized_solution,
-    perturbation_matrices,
-)
+from shiftrules.perturbation import error_bound, perturbation_matrices
 from shiftrules.synthesis import LinearSystem
 
 
@@ -245,7 +242,7 @@ def test_criterion_07_regularization():
     errors = []
     for delta in (1e-2, 1e-4, 1e-6):
         noisy = LinearSystem(matrix=sys.matrix, rhs=sys.rhs + delta * direction,
-                             row_gaps=sys.row_gaps, phases=sys.phases)
+                             row_gaps=sys.row_gaps, phases=sys.phases, orders=sys.orders)
         errors.append(float(np.linalg.norm(tikhonov_solve(noisy, delta).coefficients - b_true)))
     decreasing = errors[0] > errors[1] > errors[2]
 

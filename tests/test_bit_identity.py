@@ -23,13 +23,12 @@ from shiftrules import (
     evaluate,
     frequency_differences,
     perturbation_matrices,
-    select_gamma_discrepancy,
     synthesize_rule,
 )
 from shiftrules.equidistant import normalized_system
 from shiftrules.fourier import evaluate_models
 from shiftrules.perturbation import PerturbationBound
-from shiftrules.regularization import GammaSelection
+from shiftrules.regularization import GammaSelection, select_gamma_discrepancy
 from shiftrules.spectrum import DEFAULT_DEDUP_TOL, FrequencySet, _dedup_values, gap_generator
 from shiftrules.synthesis import build_system, check_phase_distinctness, condition_number
 

@@ -6,15 +6,11 @@ from shiftrules import (
     Spectrum,
     apply_rule,
     closed_form_rule,
-    cluster_realizations,
-    cluster_rule_estimates,
-    dirichlet_kernel,
     frequency_differences,
     optimal_phases,
-    orthogonality_residual,
     solve_direct,
 )
-from shiftrules.checks import _dirichlet_kernel_ratio
+from shiftrules.checks import _dirichlet_kernel_ratio, dirichlet_kernel, orthogonality_residual
 from shiftrules.equidistant import normalized_system
 from shiftrules.synthesis import build_system
 
@@ -151,37 +147,3 @@ def test_colliding_integer_phases_are_singular(n):
     E = build_system(es.frequency_set(), phases).matrix
     unitary_scale_det = m ** (m / 2)
     assert abs(np.linalg.det(E)) <= 1e-10 * unitary_scale_det
-
-
-def test_cluster_rules_single_realization():
-    cs = cluster_realizations([Spectrum((0.0, 1.0, 2.0))], gap_factor=0.25)
-    rules, combined = cluster_rule_estimates(cs, 1)
-    assert len(rules) == 1
-    np.testing.assert_allclose(rules[0].coefficients, combined.coefficients, atol=1e-14)
-    assert combined.diagnostics["coefficient_spread"] <= 1e-14
-
-
-def test_cluster_rules_jittered_spread_is_small():
-    rng = np.random.default_rng(3)
-    base = np.arange(3, dtype=float)  # delta = 1, n = 3
-    reals = [Spectrum(tuple(np.sort(base + rng.uniform(-1e-4, 1e-4, 3)))) for _ in range(5)]
-    cs = cluster_realizations(reals, gap_factor=0.25)
-    rules, combined = cluster_rule_estimates(cs, 1)
-    assert len(rules) == 5
-    assert combined.diagnostics["coefficient_spread"] <= 1e-2
-    assert combined.diagnostics["additive_deviation"] <= 1e-2
-    # per-realization reference: mean adjacent gap, minus the net offset drift
-    for l, spec in enumerate(reals):
-        v = spec.eigenvalues
-        gap = float(np.diff(v).mean())
-        drift = ((v[-1] - cs.medians[-1]) - (v[0] - cs.medians[0])) / 2
-        assert combined.diagnostics["per_realization_gaps"][l] == gap
-        assert combined.diagnostics["additive_gap_estimates"][l] == gap - drift
-
-
-def test_cluster_rules_zero_width_gaps_coincide():
-    spec = Spectrum((0.0, 1.0, 2.0, 3.0))
-    cs = cluster_realizations([spec, spec], gap_factor=0.25)
-    rules, combined = cluster_rule_estimates(cs, 1)
-    assert combined.diagnostics["coefficient_spread"] == 0.0
-    assert all(g == pytest.approx(1.0) for g in combined.diagnostics["per_realization_gaps"])

@@ -10,7 +10,6 @@ from shiftrules import (
     analytic_derivative,
     evaluate,
     from_hamiltonian,
-    sample_noisy,
 )
 from shiftrules.checks import vandermonde_expansion_coeffs
 from shiftrules.fourier import sample_noisy_batch
@@ -173,26 +172,27 @@ def test_vandermonde_rejects_repeated_eigenvalues():
 def test_noise_zero_sigma_is_exact():
     model = FourierModel(a0=0.5, terms=((1.0, 1.0, 0.0),))
     noise = NoiseSpec(sigma=0.0, seed=42)
-    assert sample_noisy(model, 0.3, noise) == evaluate(model, 0.3)
+    assert sample_noisy_batch(model, 0.3, noise, 1)[0] == evaluate(model, 0.3)
 
 
 def test_noise_deterministic_sequences():
     model = FourierModel(a0=0.0, terms=((1.0, 0.3, 0.4),))
     noise = NoiseSpec(sigma=1.0, seed=7)
-    seq1 = [sample_noisy(model, t, noise, draw=k) for t in (0.1, 0.2) for k in range(3)]
-    seq2 = [sample_noisy(model, t, noise, draw=k) for t in (0.1, 0.2) for k in range(3)]
+    seq1 = [sample_noisy_batch(model, t, noise, k + 1)[k] for t in (0.1, 0.2) for k in range(3)]
+    seq2 = [sample_noisy_batch(model, t, noise, k + 1)[k] for t in (0.1, 0.2) for k in range(3)]
     assert seq1 == seq2
-    assert sample_noisy(model, 0.1, noise, draw=0) != sample_noisy(model, 0.1, noise, draw=1)
+    first, second = sample_noisy_batch(model, 0.1, noise, 2)
+    assert first != second
     # different seeds decorrelate
     other = NoiseSpec(sigma=1.0, seed=8)
-    assert sample_noisy(model, 0.1, noise) != sample_noisy(model, 0.1, other)
+    assert first != sample_noisy_batch(model, 0.1, other, 1)[0]
 
 
 def test_noise_batch_matches_scalar_stream():
     model = FourierModel(a0=1.0)
     noise = NoiseSpec(sigma=0.5, seed=11)
     batch = sample_noisy_batch(model, 0.0, noise, 5)
-    singles = [sample_noisy(model, 0.0, noise, draw=k) for k in range(5)]
+    singles = [sample_noisy_batch(model, 0.0, noise, k + 1)[k] for k in range(5)]
     np.testing.assert_allclose(batch, singles)
 
 

@@ -5,11 +5,10 @@ from shiftrules import (
     EquidistantStructure,
     condition_number,
     error_bound,
-    linearized_solution,
     perturbation_matrices,
 )
 from shiftrules.equidistant import normalized_system
-from shiftrules.checks import exact_perturbed_solution
+from shiftrules.checks import exact_perturbed_solution, linearized_solution
 
 
 def _unperturbed(n, delta=1.0):

@@ -11,6 +11,7 @@ from shiftrules import (
     condition_number,
     frequency_differences,
     from_hamiltonian,
+    solve_direct,
     synthesize_rule,
 )
 from shiftrules.cli import _auto_phases
@@ -51,8 +52,8 @@ def test_oracle_frequencies_are_gap_frequencies(spec, seed):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(spec=spectra(), seed=st.integers(0, 2**32 - 1))
-def test_synthesized_rule_is_compatible(spec, seed):
+@given(spec=spectra(), seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3))
+def test_synthesized_rule_is_compatible(spec, seed, p):
     freq = frequency_differences(spec)
     rng = np.random.default_rng(seed)
     width = 2 * np.pi / min(freq.unique_frequencies)
@@ -60,6 +61,10 @@ def test_synthesized_rule_is_compatible(spec, seed):
     phases = min(draws, key=lambda ph: condition_number(build_system(freq, ph).matrix))
     assume(condition_number(build_system(freq, phases).matrix) <= 1e6)
     rule = synthesize_rule(freq, phases)
+    assert compatibility_residual(rule, freq) <= 1e-8
+    # a hand-built order-p system labels its rule with order p, not the default
+    rule = solve_direct(build_system(freq, phases, ((p, 1.0),)))
+    assert rule.orders == ((p, 1.0),)
     assert compatibility_residual(rule, freq) <= 1e-8
 
 

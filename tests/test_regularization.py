@@ -15,17 +15,18 @@ from shiftrules import (
     evaluate,
     frequency_differences,
     regularized_rule,
-    select_gamma_discrepancy,
     solve_direct,
     tikhonov_solve,
 )
 from shiftrules.checks import build_full_system
+from shiftrules.regularization import select_gamma_discrepancy
 from shiftrules.synthesis import LinearSystem
 
 
 def _noisy_system(sys, noise):
     return LinearSystem(
-        matrix=sys.matrix, rhs=sys.rhs + noise, row_gaps=sys.row_gaps, phases=sys.phases
+        matrix=sys.matrix, rhs=sys.rhs + noise, row_gaps=sys.row_gaps, phases=sys.phases,
+        orders=sys.orders,
     )
 
 
@@ -189,7 +190,8 @@ def test_closed_form_residual_matches_solution_residual():
     # a real tall system: mu has a part outside range(E), the residual floor
     rng = np.random.default_rng(13)
     E, mu = rng.standard_normal((9, 5)), rng.standard_normal(9)
-    sys = LinearSystem(matrix=E, rhs=mu, row_gaps=np.arange(9.0), phases=np.arange(5.0))
+    sys = LinearSystem(matrix=E, rhs=mu, row_gaps=np.arange(9.0), phases=np.arange(5.0),
+                       orders=((1, 1.0),))
     floor = np.linalg.norm(mu - E @ np.linalg.lstsq(E, mu, rcond=None)[0])
     for frac in (1e-6, 0.1, 0.5):
         target = floor + frac * (np.linalg.norm(mu) - floor)

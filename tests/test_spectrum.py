@@ -6,7 +6,6 @@ from shiftrules import (
     Spectrum,
     StructureKind,
     classify_structure,
-    cluster_realizations,
     frequency_differences,
 )
 from shiftrules.spectrum import _dedup_values, gap_generator
@@ -126,71 +125,6 @@ def test_classify_scale_covariant():
         assert scaled.kind is ref.kind
         assert scaled.delta == pytest.approx(c * ref.delta, rel=1e-12)
         assert scaled.epsilon == pytest.approx(c * ref.epsilon, rel=1e-9)
-
-
-def test_cluster_single_realization_is_singletons():
-    cs = cluster_realizations([Spectrum((0.0, 1.0, 2.0))], gap_factor=0.25)
-    assert cs.medians == (0.0, 1.0, 2.0)
-    assert cs.widths == (0.0, 0.0, 0.0)
-    assert cs.n_realizations == 1
-
-
-def test_cluster_three_jittered_realizations():
-    # three realizations of {0, 1, 2}, each eigenvalue shifted by one of {0, +0.01, -0.01}
-    reals = [
-        Spectrum((0.0, 1.01, 1.99)),
-        Spectrum((0.01, 0.99, 2.0)),
-        Spectrum((-0.01, 1.0, 2.01)),
-    ]
-    cs = cluster_realizations(reals, gap_factor=0.25)
-    assert cs.n == 3
-    assert cs.values.shape == (3, 3)
-    assert all(w <= 0.02 for w in cs.widths)
-
-
-@pytest.mark.parametrize("k", [4, 5])
-def test_cluster_values_rows_are_realizations(k):
-    rng = np.random.default_rng(7)
-    base = np.array([0.0, 1.0, 2.2, 3.1])
-    reals = [Spectrum(tuple(np.sort(base + rng.uniform(-0.01, 0.01, 4)))) for _ in range(k)]
-    cs = cluster_realizations(reals, gap_factor=0.25)
-    assert cs.values.shape == (k, 4)
-    for l, spec in enumerate(reals):
-        assert cs.values[l].tolist() == list(spec.eigenvalues)
-    for i in range(4):
-        column = sorted(spec.eigenvalues[i] for spec in reals)
-        median = column[k // 2] if k % 2 else (column[k // 2 - 1] + column[k // 2]) / 2
-        assert cs.medians[i] == median
-        assert cs.widths[i] == max(abs(v - median) for v in column)
-
-
-def test_cluster_from_one_realization_errors():
-    # two clusters emerge, but each holds both eigenvalues of one realization
-    reals = [Spectrum((0.0, 0.1)), Spectrum((5.0, 5.1))]
-    with pytest.raises(ValueError, match="exactly one eigenvalue per realization"):
-        cluster_realizations(reals, gap_factor=0.25)
-
-
-def test_cluster_wider_than_median_gap_errors():
-    # links at 0.3 but not at 0.4: the first cluster chains down to -0.6 around
-    # its median 0, wider than the 0.4 gap to the next median
-    lower = (-0.6, -0.3, 0.0, 0.0, 0.0)
-    reals = [Spectrum((v, 0.4)) for v in lower]
-    with pytest.raises(ValueError, match="cluster width reaches"):
-        cluster_realizations(reals, gap_factor=3.0)
-
-
-def test_cluster_overlapping_structure_errors():
-    reals = [Spectrum((0.0, 1.0)), Spectrum((0.6, 1.6))]
-    with pytest.raises(ValueError, match="clusters"):
-        cluster_realizations(reals, gap_factor=0.25)
-
-
-def test_cluster_noiseless_medians_reproduce_input():
-    spec = Spectrum((0.5, 1.7, 2.9, 4.1))
-    cs = cluster_realizations([spec, spec, spec], gap_factor=0.25)
-    np.testing.assert_allclose(cs.medians, spec.eigenvalues)
-    assert cs.median_gap_deviation < 1e-12
 
 
 def test_gap_generator():

@@ -8,7 +8,15 @@ import sys
 from pathlib import Path
 
 import shiftrules
-from shiftrules import OptimizationConfig, RegularizationConfig, checks, serialize
+from shiftrules import (
+    OptimizationConfig,
+    RegularizationConfig,
+    checks,
+    equidistant,
+    perturbation,
+    serialize,
+    variance,
+)
 from shiftrules.spectrum import DEFAULT_DEDUP_TOL, classify_structure
 
 SRC = str(Path(shiftrules.__file__).resolve().parents[1])
@@ -41,6 +49,20 @@ def test_no_cross_check_is_exported():
     assert not cross_checks & set(shiftrules.__all__)
     assert all(getattr(shiftrules, name, None) is not getattr(checks, name)
                for name in cross_checks)
+
+
+def test_public_surface_is_small():
+    assert len(shiftrules.__all__) <= 36
+
+
+def test_cross_checks_live_only_in_checks():
+    moved = {variance: ("stationarity_residual", "_fd_stationarity"),
+             perturbation: ("linearized_solution",),
+             equidistant: ("dirichlet_kernel", "orthogonality_residual")}
+    for module, names in moved.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert inspect.isfunction(getattr(checks, name))
 
 
 def test_config_sections_default_to_the_dataclasses():

@@ -10,7 +10,6 @@ from shiftrules import (
     apply_rule,
     build_system,
     compatibility_residual,
-    derivative_rhs,
     evaluate,
     frequency_differences,
     solve_direct,
@@ -123,6 +122,7 @@ def test_cramer_degenerate_one_by_one():
         rhs=np.array([0.0 + 0j]),
         row_gaps=np.array([0.0]),
         phases=np.array([0.3]),
+        orders=((1, 1.0),),
     )
     assert cramer_coefficient(sys, 0) == 0.0
 
@@ -148,11 +148,11 @@ def test_jacobi_form_matches_cramer():
 
 
 def test_derivative_rhs_orders():
-    assert np.allclose(derivative_rhs(FREQ01, 1), build_system(FREQ01, EQ_PHASES).rhs)
-    np.testing.assert_allclose(derivative_rhs(FREQ01, 2), [0.0, -1.0, -1.0], atol=1e-15)
-    rhs3 = derivative_rhs(FREQ01, 3)
-    assert rhs3[1] == pytest.approx(-1j)  # (i*g)^3 = -i g^3 at g = 1
-    assert rhs3[2] == pytest.approx(1j)
+    rhs = {p: build_system(FREQ01, EQ_PHASES, ((p, 1.0),)).rhs for p in (1, 2, 3)}
+    assert np.allclose(rhs[1], build_system(FREQ01, EQ_PHASES).rhs)
+    np.testing.assert_allclose(rhs[2], [0.0, -1.0, -1.0], atol=1e-15)
+    assert rhs[3][1] == pytest.approx(-1j)  # (i*g)^3 = -i g^3 at g = 1
+    assert rhs[3][2] == pytest.approx(1j)
 
 
 def test_synthesize_single_order_reduces_to_first_derivative():

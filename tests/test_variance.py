@@ -22,11 +22,14 @@ from shiftrules import (
     confidence_interval,
     frequency_differences,
     optimize_shifts,
-    stationarity_residual,
     synthesize_rule,
     variance_of_estimate,
 )
-from shiftrules.checks import determinant_stationarity_residual, regularized_stationarity_residual
+from shiftrules.checks import (
+    determinant_stationarity_residual,
+    regularized_stationarity_residual,
+    stationarity_residual,
+)
 from shiftrules.cli import _auto_phases
 from shiftrules.fourier import evaluate, sample_noisy_batch
 from shiftrules.synthesis import FIRST_DERIVATIVE, apply_rule
