@@ -18,27 +18,23 @@ from .fourier import (
     from_hamiltonian,
 )
 from .perturbation import (
-    PerturbationData,
     error_bound,
     perturbation_matrices,
 )
 from .regularization import (
     RegularizationConfig,
-    RegularizedSolution,
     regularized_rule,
     tikhonov_solve,
 )
 from .spectrum import (
     FrequencySet,
     Spectrum,
-    StructureClass,
     StructureKind,
     classify_structure,
     frequency_differences,
 )
 from .synthesis import (
     IllPosedError,
-    LinearSystem,
     ShiftRule,
     apply_rule,
     build_system,
@@ -49,7 +45,6 @@ from .synthesis import (
 )
 from .variance import (
     OptimizationConfig,
-    VarianceReport,
     confidence_interval,
     optimize_shifts,
     variance_of_estimate,
@@ -63,17 +58,12 @@ __all__ = [
     "FrequencySet",
     "HamiltonianModel",
     "IllPosedError",
-    "LinearSystem",
     "NoiseSpec",
     "OptimizationConfig",
-    "PerturbationData",
     "RegularizationConfig",
-    "RegularizedSolution",
     "ShiftRule",
     "Spectrum",
-    "StructureClass",
     "StructureKind",
-    "VarianceReport",
     "analytic_derivative",
     "apply_rule",
     "build_system",

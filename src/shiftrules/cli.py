@@ -90,8 +90,8 @@ def _load_spectrum(ctx_obj, path):
         _fail(EXIT_INVALID, str(exc))
 
 
-def _auto_phases(freq, seed, tries=64):
-    """Best-conditioned random phase set out of `tries` seeded draws.
+def _auto_phases(freq, seed):
+    """Best-conditioned random phase set out of 64 seeded draws.
 
     The window is one period, 2*pi / resolution, of the frequency
     resolution: the smallest spacing of (0, w_1, ..., w_R), floored at
@@ -101,7 +101,7 @@ def _auto_phases(freq, seed, tries=64):
     freqs = np.asarray(freq.unique_frequencies)
     resolution = np.diff(freqs, prepend=0.0).min()
     lo = -2 * np.pi / max(resolution, 1e-2 * freqs[-1])
-    draws = np.random.default_rng(seed).uniform(lo + 1e-3, -1e-3, (tries, freq.m))
+    draws = np.random.default_rng(seed).uniform(lo + 1e-3, -1e-3, (64, freq.m))
     E = np.exp(1j * freq.distinct_gaps[:, None] * draws[:, None, :])  # one design matrix per draw
     s = np.linalg.svd(E, compute_uv=False)
     return draws[np.argmin([_singular_value_condition(row, freq.m) for row in s])]
@@ -216,16 +216,14 @@ def synthesize(ctx, spectrum_file, order, method, phases):
 
     out_path = ctx.obj.get("output") or "rule.json"
     serialize.save_rule(rule, out_path)
-    report = {
+    _emit(ctx.obj, {
         "method": method_used,
         "rule_file": str(out_path),
         "structure": cls.kind.value,
         "diagnostics": dict(rule.diagnostics),
         "warnings": warnings,
         "elapsed_s": time.perf_counter() - t0,
-    }
-    if not ctx.obj.get("quiet"):
-        click.echo(serialize.dumps_report(report))
+    })
 
 
 def _random_models(frequencies, count, seed):
@@ -254,6 +252,8 @@ def validate(ctx, rule_file, model, t_grid, bound):
     t0 = time.perf_counter()
     cfg = ctx.obj["config"]
     bound = bound if bound is not None else cfg["validation_bound"]
+    if not np.isfinite(bound):
+        _fail(EXIT_INVALID, f"bound must be finite, got {bound}")
     try:
         rule = serialize.load_rule(rule_file)
     except (OSError, ValueError) as exc:
@@ -263,6 +263,8 @@ def validate(ctx, rule_file, model, t_grid, bound):
         grid = np.linspace(float(lo), float(hi), int(count))
     except ValueError as exc:
         _fail(EXIT_INVALID, f"cannot parse t-grid {t_grid!r}: {exc}")
+    if len(grid) == 0 or not np.isfinite(grid).all():
+        _fail(EXIT_INVALID, f"t-grid {t_grid!r} needs finite ends and at least one point")
 
     if model.startswith("random:"):
         try:
@@ -293,23 +295,23 @@ def validate(ctx, rule_file, model, t_grid, bound):
         estimate = sum(b * column for b, column in zip(rule.coefficients, values.T))
         target = sum(w * analytic_derivative(fm, grid, p) for p, w in rule.orders)
         err = np.abs(estimate - target)
-        max_err = max(max_err, float(err.max(initial=0.0)))
-        max_scaled = max(max_scaled, float((err / (1.0 + np.abs(target))).max(initial=0.0)))
+        max_err = max(max_err, float(err.max()))
+        max_scaled = max(max_scaled, float((err / (1.0 + np.abs(target))).max()))
         err_sum += float(err.sum())
-    mean_err = err_sum / max(len(models) * len(grid), 1)
+    mean_err = err_sum / (len(models) * len(grid))
 
-    report = {
+    passed = bool(max_scaled <= bound)
+    _emit(ctx.obj, {
         "models": len(models),
         "grid_points": len(grid),
         "max_abs_error": max_err,
         "mean_abs_error": mean_err,
         "max_scaled_error": max_scaled,
         "bound": bound,
-        "passed": bool(max_scaled <= bound),
+        "passed": passed,
         "elapsed_s": time.perf_counter() - t0,
-    }
-    _emit(ctx.obj, report, to_file=True)
-    if max_scaled > bound:
+    }, to_file=True)
+    if not passed:
         sys.exit(EXIT_VALIDATION)
 
 
@@ -356,16 +358,14 @@ def optimize(ctx, spectrum_file, order, phases):
         )
     out_path = ctx.obj.get("output") or "optimized_rule.json"
     serialize.save_rule(rule, out_path)
-    report = {
+    _emit(ctx.obj, {
         "rule_file": str(out_path),
         "square_norm_before": before,
         "square_norm_after": rule.square_norm,
         "phases": [float(p) for p in phi_star],
         "elapsed_s": time.perf_counter() - t0,
         "warnings": warnings,
-    }
-    if not ctx.obj.get("quiet"):
-        click.echo(serialize.dumps_report(report))
+    })
 
 
 @cli.command()

@@ -131,25 +131,21 @@ def analytic_derivative(model: FourierModel, t, p: int = 1):
     return _series(model.a0 if p == 0 else 0.0, terms, t)
 
 
-def from_hamiltonian(
-    hm: HamiltonianModel,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    coeff_tol: float = 1e-13,
-) -> FourierModel:
+def from_hamiltonian(hm: HamiltonianModel) -> FourierModel:
     """Expand <psi| U(t)^dag C U(t) |psi> into a FourierModel.
 
     Works entirely in the eigenbasis: the weight of each signed gap
     g = lam_l - lam_k is w_kl = conj(psi_k) C_kl psi_l, and conjugate
     gap pairs combine into real cosine/sine terms.  Gap values are merged
     into frequencies by the single-linkage grouping of
-    ``frequency_differences`` at ``dedup_tol * max|lam|``.  Terms whose
-    combined amplitude falls below ``coeff_tol`` (relative) are dropped.
+    ``frequency_differences`` at ``DEFAULT_DEDUP_TOL * max|lam|``.  Terms
+    whose combined amplitude falls below 1e-13 (relative) are dropped.
     """
     lam = np.asarray(hm.eigenvalues, dtype=float)
     weights = np.conj(hm.state)[:, None] * hm.observable * hm.state[None, :]
     gaps = lam[None, :] - lam[:, None]  # gaps[k, l] = lam_l - lam_k
 
-    tol = dedup_tol * max(float(np.abs(lam).max()), 1e-300)
+    tol = DEFAULT_DEDUP_TOL * max(float(np.abs(lam).max()), 1e-300)
     # weights are summed in (k, l) order, the order of the expansion,
     # so each group's members are taken in index order
     a0 = sum(weights[np.abs(gaps) <= tol], 0j)
@@ -165,9 +161,7 @@ def from_hamiltonian(
         z = sum(pos_weights[g], 0j)
         terms.append((float(np.mean(pos_gaps[g])), 2.0 * z.real, -2.0 * z.imag))
     amp_scale = max(1.0, max((abs(a) + abs(b) for _, a, b in terms), default=0.0))
-    terms = [
-        (w, a, b) for (w, a, b) in terms if abs(a) + abs(b) > coeff_tol * amp_scale
-    ]
+    terms = [(w, a, b) for (w, a, b) in terms if abs(a) + abs(b) > 1e-13 * amp_scale]
     return FourierModel(a0=float(a0.real), terms=tuple(terms))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .fourier import FourierModel
 from .regularization import RegularizationConfig
 from .spectrum import DEFAULT_DEDUP_TOL, DEFAULT_REL_TOL, Spectrum
-from .synthesis import ShiftRule
+from .synthesis import ShiftRule, _normalize_orders
 from .variance import OptimizationConfig
 
 
@@ -63,8 +63,8 @@ def load_spectrum(path: str | Path) -> tuple[Spectrum, dict]:
         raise ValueError(f"{path}: 'eigenvalues' must be an array of numbers")
     spec = Spectrum(eigenvalues=tuple(float(v) for v in sorted(values)), label=data.get("label"))
     extra = {k: data[k] for k in ("rel_tol",) if k in data}
-    if not all(isinstance(v, (int, float)) and v > 0 for v in extra.values()):
-        raise ValueError(f"{path}: 'rel_tol' must be a positive number")
+    if not all(isinstance(v, (int, float)) and 0 < v < math.inf for v in extra.values()):
+        raise ValueError(f"{path}: 'rel_tol' must be a finite positive number")
     return spec, extra
 
 
@@ -105,20 +105,31 @@ def save_rule(rule: ShiftRule, path: str | Path) -> None:
     }, path)
 
 
+def _finite_vector(data: dict, key: str, path) -> np.ndarray:
+    try:
+        values = np.asarray(data.get(key, []), dtype=float)  # JSON null reads as NaN
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: '{key}' must be an array of numbers: {exc}") from exc
+    if values.ndim != 1 or not np.isfinite(values).all():
+        raise ValueError(f"{path}: '{key}' must be an array of finite numbers")
+    return values
+
+
 def load_rule(path: str | Path) -> ShiftRule:
+    """Read a rule file; ValueError for a missing field, an invalid order or a non-finite value."""
     data = load_json(path)
     for key in ("phases", "coefficients", "orders"):
         if key not in data:
             raise ValueError(f"{path}: missing '{key}' field")
     try:
-        orders = tuple((int(o["p"]), float(o["weight"])) for o in data["orders"])
+        orders = _normalize_orders((o["p"], o["weight"]) for o in data["orders"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed 'orders' entry: {exc!r}") from exc
     return ShiftRule(
-        phases=np.asarray(data["phases"], dtype=float),
-        coefficients=np.asarray(data["coefficients"], dtype=float),
+        phases=_finite_vector(data, "phases", path),
+        coefficients=_finite_vector(data, "coefficients", path),
         orders=orders,
-        frequencies=tuple(float(w) for w in data.get("frequencies", [])),
+        frequencies=tuple(_finite_vector(data, "frequencies", path).tolist()),
         diagnostics=dict(data.get("diagnostics", {})),
     )
 
@@ -142,6 +153,8 @@ def load_config(path: str | Path | None) -> dict:
         for key in DEFAULT_CONFIG:
             if key in data:
                 cfg[key] = float(data[key])
+                if not (math.isfinite(cfg[key]) and cfg[key] > 0):
+                    raise ValueError(f"{path}: '{key}' must be a finite positive number")
         for section in ("regularization", "optimization"):
             cfg[section] = data.get(section) or {}
             if not isinstance(cfg[section], dict):

@@ -154,16 +154,12 @@ def _group_means(values, groups) -> tuple[float, ...]:
     )
 
 
-def classify_structure(
-    spectrum: Spectrum,
-    rel_tol: float = DEFAULT_REL_TOL,
-    perturbed_fraction: float = PERTURBED_FRACTION,
-) -> StructureClass:
+def classify_structure(spectrum: Spectrum, rel_tol: float = DEFAULT_REL_TOL) -> StructureClass:
     """Classify a spectrum as equidistant, perturbed-equidistant, or unstructured.
 
     Equidistant when every adjacent gap equals the mean gap within
     ``rel_tol`` (relative); perturbed-equidistant when the maximum
-    deviation stays below ``perturbed_fraction`` of the mean gap.
+    deviation stays below ``PERTURBED_FRACTION`` of the mean gap.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
@@ -174,22 +170,22 @@ def classify_structure(
     eps = float(np.abs(gaps - delta).max())
     if eps <= rel_tol * delta:
         return StructureClass(StructureKind.EQUIDISTANT, delta=delta)
-    if eps <= perturbed_fraction * delta:
+    if eps <= PERTURBED_FRACTION * delta:
         return StructureClass(StructureKind.PERTURBED_EQUIDISTANT, delta=delta, epsilon=eps)
     return StructureClass(StructureKind.UNSTRUCTURED)
 
 
-def gap_generator(values, rel_tol: float = 1e-9) -> float | None:
+def gap_generator(values) -> float | None:
     """Approximate common generator of a set of positive gap values.
 
     Returns g such that every value is an integer multiple of g within
-    ``rel_tol`` (relative to the largest value), or None when the values
-    are incommensurate at that tolerance.
+    1e-9 times the largest value, or None when the values are
+    incommensurate at that tolerance.
     """
     vals = sorted(float(v) for v in values if v > 0)
     if not vals:
         return None
-    tol = rel_tol * vals[-1]
+    tol = 1e-9 * vals[-1]
     g = vals[0]
     for v in vals[1:]:
         a, b = v, g

@@ -237,12 +237,12 @@ def _singular_value_condition(s: np.ndarray, size: int) -> float:
     return float(s[0] / s[-1])
 
 
-def _capped_solve(E: np.ndarray, rhs: np.ndarray, condition_cap: float = CONDITION_CAP):
-    """(np.linalg.solve(E, rhs), cond(E)); IllPosedError when cond(E) exceeds the cap."""
+def _capped_solve(E: np.ndarray, rhs: np.ndarray):
+    """(np.linalg.solve(E, rhs), cond(E)); IllPosedError when cond(E) exceeds CONDITION_CAP."""
     cond = condition_number(E)
-    if not np.isfinite(cond) or cond > condition_cap:
+    if not np.isfinite(cond) or cond > CONDITION_CAP:
         raise IllPosedError(
-            f"condition number {cond:.3g} exceeds cap {condition_cap:.3g}",
+            f"condition number {cond:.3g} exceeds cap {CONDITION_CAP:.3g}",
             condition_number=cond,
         )
     return np.linalg.solve(E, rhs), cond
@@ -260,12 +260,12 @@ def _extract_real(b: np.ndarray, context: str, condition_number=None) -> tuple[n
     return b.real.copy(), max_imag
 
 
-def solve_direct(sys: LinearSystem, condition_cap: float = CONDITION_CAP) -> ShiftRule:
+def solve_direct(sys: LinearSystem) -> ShiftRule:
     """Solve the square system E b = rhs and return the real coefficients.
 
     The rule is labelled with the orders the system was built for.
     Raises IllPosedError when the system is not square, contains
-    duplicate phases, has a condition number above ``condition_cap`` or
+    duplicate phases, has a condition number above ``CONDITION_CAP`` or
     a solution with a non-negligible imaginary part (ill-posed spectra
     must go through the equidistant or regularized paths instead).
     """
@@ -277,7 +277,7 @@ def solve_direct(sys: LinearSystem, condition_cap: float = CONDITION_CAP) -> Shi
         )
     pos = sys.row_gaps[sys.row_gaps > 0]
     check_phase_distinctness(sys.phases, pos)
-    b, cond = _capped_solve(E, sys.rhs, condition_cap)
+    b, cond = _capped_solve(E, sys.rhs)
     coeffs, max_imag = _extract_real(b, "solve_direct", cond)
     residual = float(np.linalg.norm(E @ b - sys.rhs))
     return ShiftRule(
@@ -294,18 +294,14 @@ def solve_direct(sys: LinearSystem, condition_cap: float = CONDITION_CAP) -> Shi
     )
 
 
-def synthesize_rule(
-    freq: FrequencySet,
-    phases,
-    orders=FIRST_DERIVATIVE,
-    condition_cap: float = CONDITION_CAP,
-) -> ShiftRule:
+def synthesize_rule(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> ShiftRule:
     """Build and solve the system for any combination of derivative orders.
 
     The resulting rule satisfies sum_p w_p f^(p)(t) = sum_x b_x f(t+phi_x)
     for every model whose frequencies lie in ``freq``, at every t.
+    Raises IllPosedError as ``solve_direct`` does, e.g. above ``CONDITION_CAP``.
     """
-    return solve_direct(build_system(freq, phases, orders), condition_cap)
+    return solve_direct(build_system(freq, phases, orders))
 
 
 def apply_rule(rule: ShiftRule, f: Callable[[float], float], t: float) -> float:

@@ -124,24 +124,24 @@ class _Point:
         return 2.0 * H
 
 
-def _evaluate_point(freq, phases, orders, condition_cap=CONDITION_CAP) -> _Point | None:
-    """Sum b^2 at ``phases`` (u = b, one variable per phase); None past the cap."""
+def _evaluate_point(freq, phases, orders) -> _Point | None:
+    """Sum b^2 at ``phases`` (u = b, one variable per phase); None past CONDITION_CAP."""
     sys = build_system(freq, phases, orders)
-    if not condition_number(sys.matrix) <= condition_cap:
+    if not condition_number(sys.matrix) <= CONDITION_CAP:
         return None
     ig = (1j * sys.row_gaps)[:, None]
     U = ig * sys.matrix  # dE[:, y]/dphi_y
     return _Point(sys.matrix, sys.rhs, U, ig * U, np.arange(len(sys.phases)))
 
 
-def _evaluate_reduced(freq, x, orders, condition_cap=CONDITION_CAP) -> _Point | None:
-    """Sum b^2 at the lifted phases (0, -x, +x) from the real block; None past the cap on cond(E).
+def _evaluate_reduced(freq, x, orders) -> _Point | None:
+    """Sum b^2 at the lifted phases (0, -x, +x) from the real block; None past CONDITION_CAP on cond(E).
 
     d/dx_k 2 sin(w x_k) = w * 2 cos(w x_k), an entry of the cos block, and
     d/dx_k 2 cos(w x_k) = -w * 2 sin(w x_k); second derivatives are -w^2 times the block.
     """
     rs = build_reduced_system(freq, x, orders)
-    if not rs.condition_number() <= condition_cap:
+    if not rs.condition_number() <= CONDITION_CAP:
         return None
     w = np.asarray(freq.unique_frequencies)
     if rs.odd:

@@ -336,7 +336,6 @@ def _broken_rule_file(runner, tmp_path):
     ("mixed", "-3:1:7"),
     ("model_file", "-1:2:5"),
     ("broken", "0:3:6"),
-    ("s7", "0:1:0"),
 ])
 def test_validate_matches_scalar_oracle(runner, tmp_path, case, t_grid):
     seed = 3
@@ -493,16 +492,37 @@ _RULE = {"phases": [-2.0943951023931953, -4.1887902047863905, -6.283185307179586
     ["validate", "--model", "random:-2", "{rule}"],
     ["--config", "{cfg_section}", "synthesize", "{spec}"],
     ["--config", "{cfg_null_tol}", "optimize", "{spec}"],
+    ["validate", "--t-grid", "0:1:0", "{rule}"],
+    ["validate", "{rule_null_coeff}"],
+    ["validate", "{rule_null_phase}"],
+    ["validate", "{rule_nan_weight}"],
+    ["validate", "{rule_negative_p}"],
+    ["variance", "{rule_null_coeff}"],
+    ["variance", "{rule_null_phase}"],
+    ["variance", "{rule_nan_weight}"],
+    ["validate", "--bound", "nan", "{rule}"],
+    ["--config", "{cfg_nan_bound}", "validate", "{rule}"],
+    ["validate", "--t-grid", "nan:1:5", "{rule}"],
+    ["synthesize", "{spec_inf_rel_tol}"],
 ])
 def test_malformed_input_exits_invalid(runner, tmp_path, args):
     files = {
         "spec": _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0]}),
         "spec_bad_rel_tol": _write(tmp_path, "bad.json", {"eigenvalues": [0.0, 1.0], "rel_tol": "x"}),
+        "spec_inf_rel_tol": _write(tmp_path, "inf.json",
+                                   {"eigenvalues": [0.0, 1.0, 2.5], "rel_tol": float("inf")}),
         "rule": _write(tmp_path, "rule.json", _RULE),
         "rule_no_p": _write(tmp_path, "no_p.json", dict(_RULE, orders=[{"weight": 1.0}])),
         "rule_no_weight": _write(tmp_path, "no_w.json", dict(_RULE, orders=[{"p": 1}])),
         "cfg_section": _write(tmp_path, "cfg1.json", {"regularization": 5}),
         "cfg_null_tol": _write(tmp_path, "cfg2.json", {"optimization": {"tol": None}}),
+        "rule_null_coeff": _write(tmp_path, "null_b.json",
+                                  dict(_RULE, coefficients=[None] + _RULE["coefficients"][1:])),
+        "rule_null_phase": _write(tmp_path, "null_phi.json", dict(_RULE, phases=[None] + _RULE["phases"][1:])),
+        "rule_nan_weight": _write(tmp_path, "nan_w.json",
+                                  dict(_RULE, orders=[{"p": 1, "weight": float("nan")}])),
+        "rule_negative_p": _write(tmp_path, "neg_p.json", dict(_RULE, orders=[{"p": -1, "weight": 1.0}])),
+        "cfg_nan_bound": _write(tmp_path, "cfg3.json", {"validation_bound": float("nan")}),
     }
     out = str(tmp_path / "out.json")
     result = runner.invoke(cli, ["--output", out] + [a.format(**files) for a in args], obj={})

@@ -12,9 +12,13 @@ from shiftrules import (
     OptimizationConfig,
     RegularizationConfig,
     checks,
+    cli,
     equidistant,
+    fourier,
     perturbation,
     serialize,
+    spectrum,
+    synthesis,
     variance,
 )
 from shiftrules.spectrum import DEFAULT_DEDUP_TOL, classify_structure
@@ -52,7 +56,18 @@ def test_no_cross_check_is_exported():
 
 
 def test_public_surface_is_small():
-    assert len(shiftrules.__all__) <= 36
+    assert len(shiftrules.__all__) <= 31
+
+
+def test_unused_tolerances_are_constants():
+    removed = [(synthesis.synthesize_rule, "condition_cap"), (synthesis.solve_direct, "condition_cap"),
+               (synthesis._capped_solve, "condition_cap"), (variance._evaluate_point, "condition_cap"),
+               (variance._evaluate_reduced, "condition_cap"),
+               (spectrum.classify_structure, "perturbed_fraction"), (spectrum.gap_generator, "rel_tol"),
+               (fourier.from_hamiltonian, "dedup_tol"), (fourier.from_hamiltonian, "coeff_tol"),
+               (cli._auto_phases, "tries")]
+    for function, name in removed:
+        assert name not in inspect.signature(function).parameters, f"{function.__name__}({name})"
 
 
 def test_cross_checks_live_only_in_checks():
