@@ -24,6 +24,7 @@ from .fourier import (
 from .perturbation import error_bound, perturbation_matrices
 from .regularization import regularized_rule
 from .spectrum import (
+    DEFAULT_REL_TOL,
     PERTURBED_FRACTION,
     StructureKind,
     classify_structure,
@@ -40,6 +41,7 @@ from .variance import confidence_interval, optimize_shifts, variance_of_estimate
 EXIT_VALIDATION = 1
 EXIT_ILL_POSED = 2
 EXIT_INVALID = 3
+VALIDATION_BOUND = 1e-8  # validate's default --bound; synthesize warns above it
 
 
 def _fail(code: int, message: str) -> None:
@@ -57,7 +59,7 @@ def _emit(ctx_obj: dict, data: dict, to_file: bool = False) -> None:
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None,
-              help="JSON config file (tolerances, regularization, optimization).")
+              help="JSON config file (regularization and optimization settings).")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for every randomized choice.")
 @click.option("--output", type=click.Path(), default=None,
@@ -68,9 +70,7 @@ def cli(ctx, config_path, seed, output, quiet):
     """Synthesize and validate parameter-shift rules from eigenvalue spectra."""
     ctx.ensure_object(dict)
     try:
-        cfg = ctx.obj["config"] = serialize.load_config(config_path)
-        ctx.obj["regularization"] = serialize.regularization_config(cfg["regularization"])
-        ctx.obj["optimization"] = serialize.optimization_config(cfg["optimization"], seed=seed)
+        ctx.obj["regularization"], ctx.obj["optimization"] = serialize.load_config(config_path, seed)
     except (OSError, TypeError, ValueError) as exc:
         _fail(EXIT_INVALID, f"cannot read config: {exc}")
     ctx.obj["seed"] = seed
@@ -78,14 +78,13 @@ def cli(ctx, config_path, seed, output, quiet):
     ctx.obj["quiet"] = quiet
 
 
-def _load_spectrum(ctx_obj, path):
+def _load_spectrum(path):
     """(spectrum, rel_tol, structure class, frequency set); exit 3 when malformed."""
-    cfg = ctx_obj["config"]
     try:
         spec, extra = serialize.load_spectrum(path)
-        rel_tol = float(extra.get("rel_tol", cfg["rel_tol"]))
+        rel_tol = float(extra.get("rel_tol", DEFAULT_REL_TOL))
         cls = classify_structure(spec, rel_tol=rel_tol)
-        return spec, rel_tol, cls, frequency_differences(spec, dedup_tol=cfg["dedup_tol"])
+        return spec, rel_tol, cls, frequency_differences(spec)
     except (OSError, ValueError) as exc:
         _fail(EXIT_INVALID, str(exc))
 
@@ -122,7 +121,7 @@ def _parse_phases(text):
 @click.pass_context
 def analyze(ctx, spectrum_file):
     """Classify a spectrum and report its gap structure."""
-    spec, rel_tol, cls, freq = _load_spectrum(ctx.obj, spectrum_file)
+    spec, rel_tol, cls, freq = _load_spectrum(spectrum_file)
     _emit(ctx.obj, {
         "kind": cls.kind.value,
         "delta": cls.delta,
@@ -150,7 +149,7 @@ def analyze(ctx, spectrum_file):
 def synthesize(ctx, spectrum_file, order, method, phases):
     """Synthesize a shift rule for a spectrum and write it to a rule file."""
     t0 = time.perf_counter()
-    spec, _, cls, freq = _load_spectrum(ctx.obj, spectrum_file)
+    spec, _, cls, freq = _load_spectrum(spectrum_file)
     if order < 0:
         _fail(EXIT_INVALID, "order must be non-negative")
     orders = ((order, 1.0),)
@@ -208,9 +207,9 @@ def synthesize(ctx, spectrum_file, order, method, phases):
                 rule = regularized_rule(freq, ph, orders, ctx.obj["regularization"])
                 method_used = "regularized"
                 residual = rule.diagnostics["residual"]
-                if residual > (bound := ctx.obj["config"]["validation_bound"]):
+                if residual > VALIDATION_BOUND:
                     warnings.append(f"regularized rule is inexact: residual {residual:.3g} "
-                                    f"exceeds validation_bound {bound:.3g}")
+                                    f"exceeds validation_bound {VALIDATION_BOUND:.3g}")
     except IllPosedError as exc:
         _fail(EXIT_ILL_POSED, str(exc))
 
@@ -244,14 +243,12 @@ def _random_models(frequencies, count, seed):
               help="'random:K' for K random in-band models, or a model file path.")
 @click.option("--t-grid", "t_grid", default="-3.141592653589793:3.141592653589793:100",
               show_default=True, help="Evaluation grid as start:stop:count.")
-@click.option("--bound", type=float, default=None,
-              help="Scaled error bound for exit status (default from config).")
+@click.option("--bound", type=float, default=VALIDATION_BOUND, show_default=True,
+              help="Scaled error bound for exit status.")
 @click.pass_context
 def validate(ctx, rule_file, model, t_grid, bound):
     """Check a rule against the exact analytic oracle on a t-grid."""
     t0 = time.perf_counter()
-    cfg = ctx.obj["config"]
-    bound = bound if bound is not None else cfg["validation_bound"]
     if not np.isfinite(bound):
         _fail(EXIT_INVALID, f"bound must be finite, got {bound}")
     try:
@@ -324,7 +321,7 @@ def validate(ctx, rule_file, model, t_grid, bound):
 def optimize(ctx, spectrum_file, order, phases):
     """Minimize the coefficient square-norm over shift phases."""
     t0 = time.perf_counter()
-    spec, _, cls, freq = _load_spectrum(ctx.obj, spectrum_file)
+    spec, _, cls, freq = _load_spectrum(spectrum_file)
     if order < 0:
         _fail(EXIT_INVALID, "order must be non-negative")
     orders = ((order, 1.0),)

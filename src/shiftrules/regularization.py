@@ -23,33 +23,31 @@ from .synthesis import (
     FIRST_DERIVATIVE,
     LinearSystem,
     ShiftRule,
+    _finite,
     _singular_value_condition,
     build_system,
 )
 
+GAMMA_MIN = 1e-14  # the interval on which the discrepancy principle bisects gamma
+GAMMA_MAX = 1e2
+
 
 @dataclass(frozen=True)
 class RegularizationConfig:
-    """Regularization strength, error levels, and the gamma search interval.
+    """Regularization strength and the error level of the data.
 
     ``gamma=None`` means automatic selection by the discrepancy
-    principle with target ``data_error + operator_error``, searched on
-    [grid_min, grid_max].
+    principle with target ``data_error``, searched on [GAMMA_MIN, GAMMA_MAX].
     """
 
     gamma: float | None = None
     data_error: float = 0.0
-    operator_error: float = 0.0
-    grid_min: float = 1e-14
-    grid_max: float = 1e2
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.data_error < 0 or self.operator_error < 0:
-            raise ValueError("error levels must be non-negative")
-        if not (0 < self.grid_min < self.grid_max):
-            raise ValueError("grid must satisfy 0 < min < max")
+        if self.gamma is not None and not (_finite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be a finite positive number, got {self.gamma!r}")
+        if not (_finite(self.data_error) and self.data_error >= 0):
+            raise ValueError(f"data_error must be finite and non-negative, got {self.data_error!r}")
 
 
 @dataclass(frozen=True)
@@ -99,14 +97,14 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
     """Pick gamma so the residual matches the error target (discrepancy principle).
 
     The closed-form residual r(gamma) is non-decreasing, so up to 60
-    bisection steps in log-gamma on [grid_min, grid_max] locate the
+    bisection steps in log-gamma on [GAMMA_MIN, GAMMA_MAX] locate the
     target; the bisection stops early once the interval reaches float
     resolution, where its midpoint, and so gamma, can no longer move.
-    When r(grid_min) already reaches the target, grid_min is returned
-    with status "target_below_min"; when r(grid_max) stays at or below
-    it, grid_max with status "target_above_max".
+    When r(GAMMA_MIN) already reaches the target, GAMMA_MIN is returned
+    with status "target_below_min"; when r(GAMMA_MAX) stays at or below
+    it, GAMMA_MAX with status "target_above_max".
     """
-    target = cfg.data_error + cfg.operator_error
+    target = float(cfg.data_error)
     U, s, _ = sys.svd
     beta = U.conj().T @ sys.rhs
     outside = np.linalg.norm(sys.rhs - U @ beta)  # the part of mu outside range(E)
@@ -117,13 +115,13 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
         # np.linalg.norm(x) spelled out: the same dot products, without its dispatch
         return float(np.hypot(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)), outside))
 
-    r_min = residual(cfg.grid_min)
+    r_min = residual(GAMMA_MIN)
     if r_min >= target:
-        return GammaSelection(float(cfg.grid_min), r_min, target, "target_below_min")
-    r_max = residual(cfg.grid_max)
+        return GammaSelection(GAMMA_MIN, r_min, target, "target_below_min")
+    r_max = residual(GAMMA_MAX)
     if r_max <= target:
-        return GammaSelection(float(cfg.grid_max), r_max, target, "target_above_max")
-    lo, hi = np.log(cfg.grid_min), np.log(cfg.grid_max)
+        return GammaSelection(GAMMA_MAX, r_max, target, "target_above_max")
+    lo, hi = np.log(GAMMA_MIN), np.log(GAMMA_MAX)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

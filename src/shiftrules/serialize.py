@@ -15,7 +15,7 @@ import numpy as np
 
 from .fourier import FourierModel
 from .regularization import RegularizationConfig
-from .spectrum import DEFAULT_DEDUP_TOL, DEFAULT_REL_TOL, Spectrum
+from .spectrum import Spectrum
 from .synthesis import ShiftRule, _normalize_orders
 from .variance import OptimizationConfig
 
@@ -43,6 +43,10 @@ def dumps_report(data: dict) -> str:
     return json.dumps(_sanitize(data), indent=2, sort_keys=True)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def load_json(path: str | Path) -> dict:
     with open(path) as fh:
         data = json.load(fh)
@@ -59,11 +63,11 @@ def load_spectrum(path: str | Path) -> tuple[Spectrum, dict]:
     if "eigenvalues" not in data:
         raise ValueError(f"{path}: missing 'eigenvalues' field")
     values = data["eigenvalues"]
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
         raise ValueError(f"{path}: 'eigenvalues' must be an array of numbers")
     spec = Spectrum(eigenvalues=tuple(float(v) for v in sorted(values)), label=data.get("label"))
     extra = {k: data[k] for k in ("rel_tol",) if k in data}
-    if not all(isinstance(v, (int, float)) and 0 < v < math.inf for v in extra.values()):
+    if not all(_is_number(v) and 0 < v < math.inf for v in extra.values()):
         raise ValueError(f"{path}: 'rel_tol' must be a finite positive number")
     return spec, extra
 
@@ -136,50 +140,24 @@ def load_rule(path: str | Path) -> ShiftRule:
 
 # -- CLI config --------------------------------------------------------------
 
-DEFAULT_CONFIG = {
-    "rel_tol": DEFAULT_REL_TOL,
-    "dedup_tol": DEFAULT_DEDUP_TOL,
-    "validation_bound": 1e-8,
-}
+def load_config(path: str | Path | None,
+                seed: int = 0) -> tuple[RegularizationConfig, OptimizationConfig]:
+    """The file's two settings sections as dataclasses; None means the defaults.
 
-
-def load_config(path: str | Path | None) -> dict:
-    """Merge a config file over the defaults; None means defaults only."""
-    cfg = dict(DEFAULT_CONFIG)
-    cfg["regularization"] = {}
-    cfg["optimization"] = {}
-    if path is not None:
-        data = load_json(path)
-        for key in DEFAULT_CONFIG:
-            if key in data:
-                cfg[key] = float(data[key])
-                if not (math.isfinite(cfg[key]) and cfg[key] > 0):
-                    raise ValueError(f"{path}: '{key}' must be a finite positive number")
-        for section in ("regularization", "optimization"):
-            cfg[section] = data.get(section) or {}
-            if not isinstance(cfg[section], dict):
-                raise ValueError(f"{path}: '{section}' must be an object")
-    return cfg
-
-
-def _set_keys(section: dict, casts: dict, prefix: str = "") -> dict:
-    # Only the keys the file sets: the config dataclasses hold the defaults.
-    return {prefix + key: cast(section[key]) for key, cast in casts.items() if key in section}
-
-
-def regularization_config(section: dict) -> RegularizationConfig:
-    kwargs = _set_keys(section, {"data_error": float, "operator_error": float})
-    kwargs.update(_set_keys(section.get("grid", {}) or {},
-                            {"min": float, "max": float}, prefix="grid_"))
-    gamma = section.get("gamma", "auto")
-    if isinstance(gamma, str):
-        if gamma.lower() != "auto":
-            raise ValueError(f"gamma must be a number or 'auto', got {gamma!r}")
-    else:
-        kwargs["gamma"] = gamma
-    return RegularizationConfig(**kwargs)
-
-
-def optimization_config(section: dict, seed: int = 0) -> OptimizationConfig:
-    kwargs = _set_keys(section, {"max_iters": int, "tol": float, "multistarts": int})
-    return OptimizationConfig(seed=seed, **kwargs)
+    A section's keys are the dataclass fields, except ``seed``, which
+    comes from the argument; ``"gamma": "auto"`` means ``gamma=None``.
+    An unknown key, a section that is not an object or an invalid value
+    raises TypeError or ValueError naming it.
+    """
+    sections = {"regularization": {}, "optimization": {}}
+    for name, section in (load_json(path) if path is not None else {}).items():
+        if name not in sections:
+            raise ValueError(f"{path}: unknown key {name!r}")
+        if not isinstance(section, dict):
+            raise ValueError(f"{path}: {name!r} must be an object")
+        sections[name] = section
+    regularization = sections["regularization"]
+    if regularization.get("gamma") == "auto":
+        regularization = dict(regularization, gamma=None)
+    return (RegularizationConfig(**regularization),
+            OptimizationConfig(**sections["optimization"], seed=seed))

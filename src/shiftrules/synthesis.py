@@ -11,6 +11,7 @@ is (i * mu) ** p.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -90,10 +91,20 @@ class ShiftRule:
         return float(b @ b)
 
 
+def _finite(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
+def _integer_order(p) -> int:
+    if isinstance(p, bool) or not float(p).is_integer():
+        raise ValueError(f"derivative orders must be integers, got {p!r}")
+    return int(p)
+
+
 def _normalize_orders(orders) -> Orders:
     if type(orders) is _NormalizedOrders:
         return orders
-    out = tuple((int(p), float(w)) for p, w in orders)
+    out = tuple((_integer_order(p), float(w)) for p, w in orders)
     if not out:
         raise ValueError("need at least one derivative order")
     if any(p < 0 for p, _ in out):

@@ -13,6 +13,7 @@ in ``shiftrules.checks``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -26,6 +27,7 @@ from .synthesis import (
     IllPosedError,
     Orders,
     ShiftRule,
+    _finite,
     _normalize_orders,
     build_reduced_system,
     build_system,
@@ -35,6 +37,7 @@ from .synthesis import (
 )
 
 SCREEN_SIZE = 4096  # seeded points of the symmetric family ranked before any Newton step
+MAX_NEWTON_STEPS = 300  # cap on the Newton steps of one descent
 
 
 @dataclass(frozen=True)
@@ -51,21 +54,20 @@ class OptimizationConfig:
 
     ``multistarts`` is the number of Newton starts taken from the best
     points of the seeded screen of the symmetric family (0 searches from
-    phi0 alone); ``max_iters`` caps the Newton steps of each descent.
-    A candidate is certified when half its analytic gradient,
-    max_y |S_y|, is at most ``tol``.
+    phi0 alone).  A candidate is certified when half its analytic
+    gradient, max_y |S_y|, is at most ``tol``.
     """
 
-    max_iters: int = 300
     tol: float = 1e-9
     multistarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1 or self.multistarts < 0:
-            raise ValueError("max_iters >= 1 and multistarts >= 0 required")
+        if not (_finite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
+        n = self.multistarts
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"multistarts must be a non-negative integer, got {self.multistarts!r}")
 
 
 def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:
@@ -177,7 +179,7 @@ def _square_norm_or_inf(M, t) -> float:
     return float(u @ u)
 
 
-def _newton(evaluate, freq, orders, v, max_iters):
+def _newton(evaluate, freq, orders, v):
     """Damped exact Newton from v: (v, point, accepted steps, evaluations); None if v is ill-posed.
 
     lam grows until H + lam*I gives an accepted trial: one that lowers the
@@ -188,7 +190,7 @@ def _newton(evaluate, freq, orders, v, max_iters):
     if (cur := evaluate(freq, v, orders)) is None:
         return None
     lam, steps, evaluations = 1e-10, 0, 1
-    for _ in range(max_iters):
+    for _ in range(MAX_NEWTON_STEPS):
         g = np.abs(cur.gradient).max()
         if g < 1e-12:
             break
@@ -270,17 +272,16 @@ def optimize_shifts(
     descents = []
     if cfg.multistarts > 0 and reduced_parity(orders) is not None:
         screened = _screen(freq, orders, width, np.random.default_rng(cfg.seed))
-        runs = (_newton(_evaluate_reduced, freq, orders, x, cfg.max_iters) for x in screened)
+        runs = (_newton(_evaluate_reduced, freq, orders, x) for x in screened)
         for x, _, steps, evals in islice(filter(None, runs), cfg.multistarts):  # None: over the cap
-            lifted = _newton(_evaluate_point, freq, orders, np.concatenate([[0.0], -x, x]),
-                             cfg.max_iters)
+            lifted = _newton(_evaluate_point, freq, orders, np.concatenate([[0.0], -x, x]))
             if lifted is not None:
                 ph, point, more_steps, more_evals = lifted
                 descents.append(("reduced", (ph, point, steps + more_steps, evals + more_evals)))
     candidates = _candidates(freq, orders, period, descents)
     certified = certify(candidates)
     # phi0 is descended only when the symmetric search certified nothing
-    if not certified and (run := _newton(_evaluate_point, freq, orders, phi0, cfg.max_iters)):
+    if not certified and (run := _newton(_evaluate_point, freq, orders, phi0)):
         descents.insert(0, ("phi0", run))
         candidates = _candidates(freq, orders, period, descents[:1]) + candidates
         certified = certify(candidates)

@@ -504,6 +504,13 @@ _RULE = {"phases": [-2.0943951023931953, -4.1887902047863905, -6.283185307179586
     ["--config", "{cfg_nan_bound}", "validate", "{rule}"],
     ["validate", "--t-grid", "nan:1:5", "{rule}"],
     ["synthesize", "{spec_inf_rel_tol}"],
+    ["--config", "{cfg_nan_gamma}", "synthesize", "{spec_near}"],
+    ["--config", "{cfg_unknown_section}", "optimize", "{spec}"],
+    ["--config", "{cfg_fractional_multistarts}", "optimize", "{spec}"],
+    ["--config", "{cfg_list_section}", "optimize", "{spec}"],
+    ["validate", "{rule_fractional_p}"],
+    ["analyze", "{spec_bool}"],
+    ["validate", "{rule_inf_p}"],
 ])
 def test_malformed_input_exits_invalid(runner, tmp_path, args):
     files = {
@@ -523,6 +530,18 @@ def test_malformed_input_exits_invalid(runner, tmp_path, args):
                                   dict(_RULE, orders=[{"p": 1, "weight": float("nan")}])),
         "rule_negative_p": _write(tmp_path, "neg_p.json", dict(_RULE, orders=[{"p": -1, "weight": 1.0}])),
         "cfg_nan_bound": _write(tmp_path, "cfg3.json", {"validation_bound": float("nan")}),
+        "spec_near": _write(tmp_path, "near.json", {"eigenvalues": [0.0, 1.0, 1.0 + 1e-9]}),
+        "cfg_nan_gamma": _write(tmp_path, "cfg4.json", {"regularization": {"gamma": float("nan")}}),
+        "cfg_unknown_section": _write(tmp_path, "cfg5.json", {"optimisation": {"multistarts": 2}}),
+        "cfg_fractional_multistarts": _write(tmp_path, "cfg6.json",
+                                             {"optimization": {"multistarts": 2.9}}),
+        "cfg_list_section": _write(tmp_path, "cfg7.json", {"optimization": []}),
+        "rule_fractional_p": _write(tmp_path, "frac_p.json",
+                                    dict(_RULE, orders=[{"p": 1.5, "weight": 1.0}])),
+        "spec_bool": _write(tmp_path, "bool.json",
+                            {"eigenvalues": [True, False, 2.5], "rel_tol": True}),
+        "rule_inf_p": _write(tmp_path, "inf_p.json",
+                             dict(_RULE, orders=[{"p": float("inf"), "weight": 1.0}])),
     }
     out = str(tmp_path / "out.json")
     result = runner.invoke(cli, ["--output", out] + [a.format(**files) for a in args], obj={})
@@ -530,6 +549,26 @@ def test_malformed_input_exits_invalid(runner, tmp_path, args):
     assert result.exit_code == 3
     assert "Traceback" not in result.output
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"rel_tol": 1e-9}, "rel_tol"),
+    ({"dedup_tol": 1e-12}, "dedup_tol"),
+    ({"validation_bound": 1e-8}, "validation_bound"),
+    ({"regularization": {"operator_error": 0.0}}, "operator_error"),
+    ({"regularization": {"grid": {"min": 1e-14, "max": 1e2}}}, "grid"),
+    ({"optimization": {"max_iters": 300}}, "max_iters"),
+    ({"optimization": {"seed": 3}}, "seed"),
+])
+def test_config_rejects_removed_and_unknown_keys(runner, near_degenerate, tmp_path, config, key):
+    out = tmp_path / "rule.json"
+    args = ["--config", _write(tmp_path, "cfg.json", config), "--output", str(out),
+            "synthesize", near_degenerate]
+    result = runner.invoke(cli, args, obj={})
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: ") and f"'{key}'" in result.stderr
+    assert "Traceback" not in result.output
+    assert not out.exists()
 
 
 _SCIPY_PROBE = """

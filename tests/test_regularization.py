@@ -19,7 +19,8 @@ from shiftrules import (
     tikhonov_solve,
 )
 from shiftrules.checks import build_full_system
-from shiftrules.regularization import select_gamma_discrepancy
+from shiftrules.regularization import GAMMA_MIN, select_gamma_discrepancy
+from shiftrules.variance import OptimizationConfig
 from shiftrules.synthesis import LinearSystem
 
 
@@ -91,9 +92,8 @@ def test_discrepancy_noiseless_returns_grid_minimum():
     rng = np.random.default_rng(6)
     freq = frequency_differences(random_spectrum(rng, 2))
     sys = build_system(freq, well_posed_phases(freq, rng))
-    cfg = RegularizationConfig(data_error=0.0, operator_error=0.0)
-    sel = select_gamma_discrepancy(sys, cfg)
-    assert sel.gamma == cfg.grid_min
+    sel = select_gamma_discrepancy(sys, RegularizationConfig(data_error=0.0))
+    assert sel.gamma == GAMMA_MIN
     assert sel.status == "target_below_min"
 
 
@@ -227,7 +227,7 @@ def test_regularized_rule_is_finite_at_grid_floor_of_ill_conditioned_system():
     freq, phases = _ill_conditioned_s31()
     assert condition_number(build_system(freq, phases).matrix) >= 1e12
     rule = regularized_rule(freq, phases)
-    assert rule.diagnostics["gamma"] == RegularizationConfig().grid_min
+    assert rule.diagnostics["gamma"] == GAMMA_MIN
     assert rule.diagnostics["gamma_selection"] == "target_below_min"
     assert rule.diagnostics["condition_number"] >= 1e12
     assert np.isfinite(rule.coefficients).all()
@@ -253,9 +253,15 @@ def test_regularized_rule_factors_once(monkeypatch):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RegularizationConfig(gamma=-1.0)
-    with pytest.raises(ValueError):
-        RegularizationConfig(grid_min=1.0, grid_max=0.1)
-    with pytest.raises(ValueError):
-        RegularizationConfig(data_error=-0.5)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            RegularizationConfig(gamma=bad)
+    for bad in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="data_error"):
+            RegularizationConfig(data_error=bad)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            OptimizationConfig(tol=bad)
+    for bad in (-1, 2.9, True):
+        with pytest.raises(ValueError, match="multistarts"):
+            OptimizationConfig(multistarts=bad)

@@ -1,11 +1,14 @@
 """Package layout: what ``import shiftrules`` loads and exports, and where defaults live."""
 
+import dataclasses
 import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import shiftrules
 from shiftrules import (
@@ -21,7 +24,6 @@ from shiftrules import (
     synthesis,
     variance,
 )
-from shiftrules.spectrum import DEFAULT_DEDUP_TOL, classify_structure
 
 SRC = str(Path(shiftrules.__file__).resolve().parents[1])
 
@@ -65,7 +67,9 @@ def test_unused_tolerances_are_constants():
                (variance._evaluate_reduced, "condition_cap"),
                (spectrum.classify_structure, "perturbed_fraction"), (spectrum.gap_generator, "rel_tol"),
                (fourier.from_hamiltonian, "dedup_tol"), (fourier.from_hamiltonian, "coeff_tol"),
-               (cli._auto_phases, "tries")]
+               (cli._auto_phases, "tries"), (RegularizationConfig, "operator_error"),
+               (RegularizationConfig, "grid_min"), (RegularizationConfig, "grid_max"),
+               (OptimizationConfig, "max_iters"), (variance._newton, "max_iters")]
     for function, name in removed:
         assert name not in inspect.signature(function).parameters, f"{function.__name__}({name})"
 
@@ -80,14 +84,22 @@ def test_cross_checks_live_only_in_checks():
             assert inspect.isfunction(getattr(checks, name))
 
 
-def test_config_sections_default_to_the_dataclasses():
+def test_config_file_keys_are_the_dataclass_fields(tmp_path):
     for seed in (0, 7):
-        assert serialize.optimization_config({}, seed=seed) == OptimizationConfig(seed=seed)
-    assert serialize.regularization_config({}) == RegularizationConfig()
-    assert serialize.regularization_config({"gamma": "auto", "grid": {}}) == RegularizationConfig()
-
-
-def test_cli_defaults_are_the_library_defaults():
-    cfg = serialize.load_config(None)
-    assert cfg["dedup_tol"] == DEFAULT_DEDUP_TOL
-    assert cfg["rel_tol"] == inspect.signature(classify_structure).parameters["rel_tol"].default
+        assert serialize.load_config(None, seed) == (RegularizationConfig(), OptimizationConfig(seed=seed))
+    sections = {"regularization": RegularizationConfig(), "optimization": OptimizationConfig()}
+    keys = {name: {f.name for f in dataclasses.fields(default)} - {"seed"}
+            for name, default in sections.items()}
+    assert keys == {"regularization": {"gamma", "data_error"},
+                    "optimization": {"tol", "multistarts"}}
+    path = tmp_path / "config.json"
+    for name, default in sections.items():
+        for key in keys[name] | {"seed", "unknown"}:
+            path.write_text(json.dumps({name: {key: getattr(default, key, 1)}}))
+            if key in keys[name]:
+                assert serialize.load_config(path) == tuple(sections.values())
+            else:
+                with pytest.raises(TypeError, match=key):
+                    serialize.load_config(path)
+    path.write_text(json.dumps({"regularization": {"gamma": "auto"}}))
+    assert serialize.load_config(path) == tuple(sections.values())

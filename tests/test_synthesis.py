@@ -155,6 +155,12 @@ def test_derivative_rhs_orders():
     assert rhs[3][2] == pytest.approx(1j)
 
 
+@pytest.mark.parametrize("p", [1.5, True, float("inf")])
+def test_non_integral_derivative_order_is_rejected(p):
+    with pytest.raises(ValueError, match="must be integers"):
+        build_system(FREQ01, EQ_PHASES, ((p, 1.0),))
+
+
 def test_synthesize_single_order_reduces_to_first_derivative():
     rule_a = synthesize_rule(FREQ01, EQ_PHASES, orders=((1, 1.0),))
     rule_b = solve_direct(build_system(FREQ01, EQ_PHASES))
