@@ -84,9 +84,23 @@ def test_cross_checks_live_only_in_checks():
             assert inspect.isfunction(getattr(checks, name))
 
 
-def test_config_file_keys_are_the_dataclass_fields(tmp_path):
+def test_config_sections_default_to_the_dataclasses(tmp_path):
     for seed in (0, 7):
         assert serialize.load_config(None, seed) == (RegularizationConfig(), OptimizationConfig(seed=seed))
+    path = tmp_path / "config.json"
+    for text in ({}, {"regularization": {}, "optimization": {}}, {"regularization": {"gamma": "auto"}}):
+        path.write_text(json.dumps(text))
+        assert serialize.load_config(path, 7) == (RegularizationConfig(), OptimizationConfig(seed=7))
+
+
+def test_cli_defaults_are_the_library_defaults():
+    assert cli.DEFAULT_REL_TOL == inspect.signature(spectrum.classify_structure).parameters["rel_tol"].default
+    assert spectrum.DEFAULT_DEDUP_TOL == inspect.signature(spectrum.frequency_differences).parameters["dedup_tol"].default
+    bound = next(p for p in cli.validate.params if p.name == "bound")
+    assert bound.default == cli.VALIDATION_BOUND
+
+
+def test_config_file_keys_are_the_dataclass_fields(tmp_path):
     sections = {"regularization": RegularizationConfig(), "optimization": OptimizationConfig()}
     keys = {name: {f.name for f in dataclasses.fields(default)} - {"seed"}
             for name, default in sections.items()}
@@ -101,5 +115,3 @@ def test_config_file_keys_are_the_dataclass_fields(tmp_path):
             else:
                 with pytest.raises(TypeError, match=key):
                     serialize.load_config(path)
-    path.write_text(json.dumps({"regularization": {"gamma": "auto"}}))
-    assert serialize.load_config(path) == tuple(sections.values())
