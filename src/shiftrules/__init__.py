@@ -1,87 +1,41 @@
 """Parameter-shift rule synthesis for arbitrary eigenvalue spectra.
 
-The paper's alternative closed forms (Cramer, Jacobi, determinant
-stationarity, ...) live in ``shiftrules.checks``, which is not imported here.
+``import shiftrules`` loads no submodule: each exported name imports its
+module on first access.  The paper's alternative closed forms (Cramer,
+Jacobi, determinant stationarity, ...) live in ``shiftrules.checks``,
+which is not exported here.
 """
 
-from .equidistant import (
-    EquidistantStructure,
-    closed_form_rule,
-    optimal_phases,
-)
-from .fourier import (
-    FourierModel,
-    HamiltonianModel,
-    NoiseSpec,
-    analytic_derivative,
-    evaluate,
-    from_hamiltonian,
-)
-from .perturbation import (
-    error_bound,
-    perturbation_matrices,
-)
-from .regularization import (
-    RegularizationConfig,
-    regularized_rule,
-    tikhonov_solve,
-)
-from .spectrum import (
-    FrequencySet,
-    Spectrum,
-    StructureKind,
-    classify_structure,
-    frequency_differences,
-)
-from .synthesis import (
-    IllPosedError,
-    ShiftRule,
-    apply_rule,
-    build_system,
-    compatibility_residual,
-    condition_number,
-    solve_direct,
-    synthesize_rule,
-)
-from .variance import (
-    OptimizationConfig,
-    confidence_interval,
-    optimize_shifts,
-    variance_of_estimate,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EquidistantStructure",
-    "FourierModel",
-    "FrequencySet",
-    "HamiltonianModel",
-    "IllPosedError",
-    "NoiseSpec",
-    "OptimizationConfig",
-    "RegularizationConfig",
-    "ShiftRule",
-    "Spectrum",
-    "StructureKind",
-    "analytic_derivative",
-    "apply_rule",
-    "build_system",
-    "classify_structure",
-    "closed_form_rule",
-    "compatibility_residual",
-    "condition_number",
-    "confidence_interval",
-    "error_bound",
-    "evaluate",
-    "from_hamiltonian",
-    "frequency_differences",
-    "optimal_phases",
-    "optimize_shifts",
-    "perturbation_matrices",
-    "regularized_rule",
-    "solve_direct",
-    "synthesize_rule",
-    "tikhonov_solve",
-    "variance_of_estimate",
-]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "equidistant": ("EquidistantStructure", "closed_form_rule", "optimal_phases"),
+    "fourier": ("FourierModel", "HamiltonianModel", "NoiseSpec", "analytic_derivative",
+                "evaluate", "from_hamiltonian"),
+    "perturbation": ("error_bound", "perturbation_matrices"),
+    "regularization": ("RegularizationConfig", "regularized_rule", "tikhonov_solve"),
+    "spectrum": ("FrequencySet", "Spectrum", "StructureKind", "classify_structure",
+                 "frequency_differences"),
+    "synthesis": ("IllPosedError", "ShiftRule", "apply_rule", "build_system",
+                  "compatibility_residual", "condition_number", "solve_direct", "synthesize_rule"),
+    "variance": ("OptimizationConfig", "confidence_interval", "optimize_shifts",
+                 "variance_of_estimate"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 validation failure, 2 ill-posed or infeasible
 problem, 3 invalid input.  Reports are JSON on stdout (or --output).
+
+Each command imports the modules it runs inside its body, so a process
+loads only those (``analyze`` needs no module but ``spectrum``).
 """
 
 from __future__ import annotations
@@ -13,16 +16,6 @@ import click
 import numpy as np
 
 from . import serialize
-from .equidistant import EquidistantStructure, closed_form_rule
-from .fourier import (
-    FourierModel,
-    NoiseSpec,
-    analytic_derivative,
-    evaluate_models,
-    sample_noisy_batch,
-)
-from .perturbation import error_bound, perturbation_matrices
-from .regularization import regularized_rule
 from .spectrum import (
     DEFAULT_REL_TOL,
     PERTURBED_FRACTION,
@@ -30,13 +23,6 @@ from .spectrum import (
     classify_structure,
     frequency_differences,
 )
-from .synthesis import (
-    IllPosedError,
-    _singular_value_condition,
-    check_phase_distinctness,
-    synthesize_rule,
-)
-from .variance import confidence_interval, optimize_shifts, variance_of_estimate
 
 EXIT_VALIDATION = 1
 EXIT_ILL_POSED = 2
@@ -69,13 +55,21 @@ def _emit(ctx_obj: dict, data: dict, to_file: bool = False) -> None:
 def cli(ctx, config_path, seed, output, quiet):
     """Synthesize and validate parameter-shift rules from eigenvalue spectra."""
     ctx.ensure_object(dict)
-    try:
-        ctx.obj["regularization"], ctx.obj["optimization"] = serialize.load_config(config_path, seed)
-    except (OSError, TypeError, ValueError) as exc:
-        _fail(EXIT_INVALID, f"cannot read config: {exc}")
+    if config_path is not None:  # read up front, so a bad file exits 3 on every command
+        try:
+            ctx.obj["config"] = serialize.load_config(config_path, seed)
+        except (OSError, TypeError, ValueError) as exc:
+            _fail(EXIT_INVALID, f"cannot read config: {exc}")
     ctx.obj["seed"] = seed
     ctx.obj["output"] = output
     ctx.obj["quiet"] = quiet
+
+
+def _config(ctx_obj: dict):
+    """(RegularizationConfig, OptimizationConfig) from --config, else the defaults."""
+    if "config" not in ctx_obj:
+        ctx_obj["config"] = serialize.load_config(None, ctx_obj["seed"])
+    return ctx_obj["config"]
 
 
 def _load_spectrum(path):
@@ -97,6 +91,8 @@ def _auto_phases(freq, seed):
     1e-2 times the largest gap.  Gap values closer than the floor are
     unresolvable at practical shifts and surface as ill-posed downstream.
     """
+    from .synthesis import _singular_value_condition
+
     freqs = np.asarray(freq.unique_frequencies)
     resolution = np.diff(freqs, prepend=0.0).min()
     lo = -2 * np.pi / max(resolution, 1e-2 * freqs[-1])
@@ -148,6 +144,8 @@ def analyze(ctx, spectrum_file):
 @click.pass_context
 def synthesize(ctx, spectrum_file, order, method, phases):
     """Synthesize a shift rule for a spectrum and write it to a rule file."""
+    from .synthesis import IllPosedError, check_phase_distinctness, synthesize_rule
+
     t0 = time.perf_counter()
     spec, _, cls, freq = _load_spectrum(spectrum_file)
     if order < 0:
@@ -174,10 +172,14 @@ def synthesize(ctx, spectrum_file, order, method, phases):
         ):
             if cls.delta is None:
                 _fail(EXIT_INVALID, "spectrum is not equidistant; cannot use the closed form")
+            from .equidistant import EquidistantStructure, closed_form_rule
+
             es = EquidistantStructure(n=spec.n, delta=cls.delta)
             rule = closed_form_rule(es, order)
             method_used = "equidistant"
             if cls.kind is StructureKind.PERTURBED_EQUIDISTANT:
+                from .perturbation import error_bound, perturbation_matrices
+
                 pd = perturbation_matrices(es)
                 bound = error_bound(es, pd, rule.coefficients, cls.epsilon)
                 rule.diagnostics.update(
@@ -204,7 +206,9 @@ def synthesize(ctx, spectrum_file, order, method, phases):
                               f"condition number {cond if cond is not None else 'n/a'}")
                     warnings.append(f"direct synthesis ill-posed ({exc}); falling back to tikhonov")
             if rule is None:
-                rule = regularized_rule(freq, ph, orders, ctx.obj["regularization"])
+                from .regularization import regularized_rule
+
+                rule = regularized_rule(freq, ph, orders, _config(ctx.obj)[0])
                 method_used = "regularized"
                 residual = rule.diagnostics["residual"]
                 if residual > VALIDATION_BOUND:
@@ -226,6 +230,8 @@ def synthesize(ctx, spectrum_file, order, method, phases):
 
 
 def _random_models(frequencies, count, seed):
+    from .fourier import FourierModel
+
     rng = np.random.default_rng(seed)
     models = []
     for _ in range(count):
@@ -248,6 +254,8 @@ def _random_models(frequencies, count, seed):
 @click.pass_context
 def validate(ctx, rule_file, model, t_grid, bound):
     """Check a rule against the exact analytic oracle on a t-grid."""
+    from .fourier import analytic_derivative, evaluate_models
+
     t0 = time.perf_counter()
     if not np.isfinite(bound):
         _fail(EXIT_INVALID, f"bound must be finite, got {bound}")
@@ -320,6 +328,9 @@ def validate(ctx, rule_file, model, t_grid, bound):
 @click.pass_context
 def optimize(ctx, spectrum_file, order, phases):
     """Minimize the coefficient square-norm over shift phases."""
+    from .synthesis import IllPosedError, synthesize_rule
+    from .variance import optimize_shifts
+
     t0 = time.perf_counter()
     spec, _, cls, freq = _load_spectrum(spectrum_file)
     if order < 0:
@@ -328,6 +339,8 @@ def optimize(ctx, spectrum_file, order, phases):
 
     if phases == "auto":
         if cls.kind is StructureKind.EQUIDISTANT:
+            from .equidistant import EquidistantStructure, closed_form_rule
+
             phi0 = closed_form_rule(EquidistantStructure(spec.n, cls.delta), order).phases
         else:
             phi0 = _auto_phases(freq, ctx.obj["seed"])
@@ -341,8 +354,9 @@ def optimize(ctx, spectrum_file, order, phases):
         before = synthesize_rule(freq, phi0, orders).square_norm
     except IllPosedError:
         pass
+    config = _config(ctx.obj)[1]
     try:
-        phi_star, rule = optimize_shifts(freq, phi0, ctx.obj["optimization"], orders=orders)
+        phi_star, rule = optimize_shifts(freq, phi0, config, orders=orders)
     except IllPosedError as exc:
         _fail(EXIT_ILL_POSED, str(exc))
 
@@ -350,7 +364,7 @@ def optimize(ctx, spectrum_file, order, phases):
     if not rule.diagnostics["certified"]:
         warnings.append(
             f"no optimizer candidate is stationary within tol "
-            f"{ctx.obj['optimization'].tol:.3g}; the lowest square-norm found is returned "
+            f"{config.tol:.3g}; the lowest square-norm found is returned "
             f"uncertified (max stationarity residual {rule.diagnostics['stationarity']:.3g})"
         )
     out_path = ctx.obj.get("output") or "optimized_rule.json"
@@ -375,6 +389,9 @@ def optimize(ctx, spectrum_file, order, phases):
 @click.pass_context
 def variance(ctx, rule_file, sigma, shots, eta):
     """Analytic vs empirical estimator variance and the Chebyshev interval."""
+    from .fourier import FourierModel, NoiseSpec, sample_noisy_batch
+    from .variance import confidence_interval, variance_of_estimate
+
     try:
         rule = serialize.load_rule(rule_file)
     except (OSError, ValueError) as exc:

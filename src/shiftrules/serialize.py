@@ -10,14 +10,17 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fourier import FourierModel
-from .regularization import RegularizationConfig
 from .spectrum import Spectrum
-from .synthesis import ShiftRule, _normalize_orders
-from .variance import OptimizationConfig
+
+if TYPE_CHECKING:  # each loader imports its module when it runs
+    from .fourier import FourierModel
+    from .regularization import RegularizationConfig
+    from .synthesis import ShiftRule
+    from .variance import OptimizationConfig
 
 
 def _sanitize(obj):
@@ -84,17 +87,19 @@ def save_spectrum(spec: Spectrum, path: str | Path, rel_tol: float | None = None
 # -- Fourier model -----------------------------------------------------------
 
 def load_fourier_model(path: str | Path) -> FourierModel:
+    from .fourier import FourierModel
+
     data = load_json(path)
     if "a0" not in data:
         raise ValueError(f"{path}: missing 'a0' field")
-    terms = data.get("terms", [])
     try:
-        parsed = tuple(
-            (float(t["omega"]), float(t["a"]), float(t["b"])) for t in terms
-        )
+        parsed = [(t["omega"], t["a"], t["b"]) for t in data.get("terms", [])]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed 'terms' entry: {exc}") from exc
-    return FourierModel(a0=float(data["a0"]), terms=tuple(sorted(parsed)))
+    if not all(_is_number(v) for v in (data["a0"], *(v for term in parsed for v in term))):
+        raise ValueError(f"{path}: 'a0' and each term's 'omega', 'a' and 'b' must be numbers")
+    terms = tuple(sorted(tuple(float(v) for v in term) for term in parsed))
+    return FourierModel(a0=float(data["a0"]), terms=terms)
 
 
 # -- shift rule --------------------------------------------------------------
@@ -110,17 +115,19 @@ def save_rule(rule: ShiftRule, path: str | Path) -> None:
 
 
 def _finite_vector(data: dict, key: str, path) -> np.ndarray:
-    try:
-        values = np.asarray(data.get(key, []), dtype=float)  # JSON null reads as NaN
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: '{key}' must be an array of numbers: {exc}") from exc
-    if values.ndim != 1 or not np.isfinite(values).all():
+    values = data.get(key, [])
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
+        raise ValueError(f"{path}: '{key}' must be an array of numbers")
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
         raise ValueError(f"{path}: '{key}' must be an array of finite numbers")
     return values
 
 
 def load_rule(path: str | Path) -> ShiftRule:
     """Read a rule file; ValueError for a missing field, an invalid order or a non-finite value."""
+    from .synthesis import ShiftRule, _normalize_orders
+
     data = load_json(path)
     for key in ("phases", "coefficients", "orders"):
         if key not in data:
@@ -149,6 +156,9 @@ def load_config(path: str | Path | None,
     An unknown key, a section that is not an object or an invalid value
     raises TypeError or ValueError naming it.
     """
+    from .regularization import RegularizationConfig
+    from .variance import OptimizationConfig
+
     sections = {"regularization": {}, "optimization": {}}
     for name, section in (load_json(path) if path is not None else {}).items():
         if name not in sections:

@@ -92,11 +92,12 @@ class ShiftRule:
 
 
 def _finite(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    """A finite real number; a bool or a numeric string is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _integer_order(p) -> int:
-    if isinstance(p, bool) or not float(p).is_integer():
+    if not _finite(p) or not float(p).is_integer():
         raise ValueError(f"derivative orders must be integers, got {p!r}")
     return int(p)
 
@@ -104,13 +105,14 @@ def _integer_order(p) -> int:
 def _normalize_orders(orders) -> Orders:
     if type(orders) is _NormalizedOrders:
         return orders
-    out = tuple((_integer_order(p), float(w)) for p, w in orders)
+    pairs = tuple(orders)
+    if not all(_finite(w) for _, w in pairs):
+        raise ValueError("order weights must be finite real numbers")
+    out = tuple((_integer_order(p), float(w)) for p, w in pairs)
     if not out:
         raise ValueError("need at least one derivative order")
     if any(p < 0 for p, _ in out):
         raise ValueError("derivative orders must be non-negative")
-    if not all(math.isfinite(w) for _, w in out):
-        raise ValueError("order weights must be finite")
     return _NormalizedOrders(out)
 
 

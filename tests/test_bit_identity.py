@@ -283,6 +283,9 @@ def test_synthesize_rule_orders_are_normalized_once_and_equal(orders):
     ([(-1, 1.0)], "non-negative"),
     ([(1, float("nan"))], "must be finite"),
     ([(1, float("inf"))], "must be finite"),
+    ([(1, True)], "must be finite"),
+    ([(1, "1.0")], "must be finite"),
+    ([(1, None)], "must be finite"),
 ])
 def test_invalid_orders_still_rejected(orders, message):
     freq = frequency_differences(Spectrum((0.0, 1.0)))

@@ -511,6 +511,17 @@ _RULE = {"phases": [-2.0943951023931953, -4.1887902047863905, -6.283185307179586
     ["validate", "{rule_fractional_p}"],
     ["analyze", "{spec_bool}"],
     ["validate", "{rule_inf_p}"],
+    ["--config", "{cfg_bool_gamma}", "synthesize", "--method", "tikhonov", "{spec}"],
+    ["--config", "{cfg_bool_data_error}", "synthesize", "--method", "tikhonov", "{spec}"],
+    ["--config", "{cfg_bool_tol}", "optimize", "{spec}"],
+    ["validate", "--model", "{model_bool}", "{rule}"],
+    ["validate", "--model", "{model_string_omega}", "{rule}"],
+    ["validate", "{rule_bool_weight}"],
+    ["validate", "{rule_string_p}"],
+    ["variance", "{rule_string_weight}"],
+    ["validate", "{rule_string_phase}"],
+    ["variance", "{rule_bool_coeff}"],
+    ["validate", "{rule_string_frequency}"],
 ])
 def test_malformed_input_exits_invalid(runner, tmp_path, args):
     files = {
@@ -542,6 +553,22 @@ def test_malformed_input_exits_invalid(runner, tmp_path, args):
                             {"eigenvalues": [True, False, 2.5], "rel_tol": True}),
         "rule_inf_p": _write(tmp_path, "inf_p.json",
                              dict(_RULE, orders=[{"p": float("inf"), "weight": 1.0}])),
+        "cfg_bool_gamma": _write(tmp_path, "cfg8.json", {"regularization": {"gamma": True}}),
+        "cfg_bool_data_error": _write(tmp_path, "cfg9.json", {"regularization": {"data_error": True}}),
+        "cfg_bool_tol": _write(tmp_path, "cfg10.json", {"optimization": {"tol": True}}),
+        "model_bool": _write(tmp_path, "model_bool.json",
+                             {"a0": True, "terms": [{"omega": "1.0", "a": True, "b": 0.5}]}),
+        "model_string_omega": _write(tmp_path, "model_str.json",
+                                     {"a0": 0.5, "terms": [{"omega": "1.0", "a": 0.2, "b": 0.5}]}),
+        "rule_bool_weight": _write(tmp_path, "bool_w.json", dict(_RULE, orders=[{"p": 1, "weight": True}])),
+        "rule_string_p": _write(tmp_path, "str_p.json", dict(_RULE, orders=[{"p": "1", "weight": 1.0}])),
+        "rule_string_weight": _write(tmp_path, "str_w.json",
+                                     dict(_RULE, orders=[{"p": 1, "weight": "1.0"}])),
+        "rule_string_phase": _write(tmp_path, "str_phi.json",
+                                    dict(_RULE, phases=[str(_RULE["phases"][0])] + _RULE["phases"][1:])),
+        "rule_bool_coeff": _write(tmp_path, "bool_b.json",
+                                  dict(_RULE, coefficients=_RULE["coefficients"][:2] + [False])),
+        "rule_string_frequency": _write(tmp_path, "str_f.json", dict(_RULE, frequencies=["1.0"])),
     }
     out = str(tmp_path / "out.json")
     result = runner.invoke(cli, ["--output", out] + [a.format(**files) for a in args], obj={})
@@ -549,6 +576,28 @@ def test_malformed_input_exits_invalid(runner, tmp_path, args):
     assert result.exit_code == 3
     assert "Traceback" not in result.output
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "validate", "optimize", "variance"])
+def test_bad_config_exits_invalid_on_every_command(runner, tmp_path, command):
+    target = _write(tmp_path, "rule.json", _RULE) if command in ("validate", "variance") \
+        else _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0]})
+    config = _write(tmp_path, "cfg.json", {"regularization": {"unknown": 1.0}})
+    result = runner.invoke(cli, ["--config", config, command, target], obj={})
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: cannot read config") and "'unknown'" in result.stderr
+    assert result.stdout == ""
+
+
+def test_config_file_reaches_the_tikhonov_path(runner, near_degenerate, tmp_path):
+    """Without --config the fallback selects gamma; a config file's gamma replaces it."""
+    gammas = []
+    for extra in ([], ["--config", _write(tmp_path, "cfg.json", {"regularization": {"gamma": 1e-3}})]):
+        out = tmp_path / f"rule{len(gammas)}.json"
+        result = runner.invoke(cli, [*extra, "--output", str(out), "synthesize", near_degenerate], obj={})
+        assert result.exit_code == 0, result.output
+        gammas.append(json.loads(out.read_text())["diagnostics"]["gamma"])
+    assert gammas == [1e-14, 1e-3]
 
 
 @pytest.mark.parametrize("config, key", [

@@ -1,6 +1,7 @@
 """Package layout: what ``import shiftrules`` loads and exports, and where defaults live."""
 
 import dataclasses
+import importlib
 import inspect
 import json
 import os
@@ -31,16 +32,63 @@ _IMPORT_PROBE = """
 import json, sys
 import shiftrules
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "shiftrules.checks" or m.split(".")[0] == "scipy")))
+                        if m.startswith("shiftrules.") or m.split(".")[0] == "scipy")))
+"""
+
+# Runs the CLI as ``python -m shiftrules.cli ARGS`` does, then prints the
+# package's loaded submodules.  The CLI module itself runs as __main__.
+_CLI_PROBE = """
+import json, runpy, sys
+sys.argv = ["shiftrules", *sys.argv[1:]]
+try:
+    runpy.run_module("shiftrules.cli", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("shiftrules."))))
 """
 
 
-def test_import_leaves_checks_and_scipy_unloaded():
+def _probe(code, *args, cwd=None):
     env = dict(os.environ, PYTHONPATH=SRC)
-    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+    result = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == []
+    return json.loads(result.stdout)
+
+
+def test_import_leaves_checks_and_scipy_unloaded():
+    """``import shiftrules`` loads no submodule, so neither checks nor scipy."""
+    assert _probe(_IMPORT_PROBE) == []
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    (tmp_path / "s7.json").write_text(json.dumps({"eigenvalues": [0.0, 1.0, 2.5]}))
+    runs = {  # command -> (arguments, the modules it loads besides the CLI)
+        "analyze": (["analyze", "s7.json"], {"serialize", "spectrum"}),
+        "synthesize": (["--output", "rule.json", "synthesize", "s7.json", "--method", "direct"],
+                       {"serialize", "spectrum", "synthesis"}),
+        "validate": (["validate", "rule.json"], {"serialize", "spectrum", "synthesis", "fourier"}),
+        "variance": (["variance", "rule.json"],
+                     {"serialize", "spectrum", "synthesis", "fourier", "variance"}),
+    }
+    for command, (args, modules) in runs.items():
+        loaded = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
+        assert loaded == sorted(f"shiftrules.{m}" for m in modules), command
+
+
+def test_exports_come_from_one_table_and_resolve_to_their_module():
+    names = [name for names in shiftrules._EXPORTS.values() for name in names]
+    assert len(set(names)) == len(names) == 31
+    assert shiftrules.__all__ == sorted(names)
+    assert set(names) <= set(dir(shiftrules))
+    star = {}
+    exec("from shiftrules import *", star)
+    for module, exported in shiftrules._EXPORTS.items():
+        owner = importlib.import_module(f"shiftrules.{module}")
+        for name in exported:
+            assert getattr(shiftrules, name) is getattr(owner, name) is star[name], name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        shiftrules.no_such_name  # noqa: B018
 
 
 def test_every_exported_name_resolves():

@@ -155,7 +155,7 @@ def test_derivative_rhs_orders():
     assert rhs[3][2] == pytest.approx(1j)
 
 
-@pytest.mark.parametrize("p", [1.5, True, float("inf")])
+@pytest.mark.parametrize("p", [1.5, True, float("inf"), "1"])
 def test_non_integral_derivative_order_is_rejected(p):
     with pytest.raises(ValueError, match="must be integers"):
         build_system(FREQ01, EQ_PHASES, ((p, 1.0),))
