@@ -17,7 +17,6 @@ import numpy as np
 
 from . import serialize
 from .spectrum import (
-    DEFAULT_REL_TOL,
     PERTURBED_FRACTION,
     StructureKind,
     classify_structure,
@@ -55,6 +54,7 @@ def _emit(ctx_obj: dict, data: dict, to_file: bool = False) -> None:
 def cli(ctx, config_path, seed, output, quiet):
     """Synthesize and validate parameter-shift rules from eigenvalue spectra."""
     ctx.ensure_object(dict)
+    ctx.obj["config"] = (None, None)  # None: the library's own dataclass defaults
     if config_path is not None:  # read up front, so a bad file exits 3 on every command
         try:
             ctx.obj["config"] = serialize.load_config(config_path, seed)
@@ -65,18 +65,10 @@ def cli(ctx, config_path, seed, output, quiet):
     ctx.obj["quiet"] = quiet
 
 
-def _config(ctx_obj: dict):
-    """(RegularizationConfig, OptimizationConfig) from --config, else the defaults."""
-    if "config" not in ctx_obj:
-        ctx_obj["config"] = serialize.load_config(None, ctx_obj["seed"])
-    return ctx_obj["config"]
-
-
 def _load_spectrum(path):
     """(spectrum, rel_tol, structure class, frequency set); exit 3 when malformed."""
     try:
-        spec, extra = serialize.load_spectrum(path)
-        rel_tol = float(extra.get("rel_tol", DEFAULT_REL_TOL))
+        spec, rel_tol = serialize.load_spectrum(path)
         cls = classify_structure(spec, rel_tol=rel_tol)
         return spec, rel_tol, cls, frequency_differences(spec)
     except (OSError, ValueError) as exc:
@@ -208,7 +200,7 @@ def synthesize(ctx, spectrum_file, order, method, phases):
             if rule is None:
                 from .regularization import regularized_rule
 
-                rule = regularized_rule(freq, ph, orders, _config(ctx.obj)[0])
+                rule = regularized_rule(freq, ph, orders, ctx.obj["config"][0])
                 method_used = "regularized"
                 residual = rule.diagnostics["residual"]
                 if residual > VALIDATION_BOUND:
@@ -295,14 +287,15 @@ def validate(ctx, rule_file, model, t_grid, bound):
     # One (grid x phases) evaluation of all models.  The columns are summed
     # in apply_rule's order, so each estimate equals the scalar rule bit for bit.
     shifted = grid[:, None] + np.asarray(rule.phases, dtype=float)[None, :]
-    max_err = max_scaled = err_sum = 0.0
-    for fm, values in zip(models, evaluate_models(models, shifted)):
-        estimate = sum(b * column for b, column in zip(rule.coefficients, values.T))
-        target = sum(w * analytic_derivative(fm, grid, p) for p, w in rule.orders)
-        err = np.abs(estimate - target)
-        max_err = max(max_err, float(err.max()))
-        max_scaled = max(max_scaled, float((err / (1.0 + np.abs(target))).max()))
-        err_sum += float(err.sum())
+    maxima, err_sum = [], 0.0  # (max |error|, max scaled error) per model
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing target gives NaN errors
+        for fm, values in zip(models, evaluate_models(models, shifted)):
+            estimate = sum(b * column for b, column in zip(rule.coefficients, values.T))
+            target = sum(w * analytic_derivative(fm, grid, p) for p, w in rule.orders)
+            err = np.abs(estimate - target)
+            maxima.append((err.max(), (err / (1.0 + np.abs(target))).max()))
+            err_sum += float(err.sum())
+    max_err, max_scaled = np.max(maxima, axis=0).tolist()  # NaN propagates, unlike max()
     mean_err = err_sum / (len(models) * len(grid))
 
     passed = bool(max_scaled <= bound)
@@ -329,7 +322,7 @@ def validate(ctx, rule_file, model, t_grid, bound):
 def optimize(ctx, spectrum_file, order, phases):
     """Minimize the coefficient square-norm over shift phases."""
     from .synthesis import IllPosedError, synthesize_rule
-    from .variance import optimize_shifts
+    from .variance import OptimizationConfig, optimize_shifts
 
     t0 = time.perf_counter()
     spec, _, cls, freq = _load_spectrum(spectrum_file)
@@ -339,9 +332,9 @@ def optimize(ctx, spectrum_file, order, phases):
 
     if phases == "auto":
         if cls.kind is StructureKind.EQUIDISTANT:
-            from .equidistant import EquidistantStructure, closed_form_rule
+            from .equidistant import EquidistantStructure, optimal_phases
 
-            phi0 = closed_form_rule(EquidistantStructure(spec.n, cls.delta), order).phases
+            phi0 = optimal_phases(EquidistantStructure(spec.n, cls.delta))
         else:
             phi0 = _auto_phases(freq, ctx.obj["seed"])
     else:
@@ -354,7 +347,7 @@ def optimize(ctx, spectrum_file, order, phases):
         before = synthesize_rule(freq, phi0, orders).square_norm
     except IllPosedError:
         pass
-    config = _config(ctx.obj)[1]
+    config = ctx.obj["config"][1] or OptimizationConfig(seed=ctx.obj["seed"])
     try:
         phi_star, rule = optimize_shifts(freq, phi0, config, orders=orders)
     except IllPosedError as exc:
@@ -396,8 +389,8 @@ def variance(ctx, rule_file, sigma, shots, eta):
         rule = serialize.load_rule(rule_file)
     except (OSError, ValueError) as exc:
         _fail(EXIT_INVALID, str(exc))
-    if sigma < 0 or shots < 1 or not 0 < eta < 1:
-        _fail(EXIT_INVALID, "need sigma >= 0, shots >= 1, eta in (0, 1)")
+    if not 0 <= sigma < np.inf or shots < 1 or not 0 < eta < 1:
+        _fail(EXIT_INVALID, "need finite sigma >= 0, shots >= 1, eta in (0, 1)")
 
     report = variance_of_estimate(rule, sigma**2)
     nu = confidence_interval(report, eta)

@@ -76,25 +76,17 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-
-
-def _series(a0: float, terms, t):
-    t = np.asarray(t, dtype=float)
-    out = np.full_like(t, a0, dtype=float)
-    for w, a, b in terms:
-        out = out + a * np.cos(w * t) + b * np.sin(w * t)
-    return float(out) if out.ndim == 0 else out
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and non-negative")
 
 
 def evaluate(model: FourierModel, t):
     """Evaluate the series at t (scalar or array)."""
-    return _series(model.a0, model.terms, t)
+    return evaluate_models([model], t)[0]
 
 
-def evaluate_models(models, t) -> list[np.ndarray]:
-    """``evaluate(model, t)`` as an array for each model, bit for bit.
+def evaluate_models(models, t) -> list:
+    """The series of each model at t: an array of t's shape, a float for scalar t.
 
     The frequencies run in the outer loop, so cos(w t) and sin(w t) are
     computed once per frequency for all the models that share it.  Each
@@ -102,24 +94,29 @@ def evaluate_models(models, t) -> list[np.ndarray]:
     frequency order, and in place, so only two scratch arrays of t's
     shape exist besides the results.
     """
+    return _sum_series([(m.a0, m.terms) for m in models], t)
+
+
+def _sum_series(series, t) -> list:
+    """``evaluate_models`` on (a0, terms) pairs, which need not form a valid model."""
     t = np.asarray(t, dtype=float)
-    outs = [np.full_like(t, m.a0) for m in models]
-    coeffs = [{w: (a, b) for w, a, b in m.terms} for m in models]
+    outs = [np.full_like(t, a0) for a0, _ in series]
+    coeffs = [{w: (a, b) for w, a, b in terms} for _, terms in series]
     table, term = np.empty_like(t), np.empty_like(t)
-    for w in sorted({w for m in models for w in m.frequencies}):
+    for w in sorted({w for terms in coeffs for w in terms}):
         users = [(out, terms[w]) for out, terms in zip(outs, coeffs) if w in terms]
         for trig, i in ((np.cos, 0), (np.sin, 1)):
             trig(np.multiply(w, t, out=table), out=table)
             for out, ab in users:
                 out += np.multiply(ab[i], table, out=term)
-    return outs
+    return [float(out) if out.ndim == 0 else out for out in outs]
 
 
 def analytic_derivative(model: FourierModel, t, p: int = 1):
     """Exact p-th derivative of the series at t; p=0 is plain evaluation.
 
     Each differentiation maps the pair (a, b) of a term with frequency w
-    to (w*b, -w*a), so no finite differencing is involved.
+    to (w*b, -w*a): no finite differencing, and an overflow gives inf or NaN.
     """
     if p < 0:
         raise ValueError("derivative order must be non-negative")
@@ -128,7 +125,7 @@ def analytic_derivative(model: FourierModel, t, p: int = 1):
         for _ in range(p):
             a, b = w * b, -w * a
         terms.append((w, a, b))
-    return _series(model.a0 if p == 0 else 0.0, terms, t)
+    return _sum_series([(model.a0 if p == 0 else 0.0, terms)], t)[0]
 
 
 def from_hamiltonian(hm: HamiltonianModel) -> FourierModel:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .spectrum import Spectrum
+from .spectrum import DEFAULT_REL_TOL, Spectrum
 
 if TYPE_CHECKING:  # each loader imports its module when it runs
     from .fourier import FourierModel
@@ -38,12 +38,12 @@ def _sanitize(obj):
     return obj
 
 
-def dump_json(data: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_sanitize(data), indent=2, sort_keys=True) + "\n")
-
-
 def dumps_report(data: dict) -> str:
     return json.dumps(_sanitize(data), indent=2, sort_keys=True)
+
+
+def dump_json(data: dict, path: str | Path) -> None:
+    Path(path).write_text(dumps_report(data) + "\n")
 
 
 def _is_number(v) -> bool:
@@ -60,8 +60,8 @@ def load_json(path: str | Path) -> dict:
 
 # -- spectrum ----------------------------------------------------------------
 
-def load_spectrum(path: str | Path) -> tuple[Spectrum, dict]:
-    """Read a spectrum file; returns (Spectrum, extra fields like rel_tol)."""
+def load_spectrum(path: str | Path) -> tuple[Spectrum, float]:
+    """Read a spectrum file; returns (Spectrum, its rel_tol or DEFAULT_REL_TOL)."""
     data = load_json(path)
     if "eigenvalues" not in data:
         raise ValueError(f"{path}: missing 'eigenvalues' field")
@@ -69,10 +69,10 @@ def load_spectrum(path: str | Path) -> tuple[Spectrum, dict]:
     if not isinstance(values, list) or not all(_is_number(v) for v in values):
         raise ValueError(f"{path}: 'eigenvalues' must be an array of numbers")
     spec = Spectrum(eigenvalues=tuple(float(v) for v in sorted(values)), label=data.get("label"))
-    extra = {k: data[k] for k in ("rel_tol",) if k in data}
-    if not all(_is_number(v) and 0 < v < math.inf for v in extra.values()):
+    rel_tol = data.get("rel_tol", DEFAULT_REL_TOL)
+    if not (_is_number(rel_tol) and 0 < rel_tol < math.inf):
         raise ValueError(f"{path}: 'rel_tol' must be a finite positive number")
-    return spec, extra
+    return spec, float(rel_tol)
 
 
 def save_spectrum(spec: Spectrum, path: str | Path, rel_tol: float | None = None) -> None:
@@ -147,9 +147,9 @@ def load_rule(path: str | Path) -> ShiftRule:
 
 # -- CLI config --------------------------------------------------------------
 
-def load_config(path: str | Path | None,
+def load_config(path: str | Path,
                 seed: int = 0) -> tuple[RegularizationConfig, OptimizationConfig]:
-    """The file's two settings sections as dataclasses; None means the defaults.
+    """The config file's two settings sections as dataclasses.
 
     A section's keys are the dataclass fields, except ``seed``, which
     comes from the argument; ``"gamma": "auto"`` means ``gamma=None``.
@@ -160,7 +160,7 @@ def load_config(path: str | Path | None,
     from .variance import OptimizationConfig
 
     sections = {"regularization": {}, "optimization": {}}
-    for name, section in (load_json(path) if path is not None else {}).items():
+    for name, section in load_json(path).items():
         if name not in sections:
             raise ValueError(f"{path}: unknown key {name!r}")
         if not isinstance(section, dict):

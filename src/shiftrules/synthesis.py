@@ -117,10 +117,13 @@ def _normalize_orders(orders) -> Orders:
 
 
 def _gap_rhs(gaps: np.ndarray, orders: Orders) -> np.ndarray:
-    """Target sum_p w_p (i * g) ** p per gap value g (p = 0 gives exactly 1)."""
+    """Target sum_p w_p (i * g) ** p per gap value g (p = 0 gives 1); IllPosedError on overflow."""
     rhs = np.zeros(len(gaps), dtype=complex)
-    for p, w in orders:
-        rhs += w * (1j * gaps) ** p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, w in orders:
+            rhs += w * (1j * gaps) ** p
+    if not np.isfinite(rhs).all():
+        raise IllPosedError(f"derivative target (i g)^p overflows for orders {list(orders)}")
     return rhs
 
 
@@ -324,11 +327,11 @@ def apply_rule(rule: ShiftRule, f: Callable[[float], float], t: float) -> float:
     )
 
 
-def compatibility_residual(rule: ShiftRule, freq: FrequencySet, orders=None) -> float:
+def compatibility_residual(rule: ShiftRule, freq: FrequencySet) -> float:
     """Defining residual max over gaps |sum_x b_x e^{i mu phi_x} - target(mu)|.
 
     Independent of any test function: a rule is exact for every in-band
     model precisely when this vanishes.
     """
-    sys = build_system(freq, rule.phases, orders if orders is not None else rule.orders)
+    sys = build_system(freq, rule.phases, rule.orders)
     return float(np.abs(sys.matrix @ rule.coefficients - sys.rhs).max())

@@ -80,10 +80,7 @@ def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:
         raise ValueError("per-point variances must match the number of phases")
     if (sig2 < 0).any():
         raise ValueError("variances must be non-negative")
-    return VarianceReport(
-        variance=float(b**2 @ sig2),
-        square_norm=float(b @ b),
-    )
+    return VarianceReport(variance=float(b**2 @ sig2), square_norm=rule.square_norm)
 
 
 def confidence_interval(report: VarianceReport, eta: float) -> float:

@@ -17,6 +17,7 @@ from shiftrules import (
     IllPosedError,
     RegularizationConfig,
     Spectrum,
+    analytic_derivative,
     classify_structure,
     closed_form_rule,
     error_bound,
@@ -51,6 +52,23 @@ def _ref_frequency_differences(spectrum, dedup_tol=DEFAULT_DEDUP_TOL):
         unique_frequencies=tuple(float(np.mean(positive[g])) for g in groups),
         multiplicities=tuple(len(g) for g in groups),
     )
+
+
+def _ref_series(a0, terms, t):
+    t = np.asarray(t, dtype=float)
+    out = np.full_like(t, a0, dtype=float)
+    for w, a, b in terms:
+        out = out + a * np.cos(w * t) + b * np.sin(w * t)
+    return float(out) if out.ndim == 0 else out
+
+
+def _ref_analytic_derivative(model, t, p):
+    terms = []
+    for w, a, b in model.terms:
+        for _ in range(p):
+            a, b = w * b, -w * a
+        terms.append((w, a, b))
+    return _ref_series(model.a0 if p == 0 else 0.0, terms, t)
 
 
 def _ref_check_phase_distinctness(phases, frequencies):
@@ -308,4 +326,10 @@ def test_evaluate_models_matches_per_model_evaluate(seed, k, shared):
         models.append(FourierModel(a0=float(rng.uniform(-1, 1)), terms=terms))
     t = rng.uniform(-5, 5, (7, 13))
     for got, fm in zip(evaluate_models(models, t), models, strict=True):
-        assert np.array_equal(got, evaluate(fm, t))
+        assert np.array_equal(got, _ref_series(fm.a0, fm.terms, t))
+        for x in (t, float(t[0, 0])):
+            assert np.array_equal(evaluate(fm, x), _ref_series(fm.a0, fm.terms, x))
+            for p in range(4):
+                assert np.array_equal(analytic_derivative(fm, x, p), _ref_analytic_derivative(fm, x, p))
+    scalar = float(t[0, 0])
+    assert all(type(f(fm, scalar)) is float for fm in models for f in (evaluate, analytic_derivative))

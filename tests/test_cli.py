@@ -113,6 +113,31 @@ def test_synthesize_forced_direct_ill_posed(runner, near_degenerate, tmp_path):
     assert "condition" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["synthesize"], ["synthesize", "--method", "direct"], ["synthesize", "--method", "tikhonov"],
+    ["optimize"],
+])
+def test_overflowing_derivative_target_exits_ill_posed(tmp_path, args):
+    spec = _write(tmp_path, "s7.json", {"eigenvalues": [0.0, 1.0, 2.5]})
+    result = _python(["-m", "shiftrules.cli", "--output", "rule.json", *args, spec, "--order", "1000"],
+                     cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert "overflows" in result.stderr
+    assert not (tmp_path / "rule.json").exists()
+
+
+def test_validate_fails_on_non_finite_errors(tmp_path):
+    rule = _write(tmp_path, "rule.json", dict(_RULE, orders=[{"p": 1000, "weight": 1.0}],
+                                              frequencies=[2.5]))
+    result = _python(["-m", "shiftrules.cli", "validate", rule])
+    assert result.returncode == 1
+    assert result.stderr == ""
+    report = json.loads(result.stdout)
+    assert report["passed"] is False
+    assert report["max_scaled_error"] is None and report["mean_abs_error"] is None
+
+
 def test_synthesize_auto_falls_back_to_tikhonov(runner, near_degenerate, tmp_path):
     out = str(tmp_path / "rule.json")
     result = runner.invoke(cli, ["--output", out, "synthesize", near_degenerate], obj={})
@@ -383,10 +408,10 @@ def test_spectrum_file_round_trip(tmp_path):
     spec = Spectrum((0.0, 0.1 + 0.2, 2.7), label="roundtrip")
     path = tmp_path / "spec.json"
     serialize.save_spectrum(spec, path, rel_tol=1e-8)
-    loaded, extra = serialize.load_spectrum(path)
+    loaded, rel_tol = serialize.load_spectrum(path)
     assert loaded.eigenvalues == spec.eigenvalues
     assert loaded.label == "roundtrip"
-    assert extra["rel_tol"] == 1e-8
+    assert rel_tol == 1e-8
 
 
 def test_optimize_descends(runner, unstructured, tmp_path):
@@ -522,6 +547,8 @@ _RULE = {"phases": [-2.0943951023931953, -4.1887902047863905, -6.283185307179586
     ["validate", "{rule_string_phase}"],
     ["variance", "{rule_bool_coeff}"],
     ["validate", "{rule_string_frequency}"],
+    ["variance", "--sigma", "nan", "{rule}"],
+    ["variance", "--sigma", "inf", "{rule}"],
 ])
 def test_malformed_input_exits_invalid(runner, tmp_path, args):
     files = {

@@ -62,7 +62,10 @@ def test_import_leaves_checks_and_scipy_unloaded():
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    (tmp_path / "s7.json").write_text(json.dumps({"eigenvalues": [0.0, 1.0, 2.5]}))
+    for name, eigenvalues in (("s7", [0.0, 1.0, 2.5]), ("near", [0.0, 1.0, 1.0 + 1e-9]),
+                              ("eq", [0.0, 1.0, 2.0])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"eigenvalues": eigenvalues}))
+    optimize = {"serialize", "spectrum", "synthesis", "variance"}
     runs = {  # command -> (arguments, the modules it loads besides the CLI)
         "analyze": (["analyze", "s7.json"], {"serialize", "spectrum"}),
         "synthesize": (["--output", "rule.json", "synthesize", "s7.json", "--method", "direct"],
@@ -70,6 +73,11 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "validate": (["validate", "rule.json"], {"serialize", "spectrum", "synthesis", "fourier"}),
         "variance": (["variance", "rule.json"],
                      {"serialize", "spectrum", "synthesis", "fourier", "variance"}),
+        "tikhonov fallback": (["--output", "near-rule.json", "synthesize", "near.json"],
+                              {"serialize", "spectrum", "synthesis", "regularization"}),
+        "optimize": (["--output", "opt.json", "optimize", "s7.json"], optimize),
+        "optimize equidistant": (["--output", "opt.json", "optimize", "eq.json"],
+                                 optimize | {"equidistant"}),
     }
     for command, (args, modules) in runs.items():
         loaded = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
@@ -133,16 +141,17 @@ def test_cross_checks_live_only_in_checks():
 
 
 def test_config_sections_default_to_the_dataclasses(tmp_path):
-    for seed in (0, 7):
-        assert serialize.load_config(None, seed) == (RegularizationConfig(), OptimizationConfig(seed=seed))
     path = tmp_path / "config.json"
     for text in ({}, {"regularization": {}, "optimization": {}}, {"regularization": {"gamma": "auto"}}):
         path.write_text(json.dumps(text))
         assert serialize.load_config(path, 7) == (RegularizationConfig(), OptimizationConfig(seed=7))
 
 
-def test_cli_defaults_are_the_library_defaults():
-    assert cli.DEFAULT_REL_TOL == inspect.signature(spectrum.classify_structure).parameters["rel_tol"].default
+def test_cli_defaults_are_the_library_defaults(tmp_path):
+    path = tmp_path / "spectrum.json"
+    serialize.save_spectrum(spectrum.Spectrum((0.0, 1.0)), path)
+    _, rel_tol = serialize.load_spectrum(path)  # the rel_tol the CLI classifies with
+    assert rel_tol == inspect.signature(spectrum.classify_structure).parameters["rel_tol"].default
     assert spectrum.DEFAULT_DEDUP_TOL == inspect.signature(spectrum.frequency_differences).parameters["dedup_tol"].default
     bound = next(p for p in cli.validate.params if p.name == "bound")
     assert bound.default == cli.VALIDATION_BOUND

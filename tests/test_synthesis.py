@@ -48,6 +48,16 @@ def test_build_system_first_row_is_ones_with_zero_rhs():
     assert sys.rhs[0] == 0.0
 
 
+def test_overflowing_derivative_target_is_ill_posed():
+    freq = frequency_differences(Spectrum((0.0, 1.0, 2.5)))
+    phases = well_posed_phases(freq, np.random.default_rng(4))
+    with pytest.raises(IllPosedError, match="overflows"):
+        build_system(freq, phases, ((1000, 1.0),))
+    with pytest.raises(IllPosedError, match="overflows"):
+        build_reduced_system(freq, [0.5, 1.0, 1.5], ((1000, 1.0),))
+    assert np.isfinite(build_system(freq, phases, ((100, 1.0),)).rhs).all()
+
+
 def test_solve_direct_equidistant_phases():
     rule = solve_direct(build_system(FREQ01, EQ_PHASES))
     np.testing.assert_allclose(
