@@ -1,7 +1,8 @@
 """Command-line front end: analyze, synthesize, validate, optimize, variance.
 
 Exit codes: 0 success, 1 validation failure, 2 ill-posed or infeasible
-problem, 3 invalid input.  Reports are JSON on stdout (or --output).
+problem, 3 invalid input, usage errors included.  Reports are JSON on
+stdout (or --output).
 
 Each command imports the modules it runs inside its body, so a process
 loads only those (``analyze`` needs no module but ``spectrum``).
@@ -9,10 +10,10 @@ loads only those (``analyze`` needs no module but ``spectrum``).
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 
-import click
 import numpy as np
 
 from . import serialize
@@ -30,39 +31,16 @@ VALIDATION_BOUND = 1e-8  # validate's default --bound; synthesize warns above it
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-def _emit(ctx_obj: dict, data: dict, to_file: bool = False) -> None:
-    output = ctx_obj.get("output")
+def _emit(obj: dict, data: dict, to_file: bool = False) -> None:
+    output = obj["output"]
     if to_file and output:
         serialize.dump_json(data, output)
-    elif not ctx_obj.get("quiet"):
-        click.echo(serialize.dumps_report(data))
-
-
-@click.group()
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="JSON config file (regularization and optimization settings).")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for every randomized choice.")
-@click.option("--output", type=click.Path(), default=None,
-              help="Destination file (rule file for synthesize/optimize, report otherwise).")
-@click.option("--quiet", is_flag=True, help="Suppress stdout reports.")
-@click.pass_context
-def cli(ctx, config_path, seed, output, quiet):
-    """Synthesize and validate parameter-shift rules from eigenvalue spectra."""
-    ctx.ensure_object(dict)
-    ctx.obj["config"] = (None, None)  # None: the library's own dataclass defaults
-    if config_path is not None:  # read up front, so a bad file exits 3 on every command
-        try:
-            ctx.obj["config"] = serialize.load_config(config_path, seed)
-        except (OSError, TypeError, ValueError) as exc:
-            _fail(EXIT_INVALID, f"cannot read config: {exc}")
-    ctx.obj["seed"] = seed
-    ctx.obj["output"] = output
-    ctx.obj["quiet"] = quiet
+    elif not obj["quiet"]:
+        print(serialize.dumps_report(data))
 
 
 def _load_spectrum(path):
@@ -104,13 +82,10 @@ def _parse_phases(text):
     return phases
 
 
-@cli.command()
-@click.argument("spectrum_file", type=click.Path())
-@click.pass_context
-def analyze(ctx, spectrum_file):
+def _analyze(obj, spectrum_file):
     """Classify a spectrum and report its gap structure."""
     spec, rel_tol, cls, freq = _load_spectrum(spectrum_file)
-    _emit(ctx.obj, {
+    _emit(obj, {
         "kind": cls.kind.value,
         "delta": cls.delta,
         "epsilon": cls.epsilon,
@@ -125,16 +100,7 @@ def analyze(ctx, spectrum_file):
     }, to_file=True)
 
 
-@cli.command()
-@click.argument("spectrum_file", type=click.Path())
-@click.option("--order", "-p", type=int, default=1, show_default=True,
-              help="Derivative order of the rule.")
-@click.option("--method", type=click.Choice(["auto", "direct", "equidistant", "tikhonov"]),
-              default="auto", show_default=True)
-@click.option("--phases", default="auto", show_default=True,
-              help="'auto' or comma-separated shift phases.")
-@click.pass_context
-def synthesize(ctx, spectrum_file, order, method, phases):
+def _synthesize(obj, spectrum_file, order, method, phases):
     """Synthesize a shift rule for a spectrum and write it to a rule file."""
     from .synthesis import IllPosedError, check_phase_distinctness, synthesize_rule
 
@@ -185,7 +151,7 @@ def synthesize(ctx, spectrum_file, order, method, phases):
                     "a first-order coefficient error bound in its diagnostics"
                 )
         else:  # direct, tikhonov, or auto without equidistant structure
-            ph = explicit if explicit is not None else _auto_phases(freq, ctx.obj["seed"])
+            ph = explicit if explicit is not None else _auto_phases(freq, obj["seed"])
             if method != "tikhonov":
                 try:
                     rule = synthesize_rule(freq, ph, orders)
@@ -200,7 +166,7 @@ def synthesize(ctx, spectrum_file, order, method, phases):
             if rule is None:
                 from .regularization import regularized_rule
 
-                rule = regularized_rule(freq, ph, orders, ctx.obj["config"][0])
+                rule = regularized_rule(freq, ph, orders, obj["config"][0])
                 method_used = "regularized"
                 residual = rule.diagnostics["residual"]
                 if residual > VALIDATION_BOUND:
@@ -209,9 +175,9 @@ def synthesize(ctx, spectrum_file, order, method, phases):
     except IllPosedError as exc:
         _fail(EXIT_ILL_POSED, str(exc))
 
-    out_path = ctx.obj.get("output") or "rule.json"
+    out_path = obj["output"] or "rule.json"
     serialize.save_rule(rule, out_path)
-    _emit(ctx.obj, {
+    _emit(obj, {
         "method": method_used,
         "rule_file": str(out_path),
         "structure": cls.kind.value,
@@ -235,16 +201,7 @@ def _random_models(frequencies, count, seed):
     return models
 
 
-@cli.command()
-@click.argument("rule_file", type=click.Path())
-@click.option("--model", default="random:3", show_default=True,
-              help="'random:K' for K random in-band models, or a model file path.")
-@click.option("--t-grid", "t_grid", default="-3.141592653589793:3.141592653589793:100",
-              show_default=True, help="Evaluation grid as start:stop:count.")
-@click.option("--bound", type=float, default=VALIDATION_BOUND, show_default=True,
-              help="Scaled error bound for exit status.")
-@click.pass_context
-def validate(ctx, rule_file, model, t_grid, bound):
+def _validate(obj, rule_file, model, t_grid, bound):
     """Check a rule against the exact analytic oracle on a t-grid."""
     from .fourier import analytic_derivative, evaluate_models
 
@@ -272,7 +229,7 @@ def validate(ctx, rule_file, model, t_grid, bound):
             _fail(EXIT_INVALID, f"model spec {model!r} asks for no models")
         if not rule.frequencies:
             _fail(EXIT_INVALID, "rule file carries no frequency set; supply a model file")
-        models = _random_models(rule.frequencies, count_models, ctx.obj["seed"])
+        models = _random_models(rule.frequencies, count_models, obj["seed"])
     else:
         try:
             loaded = serialize.load_fourier_model(model)
@@ -299,7 +256,7 @@ def validate(ctx, rule_file, model, t_grid, bound):
     mean_err = err_sum / (len(models) * len(grid))
 
     passed = bool(max_scaled <= bound)
-    _emit(ctx.obj, {
+    _emit(obj, {
         "models": len(models),
         "grid_points": len(grid),
         "max_abs_error": max_err,
@@ -313,13 +270,7 @@ def validate(ctx, rule_file, model, t_grid, bound):
         sys.exit(EXIT_VALIDATION)
 
 
-@cli.command()
-@click.argument("spectrum_file", type=click.Path())
-@click.option("--order", "-p", type=int, default=1, show_default=True)
-@click.option("--phases", default="auto", show_default=True,
-              help="'auto' or comma-separated starting phases.")
-@click.pass_context
-def optimize(ctx, spectrum_file, order, phases):
+def _optimize(obj, spectrum_file, order, phases):
     """Minimize the coefficient square-norm over shift phases."""
     from .synthesis import IllPosedError, synthesize_rule
     from .variance import OptimizationConfig, optimize_shifts
@@ -336,7 +287,7 @@ def optimize(ctx, spectrum_file, order, phases):
 
             phi0 = optimal_phases(EquidistantStructure(spec.n, cls.delta))
         else:
-            phi0 = _auto_phases(freq, ctx.obj["seed"])
+            phi0 = _auto_phases(freq, obj["seed"])
     else:
         phi0 = _parse_phases(phases)
         if len(phi0) != freq.m:
@@ -347,7 +298,7 @@ def optimize(ctx, spectrum_file, order, phases):
         before = synthesize_rule(freq, phi0, orders).square_norm
     except IllPosedError:
         pass
-    config = ctx.obj["config"][1] or OptimizationConfig(seed=ctx.obj["seed"])
+    config = obj["config"][1] or OptimizationConfig(seed=obj["seed"])
     try:
         phi_star, rule = optimize_shifts(freq, phi0, config, orders=orders)
     except IllPosedError as exc:
@@ -360,9 +311,9 @@ def optimize(ctx, spectrum_file, order, phases):
             f"{config.tol:.3g}; the lowest square-norm found is returned "
             f"uncertified (max stationarity residual {rule.diagnostics['stationarity']:.3g})"
         )
-    out_path = ctx.obj.get("output") or "optimized_rule.json"
+    out_path = obj["output"] or "optimized_rule.json"
     serialize.save_rule(rule, out_path)
-    _emit(ctx.obj, {
+    _emit(obj, {
         "rule_file": str(out_path),
         "square_norm_before": before,
         "square_norm_after": rule.square_norm,
@@ -372,15 +323,7 @@ def optimize(ctx, spectrum_file, order, phases):
     })
 
 
-@cli.command()
-@click.argument("rule_file", type=click.Path())
-@click.option("--sigma", type=float, default=1.0, show_default=True,
-              help="Per-evaluation noise standard deviation.")
-@click.option("--shots", type=int, default=10000, show_default=True)
-@click.option("--eta", type=float, default=0.1, show_default=True,
-              help="Chebyshev miss probability in (0, 1).")
-@click.pass_context
-def variance(ctx, rule_file, sigma, shots, eta):
+def _variance(obj, rule_file, sigma, shots, eta):
     """Analytic vs empirical estimator variance and the Chebyshev interval."""
     from .fourier import FourierModel, NoiseSpec, sample_noisy_batch
     from .variance import confidence_interval, variance_of_estimate
@@ -396,14 +339,14 @@ def variance(ctx, rule_file, sigma, shots, eta):
     nu = confidence_interval(report, eta)
 
     zero = FourierModel(a0=0.0)
-    noise = NoiseSpec(sigma=sigma, seed=ctx.obj["seed"])
+    noise = NoiseSpec(sigma=sigma, seed=obj["seed"])
     draws = np.stack([
         sample_noisy_batch(zero, float(p), noise, shots) for p in rule.phases
     ])
     estimates = np.asarray(rule.coefficients) @ draws
     empirical = float(np.var(estimates, ddof=1)) if shots > 1 else 0.0
 
-    _emit(ctx.obj, {
+    _emit(obj, {
         "analytic_variance": report.variance,
         "empirical_variance": empirical,
         "square_norm": report.square_norm,
@@ -411,12 +354,93 @@ def variance(ctx, rule_file, sigma, shots, eta):
         "shots": shots,
         "eta": eta,
         "nu": nu,
-        "seed": ctx.obj["seed"],
+        "seed": obj["seed"],
     }, to_file=True)
 
 
-def main():
-    cli(obj={})
+class _Parser(argparse.ArgumentParser):
+    """argparse where an option's value may begin with '-'; a usage error exits 3."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # An option's value may begin with '-' (--t-grid -3:3:N, --phases
+        # -0.35,-0.9), which argparse would take for an option: pass each
+        # long option that takes a value on as --option=value.
+        valued = {s for a in self._actions if a.nargs is None
+                  for s in a.option_strings if s.startswith("--")}
+        joined, rest = [], iter(sys.argv[1:] if args is None else args)
+        for arg in rest:
+            if arg == "--":
+                joined += [arg, *rest]
+            elif arg in valued and (value := next(rest, None)) is not None:
+                joined.append(f"{arg}={value}")
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _fail(EXIT_INVALID, message)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="shiftrules", allow_abbrev=False, description=(
+        "Synthesize and validate parameter-shift rules from eigenvalue spectra."))
+    parser.add_argument("--config", dest="config_path", metavar="PATH",
+                        help="JSON config file (regularization and optimization settings).")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="Seed for every randomized choice. [default: %(default)s]")
+    parser.add_argument("--output", metavar="PATH", help=(
+        "Destination file (rule file for synthesize/optimize, report otherwise)."))
+    parser.add_argument("--quiet", action="store_true", help="Suppress stdout reports.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, file_arg):
+        sub = commands.add_parser(run.__name__[1:], allow_abbrev=False,
+                                  help=run.__doc__, description=run.__doc__)
+        sub.add_argument(file_arg, metavar=file_arg.upper())
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    command(_analyze, "spectrum_file")
+    option = command(_synthesize, "spectrum_file")
+    option("--order", "-p", type=int, default=1,
+           help="Derivative order of the rule. [default: %(default)s]")
+    option("--method", choices=["auto", "direct", "equidistant", "tikhonov"], default="auto",
+           help="[default: %(default)s]")
+    option("--phases", default="auto",
+           help="'auto' or comma-separated shift phases. [default: %(default)s]")
+    option = command(_validate, "rule_file")
+    option("--model", default="random:3", help=(
+        "'random:K' for K random in-band models, or a model file path. [default: %(default)s]"))
+    option("--t-grid", default="-3.141592653589793:3.141592653589793:100",
+           help="Evaluation grid as start:stop:count. [default: %(default)s]")
+    option("--bound", type=float, default=VALIDATION_BOUND,
+           help="Scaled error bound for exit status. [default: %(default)s]")
+    option = command(_optimize, "spectrum_file")
+    option("--order", "-p", type=int, default=1, help="[default: %(default)s]")
+    option("--phases", default="auto",
+           help="'auto' or comma-separated starting phases. [default: %(default)s]")
+    option = command(_variance, "rule_file")
+    option("--sigma", type=float, default=1.0,
+           help="Per-evaluation noise standard deviation. [default: %(default)s]")
+    option("--shots", type=int, default=10000, help="[default: %(default)s]")
+    option("--eta", type=float, default=0.1,
+           help="Chebyshev miss probability in (0, 1). [default: %(default)s]")
+    return parser
+
+
+def main(argv=None) -> None:
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``."""
+    args = vars(_parser().parse_args(argv))
+    run, config_path = args.pop("run"), args.pop("config_path")
+    obj = {name: args.pop(name) for name in ("seed", "output", "quiet")}
+    obj["config"] = (None, None)  # None: the library's own dataclass defaults
+    if config_path is not None:  # read up front, so a bad file exits 3 on every command
+        try:
+            obj["config"] = serialize.load_config(config_path, obj["seed"])
+        except (OSError, TypeError, ValueError) as exc:
+            _fail(EXIT_INVALID, f"cannot read config: {exc}")
+    run(obj, **args)
 
 
 if __name__ == "__main__":

@@ -265,7 +265,11 @@ def _capped_solve(E: np.ndarray, rhs: np.ndarray):
 
 
 def _extract_real(b: np.ndarray, context: str, condition_number=None) -> tuple[np.ndarray, float]:
-    scale = max(float(np.linalg.norm(b)), 1e-300)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(b))
+    if not np.isfinite(norm):  # sum b^2 overflows, so no finite square-norm or variance
+        raise IllPosedError(f"{context}: coefficient norm overflows", condition_number=condition_number)
+    scale = max(norm, 1e-300)
     max_imag = float(np.abs(b.imag).max())
     if max_imag > IMAG_TOL * scale:
         raise IllPosedError(

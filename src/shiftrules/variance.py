@@ -122,6 +122,12 @@ class _Point:
         H = D.real.T @ D.real - (aP + aP.T).real - np.diag(u[cols] * (u @ self._B).real)
         return 2.0 * H
 
+    @property
+    def finite(self) -> bool:
+        """Value, gradient and Hessian are finite: huge coefficients overflow them."""
+        return bool(np.isfinite(self.value) and np.isfinite(self.gradient).all()
+                    and np.isfinite(self.hessian).all())
+
 
 def _evaluate_point(freq, phases, orders) -> _Point | None:
     """Sum b^2 at ``phases`` (u = b, one variable per phase); None past CONDITION_CAP."""
@@ -182,9 +188,11 @@ def _newton(evaluate, freq, orders, v):
     lam grows until H + lam*I gives an accepted trial: one that lowers the
     objective, or keeps it within round-off and lowers max |gradient|
     (the quadratic end game), so the descent never climbs to a saddle.
+    A point whose sum b^2, gradient or Hessian overflows is ill-posed as
+    a start and rejected as a trial, like a point past the cap.
     ``evaluations`` counts every call of ``evaluate``, rejected trials included.
     """
-    if (cur := evaluate(freq, v, orders)) is None:
+    if (cur := evaluate(freq, v, orders)) is None or not cur.finite:
         return None
     lam, steps, evaluations = 1e-10, 0, 1
     for _ in range(MAX_NEWTON_STEPS):
@@ -200,8 +208,9 @@ def _newton(evaluate, freq, orders, v):
                 continue
             nxt = evaluate(freq, v + step, orders)
             evaluations += 1
-            if nxt is not None and (nxt.value < cur.value - slack or (
-                    nxt.value <= cur.value + slack and np.abs(nxt.gradient).max() < g)):
+            lower = nxt is not None and (nxt.value < cur.value - slack or (
+                nxt.value <= cur.value + slack and np.abs(nxt.gradient).max() < g))
+            if lower and nxt.finite:  # finite builds the Hessian, which the next step needs anyway
                 v, cur, lam, steps = v + step, nxt, max(lam * 0.25, 1e-12), steps + 1
                 break
             lam *= 10
@@ -226,6 +235,7 @@ def _candidates(freq, orders, period, descents) -> list:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing points are rejected, see _newton
 def optimize_shifts(
     freq: FrequencySet,
     phi0,

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+from dataclasses import dataclass
+
 import numpy as np
 
-from shiftrules import Spectrum
+from shiftrules import Spectrum, cli
 from shiftrules.synthesis import build_system, condition_number
 
 
@@ -39,3 +43,34 @@ def random_model_terms(rng: np.random.Generator, frequencies):
         (float(w), float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
         for w in sorted(frequencies)
     )
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None  # the SystemExit of a non-zero exit, or what was raised
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(args) -> CliResult:
+    """Run ``shiftrules ARGS`` in this process, capturing stdout, stderr and the exit.
+
+    An exception other than SystemExit is kept, with exit code 1, as the
+    interpreter would exit on it.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(args)
+        except SystemExit as exc:
+            code = exc.code or 0
+            exception = exc if code else None
+        except Exception as exc:  # noqa: BLE001 - reported through the result
+            code, exception = 1, exc
+    return CliResult(code, out.getvalue(), err.getvalue(), exception)

@@ -9,9 +9,8 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from conftest import random_model_terms, random_spectrum, well_posed_phases
+from conftest import random_model_terms, random_spectrum, run_cli, well_posed_phases
 from shiftrules import (
     EquidistantStructure,
     FourierModel,
@@ -45,7 +44,6 @@ from shiftrules.checks import (
     linearized_solution,
     stationarity_residual,
 )
-from shiftrules.cli import cli
 from shiftrules.equidistant import normalized_system
 from shiftrules.fourier import sample_noisy_batch
 from shiftrules.perturbation import error_bound, perturbation_matrices
@@ -388,8 +386,6 @@ def test_criterion_10_integer_phase_collisions_singular():
 
 
 def test_criterion_11_cli_contract(tmp_path):
-    runner = CliRunner()
-
     def write(name, payload):
         path = tmp_path / name
         path.write_text(json.dumps(payload))
@@ -403,58 +399,54 @@ def test_criterion_11_cli_contract(tmp_path):
     checks = []
 
     out = str(tmp_path / "rule.json")
-    checks.append(runner.invoke(cli, ["analyze", eq], obj={}).exit_code == 0)
-    checks.append(runner.invoke(cli, ["analyze", bad], obj={}).exit_code == 3)
+    checks.append(run_cli(["analyze", eq]).exit_code == 0)
+    checks.append(run_cli(["analyze", bad]).exit_code == 3)
     checks.append(
-        runner.invoke(cli, ["--output", out, "synthesize", eq], obj={}).exit_code == 0
+        run_cli(["--output", out, "synthesize", eq]).exit_code == 0
     )
-    checks.append(runner.invoke(cli, ["validate", out], obj={}).exit_code == 0)
+    checks.append(run_cli(["validate", out]).exit_code == 0)
     checks.append(
-        runner.invoke(cli, ["--output", str(tmp_path / "r2.json"),
-                            "synthesize", free], obj={}).exit_code == 0
-    )
-    checks.append(
-        runner.invoke(cli, ["--output", str(tmp_path / "r3.json"), "synthesize", near,
-                            "--method", "direct"], obj={}).exit_code == 2
+        run_cli(["--output", str(tmp_path / "r2.json"),
+                 "synthesize", free]).exit_code == 0
     )
     checks.append(
-        runner.invoke(cli, ["--output", str(tmp_path / "r4.json"), "synthesize", eq,
-                            "--phases", "-1.0,-1.0,-2.0"], obj={}).exit_code == 2
+        run_cli(["--output", str(tmp_path / "r3.json"), "synthesize", near,
+                 "--method", "direct"]).exit_code == 2
     )
-    checks.append(runner.invoke(cli, ["synthesize", bad], obj={}).exit_code == 3)
+    checks.append(
+        run_cli(["--output", str(tmp_path / "r4.json"), "synthesize", eq,
+                 "--phases", "-1.0,-1.0,-2.0"]).exit_code == 2
+    )
+    checks.append(run_cli(["synthesize", bad]).exit_code == 3)
 
     # broken rule fails validation with exit 1
     data = json.loads(open(out).read())
     idx = int(np.argmax(np.abs(data["coefficients"])))
     data["coefficients"][idx] = 0.0
     broken = write("broken.json", data)
-    checks.append(runner.invoke(cli, ["validate", broken], obj={}).exit_code == 1)
+    checks.append(run_cli(["validate", broken]).exit_code == 1)
 
     # incompatible model is invalid input
     model = write("model.json", {"a0": 0.0, "terms": [{"omega": 2.5, "a": 1.0, "b": 0.0}]})
     checks.append(
-        runner.invoke(cli, ["validate", out, "--model", model], obj={}).exit_code == 3
+        run_cli(["validate", out, "--model", model]).exit_code == 3
     )
 
     # optimize: descent on the unstructured spectrum; infeasible start exits 2
-    opt = runner.invoke(
-        cli, ["--seed", "5", "--output", str(tmp_path / "opt.json"), "optimize", free],
-        obj={},
-    )
+    opt = run_cli(["--seed", "5", "--output", str(tmp_path / "opt.json"), "optimize", free])
     checks.append(opt.exit_code == 0)
     cfg = write("cfg.json", {"optimization": {"multistarts": 0}})
     checks.append(
-        runner.invoke(cli, ["--config", cfg, "optimize", eq,
-                            "--phases", "-1.0,-1.0,-1.0"], obj={}).exit_code == 2
+        run_cli(["--config", cfg, "optimize", eq,
+                 "--phases", "-1.0,-1.0,-1.0"]).exit_code == 2
     )
 
     # variance: success and invalid input
     checks.append(
-        runner.invoke(cli, ["variance", out, "--sigma", "0.5", "--shots", "200"],
-                      obj={}).exit_code == 0
+        run_cli(["variance", out, "--sigma", "0.5", "--shots", "200"]).exit_code == 0
     )
     checks.append(
-        runner.invoke(cli, ["variance", out, "--eta", "2.0"], obj={}).exit_code == 3
+        run_cli(["variance", out, "--eta", "2.0"]).exit_code == 3
     )
 
     # rule files round-trip bit-identically

@@ -6,10 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import shiftrules
-from conftest import well_posed_phases
+from conftest import run_cli, well_posed_phases
 from shiftrules import (
     Spectrum,
     analytic_derivative,
@@ -19,7 +18,7 @@ from shiftrules import (
     serialize,
     synthesize_rule,
 )
-from shiftrules.cli import _auto_phases, _random_models, cli
+from shiftrules.cli import _auto_phases, _parser, _random_models
 from shiftrules.synthesis import build_system, condition_number
 
 SRC = str(Path(shiftrules.__file__).resolve().parents[1])
@@ -30,11 +29,6 @@ def _python(args, cwd=None):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def _write(tmp_path, name, payload):
@@ -63,8 +57,8 @@ def near_degenerate(tmp_path):
     return _write(tmp_path, "near.json", {"eigenvalues": [0.0, 1.0, 1.0 + 1e-9]})
 
 
-def test_analyze_equidistant(runner, eq_spectrum):
-    result = runner.invoke(cli, ["analyze", eq_spectrum], obj={})
+def test_analyze_equidistant(eq_spectrum):
+    result = run_cli(["analyze", eq_spectrum])
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["kind"] == "equidistant"
@@ -72,29 +66,29 @@ def test_analyze_equidistant(runner, eq_spectrum):
     assert report["m"] == 5
 
 
-def test_analyze_unstructured(runner, unstructured):
-    result = runner.invoke(cli, ["analyze", unstructured], obj={})
+def test_analyze_unstructured(unstructured):
+    result = run_cli(["analyze", unstructured])
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["kind"] == "unstructured"
     assert report["m"] == 7
 
 
-def test_analyze_single_eigenvalue_invalid(runner, tmp_path):
+def test_analyze_single_eigenvalue_invalid(tmp_path):
     path = _write(tmp_path, "one.json", {"eigenvalues": [0.0]})
-    result = runner.invoke(cli, ["analyze", path], obj={})
+    result = run_cli(["analyze", path])
     assert result.exit_code == 3
     assert "at least 2" in result.output
 
 
-def test_analyze_missing_file(runner):
-    result = runner.invoke(cli, ["analyze", "does-not-exist.json"], obj={})
+def test_analyze_missing_file():
+    result = run_cli(["analyze", "does-not-exist.json"])
     assert result.exit_code == 3
 
 
-def test_synthesize_equidistant_auto(runner, two_level, tmp_path):
+def test_synthesize_equidistant_auto(two_level, tmp_path):
     out = str(tmp_path / "rule.json")
-    result = runner.invoke(cli, ["--output", out, "synthesize", two_level], obj={})
+    result = run_cli(["--output", out, "synthesize", two_level])
     assert result.exit_code == 0
     rule = serialize.load_rule(out)
     np.testing.assert_allclose(
@@ -104,11 +98,9 @@ def test_synthesize_equidistant_auto(runner, two_level, tmp_path):
     assert report["method"] == "equidistant"
 
 
-def test_synthesize_forced_direct_ill_posed(runner, near_degenerate, tmp_path):
+def test_synthesize_forced_direct_ill_posed(near_degenerate, tmp_path):
     out = str(tmp_path / "rule.json")
-    result = runner.invoke(
-        cli, ["--output", out, "synthesize", near_degenerate, "--method", "direct"], obj={}
-    )
+    result = run_cli(["--output", out, "synthesize", near_degenerate, "--method", "direct"])
     assert result.exit_code == 2
     assert "condition" in result.output
 
@@ -138,19 +130,85 @@ def test_validate_fails_on_non_finite_errors(tmp_path):
     assert report["max_scaled_error"] is None and report["mean_abs_error"] is None
 
 
-def test_synthesize_auto_falls_back_to_tikhonov(runner, near_degenerate, tmp_path):
+@pytest.mark.parametrize("args", [
+    ["synthesize", "--order", "1000"], ["synthesize", "--order", "1000", "--method", "direct"],
+    ["optimize", "--order", "1000"],
+])
+def test_overflowing_coefficients_exit_ill_posed(tmp_path, args):
+    """(0, 1, 2): the target 2^p is finite, but sum b^2 overflows."""
+    spec = _write(tmp_path, "eq.json", {"eigenvalues": [0.0, 1.0, 2.0]})
+    command, *options = args
+    result = _python(["-m", "shiftrules.cli", "--output", "rule.json", command, spec, *options],
+                     cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert not (tmp_path / "rule.json").exists()
+
+
+def test_optimize_near_overflow_keeps_the_lowest_point_uncertified(tmp_path):
+    """(0, 1, 2) at p = 500: sum b^2 ~ 4e300 is finite at the start, but its Hessian
+    overflows near it, so the descent stops early and says so."""
+    spec = _write(tmp_path, "eq.json", {"eigenvalues": [0.0, 1.0, 2.0]})
+    result = _python(["-m", "shiftrules.cli", "--output", "rule.json", "optimize", spec,
+                      "--order", "500"], cwd=tmp_path)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    report = json.loads(result.stdout)
+    assert report["square_norm_after"] < report["square_norm_before"]
+    assert "uncertified" in report["warnings"][0]
+
+
+@pytest.mark.parametrize("args", [
+    ["synthesize", "{spec}", "--order", "abc"], ["synthesize", "{spec}", "--method", "bogus"],
+    ["frobnicate", "{spec}"], ["synthesize"],
+])
+def test_usage_errors_exit_invalid(tmp_path, args):
+    spec = _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0]})
+    result = run_cli(["--output", str(tmp_path / "rule.json")] + [a.format(spec=spec) for a in args])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.stderr.splitlines()
+    assert lines[-1].startswith("error: ") and sum(line.startswith("error") for line in lines) == 1
+    assert result.stdout == ""
+    assert not (tmp_path / "rule.json").exists()
+
+
+@pytest.mark.parametrize("args, name, value", [
+    (["synthesize", "s.json", "--phases", "-0.35,-0.9"], "phases", "-0.35,-0.9"),
+    (["synthesize", "s.json", "--phases=-0.35,-0.9"], "phases", "-0.35,-0.9"),
+    (["optimize", "s.json", "--phases", "-1,-2,-3"], "phases", "-1,-2,-3"),
+    (["validate", "r.json", "--t-grid", "-3:3:5000"], "t_grid", "-3:3:5000"),
+    (["validate", "r.json", "--model", "-model.json"], "model", "-model.json"),
+    (["--output", "-rule.json", "synthesize", "s.json"], "output", "-rule.json"),
+    (["synthesize", "s.json", "-p", "-1"], "order", -1),
+])
+def test_option_values_may_begin_with_a_dash(args, name, value):
+    assert getattr(_parser().parse_args(args), name) == value
+
+
+def test_negative_grid_and_phases_run_end_to_end(tmp_path):
+    spec = _write(tmp_path, "s7.json", {"eigenvalues": [0.0, 1.0, 2.5]})
     out = str(tmp_path / "rule.json")
-    result = runner.invoke(cli, ["--output", out, "synthesize", near_degenerate], obj={})
+    result = run_cli(["--output", out, "synthesize", spec, "--method", "direct",
+                      "--phases", "-0.35,-0.9,-1.7,-2.45,-3.3,-4.15,-5.2"])
+    assert result.exit_code == 0, result.output
+    result = run_cli(["validate", out, "--t-grid", "-3:3:5000"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["grid_points"] == 5000
+
+
+def test_synthesize_auto_falls_back_to_tikhonov(near_degenerate, tmp_path):
+    out = str(tmp_path / "rule.json")
+    result = run_cli(["--output", out, "synthesize", near_degenerate])
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["method"] == "regularized"
     assert report["warnings"]
 
 
-def test_synthesize_warns_when_regularized_rule_is_inexact(runner, near_degenerate, tmp_path):
+def test_synthesize_warns_when_regularized_rule_is_inexact(near_degenerate, tmp_path):
     out = str(tmp_path / "rule.json")
-    result = runner.invoke(cli, ["--seed", "0", "--output", out, "synthesize", near_degenerate],
-                           obj={})
+    result = run_cli(["--seed", "0", "--output", out, "synthesize", near_degenerate])
     assert result.exit_code == 0
     report = json.loads(result.output)
     residual = report["diagnostics"]["residual"]
@@ -158,7 +216,7 @@ def test_synthesize_warns_when_regularized_rule_is_inexact(runner, near_degenera
     inexact = [w for w in report["warnings"] if "inexact" in w]
     assert inexact == [f"regularized rule is inexact: residual {residual:.3g} "
                        "exceeds validation_bound 1e-08"]
-    result = runner.invoke(cli, ["--seed", "0", "validate", out, "--model", "random:4"], obj={})
+    result = run_cli(["--seed", "0", "validate", out, "--model", "random:4"])
     assert result.exit_code == 1
 
 
@@ -177,20 +235,20 @@ def imaginary_part_case(tmp_path):
     return path, ",".join(repr(float(p)) for p in phases)
 
 
-def test_synthesize_direct_imaginary_part_is_ill_posed(runner, imaginary_part_case, tmp_path):
+def test_synthesize_direct_imaginary_part_is_ill_posed(imaginary_part_case, tmp_path):
     spec, phases = imaginary_part_case
     out = str(tmp_path / "rule.json")
-    result = runner.invoke(cli, ["--output", out, "synthesize", spec, "--method", "direct",
-                                 "--phases", phases], obj={})
+    result = run_cli(["--output", out, "synthesize", spec, "--method", "direct",
+                      "--phases", phases])
     assert result.exit_code == 2
     assert "error: direct synthesis is ill-posed" in result.output
     assert "imaginary part" in result.output and "condition number 6375" in result.output
 
 
-def test_synthesize_auto_imaginary_part_falls_back(runner, imaginary_part_case, tmp_path):
+def test_synthesize_auto_imaginary_part_falls_back(imaginary_part_case, tmp_path):
     spec, phases = imaginary_part_case
     out = str(tmp_path / "rule.json")
-    result = runner.invoke(cli, ["--output", out, "synthesize", spec, "--phases", phases], obj={})
+    result = run_cli(["--output", out, "synthesize", spec, "--phases", phases])
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["method"] == "regularized"
@@ -198,10 +256,10 @@ def test_synthesize_auto_imaginary_part_falls_back(runner, imaginary_part_case, 
                for w in report["warnings"])
 
 
-def test_optimize_imaginary_part_start_has_no_before(runner, imaginary_part_case, tmp_path):
+def test_optimize_imaginary_part_start_has_no_before(imaginary_part_case, tmp_path):
     spec, phases = imaginary_part_case
     out = str(tmp_path / "opt.json")
-    result = runner.invoke(cli, ["--output", out, "optimize", spec, "--phases", phases], obj={})
+    result = run_cli(["--output", out, "optimize", spec, "--phases", phases])
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["square_norm_before"] is None
@@ -212,15 +270,15 @@ def test_optimize_imaginary_part_start_has_no_before(runner, imaginary_part_case
     [0.0, 1.0, 2.5, 4.1, 6.0],        # m = 21, gap resolution 0.1
     [0.0, 0.7, 1.9, 3.2, 3.3, 5.0],   # m = 31, gap resolution 0.1
 ], ids=["S21", "S31"])
-def test_synthesize_auto_phases_resolve_close_gaps(runner, tmp_path, eigenvalues):
+def test_synthesize_auto_phases_resolve_close_gaps(tmp_path, eigenvalues):
     # auto phases spanning one period of the gap resolution keep the
     # system well-conditioned, so the rule is direct and validates
     spec = _write(tmp_path, "spec.json", {"eigenvalues": eigenvalues})
     out = str(tmp_path / "rule.json")
-    result = runner.invoke(cli, ["--seed", "0", "--output", out, "synthesize", spec], obj={})
+    result = run_cli(["--seed", "0", "--output", out, "synthesize", spec])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["method"] == "direct"
-    result = runner.invoke(cli, ["--seed", "0", "validate", out, "--model", "random:4"], obj={})
+    result = run_cli(["--seed", "0", "validate", out, "--model", "random:4"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["passed"] is True
 
@@ -246,28 +304,24 @@ def test_auto_phases_match_per_draw_loop(eigenvalues):
         assert np.array_equal(_auto_phases(freq, seed), best)
 
 
-def test_synthesize_duplicate_phases(runner, two_level, tmp_path):
+def test_synthesize_duplicate_phases(two_level, tmp_path):
     out = str(tmp_path / "rule.json")
-    result = runner.invoke(
-        cli,
-        ["--output", out, "synthesize", two_level, "--phases", "-1.0,-1.0,-2.0"],
-        obj={},
-    )
+    result = run_cli(["--output", out, "synthesize", two_level, "--phases", "-1.0,-1.0,-2.0"])
     assert result.exit_code == 2
     assert "phi_i != phi_j" in result.output
 
 
-def test_synthesize_unstructured_direct(runner, unstructured, tmp_path):
+def test_synthesize_unstructured_direct(unstructured, tmp_path):
     out = str(tmp_path / "rule.json")
-    result = runner.invoke(cli, ["--output", out, "synthesize", unstructured], obj={})
+    result = run_cli(["--output", out, "synthesize", unstructured])
     assert result.exit_code == 0
     assert json.loads(result.output)["method"] == "direct"
 
 
-def test_synthesize_perturbed_equidistant_carries_bounds(runner, tmp_path):
+def test_synthesize_perturbed_equidistant_carries_bounds(tmp_path):
     path = _write(tmp_path, "pert.json", {"eigenvalues": [0.0, 1.001, 2.0, 2.999]})
     out = str(tmp_path / "rule.json")
-    result = runner.invoke(cli, ["--output", out, "synthesize", path], obj={})
+    result = run_cli(["--output", out, "synthesize", path])
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["method"] == "equidistant"
@@ -278,44 +332,44 @@ def test_synthesize_perturbed_equidistant_carries_bounds(runner, tmp_path):
     assert diag["perturbation_loose_bound"] >= diag["perturbation_absolute_estimate"]
 
 
-def test_validate_good_rule(runner, eq_spectrum, tmp_path):
+def test_validate_good_rule(eq_spectrum, tmp_path):
     out = str(tmp_path / "rule.json")
-    assert runner.invoke(cli, ["--output", out, "synthesize", eq_spectrum], obj={}).exit_code == 0
-    result = runner.invoke(cli, ["validate", out, "--model", "random:4"], obj={})
+    assert run_cli(["--output", out, "synthesize", eq_spectrum]).exit_code == 0
+    result = run_cli(["validate", out, "--model", "random:4"])
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["passed"] is True
     assert report["max_scaled_error"] <= 1e-8
 
 
-def test_validate_broken_rule_fails(runner, eq_spectrum, tmp_path):
+def test_validate_broken_rule_fails(eq_spectrum, tmp_path):
     out = str(tmp_path / "rule.json")
-    runner.invoke(cli, ["--output", out, "synthesize", eq_spectrum], obj={})
+    run_cli(["--output", out, "synthesize", eq_spectrum])
     data = json.loads(open(out).read())
     idx = int(np.argmax(np.abs(data["coefficients"])))
     data["coefficients"][idx] = 0.0
     broken = str(tmp_path / "broken.json")
     open(broken, "w").write(json.dumps(data))
-    result = runner.invoke(cli, ["validate", broken], obj={})
+    result = run_cli(["validate", broken])
     assert result.exit_code == 1
 
 
-def test_validate_incompatible_model(runner, two_level, tmp_path):
+def test_validate_incompatible_model(two_level, tmp_path):
     out = str(tmp_path / "rule.json")
-    runner.invoke(cli, ["--output", out, "synthesize", two_level], obj={})
+    run_cli(["--output", out, "synthesize", two_level])
     model = _write(tmp_path, "model.json",
                    {"a0": 0.0, "terms": [{"omega": 2.5, "a": 1.0, "b": 0.0}]})
-    result = runner.invoke(cli, ["validate", out, "--model", model], obj={})
+    result = run_cli(["validate", out, "--model", model])
     assert result.exit_code == 3
     assert "outside" in result.output
 
 
-def test_validate_model_file_in_band(runner, two_level, tmp_path):
+def test_validate_model_file_in_band(two_level, tmp_path):
     out = str(tmp_path / "rule.json")
-    runner.invoke(cli, ["--output", out, "synthesize", two_level], obj={})
+    run_cli(["--output", out, "synthesize", two_level])
     model = _write(tmp_path, "model.json",
                    {"a0": 0.3, "terms": [{"omega": 1.0, "a": 0.5, "b": -0.2}]})
-    result = runner.invoke(cli, ["validate", out, "--model", model], obj={})
+    result = run_cli(["validate", out, "--model", model])
     assert result.exit_code == 0
 
 
@@ -332,10 +386,10 @@ def _scalar_validate(rule, models, grid):
     return max(errs, default=0.0), mean, max(scaled, default=0.0)
 
 
-def _s7_rule_file(runner, tmp_path):
+def _s7_rule_file(tmp_path):
     spec = _write(tmp_path, "s7.json", {"eigenvalues": [0.0, 1.0, 2.5]})
     out = str(tmp_path / "s7-rule.json")
-    assert runner.invoke(cli, ["--output", out, "synthesize", spec], obj={}).exit_code == 0
+    assert run_cli(["--output", out, "synthesize", spec]).exit_code == 0
     return out
 
 
@@ -348,8 +402,8 @@ def _mixed_order_rule_file(tmp_path):
     return out
 
 
-def _broken_rule_file(runner, tmp_path):
-    data = json.loads(open(_s7_rule_file(runner, tmp_path)).read())
+def _broken_rule_file(tmp_path):
+    data = json.loads(open(_s7_rule_file(tmp_path)).read())
     data["coefficients"][0] += 1e-3
     out = str(tmp_path / "broken-rule.json")
     open(out, "w").write(json.dumps(data))
@@ -362,14 +416,14 @@ def _broken_rule_file(runner, tmp_path):
     ("model_file", "-1:2:5"),
     ("broken", "0:3:6"),
 ])
-def test_validate_matches_scalar_oracle(runner, tmp_path, case, t_grid):
+def test_validate_matches_scalar_oracle(tmp_path, case, t_grid):
     seed = 3
     if case == "mixed":
         rule_file = _mixed_order_rule_file(tmp_path)
     elif case == "broken":
-        rule_file = _broken_rule_file(runner, tmp_path)
+        rule_file = _broken_rule_file(tmp_path)
     else:
-        rule_file = _s7_rule_file(runner, tmp_path)
+        rule_file = _s7_rule_file(tmp_path)
     rule = serialize.load_rule(rule_file)
     if case == "model_file":
         terms = [{"omega": w, "a": 0.4 - 0.3 * k, "b": 0.2 * k - 0.5}
@@ -382,8 +436,8 @@ def test_validate_matches_scalar_oracle(runner, tmp_path, case, t_grid):
     lo, hi, count = t_grid.split(":")
     grid = np.linspace(float(lo), float(hi), int(count))
 
-    result = runner.invoke(cli, ["--seed", str(seed), "validate", rule_file,
-                                 "--model", model_arg, "--t-grid", t_grid], obj={})
+    result = run_cli(["--seed", str(seed), "validate", rule_file,
+                      "--model", model_arg, "--t-grid", t_grid])
     report = json.loads(result.output)
     max_err, mean_err, max_scaled = _scalar_validate(rule, models, grid)
     assert report["grid_points"] == len(grid)
@@ -395,9 +449,9 @@ def test_validate_matches_scalar_oracle(runner, tmp_path, case, t_grid):
     assert report["passed"] is (case != "broken")
 
 
-def test_rule_file_round_trip_is_bit_identical(runner, eq_spectrum, tmp_path):
+def test_rule_file_round_trip_is_bit_identical(eq_spectrum, tmp_path):
     out = str(tmp_path / "rule.json")
-    runner.invoke(cli, ["--output", out, "synthesize", eq_spectrum], obj={})
+    run_cli(["--output", out, "synthesize", eq_spectrum])
     rule = serialize.load_rule(out)
     rewritten = tmp_path / "rule2.json"
     serialize.save_rule(rule, rewritten)
@@ -414,26 +468,24 @@ def test_spectrum_file_round_trip(tmp_path):
     assert rel_tol == 1e-8
 
 
-def test_optimize_descends(runner, unstructured, tmp_path):
+def test_optimize_descends(unstructured, tmp_path):
     out = str(tmp_path / "opt.json")
-    result = runner.invoke(
-        cli, ["--seed", "5", "--output", out, "optimize", unstructured], obj={}
-    )
+    result = run_cli(["--seed", "5", "--output", out, "optimize", unstructured])
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["square_norm_after"] <= report["square_norm_before"] + 1e-9
 
 
-def test_optimize_equidistant_start_improves_to_symmetric_minimum(runner, two_level, tmp_path):
+def test_optimize_equidistant_start_improves_to_symmetric_minimum(two_level, tmp_path):
     out = str(tmp_path / "opt.json")
-    result = runner.invoke(cli, ["--output", out, "optimize", two_level], obj={})
+    result = run_cli(["--output", out, "optimize", two_level])
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["square_norm_before"] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert report["square_norm_after"] == pytest.approx(0.5, abs=1e-6)
 
 
-def test_optimize_reports_uncertified_winner(runner, two_level, tmp_path):
+def test_optimize_reports_uncertified_winner(two_level, tmp_path):
     # n = 2 certifies with no warning; a tolerance no residual meets forces
     # the uncertified case on (0, 1, 2.6)
     cfg = _write(tmp_path, "cfg.json", {"optimization": {"tol": 1e-300}})
@@ -441,7 +493,7 @@ def test_optimize_reports_uncertified_winner(runner, two_level, tmp_path):
     runs = {"two": (two_level, []), "u16": (u16, ["--config", cfg])}
     for name, (spec, config) in runs.items():
         out = tmp_path / f"{name}.json"
-        result = runner.invoke(cli, config + ["--output", str(out), "optimize", spec], obj={})
+        result = run_cli(config + ["--output", str(out), "optimize", spec])
         assert result.exit_code == 0
         report = json.loads(result.output)
         diag = json.loads(out.read_text())["diagnostics"]
@@ -451,50 +503,44 @@ def test_optimize_reports_uncertified_winner(runner, two_level, tmp_path):
         assert all("uncertified" in w for w in report["warnings"])
 
 
-def test_optimize_infeasible_start_no_multistarts(runner, two_level, tmp_path):
+def test_optimize_infeasible_start_no_multistarts(two_level, tmp_path):
     cfg = _write(tmp_path, "cfg.json", {"optimization": {"multistarts": 0}})
-    result = runner.invoke(
-        cli,
-        ["--config", cfg, "optimize", two_level, "--phases", "-1.0,-1.0,-1.0"],
-        obj={},
-    )
+    result = run_cli(["--config", cfg, "optimize", two_level, "--phases", "-1.0,-1.0,-1.0"])
     assert result.exit_code == 2
 
 
-def test_variance_zero_sigma(runner, two_level, tmp_path):
+def test_variance_zero_sigma(two_level, tmp_path):
     out = str(tmp_path / "rule.json")
-    runner.invoke(cli, ["--output", out, "synthesize", two_level], obj={})
-    result = runner.invoke(cli, ["variance", out, "--sigma", "0.0", "--shots", "100"], obj={})
+    run_cli(["--output", out, "synthesize", two_level])
+    result = run_cli(["variance", out, "--sigma", "0.0", "--shots", "100"])
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["empirical_variance"] == 0.0
     assert report["analytic_variance"] == 0.0
 
 
-def test_variance_equidistant_two_level(runner, two_level, tmp_path):
+def test_variance_equidistant_two_level(two_level, tmp_path):
     out = str(tmp_path / "rule.json")
-    runner.invoke(cli, ["--output", out, "synthesize", two_level], obj={})
-    result = runner.invoke(
-        cli, ["--seed", "3", "variance", out, "--sigma", "1.0", "--shots", "10000"], obj={}
-    )
+    run_cli(["--output", out, "synthesize", two_level])
+    result = run_cli(["--seed", "3", "variance", out, "--sigma", "1.0", "--shots", "10000"])
     report = json.loads(result.output)
     assert report["analytic_variance"] == pytest.approx(2.0 / 3.0)
     assert report["empirical_variance"] == pytest.approx(2.0 / 3.0, rel=0.1)
 
 
-def test_variance_report_is_deterministic(runner, two_level, tmp_path):
+def test_variance_report_is_deterministic(two_level, tmp_path):
     out = str(tmp_path / "rule.json")
-    runner.invoke(cli, ["--output", out, "synthesize", two_level], obj={})
+    run_cli(["--output", out, "synthesize", two_level])
     args = ["--seed", "9", "variance", out, "--sigma", "0.5", "--shots", "500"]
-    first = runner.invoke(cli, args, obj={})
-    second = runner.invoke(cli, args, obj={})
+    first = run_cli(args)
+    second = run_cli(args)
     assert first.output == second.output
 
 
-def test_variance_invalid_eta(runner, two_level, tmp_path):
+def test_variance_invalid_eta(two_level, tmp_path):
     out = str(tmp_path / "rule.json")
-    runner.invoke(cli, ["--output", out, "synthesize", two_level], obj={})
-    result = runner.invoke(cli, ["variance", out, "--eta", "1.5"], obj={})
+    run_cli(["--output", out, "synthesize", two_level])
+    result = run_cli(["variance", out, "--eta", "1.5"])
     assert result.exit_code == 3
 
 
@@ -550,7 +596,7 @@ _RULE = {"phases": [-2.0943951023931953, -4.1887902047863905, -6.283185307179586
     ["variance", "--sigma", "nan", "{rule}"],
     ["variance", "--sigma", "inf", "{rule}"],
 ])
-def test_malformed_input_exits_invalid(runner, tmp_path, args):
+def test_malformed_input_exits_invalid(tmp_path, args):
     files = {
         "spec": _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0]}),
         "spec_bad_rel_tol": _write(tmp_path, "bad.json", {"eigenvalues": [0.0, 1.0], "rel_tol": "x"}),
@@ -598,7 +644,7 @@ def test_malformed_input_exits_invalid(runner, tmp_path, args):
         "rule_string_frequency": _write(tmp_path, "str_f.json", dict(_RULE, frequencies=["1.0"])),
     }
     out = str(tmp_path / "out.json")
-    result = runner.invoke(cli, ["--output", out] + [a.format(**files) for a in args], obj={})
+    result = run_cli(["--output", out] + [a.format(**files) for a in args])
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 3
     assert "Traceback" not in result.output
@@ -606,22 +652,22 @@ def test_malformed_input_exits_invalid(runner, tmp_path, args):
 
 
 @pytest.mark.parametrize("command", ["analyze", "synthesize", "validate", "optimize", "variance"])
-def test_bad_config_exits_invalid_on_every_command(runner, tmp_path, command):
+def test_bad_config_exits_invalid_on_every_command(tmp_path, command):
     target = _write(tmp_path, "rule.json", _RULE) if command in ("validate", "variance") \
         else _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0]})
     config = _write(tmp_path, "cfg.json", {"regularization": {"unknown": 1.0}})
-    result = runner.invoke(cli, ["--config", config, command, target], obj={})
+    result = run_cli(["--config", config, command, target])
     assert result.exit_code == 3
     assert result.stderr.startswith("error: cannot read config") and "'unknown'" in result.stderr
     assert result.stdout == ""
 
 
-def test_config_file_reaches_the_tikhonov_path(runner, near_degenerate, tmp_path):
+def test_config_file_reaches_the_tikhonov_path(near_degenerate, tmp_path):
     """Without --config the fallback selects gamma; a config file's gamma replaces it."""
     gammas = []
     for extra in ([], ["--config", _write(tmp_path, "cfg.json", {"regularization": {"gamma": 1e-3}})]):
         out = tmp_path / f"rule{len(gammas)}.json"
-        result = runner.invoke(cli, [*extra, "--output", str(out), "synthesize", near_degenerate], obj={})
+        result = run_cli([*extra, "--output", str(out), "synthesize", near_degenerate])
         assert result.exit_code == 0, result.output
         gammas.append(json.loads(out.read_text())["diagnostics"]["gamma"])
     assert gammas == [1e-14, 1e-3]
@@ -636,11 +682,11 @@ def test_config_file_reaches_the_tikhonov_path(runner, near_degenerate, tmp_path
     ({"optimization": {"max_iters": 300}}, "max_iters"),
     ({"optimization": {"seed": 3}}, "seed"),
 ])
-def test_config_rejects_removed_and_unknown_keys(runner, near_degenerate, tmp_path, config, key):
+def test_config_rejects_removed_and_unknown_keys(near_degenerate, tmp_path, config, key):
     out = tmp_path / "rule.json"
     args = ["--config", _write(tmp_path, "cfg.json", config), "--output", str(out),
             "synthesize", near_degenerate]
-    result = runner.invoke(cli, args, obj={})
+    result = run_cli(args)
     assert result.exit_code == 3
     assert result.stderr.startswith("error: ") and f"'{key}'" in result.stderr
     assert "Traceback" not in result.output

@@ -16,9 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from shiftrules.cli import cli
+from conftest import run_cli
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -48,8 +47,7 @@ def _run(name: str, workdir: Path) -> str:
     spectrum.write_text(json.dumps({"eigenvalues": [float(v) for v in eigenvalues]}))
     out = workdir / f"{name}.rule.json"
     command, *options = args
-    result = CliRunner().invoke(
-        cli, ["--seed", "0", "--output", str(out), command, str(spectrum), *options], obj={})
+    result = run_cli(["--seed", "0", "--output", str(out), command, str(spectrum), *options])
     assert result.exit_code == 0, result.output
     return out.read_text()
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,17 @@ def test_overflowing_derivative_target_is_ill_posed():
     with pytest.raises(IllPosedError, match="overflows"):
         build_reduced_system(freq, [0.5, 1.0, 1.5], ((1000, 1.0),))
     assert np.isfinite(build_system(freq, phases, ((100, 1.0),)).rhs).all()
+
+
+def test_overflowing_coefficients_are_ill_posed():
+    """(0, 1, 2) at p = 1000: the target 2^1000 is finite, sum b^2 is not."""
+    freq = frequency_differences(Spectrum((0.0, 1.0, 2.0)))
+    phases = well_posed_phases(freq, np.random.default_rng(4))
+    with warnings.catch_warnings():  # and no overflow warning on the way
+        warnings.simplefilter("error")
+        with pytest.raises(IllPosedError, match="coefficient norm overflows"):
+            synthesize_rule(freq, phases, ((1000, 1.0),))
+    assert np.isfinite(synthesize_rule(freq, phases, ((400, 1.0),)).square_norm)
 
 
 def test_solve_direct_equidistant_phases():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -377,3 +378,17 @@ def test_regularized_descent_reaches_stationary_point():
                    options=dict(maxiter=2000, ftol=1e-18, gtol=1e-12))
     S = regularized_stationarity_residual(freq, res.x, gamma)
     assert np.abs(S).max() <= 1e-6
+
+
+def test_optimizer_rejects_points_whose_square_norm_overflows():
+    """(0, 1, 2): no Newton step is taken from a point whose sum b^2, gradient or
+    Hessian overflows, so high orders end in IllPosedError or an uncertified rule."""
+    freq = frequency_differences(Spectrum((0.0, 1.0, 2.0)))
+    phi0 = closed_form_rule(EquidistantStructure(3, 1.0), 1).phases
+    with warnings.catch_warnings():  # and no overflow warning on the way
+        warnings.simplefilter("error")
+        with pytest.raises(IllPosedError, match="ill-posed"):
+            optimize_shifts(freq, phi0, orders=((700, 1.0),))
+        _, rule = optimize_shifts(freq, phi0, orders=((500, 1.0),))
+    assert np.isfinite(rule.square_norm) and not rule.diagnostics["certified"]
+    assert rule.square_norm < synthesize_rule(freq, phi0, ((500, 1.0),)).square_norm
