@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 validation failure, 2 ill-posed or infeasible
 problem, 3 invalid input, usage errors included.  Reports are JSON on
 stdout (or --output).
 
-Each command imports the modules it runs inside its body, so a process
-loads only those (``analyze`` needs no module but ``spectrum``).
+Each command imports the modules it runs, numpy included, inside its
+body, so a process loads only those: ``analyze``, ``--help`` and usage
+errors load no numpy and no module but ``serialize`` and ``spectrum``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-
-import numpy as np
 
 from . import serialize
 from .spectrum import (
@@ -61,6 +60,8 @@ def _auto_phases(freq, seed):
     1e-2 times the largest gap.  Gap values closer than the floor are
     unresolvable at practical shifts and surface as ill-posed downstream.
     """
+    import numpy as np
+
     from .synthesis import _singular_value_condition
 
     freqs = np.asarray(freq.unique_frequencies)
@@ -73,6 +74,8 @@ def _auto_phases(freq, seed):
 
 
 def _parse_phases(text):
+    import numpy as np
+
     try:
         phases = np.asarray([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
@@ -90,7 +93,7 @@ def _analyze(obj, spectrum_file):
         "delta": cls.delta,
         "epsilon": cls.epsilon,
         "m": freq.m,
-        "distinct_gaps": [float(g) for g in freq.distinct_gaps],
+        "distinct_gaps": list(freq.signed_gaps),
         "unique_frequencies": list(freq.unique_frequencies),
         "multiplicities": list(freq.multiplicities),
         "label": spec.label,
@@ -188,6 +191,8 @@ def _synthesize(obj, spectrum_file, order, method, phases):
 
 
 def _random_models(frequencies, count, seed):
+    import numpy as np
+
     from .fourier import FourierModel
 
     rng = np.random.default_rng(seed)
@@ -203,6 +208,8 @@ def _random_models(frequencies, count, seed):
 
 def _validate(obj, rule_file, model, t_grid, bound):
     """Check a rule against the exact analytic oracle on a t-grid."""
+    import numpy as np
+
     from .fourier import analytic_derivative, evaluate_models
 
     t0 = time.perf_counter()
@@ -325,6 +332,8 @@ def _optimize(obj, spectrum_file, order, phases):
 
 def _variance(obj, rule_file, sigma, shots, eta):
     """Analytic vs empirical estimator variance and the Chebyshev interval."""
+    import numpy as np
+
     from .fourier import FourierModel, NoiseSpec, sample_noisy_batch
     from .variance import confidence_interval, variance_of_estimate
 

@@ -23,6 +23,7 @@ from .synthesis import (
     FIRST_DERIVATIVE,
     LinearSystem,
     ShiftRule,
+    _coefficient_norm,
     _finite,
     _singular_value_condition,
     build_system,
@@ -78,21 +79,24 @@ def tikhonov_solve(sys: LinearSystem, gamma: float) -> RegularizedSolution:
     columns = phases).  The minimizer for a conjugate-row-paired system
     is real up to round-off; the real part is returned, and ``residual``
     is |E b - mu| for those real coefficients, the ones a rule stores.
+    Raises IllPosedError when their sum b^2 overflows.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     U, s, Vh = sys.svd
     b = Vh.conj().T @ (s / (s**2 + gamma) * (U.conj().T @ sys.rhs))
     coeffs = b.real.copy()
+    norm = _coefficient_norm(coeffs, "tikhonov_solve")
     return RegularizedSolution(
         coefficients=coeffs,
         gamma=float(gamma),
         residual=float(np.linalg.norm(sys.matrix @ coeffs - sys.rhs)),
-        norm=float(np.linalg.norm(coeffs)),
+        norm=norm,
         max_imag_discarded=float(np.abs(b.imag).max()),
     )
 
 
+@np.errstate(over="ignore")  # an overflowing residual is inf; tikhonov_solve refuses its rule
 def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> GammaSelection:
     """Pick gamma so the residual matches the error target (discrepancy principle).
 

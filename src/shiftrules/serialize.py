@@ -12,11 +12,11 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .spectrum import DEFAULT_REL_TOL, Spectrum
 
-if TYPE_CHECKING:  # each loader imports its module when it runs
+if TYPE_CHECKING:  # each loader imports its module, numpy included, when it runs
+    import numpy as np
+
     from .fourier import FourierModel
     from .regularization import RegularizationConfig
     from .synthesis import ShiftRule
@@ -28,13 +28,11 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float):  # np.float64 included
         v = float(obj)
         return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
+    if hasattr(obj, "tolist"):  # any other numpy scalar or array
+        return _sanitize(obj.tolist())
     return obj
 
 
@@ -115,6 +113,8 @@ def save_rule(rule: ShiftRule, path: str | Path) -> None:
 
 
 def _finite_vector(data: dict, key: str, path) -> np.ndarray:
+    import numpy as np
+
     values = data.get(key, [])
     if not isinstance(values, list) or not all(_is_number(v) for v in values):
         raise ValueError(f"{path}: '{key}' must be an array of numbers")

@@ -11,8 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, reduce
+from operator import add
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads only where an array is built
+    import numpy as np
 
 DEFAULT_DEDUP_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-9
@@ -47,6 +51,8 @@ class Spectrum:
         return len(self.eigenvalues)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.eigenvalues, dtype=float)
 
 
@@ -56,7 +62,7 @@ class FrequencySet:
 
     ``unique_frequencies`` are strictly increasing; ``multiplicities[j]``
     counts the eigenvalue pairs k > l whose gap merged into frequency j.
-    ``distinct_gaps`` and the system size ``m`` derive from the frequencies.
+    The signed gaps and the system size ``m`` derive from the frequencies.
     """
 
     unique_frequencies: tuple[float, ...]
@@ -75,13 +81,17 @@ class FrequencySet:
     def m(self) -> int:
         return 2 * len(self.unique_frequencies) + 1
 
+    @cached_property
+    def signed_gaps(self) -> tuple[float, ...]:
+        """Distinct gap values ordered (0, +w1, -w1, +w2, -w2, ...)."""
+        return (0.0, *(g for w in self.unique_frequencies for g in (w, -w)))
+
     @property
     def distinct_gaps(self) -> np.ndarray:
-        """Distinct gap values ordered (0, +w1, -w1, +w2, -w2, ...)."""
-        w = np.asarray(self.unique_frequencies, dtype=float)
-        out = np.empty(self.m)
-        out[0], out[1::2], out[2::2] = 0.0, w, -w
-        return out
+        """``signed_gaps`` as a float array."""
+        import numpy as np
+
+        return np.array(self.signed_gaps, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,7 @@ def _dedup_values(values, tol: float) -> list[list[int]]:
     value order and members in ascending value order: two sorted neighbours
     share a group when they differ by less than tol.
     """
-    vals = np.asarray(values, dtype=float).tolist()
+    vals = [float(v) for v in values]
     groups: list[list[int]] = []
     for i in sorted(range(len(vals)), key=vals.__getitem__):
         if groups and vals[i] - vals[groups[-1][-1]] < tol:
@@ -147,11 +157,32 @@ def frequency_differences(spectrum: Spectrum, dedup_tol: float = DEFAULT_DEDUP_T
 
 
 def _group_means(values, groups) -> tuple[float, ...]:
-    """np.mean of each group of values; a group of one keeps its value as it is."""
-    return tuple(
-        values[g[0]] if len(g) == 1 else float(np.mean([values[i] for i in g]))
-        for g in groups
-    )
+    """The mean of each group of values; a group of one keeps its value as it is."""
+    return tuple(values[g[0]] if len(g) == 1 else _mean([values[i] for i in g]) for g in groups)
+
+
+def _mean(values) -> float:
+    """float(np.mean(values)) bit for bit."""
+    return _pairwise_sum(values) / len(values)
+
+
+def _pairwise_sum(v) -> float:
+    """numpy's pairwise float64 summation.
+
+    Below 8 values the sum runs in order; up to 128 values it runs 8
+    interleaved sums, adds them pairwise and then the remainder; above
+    128 it splits at n // 2 rounded down to a multiple of 8.  Every sum
+    starts at +0.0, as numpy's does (np.mean([-0.0, -0.0]) is +0.0).
+    """
+    n = len(v)
+    if n < 8:
+        return reduce(add, v, 0.0)
+    if n <= 128:
+        tail = n - n % 8
+        r = [reduce(add, v[j:tail:8], 0.0) for j in range(8)]
+        return reduce(add, v[tail:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
 
 
 def classify_structure(spectrum: Spectrum, rel_tol: float = DEFAULT_REL_TOL) -> StructureClass:
@@ -163,11 +194,12 @@ def classify_structure(spectrum: Spectrum, rel_tol: float = DEFAULT_REL_TOL) -> 
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-    gaps = np.diff(spectrum.as_array())
-    delta = float(gaps.mean())
+    lam = spectrum.eigenvalues
+    gaps = [b - a for a, b in zip(lam, lam[1:])]
+    delta = _mean(gaps)
     if delta <= 0:
         return StructureClass(StructureKind.UNSTRUCTURED)
-    eps = float(np.abs(gaps - delta).max())
+    eps = max(abs(g - delta) for g in gaps)
     if eps <= rel_tol * delta:
         return StructureClass(StructureKind.EQUIDISTANT, delta=delta)
     if eps <= PERTURBED_FRACTION * delta:

@@ -264,12 +264,17 @@ def _capped_solve(E: np.ndarray, rhs: np.ndarray):
     return np.linalg.solve(E, rhs), cond
 
 
-def _extract_real(b: np.ndarray, context: str, condition_number=None) -> tuple[np.ndarray, float]:
+def _coefficient_norm(b: np.ndarray, context: str, condition_number=None) -> float:
+    """|b|; IllPosedError when sum b^2 overflows, so no finite square-norm or variance."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(b))
-    if not np.isfinite(norm):  # sum b^2 overflows, so no finite square-norm or variance
+    if not np.isfinite(norm):
         raise IllPosedError(f"{context}: coefficient norm overflows", condition_number=condition_number)
-    scale = max(norm, 1e-300)
+    return norm
+
+
+def _extract_real(b: np.ndarray, context: str, condition_number=None) -> tuple[np.ndarray, float]:
+    scale = max(_coefficient_norm(b, context, condition_number), 1e-300)
     max_imag = float(np.abs(b.imag).max())
     if max_imag > IMAG_TOL * scale:
         raise IllPosedError(

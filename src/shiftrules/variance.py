@@ -158,10 +158,11 @@ def _evaluate_reduced(freq, x, orders) -> _Point | None:
 
 
 def _screen(freq, orders, width, rng) -> np.ndarray:
-    """SCREEN_SIZE seeded x in (0, width/2)^R by sum b^2 from one batched solve, no cap.
+    """The SCREEN_SIZE seeded x in (0, width/2)^R whose sum b^2 is finite, ascending.
 
-    An exactly singular point fails the batched solve; then each point is
-    solved alone and the singular ones rank last.
+    Sum b^2 comes from one batched solve, without the cap.  An exactly
+    singular point fails that solve; then each point is solved alone.
+    Singular points and points whose sum b^2 overflows are left out.
     """
     xs = rng.uniform(0.0, width / 2, (SCREEN_SIZE, len(freq.unique_frequencies)))
     rs = build_reduced_system(freq, xs, orders)
@@ -171,7 +172,8 @@ def _screen(freq, orders, width, rng) -> np.ndarray:
         values = np.array([_square_norm_or_inf(M, rs.rhs) for M in rs.matrix])
     else:
         values = np.einsum("ij,ij->i", u[..., 0], u[..., 0])
-    return xs[np.argsort(values, kind="stable")]
+    order = np.argsort(values, kind="stable")
+    return xs[order[np.isfinite(values[order])]]
 
 
 def _square_norm_or_inf(M, t) -> float:

@@ -132,7 +132,7 @@ def test_validate_fails_on_non_finite_errors(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["synthesize", "--order", "1000"], ["synthesize", "--order", "1000", "--method", "direct"],
-    ["optimize", "--order", "1000"],
+    ["optimize", "--order", "1000"], ["synthesize", "--order", "1000", "--method", "tikhonov"],
 ])
 def test_overflowing_coefficients_exit_ill_posed(tmp_path, args):
     """(0, 1, 2): the target 2^p is finite, but sum b^2 overflows."""

@@ -1,4 +1,6 @@
-"""Property tests over random spectra: one gap grouping, exact synthesized rules."""
+"""Property tests over random spectra: one gap grouping, exact synthesized rules, numpy-equal statistics."""
+
+import json
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from shiftrules import (
     HamiltonianModel,
     Spectrum,
+    StructureKind,
+    classify_structure,
     compatibility_residual,
     condition_number,
     frequency_differences,
@@ -15,6 +19,8 @@ from shiftrules import (
     synthesize_rule,
 )
 from shiftrules.cli import _auto_phases
+from shiftrules.serialize import dumps_report
+from shiftrules.spectrum import DEFAULT_REL_TOL, PERTURBED_FRACTION, StructureClass, _mean
 from shiftrules.synthesis import build_system
 
 MIN_SEPARATION = 1e-3
@@ -75,3 +81,53 @@ def test_auto_phases_give_exact_direct_rule(spec, seed):
     freq = frequency_differences(spec)
     rule = synthesize_rule(freq, _auto_phases(freq, seed))
     assert compatibility_residual(rule, freq) <= 1e-8
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.3, 1.0]))
+def test_mean_is_numpy_mean_bit_for_bit(n, seed, zeros):
+    # lengths 1-300 reach the sequential (< 8), 8-way (8-128) and split (> 128) sums;
+    # magnitudes span 60 decades, and a share of the values is -0.0
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, size=n)
+    values = np.where(rng.random(n) < zeros, -0.0, values).tolist()
+    assert _mean(values).hex() == float(np.mean(values)).hex()
+
+
+@st.composite
+def near_equidistant_spectra(draw):
+    """Sorted spectra, n <= 140: steps delta * (1 + u), u uniform within a drawn spread."""
+    n, seed = draw(st.integers(2, 140)), draw(st.integers(0, 2**32 - 1))
+    delta, start = draw(st.floats(1e-3, 1e3)), draw(st.floats(-1e3, 1e3))
+    spread = draw(st.sampled_from([0.0, 1e-12, 1e-6, 0.04, 0.5]))
+    u = np.random.default_rng(seed).uniform(-spread, spread, n - 1)
+    lam = [start]
+    for step in (delta * (1.0 + u)).tolist():
+        lam.append(lam[-1] + step)
+    return Spectrum(tuple(lam))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(spec=near_equidistant_spectra())
+def test_classification_uses_numpy_gap_statistics_bit_for_bit(spec):
+    gaps = np.diff(spec.as_array())
+    delta = float(gaps.mean())
+    eps = float(np.abs(gaps - delta).max())
+    if delta <= 0 or eps > PERTURBED_FRACTION * delta:
+        expected = StructureClass(StructureKind.UNSTRUCTURED)
+    elif eps <= DEFAULT_REL_TOL * delta:
+        expected = StructureClass(StructureKind.EQUIDISTANT, delta=delta)
+    else:
+        expected = StructureClass(StructureKind.PERTURBED_EQUIDISTANT, delta=delta, epsilon=eps)
+    assert classify_structure(spec) == expected  # positive floats: == is bit equality
+
+
+def test_report_sanitizes_numpy_values_as_before():
+    data = {"f32": np.float32(0.1), "i64": np.int64(-7), "f64": np.float64(1 / 3),
+            "values": np.array([1.5, np.nan, np.inf, -np.inf]), "grid": np.arange(4.0).reshape(2, 2),
+            "nested": [np.float32(np.inf), (np.int64(2), np.float64(-0.0)), {"n": np.float64(np.nan)}],
+            "plain": [2.5, 3, None, "text", True, float("inf")]}
+    expected = {"f32": 0.10000000149011612, "i64": -7, "f64": 0.3333333333333333,
+                "values": [1.5, None, None, None], "grid": [[0.0, 1.0], [2.0, 3.0]],
+                "nested": [None, [2, -0.0], {"n": None}], "plain": [2.5, 3, None, "text", True, None]}
+    assert dumps_report(data) == json.dumps(expected, indent=2, sort_keys=True)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,19 @@ def test_regularized_rule_factors_once(monkeypatch):
     regularized_rule(freq, phases, cfg=RegularizationConfig(data_error=1e-3))
     regularized_rule(freq, phases, cfg=RegularizationConfig(gamma=1e-6))
     assert calls == {"svd": 2, "solve": 0}
+
+
+def test_overflowing_coefficients_are_ill_posed():
+    """(0, 1, 2) at p = 1000: the target 2^1000 is finite, the Tikhonov sum b^2 is not."""
+    freq = frequency_differences(Spectrum((0.0, 1.0, 2.0)))
+    phases = well_posed_phases(freq, np.random.default_rng(4))
+    with warnings.catch_warnings():  # and no overflow warning on the way
+        warnings.simplefilter("error")
+        for cfg in (RegularizationConfig(), RegularizationConfig(gamma=1e-6),
+                    RegularizationConfig(data_error=1.0)):
+            with pytest.raises(IllPosedError, match="coefficient norm overflows"):
+                regularized_rule(freq, phases, ((1000, 1.0),), cfg)
+    assert np.isfinite(regularized_rule(freq, phases, ((400, 1.0),)).diagnostics["solution_norm"])
 
 
 def test_config_validation():

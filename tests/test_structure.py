@@ -35,18 +35,18 @@ print(json.dumps(sorted(m for m in sys.modules
                         if m.startswith("shiftrules.") or m.split(".")[0] == "scipy")))
 """
 
-# Runs the CLI as ``python -m shiftrules.cli ARGS`` does, then prints the
-# package's loaded submodules and click's modules, if any.  The CLI module
-# itself runs as __main__.
+# Runs the CLI as ``python -m shiftrules.cli ARGS`` does, then prints, on
+# the last line, its exit code and the package's loaded submodules plus
+# "numpy" if numpy is loaded.  The CLI module itself runs as __main__.
 _CLI_PROBE = """
 import json, runpy, sys
 sys.argv = ["shiftrules", *sys.argv[1:]]
+code = 0
 try:
     runpy.run_module("shiftrules.cli", run_name="__main__")
 except SystemExit as exc:
-    assert not exc.code, exc.code
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.startswith("shiftrules.") or m.split(".")[0] == "click")))
+    code = exc.code or 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("shiftrules.") or m == "numpy")]))
 """
 
 
@@ -55,7 +55,7 @@ def _probe(code, *args, cwd=None):
     result = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout)
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 def test_import_leaves_checks_and_scipy_unloaded():
@@ -67,9 +67,12 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for name, eigenvalues in (("s7", [0.0, 1.0, 2.5]), ("near", [0.0, 1.0, 1.0 + 1e-9]),
                               ("eq", [0.0, 1.0, 2.0])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"eigenvalues": eigenvalues}))
+    front = {"serialize", "spectrum"}  # no numpy: cli imports it where it computes with arrays
     optimize = {"serialize", "spectrum", "synthesis", "variance"}
     runs = {  # command -> (arguments, the modules it loads besides the CLI)
-        "analyze": (["analyze", "s7.json"], {"serialize", "spectrum"}),
+        "analyze": (["analyze", "s7.json"], front),
+        "help": (["--help"], front),
+        "usage error": (["synthesize", "s7.json", "--order", "abc"], front),
         "synthesize": (["--output", "rule.json", "synthesize", "s7.json", "--method", "direct"],
                        {"serialize", "spectrum", "synthesis"}),
         "validate": (["validate", "rule.json"], {"serialize", "spectrum", "synthesis", "fourier"}),
@@ -82,8 +85,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                                  optimize | {"equidistant"}),
     }
     for command, (args, modules) in runs.items():
-        loaded = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
-        assert loaded == sorted(f"shiftrules.{m}" for m in modules), command
+        code, loaded = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
+        assert code == (cli.EXIT_INVALID if command == "usage error" else 0), command
+        numpy = [] if modules == front else ["numpy"]
+        assert loaded == numpy + sorted(f"shiftrules.{m}" for m in modules), command
 
 
 def test_exports_come_from_one_table_and_resolve_to_their_module():

@@ -24,6 +24,7 @@ from shiftrules import (
     frequency_differences,
     optimize_shifts,
     synthesize_rule,
+    variance,
     variance_of_estimate,
 )
 from shiftrules.checks import (
@@ -313,6 +314,25 @@ def test_optimize_screen_survives_exactly_singular_point():
     phi0, orders = _auto_phases(freq, 0), ((2, 1.0),)
     _, rule = optimize_shifts(freq, phi0, OptimizationConfig(), orders=orders)
     assert rule.square_norm < synthesize_rule(freq, phi0, orders).square_norm
+
+
+def test_screen_keeps_only_finite_points_in_order(monkeypatch):
+    """(0, 1, 2) at p = 1000: every screened sum b^2 overflows, so no start is
+    screened and only phi0 is descended before the optimizer gives up."""
+    freq = frequency_differences(Spectrum((0.0, 1.0, 2.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert len(variance._screen(freq, ((1000, 1.0),), 2 * np.pi, np.random.default_rng(0))) == 0
+    xs = variance._screen(freq, FIRST_DERIVATIVE, 2 * np.pi, np.random.default_rng(0))
+    rs = build_reduced_system(freq, xs, FIRST_DERIVATIVE)
+    values = [float(u @ u) for u in np.linalg.solve(rs.matrix, rs.rhs)]
+    assert len(xs) == variance.SCREEN_SIZE and values == sorted(values)
+    starts = []
+    newton = variance._newton
+    monkeypatch.setattr(variance, "_newton", lambda *args: starts.append(args[-1]) or newton(*args))
+    phi0 = closed_form_rule(EquidistantStructure(3, 1.0), 1).phases
+    with pytest.raises(IllPosedError, match="ill-posed"):
+        optimize_shifts(freq, phi0, orders=((1000, 1.0),))
+    assert len(starts) == 1 and np.array_equal(starts[0], phi0)
 
 
 def test_optimize_all_starts_ill_posed():
