@@ -2,8 +2,8 @@
 
 ``import shiftrules`` loads no submodule: each exported name imports its
 module on first access.  The paper's alternative closed forms (Cramer,
-Jacobi, determinant stationarity, ...) live in ``shiftrules.checks``,
-which is not exported here.
+Jacobi, determinant stationarity, ...) are test references and live in
+``tests/paper_forms.py``, outside the package.
 """
 
 from importlib import import_module

@@ -367,6 +367,13 @@ def _variance(obj, rule_file, sigma, shots, eta):
     }, to_file=True)
 
 
+def _seed(text: str) -> int:
+    """--seed's type: numpy's generators take only non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse where an option's value may begin with '-'; a usage error exits 3."""
 
@@ -396,7 +403,7 @@ def _parser() -> argparse.ArgumentParser:
         "Synthesize and validate parameter-shift rules from eigenvalue spectra."))
     parser.add_argument("--config", dest="config_path", metavar="PATH",
                         help="JSON config file (regularization and optimization settings).")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_seed, default=0,
                         help="Seed for every randomized choice. [default: %(default)s]")
     parser.add_argument("--output", metavar="PATH", help=(
         "Destination file (rule file for synthesize/optimize, report otherwise)."))

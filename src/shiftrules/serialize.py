@@ -125,7 +125,8 @@ def _finite_vector(data: dict, key: str, path) -> np.ndarray:
 
 
 def load_rule(path: str | Path) -> ShiftRule:
-    """Read a rule file; ValueError for a missing field, an invalid order or a non-finite value."""
+    """Read a rule file; ValueError for a missing field, an invalid order, a non-finite
+    value or frequencies that are not positive and strictly increasing."""
     from .synthesis import ShiftRule, _normalize_orders
 
     data = load_json(path)
@@ -136,11 +137,14 @@ def load_rule(path: str | Path) -> ShiftRule:
         orders = _normalize_orders((o["p"], o["weight"]) for o in data["orders"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed 'orders' entry: {exc!r}") from exc
+    frequencies = tuple(_finite_vector(data, "frequencies", path).tolist())
+    if not all(a < b for a, b in zip((0.0, *frequencies), frequencies)):
+        raise ValueError(f"{path}: 'frequencies' must be positive and strictly increasing")
     return ShiftRule(
         phases=_finite_vector(data, "phases", path),
         coefficients=_finite_vector(data, "coefficients", path),
         orders=orders,
-        frequencies=tuple(_finite_vector(data, "frequencies", path).tolist()),
+        frequencies=frequencies,
         diagnostics=dict(data.get("diagnostics", {})),
     )
 

@@ -8,7 +8,7 @@ Hessian of the solve, on the negation-symmetric phases (0, -x, +x)
 first: by symmetric criticality (Palais, Comm. Math. Phys. 69, 1979) a
 critical point there is one of the full problem.  The finite-difference
 and determinant forms of the stationarity conditions are cross-checks
-in ``shiftrules.checks``.
+in ``tests/paper_forms.py``.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ class OptimizationConfig:
     def __post_init__(self):
         if not (_finite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
-        n = self.multistarts
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-            raise ValueError(f"multistarts must be a non-negative integer, got {self.multistarts!r}")
+        for name in ("multistarts", "seed"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
 
 
 def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:
@@ -230,10 +231,9 @@ def _candidates(freq, orders, period, descents) -> list:
             point = _evaluate_point(freq, ph, orders)
         try:
             rule = synthesize_rule(freq, ph, orders)
-        except IllPosedError:
+        except IllPosedError:  # every ph past the cap, where _evaluate_point gives None
             continue
-        if point is not None:
-            out.append((rule.square_norm, np.abs(point.gradient).max() / 2, ph, rule, kind))
+        out.append((rule.square_norm, np.abs(point.gradient).max() / 2, ph, rule, kind))
     return out
 
 

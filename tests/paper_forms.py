@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .perturbation import PerturbationData
-from .regularization import tikhonov_solve
-from .spectrum import FrequencySet
-from .synthesis import (
+from shiftrules.perturbation import PerturbationData
+from shiftrules.regularization import tikhonov_solve
+from shiftrules.spectrum import FrequencySet
+from shiftrules.synthesis import (
     FIRST_DERIVATIVE,
     IMAG_TOL,
     IllPosedError,

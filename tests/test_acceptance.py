@@ -6,6 +6,7 @@ lines.  Every tolerance is pinned here; nothing is calibrated at runtime.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from shiftrules import (
     variance_of_estimate,
 )
 from shiftrules import serialize
-from shiftrules.checks import (
+from paper_forms import (
     cramer_coefficient,
     determinant_stationarity_residual,
     exact_perturbed_solution,
@@ -420,7 +421,7 @@ def test_criterion_11_cli_contract(tmp_path):
     checks.append(run_cli(["synthesize", bad]).exit_code == 3)
 
     # broken rule fails validation with exit 1
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     idx = int(np.argmax(np.abs(data["coefficients"])))
     data["coefficients"][idx] = 0.0
     broken = write("broken.json", data)

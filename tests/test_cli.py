@@ -173,6 +173,21 @@ def test_usage_errors_exit_invalid(tmp_path, args):
     assert not (tmp_path / "rule.json").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "validate", "optimize", "variance"])
+def test_negative_seed_is_a_usage_error(tmp_path, command):
+    target = _write(tmp_path, "rule.json", _RULE) if command in ("validate", "variance") \
+        else _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0, 2.5]})
+    out = tmp_path / "out.json"
+    result = run_cli(["--seed", "-1", "--output", str(out), command, target])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.stderr.splitlines()
+    assert lines[0].startswith("usage: ") and lines[-1].startswith("error: argument --seed")
+    assert sum(line.startswith("error") for line in lines) == 1
+    assert result.stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, name, value", [
     (["synthesize", "s.json", "--phases", "-0.35,-0.9"], "phases", "-0.35,-0.9"),
     (["synthesize", "s.json", "--phases=-0.35,-0.9"], "phases", "-0.35,-0.9"),
@@ -345,11 +360,11 @@ def test_validate_good_rule(eq_spectrum, tmp_path):
 def test_validate_broken_rule_fails(eq_spectrum, tmp_path):
     out = str(tmp_path / "rule.json")
     run_cli(["--output", out, "synthesize", eq_spectrum])
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     idx = int(np.argmax(np.abs(data["coefficients"])))
     data["coefficients"][idx] = 0.0
     broken = str(tmp_path / "broken.json")
-    open(broken, "w").write(json.dumps(data))
+    Path(broken).write_text(json.dumps(data))
     result = run_cli(["validate", broken])
     assert result.exit_code == 1
 
@@ -403,10 +418,10 @@ def _mixed_order_rule_file(tmp_path):
 
 
 def _broken_rule_file(tmp_path):
-    data = json.loads(open(_s7_rule_file(tmp_path)).read())
+    data = json.loads(Path(_s7_rule_file(tmp_path)).read_text())
     data["coefficients"][0] += 1e-3
     out = str(tmp_path / "broken-rule.json")
-    open(out, "w").write(json.dumps(data))
+    Path(out).write_text(json.dumps(data))
     return out
 
 
@@ -649,6 +664,24 @@ def test_malformed_input_exits_invalid(tmp_path, args):
     assert result.exit_code == 3
     assert "Traceback" not in result.output
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("frequencies", [[-1.0, 1.5, 2.5], [0.0, 1.0], [1.0, 1.0, 2.5], [2.5, 1.0]])
+@pytest.mark.parametrize("command", ["validate", "variance"])
+def test_rule_frequencies_must_increase_from_zero(tmp_path, command, frequencies):
+    rule = _write(tmp_path, "rule.json", dict(_RULE, frequencies=frequencies))
+    result = run_cli([command, rule])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stderr == f"error: {rule}: 'frequencies' must be positive and strictly increasing\n"
+    assert result.stdout == ""
+
+
+def test_rule_without_frequencies_still_loads(tmp_path):
+    rule = _write(tmp_path, "rule.json", dict(_RULE, frequencies=[]))
+    assert serialize.load_rule(rule).frequencies == ()
+    constant = _write(tmp_path, "model.json", {"a0": 0.5, "terms": []})
+    assert run_cli(["validate", rule, "--model", constant]).exit_code == 0
 
 
 @pytest.mark.parametrize("command", ["analyze", "synthesize", "validate", "optimize", "variance"])

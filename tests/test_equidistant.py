@@ -10,7 +10,7 @@ from shiftrules import (
     optimal_phases,
     solve_direct,
 )
-from shiftrules.checks import _dirichlet_kernel_ratio, dirichlet_kernel, orthogonality_residual
+from paper_forms import _dirichlet_kernel_ratio, dirichlet_kernel, orthogonality_residual
 from shiftrules.equidistant import normalized_system
 from shiftrules.synthesis import build_system
 

@@ -11,7 +11,7 @@ from shiftrules import (
     evaluate,
     from_hamiltonian,
 )
-from shiftrules.checks import vandermonde_expansion_coeffs
+from paper_forms import vandermonde_expansion_coeffs
 from shiftrules.fourier import sample_noisy_batch
 
 

@@ -8,7 +8,7 @@ from shiftrules import (
     perturbation_matrices,
 )
 from shiftrules.equidistant import normalized_system
-from shiftrules.checks import exact_perturbed_solution, linearized_solution
+from paper_forms import exact_perturbed_solution, linearized_solution
 
 
 def _unperturbed(n, delta=1.0):

@@ -20,7 +20,7 @@ from shiftrules import (
     solve_direct,
     tikhonov_solve,
 )
-from shiftrules.checks import build_full_system
+from paper_forms import build_full_system
 from shiftrules.regularization import GAMMA_MIN, select_gamma_discrepancy
 from shiftrules.variance import OptimizationConfig
 from shiftrules.synthesis import LinearSystem

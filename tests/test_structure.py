@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import paper_forms as checks
 import shiftrules
 from shiftrules import (
     OptimizationConfig,
     RegularizationConfig,
-    checks,
     cli,
     equidistant,
     fourier,
@@ -118,6 +118,13 @@ def test_no_cross_check_is_exported():
     assert not cross_checks & set(shiftrules.__all__)
     assert all(getattr(shiftrules, name, None) is not getattr(checks, name)
                for name in cross_checks)
+
+
+def test_package_holds_only_the_program():
+    modules = {path.stem for path in Path(shiftrules.__file__).parent.glob("*.py")}
+    assert modules <= {"__init__", "cli", "serialize", *shiftrules._EXPORTS}
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("shiftrules.checks")
 
 
 def test_public_surface_is_small():

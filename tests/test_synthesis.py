@@ -17,7 +17,7 @@ from shiftrules import (
     solve_direct,
     synthesize_rule,
 )
-from shiftrules.checks import build_full_system, cramer_coefficient, jacobi_coefficient
+from paper_forms import build_full_system, cramer_coefficient, jacobi_coefficient
 from shiftrules.synthesis import LinearSystem, ShiftRule, build_reduced_system, condition_number
 
 FREQ01 = frequency_differences(Spectrum((0.0, 1.0)))

@@ -27,7 +27,7 @@ from shiftrules import (
     variance,
     variance_of_estimate,
 )
-from shiftrules.checks import (
+from paper_forms import (
     determinant_stationarity_residual,
     regularized_stationarity_residual,
     stationarity_residual,
@@ -61,6 +61,13 @@ def test_variance_is_linear_in_noise():
 def test_variance_rejects_negative():
     with pytest.raises(ValueError):
         variance_of_estimate(EQ_RULE, [-1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("field, value", [("seed", -1), ("seed", True), ("seed", 1.5),
+                                          ("multistarts", -1), ("multistarts", 2.9)])
+def test_optimization_config_rejects_bad_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a non-negative integer"):
+        OptimizationConfig(**{field: value})
 
 
 def test_confidence_interval_closed_form():
