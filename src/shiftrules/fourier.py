@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import DEFAULT_DEDUP_TOL, _dedup_values
+from .synthesis import _check_non_negative_int
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.sigma < np.inf:
             raise ValueError("sigma must be finite and non-negative")
+        _check_non_negative_int("seed", self.seed)
 
 
 def evaluate(model: FourierModel, t):
@@ -165,7 +167,8 @@ def from_hamiltonian(hm: HamiltonianModel) -> FourierModel:
 def _stream(noise: NoiseSpec, t: float) -> np.random.Generator:
     # Keyed by (seed, bit pattern of t): reproducible and order-independent.
     t_bits = int(np.float64(t).view(np.uint64))
-    return np.random.default_rng([noise.seed & 0xFFFFFFFFFFFFFFFF, t_bits])
+    # int(): a numpy integer seed & the 64-bit mask overflows
+    return np.random.default_rng([int(noise.seed) & 0xFFFFFFFFFFFFFFFF, t_bits])
 
 
 def sample_noisy_batch(model: FourierModel, t: float, noise: NoiseSpec, shots: int) -> np.ndarray:

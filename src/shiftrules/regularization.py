@@ -9,11 +9,15 @@ Review 34, 1992): one factorization serves every gamma, and the normal
 equations, which square cond(E), are never formed.  The residual
 r(gamma)^2 = sum (gamma / (s^2 + gamma))^2 |U^dag mu|^2 + |mu - U U^dag mu|^2
 is non-decreasing in gamma; gamma is either supplied or picked by the
-discrepancy principle, where r(gamma) meets the known error level.
+discrepancy principle, where r(gamma) meets the known error level.  The
+bisection for it decides each step in Python floats from |U^dag mu|_i and
+s_i^2, taken once, and falls back to the numpy residual only when the
+float value is within round-off of the target.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +111,13 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
     When r(GAMMA_MIN) already reaches the target, GAMMA_MIN is returned
     with status "target_below_min"; when r(GAMMA_MAX) stays at or below
     it, GAMMA_MAX with status "target_above_max".
+
+    Each bisection step compares the float sum
+    |mu - U U^dag mu|^2 + sum_i (|U^dag mu|_i gamma / (s_i^2 + gamma))^2 with
+    target^2.  When the two lie within max(1e-13, 8 m eps) (relative) of
+    each other, the numpy ``residual`` decides instead.  Both forms
+    agree far closer than that, so every step goes the way the numpy
+    form alone would send it, and gamma is the same float.
     """
     target = float(cfg.data_error)
     U, s, _ = sys.svd
@@ -125,12 +136,33 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
     r_max = residual(GAMMA_MAX)
     if r_max <= target:
         return GammaSelection(GAMMA_MAX, r_max, target, "target_above_max")
-    lo, hi = np.log(GAMMA_MIN), np.log(GAMMA_MAX)
+    # The float form of r(gamma)^2 below and residual()^2 are sums of at most 2m + 1
+    # non-negative terms, so each lies within about (2m + 30) ulp of the true value
+    # (5 eps apart at most, measured up to m = 133): a float form further than
+    # `margin` from target^2 decides as residual() would.  For a target inside
+    # (1e-140, 1e140) no square that matters underflows or overflows.
+    floats = 1e-140 < target < 1e140
+    target2, margin = target * target, max(1e-13, 8 * len(s) * math.ulp(1.0))
+    pairs = list(zip(np.abs(beta).tolist(), s2.tolist()))
+    outside2 = float(outside) ** 2
+
+    def below(mid):
+        """residual(exp(mid)) < target, from the float form unless it is too close to call."""
+        if floats:
+            g, r2 = math.exp(mid), outside2
+            for a, t in pairs:
+                c = a * (g / (t + g))
+                r2 += c * c
+            if abs(r2 - target2) > margin * target2:
+                return r2 < target2
+        return residual(np.exp(mid)) < target
+
+    lo, hi = float(np.log(GAMMA_MIN)), float(np.log(GAMMA_MAX))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # every further step keeps 0.5 * (lo + hi) == mid
-        if residual(np.exp(mid)) < target:
+        if below(mid):
             lo = mid
         else:
             hi = mid

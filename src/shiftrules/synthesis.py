@@ -45,6 +45,11 @@ class IllPosedError(RuntimeError):
         self.condition_number = condition_number
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """The design system E b = mu for a fixed gap set, phase vector and target."""
@@ -61,8 +66,11 @@ class LinearSystem:
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD (U, s, Vh) of E, computed once per system."""
-        return np.linalg.svd(self.matrix, full_matrices=False)
+        """Thin SVD (U, s, Vh) of E, computed once per system; read-only, like the system."""
+        usv = np.linalg.svd(self.matrix, full_matrices=False)
+        for a in usv:
+            _read_only(a)
+        return usv
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,12 @@ def _finite(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _check_non_negative_int(name: str, n) -> None:
+    """ValueError unless n is a non-negative integer; a bool or a float is not one."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
+
+
 def _integer_order(p) -> int:
     if not _finite(p) or not float(p).is_integer():
         raise ValueError(f"derivative orders must be integers, got {p!r}")
@@ -127,6 +141,10 @@ def _gap_rhs(gaps: np.ndarray, orders: Orders) -> np.ndarray:
     return rhs
 
 
+# The last system build_system made, as (key, LinearSystem); see build_system.
+_last_system: tuple | None = None
+
+
 def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearSystem:
     """Build the design system with one row per distinct gap value.
 
@@ -134,17 +152,30 @@ def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearS
     the all-ones row with right-hand side 0 for pure derivative targets,
     and rows come in conjugate pairs.  The number of phases may differ
     from freq.m; only the direct solver insists on a square system.
+
+    The system's arrays are read-only, and a call with the same
+    frequencies, phase values and orders as the previous call returns
+    the previous system, so its cached ``svd`` serves both: the cap
+    check and the Tikhonov fallback of one request share one build.
     """
-    phases = np.asarray(phases, dtype=float)
+    global _last_system
+    phases = np.array(phases, dtype=float)  # a copy: the caller may change its array later
     if phases.ndim != 1 or len(phases) == 0:
         raise ValueError("phases must be a non-empty 1-d sequence")
     if not np.isfinite(phases).all():
         raise ValueError("phases must be finite")
     orders = _normalize_orders(orders)
-    gaps = freq.distinct_gaps
-    E = np.exp(1j * np.outer(gaps, phases))
-    return LinearSystem(matrix=E, rhs=_gap_rhs(gaps, orders), row_gaps=gaps, phases=phases,
-                        orders=orders)
+    # repr tells a -0.0 weight from 0.0, which the rules' orders labels keep
+    key = (freq, phases.tobytes(), repr(orders))
+    last = _last_system
+    if last is not None and last[0] == key:
+        return last[1]
+    gaps = _read_only(freq.distinct_gaps)
+    sys = LinearSystem(matrix=_read_only(np.exp(1j * np.outer(gaps, phases))),
+                       rhs=_read_only(_gap_rhs(gaps, orders)), row_gaps=gaps,
+                       phases=_read_only(phases), orders=orders)
+    _last_system = (key, sys)
+    return sys
 
 
 @dataclass(frozen=True)
@@ -219,12 +250,19 @@ def check_phase_distinctness(phases, frequencies) -> None:
     When the positive gaps share a generator g, every matrix column is
     periodic in its phase with period 2*pi/g, so phases equal modulo that
     period produce identical columns; the constraint is
-    phi_i != phi_j + 2*pi*c / g for every integer c.
+    phi_i != phi_j + 2*pi*c / g for every integer c.  When the phases
+    span less than half a period, sorted neighbours decide; the error
+    names the first offending pair (i, j) in input order.
     """
     phases = np.asarray(phases, dtype=float).tolist()
     g = gap_generator(frequencies)
     tol = 1e-12 * max(1.0, max(map(abs, phases)))
     period = None if g is None else 2 * np.pi / g
+    ordered = sorted(phases)
+    if period is None or ordered[-1] - ordered[0] < 0.5 * period:
+        # every distance below is then |phi_i - phi_j|, and sorted neighbours hold the smallest
+        if all(b - a >= tol for a, b in zip(ordered, ordered[1:])):
+            return
     # plain floats: Python's % equals np.remainder for these non-negative operands
     for i, a in enumerate(phases):
         for j in range(i + 1, len(phases)):

@@ -13,7 +13,6 @@ in ``tests/paper_forms.py``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -27,6 +26,7 @@ from .synthesis import (
     IllPosedError,
     Orders,
     ShiftRule,
+    _check_non_negative_int,
     _finite,
     _normalize_orders,
     build_reduced_system,
@@ -66,9 +66,7 @@ class OptimizationConfig:
         if not (_finite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
         for name in ("multistarts", "seed"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
+            _check_non_negative_int(name, getattr(self, name))
 
 
 def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:

@@ -207,3 +207,16 @@ def test_noise_sample_mean_near_exact():
 def test_noise_spec_rejects_negative_sigma():
     with pytest.raises(ValueError):
         NoiseSpec(sigma=-0.1, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64) + 1, True, 1.5, 2.0, "3", None])
+def test_noise_spec_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        NoiseSpec(sigma=1.0, seed=seed)
+
+
+def test_noise_spec_accepts_integer_seeds_with_unchanged_draws():
+    model = FourierModel(a0=0.0)
+    for seed in (0, np.int64(7), 2**64 - 1, 2**70):
+        want = np.random.default_rng([int(seed) % 2**64, 0]).standard_normal(3)
+        assert np.array_equal(sample_noisy_batch(model, 0.0, NoiseSpec(1.0, seed), 3), want)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spectrum, well_posed_phases
 from shiftrules import (
@@ -18,12 +20,15 @@ from shiftrules import (
     frequency_differences,
     regularized_rule,
     solve_direct,
+    synthesize_rule,
     tikhonov_solve,
 )
 from paper_forms import build_full_system
-from shiftrules.regularization import GAMMA_MIN, select_gamma_discrepancy
+from shiftrules import synthesis
+from shiftrules.regularization import GAMMA_MAX, GAMMA_MIN, select_gamma_discrepancy
 from shiftrules.variance import OptimizationConfig
 from shiftrules.synthesis import LinearSystem
+from test_bit_identity import _ref_select_gamma_discrepancy
 
 
 def _noisy_system(sys, noise):
@@ -251,7 +256,7 @@ def test_regularized_rule_factors_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting("solve", solve))
     regularized_rule(freq, phases, cfg=RegularizationConfig(data_error=1e-3))
     regularized_rule(freq, phases, cfg=RegularizationConfig(gamma=1e-6))
-    assert calls == {"svd": 2, "solve": 0}
+    assert calls == {"svd": 1, "solve": 0}
 
 
 def test_overflowing_coefficients_are_ill_posed():
@@ -280,3 +285,88 @@ def test_config_validation():
     for bad in (-1, 2.9, True):
         with pytest.raises(ValueError, match="multistarts"):
             OptimizationConfig(multistarts=bad)
+
+
+def _library_ill_posed():
+    # a library-sweep ill-posed request: gaps 1 and 1 + 1e-9 at seeded phases
+    freq = frequency_differences(Spectrum((0.0, 1.0, 1.0 + 1e-9, 2.6)))
+    return freq, -np.random.default_rng(5).uniform(1e-3, 2 * np.pi / 0.01, freq.m)
+
+
+def test_ill_posed_request_shares_one_system(monkeypatch):
+    freq, phases = _library_ill_posed()
+    svd, calls = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    cfgs = (RegularizationConfig(), RegularizationConfig(data_error=1e-6))
+    monkeypatch.setattr(synthesis, "_last_system", None)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    with pytest.raises(IllPosedError, match="exceeds cap"):
+        synthesize_rule(freq, phases)
+    shared = [regularized_rule(freq, phases, cfg=cfg) for cfg in cfgs]
+    assert calls == [False, True]  # the cap check's values, then one thin SVD
+    fresh = []
+    for cfg in cfgs:
+        monkeypatch.setattr(synthesis, "_last_system", None)
+        fresh.append(regularized_rule(freq, phases, cfg=cfg))
+    assert len(calls) == 4
+    assert shared[1].diagnostics["gamma_selection"] == "bracketed"
+    for a, b in zip(shared, fresh, strict=True):
+        assert np.array_equal(a.phases, b.phases) and np.array_equal(a.coefficients, b.coefficients)
+        assert (a.orders, a.frequencies, a.diagnostics) == (b.orders, b.frequencies, b.diagnostics)
+
+
+def test_build_system_reuses_only_identical_inputs():
+    freq, phases = _library_ill_posed()
+    first = build_system(freq, phases)
+    assert build_system(frequency_differences(Spectrum((0.0, 1.0, 1.0 + 1e-9, 2.6))),
+                        list(phases), [(1, 1.0)]) is first
+    phases[0] += 0.25  # the caller's array, changed in place
+    second = build_system(freq, phases)
+    assert second is not first
+    assert second.phases[0] == phases[0] != first.phases[0]
+    assert not np.array_equal(second.matrix[:, 0], first.matrix[:, 0])
+    assert build_system(freq, phases, [(1, -0.0), (1, 1.0)]).orders[0] == (1, -0.0)
+    assert np.copysign(1.0, build_system(freq, phases, [(1, 0.0), (1, 1.0)]).orders[0][1]) == 1.0
+    assert build_system(freq, phases, ((2, 1.0),)) is not second
+
+
+def test_build_system_arrays_are_read_only():
+    freq, phases = _library_ill_posed()
+    sys = build_system(freq, phases)
+    for a in (sys.matrix, sys.rhs, sys.row_gaps, sys.phases, *sys.svd):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    phases[:] = 0.0  # the system holds its own copy
+    assert (sys.phases != 0.0).all()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(a=st.floats(0.5, 2.0), rel=st.floats(-10.0, -6.0), fourth=st.booleans(),
+       seed=st.integers(0, 2**16), level=st.floats(-12.0, 2.0), steps=st.integers(1, 60))
+def test_select_gamma_discrepancy_decides_near_ties_exactly(a, rel, fourth, seed, level, steps):
+    """The target is the exact residual at one of the bisection's own midpoints.
+
+    There the float form of r^2 and target^2 agree to round-off, so only the
+    exact residual can send that step the way the reference does.
+    """
+    lam = [0.0, a, a + a * 10**rel] + ([2.6 * a] if fourth else [])
+    freq = frequency_differences(Spectrum(tuple(lam)))
+    phases = -np.random.default_rng(seed).uniform(1e-3, 2 * np.pi / (0.01 * a), freq.m)
+    sys = build_system(freq, phases)
+    U, s, _ = sys.svd
+    beta = U.conj().T @ sys.rhs
+    outside = np.linalg.norm(sys.rhs - U @ beta)
+
+    def residual(gamma):  # the reference's residual
+        return float(np.hypot(np.linalg.norm(gamma / (s**2 + gamma) * beta), outside))
+
+    lo, hi = np.log(GAMMA_MIN), np.log(GAMMA_MAX)
+    for _ in range(steps):  # the reference's midpoints on the way to 10**level
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if residual(np.exp(mid)) < 10**level else (lo, mid)
+    cfg = RegularizationConfig(data_error=residual(np.exp(mid)))
+    assert select_gamma_discrepancy(sys, cfg) == _ref_select_gamma_discrepancy(sys, cfg)
