@@ -17,9 +17,10 @@ _EXPORTS = {
                 "evaluate", "from_hamiltonian"),
     "perturbation": ("error_bound", "perturbation_matrices"),
     "regularization": ("RegularizationConfig", "regularized_rule", "tikhonov_solve"),
+    "rule": ("ShiftRule",),
     "spectrum": ("FrequencySet", "Spectrum", "StructureKind", "classify_structure",
                  "frequency_differences"),
-    "synthesis": ("IllPosedError", "ShiftRule", "apply_rule", "build_system",
+    "synthesis": ("IllPosedError", "apply_rule", "build_system",
                   "compatibility_residual", "condition_number", "solve_direct", "synthesize_rule"),
     "variance": ("OptimizationConfig", "confidence_interval", "optimize_shifts",
                  "variance_of_estimate"),

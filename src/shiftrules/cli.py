@@ -5,8 +5,10 @@ problem, 3 invalid input, usage errors included.  Reports are JSON on
 stdout (or --output).
 
 Each command imports the modules it runs, numpy included, inside its
-body, so a process loads only those: ``analyze``, ``--help`` and usage
-errors load no numpy and no module but ``serialize`` and ``spectrum``.
+body, so a process loads only those: ``--help`` and usage errors load no
+numpy and no module but ``serialize``, ``analyze`` adds ``spectrum``, and
+``validate`` loads ``rule`` and ``fourier`` but neither ``spectrum`` nor
+the solver.
 """
 
 from __future__ import annotations
@@ -16,12 +18,6 @@ import sys
 import time
 
 from . import serialize
-from .spectrum import (
-    PERTURBED_FRACTION,
-    StructureKind,
-    classify_structure,
-    frequency_differences,
-)
 
 EXIT_VALIDATION = 1
 EXIT_ILL_POSED = 2
@@ -44,6 +40,8 @@ def _emit(obj: dict, data: dict, to_file: bool = False) -> None:
 
 def _load_spectrum(path):
     """(spectrum, rel_tol, structure class, frequency set); exit 3 when malformed."""
+    from .spectrum import classify_structure, frequency_differences
+
     try:
         spec, rel_tol = serialize.load_spectrum(path)
         cls = classify_structure(spec, rel_tol=rel_tol)
@@ -67,7 +65,8 @@ def _auto_phases(freq, seed):
     freqs = np.asarray(freq.unique_frequencies)
     resolution = np.diff(freqs, prepend=0.0).min()
     lo = -2 * np.pi / max(resolution, 1e-2 * freqs[-1])
-    draws = np.random.default_rng(seed).uniform(lo + 1e-3, -1e-3, (64, freq.m))
+    margin = min(1e-3, -lo / 4)  # keeps the draw interval non-empty for a tiny window
+    draws = np.random.default_rng(seed).uniform(lo + margin, -margin, (64, freq.m))
     E = np.exp(1j * freq.distinct_gaps[:, None] * draws[:, None, :])  # one design matrix per draw
     s = np.linalg.svd(E, compute_uv=False)
     return draws[np.argmin([_singular_value_condition(row, freq.m) for row in s])]
@@ -87,6 +86,8 @@ def _parse_phases(text):
 
 def _analyze(obj, spectrum_file):
     """Classify a spectrum and report its gap structure."""
+    from .spectrum import PERTURBED_FRACTION
+
     spec, rel_tol, cls, freq = _load_spectrum(spectrum_file)
     _emit(obj, {
         "kind": cls.kind.value,
@@ -105,6 +106,7 @@ def _analyze(obj, spectrum_file):
 
 def _synthesize(obj, spectrum_file, order, method, phases):
     """Synthesize a shift rule for a spectrum and write it to a rule file."""
+    from .spectrum import StructureKind
     from .synthesis import IllPosedError, check_phase_distinctness, synthesize_rule
 
     t0 = time.perf_counter()
@@ -210,7 +212,7 @@ def _validate(obj, rule_file, model, t_grid, bound):
     """Check a rule against the exact analytic oracle on a t-grid."""
     import numpy as np
 
-    from .fourier import analytic_derivative, evaluate_models
+    from .fourier import evaluate_models
 
     t0 = time.perf_counter()
     if not np.isfinite(bound):
@@ -248,14 +250,16 @@ def _validate(obj, rule_file, model, t_grid, bound):
                       f"model frequency {w} is outside the rule's frequency set")
         models = [loaded]
 
-    # One (grid x phases) evaluation of all models.  The columns are summed
-    # in apply_rule's order, so each estimate equals the scalar rule bit for bit.
+    # One (grid x phases) evaluation of all models, and one grid evaluation
+    # of all models per target order.  The columns are summed in apply_rule's
+    # order, so each estimate equals the scalar rule bit for bit.
     shifted = grid[:, None] + np.asarray(rule.phases, dtype=float)[None, :]
     maxima, err_sum = [], 0.0  # (max |error|, max scaled error) per model
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing target gives NaN errors
-        for fm, values in zip(models, evaluate_models(models, shifted)):
+        derivatives = [(w, evaluate_models(models, grid, p)) for p, w in rule.orders]
+        for k, values in enumerate(evaluate_models(models, shifted)):
             estimate = sum(b * column for b, column in zip(rule.coefficients, values.T))
-            target = sum(w * analytic_derivative(fm, grid, p) for p, w in rule.orders)
+            target = sum(w * per_model[k] for w, per_model in derivatives)
             err = np.abs(estimate - target)
             maxima.append((err.max(), (err / (1.0 + np.abs(target))).max()))
             err_sum += float(err.sum())
@@ -279,6 +283,7 @@ def _validate(obj, rule_file, model, t_grid, bound):
 
 def _optimize(obj, spectrum_file, order, phases):
     """Minimize the coefficient square-norm over shift phases."""
+    from .spectrum import StructureKind
     from .synthesis import IllPosedError, synthesize_rule
     from .variance import OptimizationConfig, optimize_shifts
 

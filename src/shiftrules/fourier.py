@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import DEFAULT_DEDUP_TOL, _dedup_values
-from .synthesis import _check_non_negative_int
+from .rule import _check_non_negative_int
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,12 @@ def evaluate(model: FourierModel, t):
     return evaluate_models([model], t)[0]
 
 
-def evaluate_models(models, t) -> list:
-    """The series of each model at t: an array of t's shape, a float for scalar t.
+def evaluate_models(models, t, p: int = 0) -> list:
+    """The p-th derivative of each model's series at t; p=0 is plain evaluation.
+
+    Returns an array of t's shape per model, a float for scalar t.  Each
+    differentiation maps the pair (a, b) of a term with frequency w to
+    (w*b, -w*a): no finite differencing, and an overflow gives inf or NaN.
 
     The frequencies run in the outer loop, so cos(w t) and sin(w t) are
     computed once per frequency for all the models that share it.  Each
@@ -96,14 +99,18 @@ def evaluate_models(models, t) -> list:
     frequency order, and in place, so only two scratch arrays of t's
     shape exist besides the results.
     """
-    return _sum_series([(m.a0, m.terms) for m in models], t)
-
-
-def _sum_series(series, t) -> list:
-    """``evaluate_models`` on (a0, terms) pairs, which need not form a valid model."""
+    if p < 0:
+        raise ValueError("derivative order must be non-negative")
     t = np.asarray(t, dtype=float)
-    outs = [np.full_like(t, a0) for a0, _ in series]
-    coeffs = [{w: (a, b) for w, a, b in terms} for _, terms in series]
+    outs = [np.full_like(t, m.a0 if p == 0 else 0.0) for m in models]
+    coeffs = []
+    for m in models:
+        terms = {}
+        for w, a, b in m.terms:
+            for _ in range(p):
+                a, b = w * b, -w * a
+            terms[w] = (a, b)
+        coeffs.append(terms)
     table, term = np.empty_like(t), np.empty_like(t)
     for w in sorted({w for terms in coeffs for w in terms}):
         users = [(out, terms[w]) for out, terms in zip(outs, coeffs) if w in terms]
@@ -115,19 +122,8 @@ def _sum_series(series, t) -> list:
 
 
 def analytic_derivative(model: FourierModel, t, p: int = 1):
-    """Exact p-th derivative of the series at t; p=0 is plain evaluation.
-
-    Each differentiation maps the pair (a, b) of a term with frequency w
-    to (w*b, -w*a): no finite differencing, and an overflow gives inf or NaN.
-    """
-    if p < 0:
-        raise ValueError("derivative order must be non-negative")
-    terms = []
-    for w, a, b in model.terms:
-        for _ in range(p):
-            a, b = w * b, -w * a
-        terms.append((w, a, b))
-    return _sum_series([(model.a0 if p == 0 else 0.0, terms)], t)[0]
+    """Exact p-th derivative of the series at t; p=0 is plain evaluation."""
+    return evaluate_models([model], t, p)[0]
 
 
 def from_hamiltonian(hm: HamiltonianModel) -> FourierModel:
@@ -140,6 +136,8 @@ def from_hamiltonian(hm: HamiltonianModel) -> FourierModel:
     ``frequency_differences`` at ``DEFAULT_DEDUP_TOL * max|lam|``.  Terms
     whose combined amplitude falls below 1e-13 (relative) are dropped.
     """
+    from .spectrum import DEFAULT_DEDUP_TOL, _dedup_values
+
     lam = np.asarray(hm.eigenvalues, dtype=float)
     weights = np.conj(hm.state)[:, None] * hm.observable * hm.state[None, :]
     gaps = lam[None, :] - lam[:, None]  # gaps[k, l] = lam_l - lam_k

@@ -12,14 +12,13 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .spectrum import DEFAULT_REL_TOL, Spectrum
-
 if TYPE_CHECKING:  # each loader imports its module, numpy included, when it runs
     import numpy as np
 
     from .fourier import FourierModel
     from .regularization import RegularizationConfig
-    from .synthesis import ShiftRule
+    from .rule import ShiftRule
+    from .spectrum import Spectrum
     from .variance import OptimizationConfig
 
 
@@ -60,6 +59,8 @@ def load_json(path: str | Path) -> dict:
 
 def load_spectrum(path: str | Path) -> tuple[Spectrum, float]:
     """Read a spectrum file; returns (Spectrum, its rel_tol or DEFAULT_REL_TOL)."""
+    from .spectrum import DEFAULT_REL_TOL, Spectrum
+
     data = load_json(path)
     if "eigenvalues" not in data:
         raise ValueError(f"{path}: missing 'eigenvalues' field")
@@ -127,7 +128,7 @@ def _finite_vector(data: dict, key: str, path) -> np.ndarray:
 def load_rule(path: str | Path) -> ShiftRule:
     """Read a rule file; ValueError for a missing field, an invalid order, a non-finite
     value or frequencies that are not positive and strictly increasing."""
-    from .synthesis import ShiftRule, _normalize_orders
+    from .rule import ShiftRule, _normalize_orders
 
     data = load_json(path)
     for key in ("phases", "coefficients", "orders"):

@@ -10,31 +10,25 @@ is (i * mu) ** p.
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+# the rule record and its order checks; the solver's dependants import them from here
+from .rule import (
+    FIRST_DERIVATIVE,
+    Orders,
+    ShiftRule,
+    _check_non_negative_int,
+    _finite,
+    _normalize_orders,
+)
 from .spectrum import FrequencySet, gap_generator
 
 CONDITION_CAP = 1e8
 IMAG_TOL = 1e-9
-
-Orders = tuple[tuple[int, float], ...]
-
-
-class _NormalizedOrders(tuple):
-    """Orders that ``_normalize_orders`` built; it returns them as they are.
-
-    ``build_system`` normalizes once and stores the tuple on the
-    ``LinearSystem``, which labels every rule solved from it.
-    """
-
-
-FIRST_DERIVATIVE: Orders = _NormalizedOrders(((1, 1.0),))
 
 
 class IllPosedError(RuntimeError):
@@ -71,63 +65,6 @@ class LinearSystem:
         for a in usv:
             _read_only(a)
         return usv
-
-
-@dataclass(frozen=True)
-class ShiftRule:
-    """Phases, real coefficients, target orders, and solve diagnostics.
-
-    ``orders`` lists (derivative order p, weight) pairs defining the
-    target sum_p w_p f^(p).  ``frequencies`` records the positive gap
-    values the rule is valid for.  ``diagnostics`` carries at least
-    condition_number, residual, and max_imag_discarded.
-    """
-
-    phases: np.ndarray
-    coefficients: np.ndarray
-    orders: Orders
-    frequencies: tuple[float, ...]
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.phases) != len(self.coefficients):
-            raise ValueError("phases and coefficients must have equal length")
-
-    @property
-    def square_norm(self) -> float:
-        b = np.asarray(self.coefficients)
-        return float(b @ b)
-
-
-def _finite(x) -> bool:
-    """A finite real number; a bool or a numeric string is not one."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _check_non_negative_int(name: str, n) -> None:
-    """ValueError unless n is a non-negative integer; a bool or a float is not one."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
-
-
-def _integer_order(p) -> int:
-    if not _finite(p) or not float(p).is_integer():
-        raise ValueError(f"derivative orders must be integers, got {p!r}")
-    return int(p)
-
-
-def _normalize_orders(orders) -> Orders:
-    if type(orders) is _NormalizedOrders:
-        return orders
-    pairs = tuple(orders)
-    if not all(_finite(w) for _, w in pairs):
-        raise ValueError("order weights must be finite real numbers")
-    out = tuple((_integer_order(p), float(w)) for p, w in pairs)
-    if not out:
-        raise ValueError("need at least one derivative order")
-    if any(p < 0 for p, _ in out):
-        raise ValueError("derivative orders must be non-negative")
-    return _NormalizedOrders(out)
 
 
 def _gap_rhs(gaps: np.ndarray, orders: Orders) -> np.ndarray:

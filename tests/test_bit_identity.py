@@ -325,11 +325,13 @@ def test_evaluate_models_matches_per_model_evaluate(seed, k, shared):
                       for w in freqs)
         models.append(FourierModel(a0=float(rng.uniform(-1, 1)), terms=terms))
     t = rng.uniform(-5, 5, (7, 13))
-    for got, fm in zip(evaluate_models(models, t), models, strict=True):
+    for i, (got, fm) in enumerate(zip(evaluate_models(models, t), models, strict=True)):
         assert np.array_equal(got, _ref_series(fm.a0, fm.terms, t))
         for x in (t, float(t[0, 0])):
             assert np.array_equal(evaluate(fm, x), _ref_series(fm.a0, fm.terms, x))
             for p in range(4):
-                assert np.array_equal(analytic_derivative(fm, x, p), _ref_analytic_derivative(fm, x, p))
+                ref = _ref_analytic_derivative(fm, x, p)
+                assert np.array_equal(analytic_derivative(fm, x, p), ref)
+                assert np.array_equal(evaluate_models(models, x, p)[i], ref)
     scalar = float(t[0, 0])
     assert all(type(f(fm, scalar)) is float for fm in models for f in (evaluate, analytic_derivative))

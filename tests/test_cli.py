@@ -298,6 +298,24 @@ def test_synthesize_auto_phases_resolve_close_gaps(tmp_path, eigenvalues):
     assert json.loads(result.output)["passed"] is True
 
 
+def test_auto_phases_fit_a_window_below_their_margin(tmp_path):
+    """(0, 1e4, 2.5e4), S7 in larger units: the phase window 2*pi/5e3 (one period
+    of the gap resolution) is narrower than twice the 1e-3 margin."""
+    spec = _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1e4, 2.5e4]})
+    out, opt = str(tmp_path / "rule.json"), str(tmp_path / "opt.json")
+    result = run_cli(["--output", out, "synthesize", spec])
+    assert result.exit_code == 0, result.exception
+    assert json.loads(result.output)["method"] == "direct"
+    phases = serialize.load_rule(out).phases
+    assert ((-2 * np.pi / 5e3 < phases) & (phases < 0)).all()
+    result = run_cli(["validate", out, "--model", "random:4"])
+    assert result.exit_code == 0, result.output
+    result = run_cli(["--output", opt, "optimize", spec])
+    assert result.exit_code == 0, result.exception
+    report = json.loads(result.output)
+    assert report["square_norm_after"] < report["square_norm_before"]
+
+
 @pytest.mark.parametrize("eigenvalues", [
     (0.0, 1.0, 2.5), (0.0, 1.0, 2.6), (0.0, 1.0, 2.5, 4.1), (0.0, 1.0, 2.5, 4.1, 6.0),
     (0.0, 1.0, 1.0 + 1e-9),

@@ -67,19 +67,20 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for name, eigenvalues in (("s7", [0.0, 1.0, 2.5]), ("near", [0.0, 1.0, 1.0 + 1e-9]),
                               ("eq", [0.0, 1.0, 2.0])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"eigenvalues": eigenvalues}))
-    front = {"serialize", "spectrum"}  # no numpy: cli imports it where it computes with arrays
-    optimize = {"serialize", "spectrum", "synthesis", "variance"}
+    front = {"serialize"}
+    analyze = {"serialize", "spectrum"}
+    synthesize = {"serialize", "spectrum", "rule", "synthesis"}
+    optimize = synthesize | {"variance"}
     runs = {  # command -> (arguments, the modules it loads besides the CLI)
-        "analyze": (["analyze", "s7.json"], front),
+        "analyze": (["analyze", "s7.json"], analyze),
         "help": (["--help"], front),
         "usage error": (["synthesize", "s7.json", "--order", "abc"], front),
         "synthesize": (["--output", "rule.json", "synthesize", "s7.json", "--method", "direct"],
-                       {"serialize", "spectrum", "synthesis"}),
-        "validate": (["validate", "rule.json"], {"serialize", "spectrum", "synthesis", "fourier"}),
-        "variance": (["variance", "rule.json"],
-                     {"serialize", "spectrum", "synthesis", "fourier", "variance"}),
+                       synthesize),
+        "validate": (["validate", "rule.json"], {"serialize", "rule", "fourier"}),
+        "variance": (["variance", "rule.json"], synthesize | {"fourier", "variance"}),
         "tikhonov fallback": (["--output", "near-rule.json", "synthesize", "near.json"],
-                              {"serialize", "spectrum", "synthesis", "regularization"}),
+                              synthesize | {"regularization"}),
         "optimize": (["--output", "opt.json", "optimize", "s7.json"], optimize),
         "optimize equidistant": (["--output", "opt.json", "optimize", "eq.json"],
                                  optimize | {"equidistant"}),
@@ -87,7 +88,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for command, (args, modules) in runs.items():
         code, loaded = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
         assert code == (cli.EXIT_INVALID if command == "usage error" else 0), command
-        numpy = [] if modules == front else ["numpy"]
+        # no numpy in these two: cli imports it where it computes with arrays
+        numpy = [] if modules in (front, analyze) else ["numpy"]
         assert loaded == numpy + sorted(f"shiftrules.{m}" for m in modules), command
 
 
