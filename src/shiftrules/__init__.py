@@ -17,13 +17,12 @@ _EXPORTS = {
                 "evaluate", "from_hamiltonian"),
     "perturbation": ("error_bound", "perturbation_matrices"),
     "regularization": ("RegularizationConfig", "regularized_rule", "tikhonov_solve"),
-    "rule": ("ShiftRule",),
+    "rule": ("ShiftRule", "confidence_interval", "variance_of_estimate"),
     "spectrum": ("FrequencySet", "Spectrum", "StructureKind", "classify_structure",
                  "frequency_differences"),
     "synthesis": ("IllPosedError", "apply_rule", "build_system",
                   "compatibility_residual", "condition_number", "solve_direct", "synthesize_rule"),
-    "variance": ("OptimizationConfig", "confidence_interval", "optimize_shifts",
-                 "variance_of_estimate"),
+    "variance": ("OptimizationConfig", "optimize_shifts"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -7,13 +7,16 @@ stdout (or --output).
 Each command imports the modules it runs, numpy included, inside its
 body, so a process loads only those: ``--help`` and usage errors load no
 numpy and no module but ``serialize``, ``analyze`` adds ``spectrum``, and
-``validate`` loads ``rule`` and ``fourier`` but neither ``spectrum`` nor
-the solver.
+``validate`` and ``variance`` load ``rule`` and ``fourier`` but neither
+``spectrum`` nor the solver.  Only the commands that draw with numpy
+(auto phases, the optimizer screen, ``variance``'s noise) load
+``numpy.random``.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import time
 
@@ -23,6 +26,7 @@ EXIT_VALIDATION = 1
 EXIT_ILL_POSED = 2
 EXIT_INVALID = 3
 VALIDATION_BOUND = 1e-8  # validate's default --bound; synthesize warns above it
+ORACLE_BLOCK = 1 << 16  # validate's shifted evaluations (points x phases x models) per grid block
 
 
 def _fail(code: int, message: str) -> None:
@@ -193,18 +197,19 @@ def _synthesize(obj, spectrum_file, order, method, phases):
 
 
 def _random_models(frequencies, count, seed):
-    import numpy as np
+    """``count`` in-band models, every coefficient uniform in [-1, 1].
 
+    Drawn by the interpreter's own ``random.Random(seed)``, so validate
+    loads no ``numpy.random``: per model the (a, b) pair of each
+    frequency in increasing order, then a0.
+    """
     from .fourier import FourierModel
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     models = []
     for _ in range(count):
-        terms = tuple(
-            (w, float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-            for w in sorted(frequencies)
-        )
-        models.append(FourierModel(a0=float(rng.uniform(-1, 1)), terms=terms))
+        terms = tuple((w, rng.uniform(-1, 1), rng.uniform(-1, 1)) for w in sorted(frequencies))
+        models.append(FourierModel(a0=rng.uniform(-1, 1), terms=terms))
     return models
 
 
@@ -250,19 +255,26 @@ def _validate(obj, rule_file, model, t_grid, bound):
                       f"model frequency {w} is outside the rule's frequency set")
         models = [loaded]
 
-    # One (grid x phases) evaluation of all models, and one grid evaluation
-    # of all models per target order.  The columns are summed in apply_rule's
-    # order, so each estimate equals the scalar rule bit for bit.
-    shifted = grid[:, None] + np.asarray(rule.phases, dtype=float)[None, :]
-    maxima, err_sum = [], 0.0  # (max |error|, max scaled error) per model
+    # The grid runs in blocks of at most ORACLE_BLOCK shifted evaluations
+    # (points x phases x models; one point at least), so memory does not
+    # grow with the grid.
+    # Per block: one (points x phases) evaluation of all models, and one
+    # evaluation of all models per target order.  The columns are summed in
+    # apply_rule's order, so each estimate equals the scalar rule bit for bit.
+    phases = np.asarray(rule.phases, dtype=float)
+    step = max(1, ORACLE_BLOCK // max(1, len(phases) * len(models)))
+    maxima, err_sum = [], 0.0  # (max |error|, max scaled error) per block and model
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing target gives NaN errors
-        derivatives = [(w, evaluate_models(models, grid, p)) for p, w in rule.orders]
-        for k, values in enumerate(evaluate_models(models, shifted)):
-            estimate = sum(b * column for b, column in zip(rule.coefficients, values.T))
-            target = sum(w * per_model[k] for w, per_model in derivatives)
-            err = np.abs(estimate - target)
-            maxima.append((err.max(), (err / (1.0 + np.abs(target))).max()))
-            err_sum += float(err.sum())
+        for start in range(0, len(grid), step):
+            block = grid[start:start + step]
+            derivatives = [(w, evaluate_models(models, block, p)) for p, w in rule.orders]
+            shifted = block[:, None] + phases[None, :]
+            for k, values in enumerate(evaluate_models(models, shifted)):
+                estimate = sum(b * column for b, column in zip(rule.coefficients, values.T))
+                target = sum(w * per_model[k] for w, per_model in derivatives)
+                err = np.abs(estimate - target)
+                maxima.append((err.max(), (err / (1.0 + np.abs(target))).max()))
+                err_sum += float(err.sum())
     max_err, max_scaled = np.max(maxima, axis=0).tolist()  # NaN propagates, unlike max()
     mean_err = err_sum / (len(models) * len(grid))
 
@@ -340,7 +352,7 @@ def _variance(obj, rule_file, sigma, shots, eta):
     import numpy as np
 
     from .fourier import FourierModel, NoiseSpec, sample_noisy_batch
-    from .variance import confidence_interval, variance_of_estimate
+    from .rule import confidence_interval, variance_of_estimate
 
     try:
         rule = serialize.load_rule(rule_file)
@@ -373,7 +385,12 @@ def _variance(obj, rule_file, sigma, shots, eta):
 
 
 def _seed(text: str) -> int:
-    """--seed's type: numpy's generators take only non-negative integers."""
+    """--seed's type: a non-negative integer, on every command.
+
+    validate draws its models with ``random.Random(seed)``; numpy's
+    generators, which take only non-negative integers, take ``--seed`` in
+    ``synthesize``, ``optimize`` and ``variance``.
+    """
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
     return int(text)

@@ -1,7 +1,8 @@
-"""The shift-rule record and the checks of its derivative orders.
+"""The shift-rule record, the checks of its derivative orders, and its variance.
 
 Kept apart from ``synthesis``, so that reading and checking a rule file
-(``validate``) loads neither the gap analysis nor the solver.
+(``validate``) or reporting its variance (``variance``) loads neither the
+gap analysis nor the solver.
 """
 
 from __future__ import annotations
@@ -81,3 +82,36 @@ def _normalize_orders(orders) -> Orders:
     if any(p < 0 for p, _ in out):
         raise ValueError("derivative orders must be non-negative")
     return _NormalizedOrders(out)
+
+
+@dataclass(frozen=True)
+class VarianceReport:
+    """Variance of the shift-rule estimator plus the square-norm objective."""
+
+    variance: float
+    square_norm: float
+
+
+def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:
+    """Sum of b_x^2 * sigma_x^2, plus the equal-variance square-norm."""
+    b = np.asarray(rule.coefficients, dtype=float)
+    sig2 = np.asarray(per_point_variance, dtype=float)
+    if sig2.ndim == 0:
+        sig2 = np.full(len(b), float(sig2))
+    if len(sig2) != len(b):
+        raise ValueError("per-point variances must match the number of phases")
+    if (sig2 < 0).any():
+        raise ValueError("variances must be non-negative")
+    return VarianceReport(variance=float(b**2 @ sig2), square_norm=rule.square_norm)
+
+
+def confidence_interval(report: VarianceReport, eta: float) -> float:
+    """Chebyshev half-width nu = sqrt(variance / eta) at miss probability eta.
+
+    The interval [estimate - nu, estimate + nu] covers the true value
+    with probability at least 1 - eta; for Gaussian noise the actual
+    coverage is higher (Chebyshev is distribution-free and conservative).
+    """
+    if not 0 < eta < 1:
+        raise ValueError("eta must lie in (0, 1)")
+    return float(np.sqrt(report.variance / eta))

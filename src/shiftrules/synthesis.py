@@ -130,13 +130,27 @@ class ReducedSystem:
     ``matrix`` = sin for odd orders and cos for even ones.  u holds
     sqrt2 * c_k per pair (the coefficients are -c_k, +c_k for odd orders
     and b_0 = u_0, c_k, c_k for even ones), so sum b^2 = |u|^2.  x may
-    carry leading batch axes, which both blocks keep.
+    carry leading batch axes, which both blocks keep.  Each block is
+    computed from ``wx`` = w_j x_k on first use, so a caller that needs
+    only ``matrix`` pays for one block's trig.
     """
 
-    cos: np.ndarray
-    sin: np.ndarray
+    wx: np.ndarray
     rhs: np.ndarray
     odd: bool
+
+    @cached_property
+    def cos(self) -> np.ndarray:
+        r = self.wx.shape[-1]
+        cos = np.empty(self.wx.shape[:-2] + (r + 1, r + 1))
+        cos[..., 0, 0] = 1.0
+        cos[..., 0, 1:] = cos[..., 1:, 0] = np.sqrt(2.0)
+        cos[..., 1:, 1:] = 2.0 * np.cos(self.wx)
+        return cos
+
+    @cached_property
+    def sin(self) -> np.ndarray:
+        return 2.0 * np.sin(self.wx)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -170,15 +184,10 @@ def build_reduced_system(freq: FrequencySet, x, orders=FIRST_DERIVATIVE) -> Redu
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != w.shape:
         raise ValueError(f"need {len(w)} magnitudes on the last axis, got shape {x.shape}")
-    wx = w[:, None] * x[..., None, :]
-    cos = np.empty(x.shape[:-1] + (len(w) + 1, len(w) + 1))
-    cos[..., 0, 0] = 1.0
-    cos[..., 0, 1:] = cos[..., 1:, 0] = np.sqrt(2.0)
-    cos[..., 1:, 1:] = 2.0 * np.cos(wx)
     t = _gap_rhs(np.concatenate([[0.0], w]), _normalize_orders(orders))
     t[1:] *= np.sqrt(2.0)
     rhs = t[1:].imag if odd else t.real
-    return ReducedSystem(cos=cos, sin=2.0 * np.sin(wx), rhs=rhs, odd=odd)
+    return ReducedSystem(wx=w[:, None] * x[..., None, :], rhs=rhs, odd=odd)
 
 
 def check_phase_distinctness(phases, frequencies) -> None:

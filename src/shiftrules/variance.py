@@ -1,14 +1,14 @@
-"""Estimator variance, Chebyshev intervals, and phase optimization.
+"""Phase optimization for the estimator variance.
 
 Under independent noise on each shifted evaluation, the derivative
-estimator's variance is sum_x b_x^2 sigma_x^2.  With equal per-point
-variances the natural objective for choosing phases is the coefficient
-square-norm sum_x b_x^2.  The optimizer uses the exact gradient and
-Hessian of the solve, on the negation-symmetric phases (0, -x, +x)
-first: by symmetric criticality (Palais, Comm. Math. Phys. 69, 1979) a
-critical point there is one of the full problem.  The finite-difference
-and determinant forms of the stationarity conditions are cross-checks
-in ``tests/paper_forms.py``.
+estimator's variance is sum_x b_x^2 sigma_x^2 (``rule.variance_of_estimate``).
+With equal per-point variances the natural objective for choosing phases
+is the coefficient square-norm sum_x b_x^2.  The optimizer uses the
+exact gradient and Hessian of the solve, on the negation-symmetric
+phases (0, -x, +x) first: by symmetric criticality (Palais, Comm. Math.
+Phys. 69, 1979) a critical point there is one of the full problem.  The
+finite-difference and determinant forms of the stationarity conditions
+are cross-checks in ``tests/paper_forms.py``.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ MAX_NEWTON_STEPS = 300  # cap on the Newton steps of one descent
 
 
 @dataclass(frozen=True)
-class VarianceReport:
-    """Variance of the shift-rule estimator plus the square-norm objective."""
-
-    variance: float
-    square_norm: float
-
-
-@dataclass(frozen=True)
 class OptimizationConfig:
     """Settings for the square-norm phase search.
 
@@ -67,31 +59,6 @@ class OptimizationConfig:
             raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
         for name in ("multistarts", "seed"):
             _check_non_negative_int(name, getattr(self, name))
-
-
-def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:
-    """Sum of b_x^2 * sigma_x^2, plus the equal-variance square-norm."""
-    b = np.asarray(rule.coefficients, dtype=float)
-    sig2 = np.asarray(per_point_variance, dtype=float)
-    if sig2.ndim == 0:
-        sig2 = np.full(len(b), float(sig2))
-    if len(sig2) != len(b):
-        raise ValueError("per-point variances must match the number of phases")
-    if (sig2 < 0).any():
-        raise ValueError("variances must be non-negative")
-    return VarianceReport(variance=float(b**2 @ sig2), square_norm=rule.square_norm)
-
-
-def confidence_interval(report: VarianceReport, eta: float) -> float:
-    """Chebyshev half-width nu = sqrt(variance / eta) at miss probability eta.
-
-    The interval [estimate - nu, estimate + nu] covers the true value
-    with probability at least 1 - eta; for Gaussian noise the actual
-    coverage is higher (Chebyshev is distribution-free and conservative).
-    """
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
-    return float(np.sqrt(report.variance / eta))
 
 
 class _Point:

@@ -13,12 +13,15 @@ from shiftrules import (
     Spectrum,
     analytic_derivative,
     apply_rule,
+    cli,
     evaluate,
+    fourier,
     frequency_differences,
     serialize,
     synthesize_rule,
 )
 from shiftrules.cli import _auto_phases, _parser, _random_models
+from shiftrules.fourier import evaluate_models
 from shiftrules.synthesis import build_system, condition_number
 
 SRC = str(Path(shiftrules.__file__).resolve().parents[1])
@@ -120,9 +123,7 @@ def test_overflowing_derivative_target_exits_ill_posed(tmp_path, args):
 
 
 def test_validate_fails_on_non_finite_errors(tmp_path):
-    rule = _write(tmp_path, "rule.json", dict(_RULE, orders=[{"p": 1000, "weight": 1.0}],
-                                              frequencies=[2.5]))
-    result = _python(["-m", "shiftrules.cli", "validate", rule])
+    result = _python(["-m", "shiftrules.cli", "validate", _overflow_rule_file(tmp_path)])
     assert result.returncode == 1
     assert result.stderr == ""
     report = json.loads(result.stdout)
@@ -443,20 +444,32 @@ def _broken_rule_file(tmp_path):
     return out
 
 
-@pytest.mark.parametrize("case, t_grid", [
-    ("s7", "-2:2:9"),
-    ("mixed", "-3:1:7"),
-    ("model_file", "-1:2:5"),
-    ("broken", "0:3:6"),
-])
-def test_validate_matches_scalar_oracle(tmp_path, case, t_grid):
+def _overflow_rule_file(tmp_path):
+    return _write(tmp_path, "overflow-rule.json",
+                  dict(_RULE, orders=[{"p": 1000, "weight": 1.0}], frequencies=[2.5]))
+
+
+# (case, t-grid, block): block is cli.ORACLE_BLOCK for the run, None for the
+# default (one block here); each small budget splits the grid into at least 3 blocks
+_ORACLE_CASES = [
+    ("s7", "-2:2:9", None),
+    ("mixed", "-3:1:7", None),
+    ("model_file", "-1:2:5", None),
+    ("broken", "0:3:6", None),
+    ("s7", "-2:2:40", 64),
+    ("mixed", "-3:1:50", 64),
+    ("model_file", "-1:2:23", 20),
+    ("broken", "0:3:31", 64),
+    ("overflow", "0:3:30", 64),
+]
+
+
+@pytest.mark.parametrize("case, t_grid, block", _ORACLE_CASES, ids=[
+    f"{case}-{t_grid}" + (f"-block{block}" if block else "") for case, t_grid, block in _ORACLE_CASES])
+def test_validate_matches_scalar_oracle(tmp_path, monkeypatch, case, t_grid, block):
     seed = 3
-    if case == "mixed":
-        rule_file = _mixed_order_rule_file(tmp_path)
-    elif case == "broken":
-        rule_file = _broken_rule_file(tmp_path)
-    else:
-        rule_file = _s7_rule_file(tmp_path)
+    rule_file = {"mixed": _mixed_order_rule_file, "broken": _broken_rule_file,
+                 "overflow": _overflow_rule_file}.get(case, _s7_rule_file)(tmp_path)
     rule = serialize.load_rule(rule_file)
     if case == "model_file":
         terms = [{"omega": w, "a": 0.4 - 0.3 * k, "b": 0.2 * k - 0.5}
@@ -468,18 +481,62 @@ def test_validate_matches_scalar_oracle(tmp_path, case, t_grid):
         models = _random_models(rule.frequencies, 3, seed)
     lo, hi, count = t_grid.split(":")
     grid = np.linspace(float(lo), float(hi), int(count))
+    if block is not None:
+        monkeypatch.setattr(cli, "ORACLE_BLOCK", block)
+        assert len(grid) > 2 * (block // (len(rule.phases) * len(models)))
 
     result = run_cli(["--seed", str(seed), "validate", rule_file,
                       "--model", model_arg, "--t-grid", t_grid])
     report = json.loads(result.output)
-    max_err, mean_err, max_scaled = _scalar_validate(rule, models, grid)
     assert report["grid_points"] == len(grid)
+    if case == "overflow":  # the target overflows: no finite error, so no pass
+        assert report["passed"] is False and result.exit_code == 1
+        assert report["max_abs_error"] is report["mean_abs_error"] is None
+        assert report["max_scaled_error"] is None
+        return
+    max_err, mean_err, max_scaled = _scalar_validate(rule, models, grid)
     assert report["max_abs_error"] == pytest.approx(max_err, rel=0, abs=1e-14)
     assert report["mean_abs_error"] == pytest.approx(mean_err, rel=0, abs=1e-14)
     assert report["max_scaled_error"] == pytest.approx(max_scaled, rel=0, abs=1e-14)
     assert report["passed"] is (max_scaled <= report["bound"])
     assert result.exit_code == (0 if report["passed"] else 1)
     assert report["passed"] is (case != "broken")
+
+
+def test_validate_streams_the_grid_in_blocks_within_budget(tmp_path, monkeypatch):
+    """Every oracle evaluation stays within cli.ORACLE_BLOCK shifted
+    evaluations, and each target order and the shifted grid are evaluated
+    over the whole grid exactly once, in order."""
+    rule_file = _mixed_order_rule_file(tmp_path)
+    rule = serialize.load_rule(rule_file)
+    grid = np.linspace(-3.0, 3.0, 200_000)
+    calls = []
+
+    def recording(models, t, p=0):
+        calls.append((len(models), p, np.asarray(t)))
+        return evaluate_models(models, t, p)
+
+    monkeypatch.setattr(fourier, "evaluate_models", recording)
+    args = ["validate", rule_file, "--model", "random:3", "--t-grid", "-3:3:200000"]
+    report = json.loads(run_cli(args).output)
+    assert report["passed"] is True and report["grid_points"] == len(grid)
+
+    assert calls and all(n == 3 and t.size * n <= cli.ORACLE_BLOCK for n, _, t in calls)
+    shifted = [t for _, _, t in calls if t.ndim == 2]
+    assert len(shifted) > 2
+    np.testing.assert_array_equal(np.concatenate(shifted), grid[:, None] + rule.phases[None, :])
+    for order, _ in rule.orders:
+        blocks = [t for _, p, t in calls if t.ndim == 1 and p == order]
+        np.testing.assert_array_equal(np.concatenate(blocks), grid)
+    assert len(calls) == len(shifted) * (1 + len(rule.orders))
+
+    # one block over the whole grid finds the same maxima; only the mean's sum is regrouped
+    monkeypatch.setattr(fourier, "evaluate_models", evaluate_models)
+    monkeypatch.setattr(cli, "ORACLE_BLOCK", grid.size * len(rule.phases) * 3)
+    whole = json.loads(run_cli(args).output)
+    for key in ("max_abs_error", "max_scaled_error", "models", "grid_points", "passed"):
+        assert whole[key] == report[key], key
+    assert whole["mean_abs_error"] == pytest.approx(report["mean_abs_error"], rel=1e-12)
 
 
 def test_rule_file_round_trip_is_bit_identical(eq_spectrum, tmp_path):

@@ -37,7 +37,8 @@ print(json.dumps(sorted(m for m in sys.modules
 
 # Runs the CLI as ``python -m shiftrules.cli ARGS`` does, then prints, on
 # the last line, its exit code and the package's loaded submodules plus
-# "numpy" if numpy is loaded.  The CLI module itself runs as __main__.
+# "numpy" and "numpy.random" if they are loaded.  The CLI module itself
+# runs as __main__.
 _CLI_PROBE = """
 import json, runpy, sys
 sys.argv = ["shiftrules", *sys.argv[1:]]
@@ -46,7 +47,8 @@ try:
     runpy.run_module("shiftrules.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code or 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("shiftrules.") or m == "numpy")]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("shiftrules.") or m in ("numpy", "numpy.random"))]))
 """
 
 
@@ -71,25 +73,30 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     analyze = {"serialize", "spectrum"}
     synthesize = {"serialize", "spectrum", "rule", "synthesis"}
     optimize = synthesize | {"variance"}
-    runs = {  # command -> (arguments, the modules it loads besides the CLI)
-        "analyze": (["analyze", "s7.json"], analyze),
-        "help": (["--help"], front),
-        "usage error": (["synthesize", "s7.json", "--order", "abc"], front),
+    oracle = {"serialize", "rule", "fourier"}
+    # command -> (arguments, the modules it loads besides the CLI, whether it
+    # draws with numpy: auto phases, the optimizer screen, variance's noise)
+    runs = {
+        "analyze": (["analyze", "s7.json"], analyze, False),
+        "help": (["--help"], front, False),
+        "usage error": (["synthesize", "s7.json", "--order", "abc"], front, False),
         "synthesize": (["--output", "rule.json", "synthesize", "s7.json", "--method", "direct"],
-                       synthesize),
-        "validate": (["validate", "rule.json"], {"serialize", "rule", "fourier"}),
-        "variance": (["variance", "rule.json"], synthesize | {"fourier", "variance"}),
+                       synthesize, True),
+        "closed form": (["--output", "eq-rule.json", "synthesize", "eq.json"],
+                        synthesize | {"equidistant"}, False),
+        "validate": (["validate", "rule.json"], oracle, False),
+        "variance": (["variance", "rule.json"], oracle, True),
         "tikhonov fallback": (["--output", "near-rule.json", "synthesize", "near.json"],
-                              synthesize | {"regularization"}),
-        "optimize": (["--output", "opt.json", "optimize", "s7.json"], optimize),
+                              synthesize | {"regularization"}, True),
+        "optimize": (["--output", "opt.json", "optimize", "s7.json"], optimize, True),
         "optimize equidistant": (["--output", "opt.json", "optimize", "eq.json"],
-                                 optimize | {"equidistant"}),
+                                 optimize | {"equidistant"}, True),
     }
-    for command, (args, modules) in runs.items():
+    for command, (args, modules, draws) in runs.items():
         code, loaded = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
         assert code == (cli.EXIT_INVALID if command == "usage error" else 0), command
         # no numpy in these two: cli imports it where it computes with arrays
-        numpy = [] if modules in (front, analyze) else ["numpy"]
+        numpy = [] if modules in (front, analyze) else ["numpy"] + ["numpy.random"] * draws
         assert loaded == numpy + sorted(f"shiftrules.{m}" for m in modules), command
 
 
