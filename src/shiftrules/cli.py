@@ -54,28 +54,6 @@ def _load_spectrum(path):
         _fail(EXIT_INVALID, str(exc))
 
 
-def _auto_phases(freq, seed):
-    """Best-conditioned random phase set out of 64 seeded draws.
-
-    The window is one period, 2*pi / resolution, of the frequency
-    resolution: the smallest spacing of (0, w_1, ..., w_R), floored at
-    1e-2 times the largest gap.  Gap values closer than the floor are
-    unresolvable at practical shifts and surface as ill-posed downstream.
-    """
-    import numpy as np
-
-    from .synthesis import _singular_value_condition
-
-    freqs = np.asarray(freq.unique_frequencies)
-    resolution = np.diff(freqs, prepend=0.0).min()
-    lo = -2 * np.pi / max(resolution, 1e-2 * freqs[-1])
-    margin = min(1e-3, -lo / 4)  # keeps the draw interval non-empty for a tiny window
-    draws = np.random.default_rng(seed).uniform(lo + margin, -margin, (64, freq.m))
-    E = np.exp(1j * freq.distinct_gaps[:, None] * draws[:, None, :])  # one design matrix per draw
-    s = np.linalg.svd(E, compute_uv=False)
-    return draws[np.argmin([_singular_value_condition(row, freq.m) for row in s])]
-
-
 def _parse_phases(text):
     import numpy as np
 
@@ -110,87 +88,41 @@ def _analyze(obj, spectrum_file):
 
 def _synthesize(obj, spectrum_file, order, method, phases):
     """Synthesize a shift rule for a spectrum and write it to a rule file."""
-    from .spectrum import StructureKind
-    from .synthesis import IllPosedError, check_phase_distinctness, synthesize_rule
+    from .synthesis import IllPosedError, rule_for
 
     t0 = time.perf_counter()
-    spec, _, cls, freq = _load_spectrum(spectrum_file)
+    try:
+        spec, rel_tol = serialize.load_spectrum(spectrum_file)
+    except (OSError, ValueError) as exc:
+        _fail(EXIT_INVALID, str(exc))
     if order < 0:
         _fail(EXIT_INVALID, "order must be non-negative")
-    orders = ((order, 1.0),)
-    warnings: list[str] = []
-
-    explicit = None
-    if phases != "auto":
-        explicit = _parse_phases(phases)
-        if method == "equidistant":
-            _fail(EXIT_INVALID, "the equidistant method fixes its own phases")
-        try:
-            check_phase_distinctness(explicit, freq.unique_frequencies)
-        except IllPosedError as exc:
-            _fail(EXIT_ILL_POSED, str(exc))
-
-    rule = None
-    method_used = method
+    explicit = None if phases == "auto" else _parse_phases(phases)
     try:
-        if method == "equidistant" or (
-            method == "auto" and explicit is None and cls.kind in (
-                StructureKind.EQUIDISTANT, StructureKind.PERTURBED_EQUIDISTANT)
-        ):
-            if cls.delta is None:
-                _fail(EXIT_INVALID, "spectrum is not equidistant; cannot use the closed form")
-            from .equidistant import EquidistantStructure, closed_form_rule
-
-            es = EquidistantStructure(n=spec.n, delta=cls.delta)
-            rule = closed_form_rule(es, order)
-            method_used = "equidistant"
-            if cls.kind is StructureKind.PERTURBED_EQUIDISTANT:
-                from .perturbation import error_bound, perturbation_matrices
-
-                pd = perturbation_matrices(es)
-                bound = error_bound(es, pd, rule.coefficients, cls.epsilon)
-                rule.diagnostics.update(
-                    perturbation_epsilon=cls.epsilon,
-                    perturbation_relative_bound=bound.relative,
-                    perturbation_absolute_estimate=bound.absolute,
-                    perturbation_loose_bound=bound.loose,
-                )
-                warnings.append(
-                    "spectrum is perturbed-equidistant; closed-form rule carries "
-                    "a first-order coefficient error bound in its diagnostics"
-                )
-        else:  # direct, tikhonov, or auto without equidistant structure
-            ph = explicit if explicit is not None else _auto_phases(freq, obj["seed"])
-            if method != "tikhonov":
-                try:
-                    rule = synthesize_rule(freq, ph, orders)
-                    method_used = "direct"
-                except IllPosedError as exc:
-                    if method == "direct":
-                        cond = exc.condition_number
-                        _fail(EXIT_ILL_POSED,
-                              f"direct synthesis is ill-posed ({exc}); "
-                              f"condition number {cond if cond is not None else 'n/a'}")
-                    warnings.append(f"direct synthesis ill-posed ({exc}); falling back to tikhonov")
-            if rule is None:
-                from .regularization import regularized_rule
-
-                rule = regularized_rule(freq, ph, orders, obj["config"][0])
-                method_used = "regularized"
-                residual = rule.diagnostics["residual"]
-                if residual > VALIDATION_BOUND:
-                    warnings.append(f"regularized rule is inexact: residual {residual:.3g} "
-                                    f"exceeds validation_bound {VALIDATION_BOUND:.3g}")
+        rule, cls, attempts = rule_for(spec, order, method, explicit, obj["seed"],
+                                       obj["config"][0], rel_tol)
+    except ValueError as exc:
+        _fail(EXIT_INVALID, str(exc))
     except IllPosedError as exc:
         _fail(EXIT_ILL_POSED, str(exc))
 
+    warnings = [f"direct synthesis ill-posed ({a.message}); falling back to tikhonov"
+                for a in attempts if a.left == "ill_posed"]
+    method_used, residual = attempts[-1].method, rule.diagnostics["residual"]
+    if "perturbation_epsilon" in rule.diagnostics:  # a perturbed closed form
+        warnings.append("spectrum is perturbed-equidistant; closed-form rule carries "
+                        "a first-order coefficient error bound in its diagnostics")
+    if method_used == "tikhonov" and residual > VALIDATION_BOUND:
+        warnings.append(f"regularized rule is inexact: residual {residual:.3g} "
+                        f"exceeds validation_bound {VALIDATION_BOUND:.3g}")
     out_path = obj["output"] or "rule.json"
     serialize.save_rule(rule, out_path)
     _emit(obj, {
-        "method": method_used,
+        "method": "regularized" if method_used == "tikhonov" else method_used,
         "rule_file": str(out_path),
         "structure": cls.kind.value,
         "diagnostics": dict(rule.diagnostics),
+        "attempts": [a._asdict() for a in attempts],
         "warnings": warnings,
         "elapsed_s": time.perf_counter() - t0,
     })
@@ -296,7 +228,7 @@ def _validate(obj, rule_file, model, t_grid, bound):
 def _optimize(obj, spectrum_file, order, phases):
     """Minimize the coefficient square-norm over shift phases."""
     from .spectrum import StructureKind
-    from .synthesis import IllPosedError, synthesize_rule
+    from .synthesis import IllPosedError, auto_phases, synthesize_rule
     from .variance import OptimizationConfig, optimize_shifts
 
     t0 = time.perf_counter()
@@ -311,7 +243,7 @@ def _optimize(obj, spectrum_file, order, phases):
 
             phi0 = optimal_phases(EquidistantStructure(spec.n, cls.delta))
         else:
-            phi0 = _auto_phases(freq, obj["seed"])
+            phi0 = auto_phases(freq, obj["seed"])
     else:
         phi0 = _parse_phases(phases)
         if len(phi0) != freq.m:

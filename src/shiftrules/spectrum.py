@@ -70,6 +70,8 @@ class FrequencySet:
 
     def __post_init__(self):
         freqs = self.unique_frequencies
+        if not all(map(math.isfinite, freqs)):
+            raise ValueError("frequencies must be finite")
         if len(self.multiplicities) != len(freqs):
             raise ValueError("need one multiplicity per frequency")
         if any(f <= 0 for f in freqs):

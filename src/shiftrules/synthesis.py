@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from .rule import (
     _finite,
     _normalize_orders,
 )
-from .spectrum import FrequencySet, gap_generator
+from .spectrum import (DEFAULT_REL_TOL, FrequencySet, StructureKind, classify_structure,
+                       frequency_differences, gap_generator)
 
 CONDITION_CAP = 1e8
 IMAG_TOL = 1e-9
@@ -328,3 +329,88 @@ def compatibility_residual(rule: ShiftRule, freq: FrequencySet) -> float:
     """
     sys = build_system(freq, rule.phases, rule.orders)
     return float(np.abs(sys.matrix @ rule.coefficients - sys.rhs).max())
+
+
+def auto_phases(freq: FrequencySet, seed):
+    """Best-conditioned random phase set out of 64 seeded draws.
+
+    The window is one period, 2*pi / resolution, of the frequency
+    resolution: the smallest spacing of (0, w_1, ..., w_R), floored at
+    1e-2 times the largest gap.  Gap values closer than the floor are
+    unresolvable at practical shifts and surface as ill-posed downstream.
+    """
+    freqs = np.asarray(freq.unique_frequencies)
+    resolution = np.diff(freqs, prepend=0.0).min()
+    lo = -2 * np.pi / max(resolution, 1e-2 * freqs[-1])
+    margin = min(1e-3, -lo / 4)  # keeps the draw interval non-empty for a tiny window
+    draws = np.random.default_rng(seed).uniform(lo + margin, -margin, (64, freq.m))
+    E = np.exp(1j * freq.distinct_gaps[:, None] * draws[:, None, :])  # one design matrix per draw
+    s = np.linalg.svd(E, compute_uv=False)
+    return draws[np.argmin([_singular_value_condition(row, freq.m) for row in s])]
+
+
+class Attempt(NamedTuple):
+    method: str  # "equidistant" (the closed form), "direct" or "tikhonov"
+    left: str | None = None  # why rule_for left it: "ill_posed", or None when it gave the rule
+    message: str | None = None  # the IllPosedError's message
+    condition_number: float | None = None  # and its condition number
+
+
+def rule_for(spectrum, order: int = 1, method: str = "auto", phases=None, seed=0,
+             config=None, rel_tol: float = DEFAULT_REL_TOL):
+    """The order-``order`` rule for a spectrum, by the method its structure calls for.
+
+    ``method`` is "equidistant" (the closed form), "direct", "tikhonov"
+    (the regularized rule under ``config``) or "auto": the closed form
+    for an equidistant or perturbed-equidistant spectrum when no
+    ``phases`` are given, else a direct solve that falls back to the
+    Tikhonov rule when it is ill-posed.  Without ``phases`` the direct
+    and Tikhonov paths run at ``auto_phases(freq, seed)``.  A perturbed
+    closed form carries the first-order ``perturbation_*`` bounds in its
+    diagnostics.
+
+    Returns (rule, structure class, attempts): one ``Attempt`` per method
+    tried, in order; each but the last, which gave the rule, was left as
+    ill-posed.  Raises ValueError for the closed form on a non-equidistant
+    spectrum or with explicit phases, and IllPosedError for duplicate
+    phases, for an ill-posed solve under method="direct" and wherever the
+    path taken raises it.
+    """
+    cls = classify_structure(spectrum, rel_tol=rel_tol)
+    freq = frequency_differences(spectrum)
+    if phases is not None:
+        if method == "equidistant":
+            raise ValueError("the equidistant method fixes its own phases")
+        check_phase_distinctness(phases, freq.unique_frequencies)
+    if method == "equidistant" or (method == "auto" and phases is None
+                                   and cls.kind is not StructureKind.UNSTRUCTURED):
+        if cls.delta is None:
+            raise ValueError("spectrum is not equidistant; cannot use the closed form")
+        from .equidistant import EquidistantStructure, closed_form_rule
+
+        es = EquidistantStructure(n=spectrum.n, delta=cls.delta)
+        rule = closed_form_rule(es, order)
+        if cls.kind is StructureKind.PERTURBED_EQUIDISTANT:
+            from .perturbation import error_bound, perturbation_matrices
+
+            bound = error_bound(es, perturbation_matrices(es), rule.coefficients, cls.epsilon)
+            rule.diagnostics.update(perturbation_epsilon=cls.epsilon,
+                                    perturbation_relative_bound=bound.relative,
+                                    perturbation_absolute_estimate=bound.absolute,
+                                    perturbation_loose_bound=bound.loose)
+        return rule, cls, [Attempt("equidistant")]
+
+    phases = auto_phases(freq, seed) if phases is None else phases
+    orders, attempts = ((order, 1.0),), []
+    if method != "tikhonov":
+        try:
+            return synthesize_rule(freq, phases, orders), cls, [Attempt("direct")]
+        except IllPosedError as exc:
+            cond = exc.condition_number
+            if method == "direct":
+                raise IllPosedError(f"direct synthesis is ill-posed ({exc}); condition number "
+                                    f"{cond if cond is not None else 'n/a'}", cond) from exc
+            attempts.append(Attempt("direct", "ill_posed", str(exc), cond))
+    from .regularization import regularized_rule
+
+    return regularized_rule(freq, phases, orders, config), cls, [*attempts, Attempt("tikhonov")]

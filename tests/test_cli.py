@@ -20,9 +20,9 @@ from shiftrules import (
     serialize,
     synthesize_rule,
 )
-from shiftrules.cli import _auto_phases, _parser, _random_models
+from shiftrules.cli import _parser, _random_models
 from shiftrules.fourier import evaluate_models
-from shiftrules.synthesis import build_system, condition_number
+from shiftrules.synthesis import CONDITION_CAP, auto_phases, build_system, condition_number
 
 SRC = str(Path(shiftrules.__file__).resolve().parents[1])
 
@@ -99,6 +99,8 @@ def test_synthesize_equidistant_auto(two_level, tmp_path):
     )
     report = json.loads(result.output)
     assert report["method"] == "equidistant"
+    assert report["attempts"] == [
+        {"method": "equidistant", "left": None, "message": None, "condition_number": None}]
 
 
 def test_synthesize_forced_direct_ill_posed(near_degenerate, tmp_path):
@@ -220,6 +222,13 @@ def test_synthesize_auto_falls_back_to_tikhonov(near_degenerate, tmp_path):
     report = json.loads(result.output)
     assert report["method"] == "regularized"
     assert report["warnings"]
+    direct, tikhonov = report["attempts"]
+    assert (direct["method"], direct["left"], tikhonov) == (
+        "direct", "ill_posed",
+        {"method": "tikhonov", "left": None, "message": None, "condition_number": None})
+    assert report["warnings"][0] == (f"direct synthesis ill-posed ({direct['message']}); "
+                                     "falling back to tikhonov")
+    assert direct["condition_number"] > CONDITION_CAP
 
 
 def test_synthesize_warns_when_regularized_rule_is_inexact(near_degenerate, tmp_path):
@@ -335,7 +344,7 @@ def test_auto_phases_match_per_draw_loop(eigenvalues):
             c = condition_number(build_system(freq, ph).matrix)
             if best is None or c < best_cond:
                 best_cond, best = c, ph
-        assert np.array_equal(_auto_phases(freq, seed), best)
+        assert np.array_equal(auto_phases(freq, seed), best)
 
 
 def test_synthesize_duplicate_phases(two_level, tmp_path):
@@ -739,6 +748,19 @@ def test_malformed_input_exits_invalid(tmp_path, args):
     assert result.exit_code == 3
     assert "Traceback" not in result.output
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("eigenvalues", [[-1e308, 1e308], [-1e308, 0.0, 1e308]])
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "optimize"])
+def test_infinite_frequencies_exit_invalid(tmp_path, command, eigenvalues):
+    # finite eigenvalues whose spread overflows a double give an infinite gap
+    spec = _write(tmp_path, "spec.json", {"eigenvalues": eigenvalues})
+    out = tmp_path / "out.json"
+    result = run_cli(["--output", str(out), command, spec])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stderr == "error: frequencies must be finite\n"
+    assert result.stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("frequencies", [[-1.0, 1.5, 2.5], [0.0, 1.0], [1.0, 1.0, 2.5], [2.5, 1.0]])

@@ -34,6 +34,7 @@ CASES = {
     "synth_perturbed": ((0, 1.02, 1.97, 3.01, 4.0), ["synthesize"]),
     "synth_s7_direct_phases": ((0, 1, 2.5), ["synthesize", "--method", "direct",
                                              "--phases", S7_PHASES]),
+    "synth_s7_tikhonov": ((0, 1, 2.5), ["synthesize", "--method", "tikhonov"]),
     "opt_n2": ((0, 1), ["optimize"]),
     "opt_u1.6": ((0, 1, 2.6), ["optimize"]),
     "opt_n4": ((0, 1, 2.5, 4.1), ["optimize"]),

@@ -18,10 +18,9 @@ from shiftrules import (
     solve_direct,
     synthesize_rule,
 )
-from shiftrules.cli import _auto_phases
 from shiftrules.serialize import dumps_report
 from shiftrules.spectrum import DEFAULT_REL_TOL, PERTURBED_FRACTION, StructureClass, _mean
-from shiftrules.synthesis import build_system
+from shiftrules.synthesis import auto_phases, build_system
 
 MIN_SEPARATION = 1e-3
 
@@ -79,7 +78,7 @@ def test_synthesized_rule_is_compatible(spec, seed, p):
 def test_auto_phases_give_exact_direct_rule(spec, seed):
     # the CLI's auto phases resolve every gap separation >= 1e-3 here
     freq = frequency_differences(spec)
-    rule = synthesize_rule(freq, _auto_phases(freq, seed))
+    rule = synthesize_rule(freq, auto_phases(freq, seed))
     assert compatibility_residual(rule, freq) <= 1e-8
 
 

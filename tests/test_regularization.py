@@ -27,7 +27,7 @@ from paper_forms import build_full_system
 from shiftrules import synthesis
 from shiftrules.regularization import GAMMA_MAX, GAMMA_MIN, select_gamma_discrepancy
 from shiftrules.variance import OptimizationConfig
-from shiftrules.synthesis import LinearSystem
+from shiftrules.synthesis import LinearSystem, rule_for
 from test_bit_identity import _ref_select_gamma_discrepancy
 
 
@@ -287,9 +287,12 @@ def test_config_validation():
             OptimizationConfig(multistarts=bad)
 
 
+ILL_POSED = Spectrum((0.0, 1.0, 1.0 + 1e-9, 2.6))
+
+
 def _library_ill_posed():
     # a library-sweep ill-posed request: gaps 1 and 1 + 1e-9 at seeded phases
-    freq = frequency_differences(Spectrum((0.0, 1.0, 1.0 + 1e-9, 2.6)))
+    freq = frequency_differences(ILL_POSED)
     return freq, -np.random.default_rng(5).uniform(1e-3, 2 * np.pi / 0.01, freq.m)
 
 
@@ -317,6 +320,14 @@ def test_ill_posed_request_shares_one_system(monkeypatch):
     for a, b in zip(shared, fresh, strict=True):
         assert np.array_equal(a.phases, b.phases) and np.array_equal(a.coefficients, b.coefficients)
         assert (a.orders, a.frequencies, a.diagnostics) == (b.orders, b.frequencies, b.diagnostics)
+    # the selection chain the CLI runs takes the same one build and one SVD
+    calls.clear()
+    monkeypatch.setattr(synthesis, "_last_system", None)
+    rule, _, attempts = rule_for(ILL_POSED, phases=phases)
+    assert calls == [False, True]
+    assert [a.method for a in attempts] == ["direct", "tikhonov"]
+    assert np.array_equal(rule.coefficients, shared[0].coefficients)
+    assert rule.diagnostics == shared[0].diagnostics
 
 
 def test_build_system_reuses_only_identical_inputs():

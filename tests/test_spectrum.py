@@ -8,7 +8,7 @@ from shiftrules import (
     classify_structure,
     frequency_differences,
 )
-from shiftrules.spectrum import _dedup_values, gap_generator
+from shiftrules.spectrum import FrequencySet, _dedup_values, gap_generator
 
 
 def test_spectrum_rejects_short_unsorted_and_nonfinite():
@@ -18,6 +18,16 @@ def test_spectrum_rejects_short_unsorted_and_nonfinite():
         Spectrum((1.0, 0.0))
     with pytest.raises(ValueError, match="finite"):
         Spectrum((0.0, float("nan")))
+
+
+@pytest.mark.parametrize("eigenvalues", [(-1e308, 1e308), (-1e308, 0.0, 1e308)])
+def test_gaps_that_overflow_are_rejected(eigenvalues):
+    # finite eigenvalues, infinite gap: checked before monotonicity, which
+    # (inf, inf) from the second spectrum would fail first
+    with pytest.raises(ValueError, match="^frequencies must be finite$"):
+        frequency_differences(Spectrum(eigenvalues))
+    with pytest.raises(ValueError, match="^frequencies must be finite$"):
+        FrequencySet((1.0, float("nan")), (1, 1))
 
 
 def test_single_pair_gaps():

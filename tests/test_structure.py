@@ -146,11 +146,19 @@ def test_unused_tolerances_are_constants():
                (variance._evaluate_reduced, "condition_cap"),
                (spectrum.classify_structure, "perturbed_fraction"), (spectrum.gap_generator, "rel_tol"),
                (fourier.from_hamiltonian, "dedup_tol"), (fourier.from_hamiltonian, "coeff_tol"),
-               (cli._auto_phases, "tries"), (RegularizationConfig, "operator_error"),
+               (synthesis.auto_phases, "tries"), (RegularizationConfig, "operator_error"),
                (RegularizationConfig, "grid_min"), (RegularizationConfig, "grid_max"),
                (OptimizationConfig, "max_iters"), (variance._newton, "max_iters")]
     for function, name in removed:
         assert name not in inspect.signature(function).parameters, f"{function.__name__}({name})"
+
+
+def test_cli_holds_no_rule_selection():
+    """synthesize hands the choice of method to synthesis.rule_for."""
+    source = inspect.getsource(cli)
+    for name in ("closed_form_rule", "regularized_rule", "error_bound", "perturbation_matrices",
+                 "check_phase_distinctness", "_singular_value_condition"):
+        assert name not in source, name
 
 
 def test_cross_checks_live_only_in_checks():

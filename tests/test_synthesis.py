@@ -5,20 +5,34 @@ import pytest
 
 from conftest import random_model_terms, random_spectrum, well_posed_phases
 from shiftrules import (
+    EquidistantStructure,
     FourierModel,
     IllPosedError,
     Spectrum,
+    StructureKind,
     analytic_derivative,
     apply_rule,
     build_system,
+    classify_structure,
+    closed_form_rule,
     compatibility_residual,
     evaluate,
     frequency_differences,
+    regularized_rule,
     solve_direct,
     synthesize_rule,
 )
 from paper_forms import build_full_system, cramer_coefficient, jacobi_coefficient
-from shiftrules.synthesis import LinearSystem, ShiftRule, build_reduced_system, condition_number
+from shiftrules.synthesis import (
+    CONDITION_CAP,
+    Attempt,
+    LinearSystem,
+    ShiftRule,
+    auto_phases,
+    build_reduced_system,
+    condition_number,
+    rule_for,
+)
 
 FREQ01 = frequency_differences(Spectrum((0.0, 1.0)))
 EQ_PHASES = np.array([-2 * np.pi / 3, -4 * np.pi / 3, -2 * np.pi])
@@ -338,3 +352,51 @@ def test_lifted_reduced_rule_is_a_full_rule(p):
 def test_reduced_system_rejects_mixed_parity():
     with pytest.raises(ValueError, match="mixed parity"):
         build_reduced_system(FREQ01, [1.0], ((1, 1.0), (2, 1.0)))
+
+
+S7 = (0.0, 1.0, 2.5)
+NEAR = (0.0, 1.0, 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("eigenvalues, kwargs, expected", [
+    ((0.0, 1.0, 2.0), {}, ["equidistant"]),
+    ((0.0, 1.02, 1.97, 3.01, 4.0), {}, ["equidistant"]),
+    (S7, {}, ["direct"]),
+    (NEAR, {}, ["direct ill_posed", "tikhonov"]),
+    (S7, {"method": "tikhonov"}, ["tikhonov"]),
+    (S7, {"method": "equidistant"}, (ValueError, "^spectrum is not equidistant; cannot use")),
+    ((0.0, 1.0, 2.0), {"method": "equidistant", "phases": [-1.0, -2.0, -3.0, -4.0, -5.0]},
+     (ValueError, "^the equidistant method fixes its own phases$")),
+    (S7, {"phases": [-1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]},
+     (IllPosedError, "^duplicate shift phases: phi_0 and phi_1 coincide")),
+    (NEAR, {"method": "direct"}, (IllPosedError, "^direct synthesis is ill-posed .*; condition number")),
+], ids=["closed-form", "perturbed-closed-form", "direct", "auto-fallback", "forced-tikhonov",
+        "closed-form-unstructured", "closed-form-with-phases", "duplicate-phases", "direct-ill-posed"])
+def test_rule_for_paths(eigenvalues, kwargs, expected):
+    spec = Spectrum(eigenvalues)
+    if isinstance(expected, tuple):
+        with pytest.raises(expected[0], match=expected[1]):
+            rule_for(spec, **kwargs)
+        return
+    rule, cls, attempts = rule_for(spec, **kwargs)
+    assert cls == classify_structure(spec)
+    assert [" ".join(filter(None, a[:2])) for a in attempts] == expected
+    for left in attempts[:-1]:
+        assert left.condition_number > CONDITION_CAP and "exceeds cap" in left.message
+    method = attempts[-1].method
+    assert attempts[-1] == Attempt(method) and rule.diagnostics["method"] == method
+    perturbation = {k: v for k, v in rule.diagnostics.items() if k.startswith("perturbation_")}
+    if cls.kind is StructureKind.PERTURBED_EQUIDISTANT:
+        assert perturbation["perturbation_epsilon"] == cls.epsilon and len(perturbation) == 4
+    else:
+        assert not perturbation
+    # the rule the library functions give on the same path
+    freq = frequency_differences(spec)
+    if method == "equidistant":
+        reference = closed_form_rule(EquidistantStructure(spec.n, cls.delta))
+    elif method == "direct":
+        reference = synthesize_rule(freq, auto_phases(freq, 0))
+    else:
+        reference = regularized_rule(freq, auto_phases(freq, 0))
+    assert np.array_equal(rule.phases, reference.phases)
+    assert np.array_equal(rule.coefficients, reference.coefficients)
