@@ -34,12 +34,23 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _file(call, *args):
+    """call(*args), which reads or writes a file; exit 3 if it is missing, malformed or unwritable."""
+    try:
+        return call(*args)
+    except (OSError, ValueError) as exc:
+        _fail(EXIT_INVALID, str(exc))
+
+
 def _emit(obj: dict, data: dict, to_file: bool = False) -> None:
     output = obj["output"]
     if to_file and output:
-        serialize.dump_json(data, output)
+        _file(serialize.dump_json, data, output)
     elif not obj["quiet"]:
-        print(serialize.dumps_report(data))
+        try:
+            print(serialize.dumps_report(data), flush=True)
+        except BrokenPipeError:  # stdout is closed: the command's verdict still sets the exit code
+            pass
 
 
 def _load_spectrum(path):
@@ -91,10 +102,7 @@ def _synthesize(obj, spectrum_file, order, method, phases):
     from .synthesis import IllPosedError, rule_for
 
     t0 = time.perf_counter()
-    try:
-        spec, rel_tol = serialize.load_spectrum(spectrum_file)
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_INVALID, str(exc))
+    spec, rel_tol = _file(serialize.load_spectrum, spectrum_file)
     if order < 0:
         _fail(EXIT_INVALID, "order must be non-negative")
     explicit = None if phases == "auto" else _parse_phases(phases)
@@ -116,7 +124,7 @@ def _synthesize(obj, spectrum_file, order, method, phases):
         warnings.append(f"regularized rule is inexact: residual {residual:.3g} "
                         f"exceeds validation_bound {VALIDATION_BOUND:.3g}")
     out_path = obj["output"] or "rule.json"
-    serialize.save_rule(rule, out_path)
+    _file(serialize.save_rule, rule, out_path)
     _emit(obj, {
         "method": "regularized" if method_used == "tikhonov" else method_used,
         "rule_file": str(out_path),
@@ -152,12 +160,9 @@ def _validate(obj, rule_file, model, t_grid, bound):
     from .fourier import evaluate_models
 
     t0 = time.perf_counter()
-    if not np.isfinite(bound):
-        _fail(EXIT_INVALID, f"bound must be finite, got {bound}")
-    try:
-        rule = serialize.load_rule(rule_file)
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_INVALID, str(exc))
+    if not 0 <= bound < np.inf:
+        _fail(EXIT_INVALID, f"bound must be finite and non-negative, got {bound}")
+    rule = _file(serialize.load_rule, rule_file)
     try:
         lo, hi, count = t_grid.split(":")
         grid = np.linspace(float(lo), float(hi), int(count))
@@ -177,10 +182,7 @@ def _validate(obj, rule_file, model, t_grid, bound):
             _fail(EXIT_INVALID, "rule file carries no frequency set; supply a model file")
         models = _random_models(rule.frequencies, count_models, obj["seed"])
     else:
-        try:
-            loaded = serialize.load_fourier_model(model)
-        except (OSError, ValueError) as exc:
-            _fail(EXIT_INVALID, str(exc))
+        loaded = _file(serialize.load_fourier_model, model)
         for w in loaded.frequencies:
             if not any(abs(w - f) <= 1e-9 * max(1.0, abs(w)) for f in rule.frequencies):
                 _fail(EXIT_INVALID,
@@ -268,7 +270,7 @@ def _optimize(obj, spectrum_file, order, phases):
             f"uncertified (max stationarity residual {rule.diagnostics['stationarity']:.3g})"
         )
     out_path = obj["output"] or "optimized_rule.json"
-    serialize.save_rule(rule, out_path)
+    _file(serialize.save_rule, rule, out_path)
     _emit(obj, {
         "rule_file": str(out_path),
         "square_norm_before": before,
@@ -286,10 +288,7 @@ def _variance(obj, rule_file, sigma, shots, eta):
     from .fourier import FourierModel, NoiseSpec, sample_noisy_batch
     from .rule import confidence_interval, variance_of_estimate
 
-    try:
-        rule = serialize.load_rule(rule_file)
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_INVALID, str(exc))
+    rule = _file(serialize.load_rule, rule_file)
     if not 0 <= sigma < np.inf or shots < 1 or not 0 < eta < 1:
         _fail(EXIT_INVALID, "need finite sigma >= 0, shots >= 1, eta in (0, 1)")
 

@@ -19,14 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rule import FIRST_DERIVATIVE, Orders, ShiftRule
 from .spectrum import FrequencySet
-from .synthesis import (
-    FIRST_DERIVATIVE,
-    Orders,
-    ShiftRule,
-    _extract_real,
-    build_system,
-)
+from .synthesis import _extract_real, build_system
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ def error_bound(
     E, mu = normalized_system(es)
     b0 = np.asarray(b0, dtype=float)
     s = np.linalg.svd(E, compute_uv=False)  # one factorization for cond(E) and |E|_2
-    kE = _singular_value_condition(s, max(E.shape))
+    kE = float(_singular_value_condition(s, max(E.shape)))
     norm_E = float(s.max())
     norm_R = float(np.linalg.norm(pd.matrix, 2))
     norm_r = float(np.linalg.norm(pd.vector))

@@ -22,16 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rule import FIRST_DERIVATIVE, ShiftRule, _finite
 from .spectrum import FrequencySet
-from .synthesis import (
-    FIRST_DERIVATIVE,
-    LinearSystem,
-    ShiftRule,
-    _coefficient_norm,
-    _finite,
-    _singular_value_condition,
-    build_system,
-)
+from .synthesis import LinearSystem, _coefficient_norm, _singular_value_condition, build_system
 
 GAMMA_MIN = 1e-14  # the interval on which the discrepancy principle bisects gamma
 GAMMA_MAX = 1e2
@@ -190,7 +183,7 @@ def regularized_rule(
     sol = tikhonov_solve(sys, cfg.gamma if selection is None else selection.gamma)
     diagnostics = {
         "method": "tikhonov",
-        "condition_number": _singular_value_condition(sys.svd[1], max(sys.matrix.shape)),
+        "condition_number": float(_singular_value_condition(sys.svd[1], max(sys.matrix.shape))),
         "residual": sol.residual,
         "max_imag_discarded": sol.max_imag_discarded,
         "gamma": sol.gamma,

@@ -16,15 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# the rule record and its order checks; the solver's dependants import them from here
-from .rule import (
-    FIRST_DERIVATIVE,
-    Orders,
-    ShiftRule,
-    _check_non_negative_int,
-    _finite,
-    _normalize_orders,
-)
+from .rule import FIRST_DERIVATIVE, Orders, ShiftRule, _normalize_orders
 from .spectrum import (DEFAULT_REL_TOL, FrequencySet, StructureKind, classify_structure,
                        frequency_differences, gap_generator)
 
@@ -116,81 +108,6 @@ def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearS
     return sys
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
-    """The design system at the negation-symmetric phases (0, -x_1..-x_R, +x_1..+x_R).
-
-    Unitary row and column rotations (rows 1, sqrt2*cos(w .), sqrt2*sin(w .);
-    columns e_0, (e_+x +- e_-x)/sqrt2) split E into two real blocks, so E's
-    singular values are those of ``cos`` and ``sin`` together:
-
-      cos = [[1, sqrt2 * 1^T], [sqrt2 * 1, 2 cos(w_j x_k)]]   (R+1, R+1)
-      sin = 2 sin(w_j x_k)                                     (R, R)
-
-    A target of one parity excites one block: ``matrix`` u = ``rhs`` with
-    ``matrix`` = sin for odd orders and cos for even ones.  u holds
-    sqrt2 * c_k per pair (the coefficients are -c_k, +c_k for odd orders
-    and b_0 = u_0, c_k, c_k for even ones), so sum b^2 = |u|^2.  x may
-    carry leading batch axes, which both blocks keep.  Each block is
-    computed from ``wx`` = w_j x_k on first use, so a caller that needs
-    only ``matrix`` pays for one block's trig.
-    """
-
-    wx: np.ndarray
-    rhs: np.ndarray
-    odd: bool
-
-    @cached_property
-    def cos(self) -> np.ndarray:
-        r = self.wx.shape[-1]
-        cos = np.empty(self.wx.shape[:-2] + (r + 1, r + 1))
-        cos[..., 0, 0] = 1.0
-        cos[..., 0, 1:] = cos[..., 1:, 0] = np.sqrt(2.0)
-        cos[..., 1:, 1:] = 2.0 * np.cos(self.wx)
-        return cos
-
-    @cached_property
-    def sin(self) -> np.ndarray:
-        return 2.0 * np.sin(self.wx)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.sin if self.odd else self.cos
-
-    def condition_number(self) -> np.ndarray:
-        """cond(E) at the lifted phases per batch entry; +inf where singular."""
-        s = np.concatenate([np.linalg.svd(self.cos, compute_uv=False),
-                            np.linalg.svd(self.sin, compute_uv=False)], axis=-1)
-        smax, smin = s.max(axis=-1), s.min(axis=-1)
-        regular = smin > smax * s.shape[-1] * np.finfo(float).eps  # False for NaN too
-        return np.where(regular, smax / np.where(regular, smin, 1.0), np.inf)
-
-
-def reduced_parity(orders) -> bool | None:
-    """True when every order is odd, False when every order is even, None when mixed."""
-    parities = {p % 2 for p, _ in _normalize_orders(orders)}
-    return None if len(parities) > 1 else parities.pop() == 1
-
-
-def build_reduced_system(freq: FrequencySet, x, orders=FIRST_DERIVATIVE) -> ReducedSystem:
-    """The real block system at phases (0, -x, +x); see ``ReducedSystem``.
-
-    ``x`` has R = len(freq.unique_frequencies) magnitudes on its last
-    axis.  Mixed-parity orders excite both blocks and raise ValueError.
-    """
-    odd = reduced_parity(orders)
-    if odd is None:
-        raise ValueError("orders of mixed parity have no negation-symmetric rule")
-    w = np.asarray(freq.unique_frequencies, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != w.shape:
-        raise ValueError(f"need {len(w)} magnitudes on the last axis, got shape {x.shape}")
-    t = _gap_rhs(np.concatenate([[0.0], w]), _normalize_orders(orders))
-    t[1:] *= np.sqrt(2.0)
-    rhs = t[1:].imag if odd else t.real
-    return ReducedSystem(wx=w[:, None] * x[..., None, :], rhs=rhs, odd=odd)
-
-
 def check_phase_distinctness(phases, frequencies) -> None:
     """Reject duplicate phases (equal modulo the column period).
 
@@ -227,15 +144,18 @@ def check_phase_distinctness(phases, frequencies) -> None:
 
 def condition_number(matrix: np.ndarray) -> float:
     """Spectral (l2) condition number; +inf for (numerically) singular matrices."""
-    return _singular_value_condition(np.linalg.svd(matrix, compute_uv=False), max(matrix.shape))
+    return float(_singular_value_condition(np.linalg.svd(matrix, compute_uv=False), max(matrix.shape)))
 
 
-def _singular_value_condition(s: np.ndarray, size: int) -> float:
-    """s[0] / s[-1] from descending singular values; +inf below the rank tolerance."""
-    rank_tol = s[0] * size * np.finfo(float).eps
-    if s[-1] <= rank_tol or not np.isfinite(s[-1]):
-        return float("inf")
-    return float(s[0] / s[-1])
+def _singular_value_condition(s: np.ndarray, size: int) -> np.ndarray:
+    """max / min of the singular values on the last axis, for one row or a batch.
+
+    +inf where the smallest is at most the largest times ``size * eps``
+    (the rank tolerance) or is not finite.
+    """
+    smax, smin = s.max(axis=-1), s.min(axis=-1)
+    regular = smin > smax * size * np.finfo(float).eps  # False for NaN; an inf smin has an inf smax
+    return np.divide(smax, smin, out=np.full(np.shape(smin), np.inf), where=regular)
 
 
 def _capped_solve(E: np.ndarray, rhs: np.ndarray):
@@ -346,7 +266,7 @@ def auto_phases(freq: FrequencySet, seed):
     draws = np.random.default_rng(seed).uniform(lo + margin, -margin, (64, freq.m))
     E = np.exp(1j * freq.distinct_gaps[:, None] * draws[:, None, :])  # one design matrix per draw
     s = np.linalg.svd(E, compute_uv=False)
-    return draws[np.argmin([_singular_value_condition(row, freq.m) for row in s])]
+    return draws[np.argmin(_singular_value_condition(s, freq.m))]
 
 
 class Attempt(NamedTuple):

@@ -19,22 +19,11 @@ from itertools import islice
 
 import numpy as np
 
+from .rule import (FIRST_DERIVATIVE, Orders, ShiftRule, _check_non_negative_int, _finite,
+                   _normalize_orders)
 from .spectrum import FrequencySet, gap_generator
-from .synthesis import (
-    CONDITION_CAP,
-    FIRST_DERIVATIVE,
-    IllPosedError,
-    Orders,
-    ShiftRule,
-    _check_non_negative_int,
-    _finite,
-    _normalize_orders,
-    build_reduced_system,
-    build_system,
-    condition_number,
-    reduced_parity,
-    synthesize_rule,
-)
+from .synthesis import (CONDITION_CAP, IllPosedError, _gap_rhs, _singular_value_condition,
+                        build_system, condition_number, synthesize_rule)
 
 SCREEN_SIZE = 4096  # seeded points of the symmetric family ranked before any Newton step
 MAX_NEWTON_STEPS = 300  # cap on the Newton steps of one descent
@@ -59,6 +48,79 @@ class OptimizationConfig:
             raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
         for name in ("multistarts", "seed"):
             _check_non_negative_int(name, getattr(self, name))
+
+
+@dataclass(frozen=True)
+class ReducedSystem:
+    """The design system at the negation-symmetric phases (0, -x_1..-x_R, +x_1..+x_R).
+
+    Unitary row and column rotations (rows 1, sqrt2*cos(w .), sqrt2*sin(w .);
+    columns e_0, (e_+x +- e_-x)/sqrt2) split E into two real blocks, so E's
+    singular values are those of ``cos`` and ``sin`` together:
+
+      cos = [[1, sqrt2 * 1^T], [sqrt2 * 1, 2 cos(w_j x_k)]]   (R+1, R+1)
+      sin = 2 sin(w_j x_k)                                     (R, R)
+
+    A target of one parity excites one block: ``matrix`` u = ``rhs`` with
+    ``matrix`` = sin for odd orders and cos for even ones.  u holds
+    sqrt2 * c_k per pair (the coefficients are -c_k, +c_k for odd orders
+    and b_0 = u_0, c_k, c_k for even ones), so sum b^2 = |u|^2.  x may
+    carry leading batch axes, which both blocks keep.  Each block is
+    computed from ``wx`` = w_j x_k on first use, so a caller that needs
+    only ``matrix`` pays for one block's trig.
+    """
+
+    wx: np.ndarray
+    rhs: np.ndarray
+    odd: bool
+
+    @cached_property
+    def cos(self) -> np.ndarray:
+        r = self.wx.shape[-1]
+        cos = np.empty(self.wx.shape[:-2] + (r + 1, r + 1))
+        cos[..., 0, 0] = 1.0
+        cos[..., 0, 1:] = cos[..., 1:, 0] = np.sqrt(2.0)
+        cos[..., 1:, 1:] = 2.0 * np.cos(self.wx)
+        return cos
+
+    @cached_property
+    def sin(self) -> np.ndarray:
+        return 2.0 * np.sin(self.wx)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.sin if self.odd else self.cos
+
+    def condition_number(self) -> np.ndarray:
+        """cond(E) at the lifted phases per batch entry; +inf where singular."""
+        s = np.concatenate([np.linalg.svd(self.cos, compute_uv=False),
+                            np.linalg.svd(self.sin, compute_uv=False)], axis=-1)
+        return _singular_value_condition(s, s.shape[-1])
+
+
+def reduced_parity(orders) -> bool | None:
+    """True when every order is odd, False when every order is even, None when mixed."""
+    parities = {p % 2 for p, _ in _normalize_orders(orders)}
+    return None if len(parities) > 1 else parities.pop() == 1
+
+
+def build_reduced_system(freq: FrequencySet, x, orders=FIRST_DERIVATIVE) -> ReducedSystem:
+    """The real block system at phases (0, -x, +x); see ``ReducedSystem``.
+
+    ``x`` has R = len(freq.unique_frequencies) magnitudes on its last
+    axis.  Mixed-parity orders excite both blocks and raise ValueError.
+    """
+    odd = reduced_parity(orders)
+    if odd is None:
+        raise ValueError("orders of mixed parity have no negation-symmetric rule")
+    w = np.asarray(freq.unique_frequencies, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != w.shape:
+        raise ValueError(f"need {len(w)} magnitudes on the last axis, got shape {x.shape}")
+    t = _gap_rhs(np.concatenate([[0.0], w]), _normalize_orders(orders))
+    t[1:] *= np.sqrt(2.0)
+    rhs = t[1:].imag if odd else t.real
+    return ReducedSystem(wx=w[:, None] * x[..., None, :], rhs=rhs, odd=odd)
 
 
 class _Point:

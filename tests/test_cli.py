@@ -750,6 +750,49 @@ def test_malformed_input_exits_invalid(tmp_path, args):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "validate", "optimize", "variance"])
+def test_unwritable_output_exits_invalid(tmp_path, command):
+    target = _write(tmp_path, "rule.json", _RULE) if command in ("validate", "variance") \
+        else _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0, 2.5]})
+    out = tmp_path / "missing" / "out.json"
+    result = run_cli(["--output", str(out), command, target])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert result.stdout == ""
+
+
+def test_negative_bound_exits_invalid(tmp_path):
+    rule = _write(tmp_path, "rule.json", _RULE)
+    result = run_cli(["validate", rule, "--bound", "-1e-8"])
+    assert result.exit_code == 3
+    assert result.stderr == "error: bound must be finite and non-negative, got -1e-08\n"
+    result = run_cli(["validate", rule, "--bound", "0"])  # 0 stays a valid bound
+    assert result.exit_code in (0, 1) and json.loads(result.stdout)["bound"] == 0.0
+
+
+def _run_with_closed_stdout(args, cwd):
+    """Run the CLI in a fresh process whose stdout is a pipe with its reading end closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, "-m", "shiftrules.cli", *args], cwd=cwd,
+                              env=dict(os.environ, PYTHONPATH=SRC), stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    rule = _write(tmp_path, "rule.json", _RULE)
+    broken = _write(tmp_path, "broken.json", dict(_RULE, coefficients=[0.0, 0.5773502691896258, 0.0]))
+    spec = _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0, 2.5]})
+    for args, code in ((["validate", rule], 0), (["validate", broken], 1),
+                       (["synthesize", spec], 0)):
+        result = _run_with_closed_stdout(args, tmp_path)
+        assert (result.returncode, result.stderr) == (code, ""), args
+
+
 @pytest.mark.parametrize("eigenvalues", [[-1e308, 1e308], [-1e308, 0.0, 1e308]])
 @pytest.mark.parametrize("command", ["analyze", "synthesize", "optimize"])
 def test_infinite_frequencies_exit_invalid(tmp_path, command, eigenvalues):

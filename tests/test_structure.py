@@ -153,6 +153,19 @@ def test_unused_tolerances_are_constants():
         assert name not in inspect.signature(function).parameters, f"{function.__name__}({name})"
 
 
+def test_synthesis_keeps_only_the_general_system():
+    """One rank test in src/; the symmetric family lives in variance; no re-exported checks."""
+    source = "".join(path.read_text() for path in Path(shiftrules.__file__).parent.glob("*.py"))
+    assert source.count("np.finfo(float).eps") == 1
+    assert "np.finfo(float).eps" in inspect.getsource(synthesis._singular_value_condition)
+    assert "ReducedSystem" not in inspect.getsource(synthesis)
+    for name in ("ReducedSystem", "build_reduced_system", "reduced_parity"):
+        assert not hasattr(synthesis, name), name
+        assert getattr(variance, name).__module__ == variance.__name__, name
+    for name in ("_finite", "_check_non_negative_int"):
+        assert not hasattr(synthesis, name), name
+
+
 def test_cli_holds_no_rule_selection():
     """synthesize hands the choice of method to synthesis.rule_for."""
     source = inspect.getsource(cli)

@@ -28,11 +28,12 @@ from shiftrules.synthesis import (
     Attempt,
     LinearSystem,
     ShiftRule,
+    _singular_value_condition,
     auto_phases,
-    build_reduced_system,
     condition_number,
     rule_for,
 )
+from shiftrules.variance import build_reduced_system
 
 FREQ01 = frequency_differences(Spectrum((0.0, 1.0)))
 EQ_PHASES = np.array([-2 * np.pi / 3, -4 * np.pi / 3, -2 * np.pi])
@@ -352,6 +353,30 @@ def test_lifted_reduced_rule_is_a_full_rule(p):
 def test_reduced_system_rejects_mixed_parity():
     with pytest.raises(ValueError, match="mixed parity"):
         build_reduced_system(FREQ01, [1.0], ((1, 1.0), (2, 1.0)))
+
+
+def _per_row_condition(s, size):
+    """The former scalar rank test: s[0] / s[-1] from one row of descending singular values."""
+    rank_tol = s[0] * size * np.finfo(float).eps
+    if s[-1] <= rank_tol or not np.isfinite(s[-1]):
+        return float("inf")
+    return float(s[0] / s[-1])
+
+
+def test_batched_rank_test_equals_the_per_row_test():
+    rng = np.random.default_rng(3)
+    k = 5
+    full = rng.normal(size=(40, k, k))
+    deficient = full[:20, :, :2] @ rng.normal(size=(20, 2, k))  # rank 2
+    near = full[:20] * np.logspace(0, -17, k)  # columns scaled down to round-off
+    s = np.concatenate([np.linalg.svd(m, compute_uv=False) for m in (full, deficient, near)])
+    special = [[0.0] * k, [np.inf] * k, [np.inf, 2.0, 1.0, 0.5, 0.1], [np.inf, np.inf, 1.0, 1.0, 0.0],
+               [1e300, 1e200, 1e100, 1.0, 1e-300], [np.nan] * k, [1.0] * k]
+    s = np.concatenate([s, special])
+    expected = [_per_row_condition(row, k) for row in s]
+    assert np.isinf(expected).sum() > 20 and np.isfinite(expected).sum() > 40
+    assert _singular_value_condition(s, k).tolist() == expected
+    assert [float(_singular_value_condition(row, k)) for row in s] == expected
 
 
 S7 = (0.0, 1.0, 2.5)
