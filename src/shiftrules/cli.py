@@ -16,6 +16,7 @@ numpy and no module but ``serialize``, ``analyze`` adds ``spectrum``, and
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -49,8 +50,8 @@ def _emit(obj: dict, data: dict, to_file: bool = False) -> None:
     elif not obj["quiet"]:
         try:
             print(serialize.dumps_report(data), flush=True)
-        except BrokenPipeError:  # stdout is closed: the command's verdict still sets the exit code
-            pass
+        except BrokenPipeError:  # closed stdout: point it at devnull, so the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _load_spectrum(path):

@@ -155,7 +155,7 @@ def _singular_value_condition(s: np.ndarray, size: int) -> np.ndarray:
     """
     smax, smin = s.max(axis=-1), s.min(axis=-1)
     regular = smin > smax * size * np.finfo(float).eps  # False for NaN; an inf smin has an inf smax
-    return np.divide(smax, smin, out=np.full(np.shape(smin), np.inf), where=regular)
+    return np.divide(smax, smin, out=np.full(smin.shape, np.inf), where=regular)
 
 
 def _capped_solve(E: np.ndarray, rhs: np.ndarray):
