@@ -118,9 +118,12 @@ def _synthesize(obj, spectrum_file, order, method, phases):
     warnings = [f"direct synthesis ill-posed ({a.message}); falling back to tikhonov"
                 for a in attempts if a.left == "ill_posed"]
     method_used, residual = attempts[-1].method, rule.diagnostics["residual"]
-    if "perturbation_epsilon" in rule.diagnostics:  # a perturbed closed form
+    if "perturbation_relative_bound" in rule.diagnostics:  # a perturbed closed form, order 1
         warnings.append("spectrum is perturbed-equidistant; closed-form rule carries "
                         "a first-order coefficient error bound in its diagnostics")
+    elif "perturbation_epsilon" in rule.diagnostics:  # a perturbed closed form, other orders
+        warnings.append(f"spectrum is perturbed-equidistant; closed-form rule carries "
+                        f"no coefficient error bound for order {order}")
     if method_used == "tikhonov" and residual > VALIDATION_BOUND:
         warnings.append(f"regularized rule is inexact: residual {residual:.3g} "
                         f"exceeds validation_bound {VALIDATION_BOUND:.3g}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .rule import FIRST_DERIVATIVE, Orders, ShiftRule
 from .spectrum import FrequencySet
-from .synthesis import _extract_real, build_system
+from .synthesis import _exact_rule, build_system
 
 
 @dataclass(frozen=True)
@@ -88,22 +88,6 @@ def closed_form_rule(es: EquidistantStructure, p: int = 1) -> ShiftRule:
     """
     if p < 0:
         raise ValueError("derivative order must be non-negative")
-    orders: Orders = ((p, 1.0),)
-    freq = es.frequency_set()
-    phases = optimal_phases(es)
-    sys = build_system(freq, phases, orders)
+    sys = build_system(es.frequency_set(), optimal_phases(es), ((p, 1.0),))
     b = sys.matrix.conj().T @ sys.rhs / es.m
-    coeffs, max_imag = _extract_real(b, "closed_form_rule")
-    residual = float(np.linalg.norm(sys.matrix @ b - sys.rhs))
-    return ShiftRule(
-        phases=phases,
-        coefficients=coeffs,
-        orders=orders,
-        frequencies=freq.unique_frequencies,
-        diagnostics={
-            "method": "equidistant",
-            "condition_number": 1.0,
-            "residual": residual,
-            "max_imag_discarded": max_imag,
-        },
-    )
+    return _exact_rule(sys, b, "equidistant", 1.0, "closed_form_rule")

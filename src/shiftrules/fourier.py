@@ -165,8 +165,7 @@ def from_hamiltonian(hm: HamiltonianModel) -> FourierModel:
 def _stream(noise: NoiseSpec, t: float) -> np.random.Generator:
     # Keyed by (seed, bit pattern of t): reproducible and order-independent.
     t_bits = int(np.float64(t).view(np.uint64))
-    # int(): a numpy integer seed & the 64-bit mask overflows
-    return np.random.default_rng([int(noise.seed) & 0xFFFFFFFFFFFFFFFF, t_bits])
+    return np.random.default_rng([noise.seed, t_bits])  # every non-negative seed, used whole
 
 
 def sample_noisy_batch(model: FourierModel, t: float, noise: NoiseSpec, shots: int) -> np.ndarray:

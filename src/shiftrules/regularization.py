@@ -24,7 +24,7 @@ import numpy as np
 
 from .rule import FIRST_DERIVATIVE, ShiftRule, _finite
 from .spectrum import FrequencySet
-from .synthesis import LinearSystem, _coefficient_norm, _singular_value_condition, build_system
+from .synthesis import LinearSystem, _coefficient_norm, _rule, _singular_value_condition, build_system
 
 GAMMA_MIN = 1e-14  # the interval on which the discrepancy principle bisects gamma
 GAMMA_MAX = 1e2
@@ -181,21 +181,9 @@ def regularized_rule(
 
     selection = select_gamma_discrepancy(sys, cfg) if cfg.gamma is None else None
     sol = tikhonov_solve(sys, cfg.gamma if selection is None else selection.gamma)
-    diagnostics = {
-        "method": "tikhonov",
-        "condition_number": float(_singular_value_condition(sys.svd[1], max(sys.matrix.shape))),
-        "residual": sol.residual,
-        "max_imag_discarded": sol.max_imag_discarded,
-        "gamma": sol.gamma,
-        "solution_norm": sol.norm,
-    }
+    extra = {"gamma": sol.gamma, "solution_norm": sol.norm}
     if selection is not None:
-        diagnostics["gamma_selection"] = selection.status
-        diagnostics["discrepancy_target"] = selection.target
-    return ShiftRule(
-        phases=sys.phases.copy(),
-        coefficients=sol.coefficients,
-        orders=sys.orders,
-        frequencies=tuple(freq.unique_frequencies),
-        diagnostics=diagnostics,
-    )
+        extra.update(gamma_selection=selection.status, discrepancy_target=selection.target)
+    return _rule(sys, sol.coefficients, "tikhonov",
+                 float(_singular_value_condition(sys.svd[1], max(sys.matrix.shape))),
+                 sol.residual, sol.max_imag_discarded, **extra)

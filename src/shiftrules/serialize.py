@@ -74,15 +74,6 @@ def load_spectrum(path: str | Path) -> tuple[Spectrum, float]:
     return spec, float(rel_tol)
 
 
-def save_spectrum(spec: Spectrum, path: str | Path, rel_tol: float | None = None) -> None:
-    data: dict = {"eigenvalues": list(spec.eigenvalues)}
-    if spec.label is not None:
-        data["label"] = spec.label
-    if rel_tol is not None:
-        data["rel_tol"] = rel_tol
-    dump_json(data, path)
-
-
 # -- Fourier model -----------------------------------------------------------
 
 def load_fourier_model(path: str | Path) -> FourierModel:

@@ -50,11 +50,6 @@ class Spectrum:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.eigenvalues, dtype=float)
-
 
 @dataclass(frozen=True)
 class FrequencySet:

@@ -178,7 +178,36 @@ def _coefficient_norm(b: np.ndarray, context: str, condition_number=None) -> flo
     return norm
 
 
-def _extract_real(b: np.ndarray, context: str, condition_number=None) -> tuple[np.ndarray, float]:
+def _rule(sys: LinearSystem, coefficients: np.ndarray, method: str, condition_number: float,
+          residual: float, max_imag: float, **extra) -> ShiftRule:
+    """A solver's rule: the system's phases, orders and positive gaps, and its diagnostics.
+
+    The positive gaps are the rows +w_1, +w_2, ... of ``build_system``'s
+    row order, as Python floats; ``extra`` adds diagnostics after the
+    four every rule carries.
+    """
+    return ShiftRule(
+        phases=sys.phases.copy(),
+        coefficients=coefficients,
+        orders=sys.orders,
+        frequencies=tuple(sys.row_gaps[1::2].tolist()),
+        diagnostics={
+            "method": method,
+            "condition_number": condition_number,
+            "residual": residual,
+            "max_imag_discarded": max_imag,
+            **extra,
+        },
+    )
+
+
+def _exact_rule(sys: LinearSystem, b: np.ndarray, method: str, condition_number: float,
+                context: str) -> ShiftRule:
+    """The rule of a solution b of E b = rhs: its real part, with the residual of b itself.
+
+    Raises IllPosedError, naming ``context``, when |b| overflows or the
+    imaginary part of b exceeds ``IMAG_TOL`` times |b|.
+    """
     scale = max(_coefficient_norm(b, context, condition_number), 1e-300)
     max_imag = float(np.abs(b.imag).max())
     if max_imag > IMAG_TOL * scale:
@@ -187,7 +216,8 @@ def _extract_real(b: np.ndarray, context: str, condition_number=None) -> tuple[n
             f"({max_imag:.3g} vs norm {scale:.3g})",
             condition_number=condition_number,
         )
-    return b.real.copy(), max_imag
+    residual = float(np.linalg.norm(sys.matrix @ b - sys.rhs))
+    return _rule(sys, b.real.copy(), method, condition_number, residual, max_imag)
 
 
 def solve_direct(sys: LinearSystem) -> ShiftRule:
@@ -205,23 +235,9 @@ def solve_direct(sys: LinearSystem) -> ShiftRule:
             f"system is not square ({E.shape[0]} gap rows, {E.shape[1]} phases); "
             "the direct solver needs exactly one phase per distinct gap"
         )
-    pos = sys.row_gaps[sys.row_gaps > 0]
-    check_phase_distinctness(sys.phases, pos)
+    check_phase_distinctness(sys.phases, sys.row_gaps[1::2].tolist())
     b, cond = _capped_solve(E, sys.rhs)
-    coeffs, max_imag = _extract_real(b, "solve_direct", cond)
-    residual = float(np.linalg.norm(E @ b - sys.rhs))
-    return ShiftRule(
-        phases=sys.phases.copy(),
-        coefficients=coeffs,
-        orders=sys.orders,
-        frequencies=tuple(sorted(pos)),
-        diagnostics={
-            "method": "direct",
-            "condition_number": cond,
-            "residual": residual,
-            "max_imag_discarded": max_imag,
-        },
-    )
+    return _exact_rule(sys, b, "direct", cond, "solve_direct")
 
 
 def synthesize_rule(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> ShiftRule:
@@ -286,8 +302,8 @@ def rule_for(spectrum, order: int = 1, method: str = "auto", phases=None, seed=0
     ``phases`` are given, else a direct solve that falls back to the
     Tikhonov rule when it is ill-posed.  Without ``phases`` the direct
     and Tikhonov paths run at ``auto_phases(freq, seed)``.  A perturbed
-    closed form carries the first-order ``perturbation_*`` bounds in its
-    diagnostics.
+    closed form carries ``perturbation_epsilon`` in its diagnostics, and
+    for order 1 also the first-order ``perturbation_*`` bounds.
 
     Returns (rule, structure class, attempts): one ``Attempt`` per method
     tried, in order; each but the last, which gave the rule, was left as
@@ -311,13 +327,14 @@ def rule_for(spectrum, order: int = 1, method: str = "auto", phases=None, seed=0
         es = EquidistantStructure(n=spectrum.n, delta=cls.delta)
         rule = closed_form_rule(es, order)
         if cls.kind is StructureKind.PERTURBED_EQUIDISTANT:
-            from .perturbation import error_bound, perturbation_matrices
+            rule.diagnostics["perturbation_epsilon"] = cls.epsilon
+            if order == 1:  # error_bound perturbs the first-derivative system only
+                from .perturbation import error_bound, perturbation_matrices
 
-            bound = error_bound(es, perturbation_matrices(es), rule.coefficients, cls.epsilon)
-            rule.diagnostics.update(perturbation_epsilon=cls.epsilon,
-                                    perturbation_relative_bound=bound.relative,
-                                    perturbation_absolute_estimate=bound.absolute,
-                                    perturbation_loose_bound=bound.loose)
+                bound = error_bound(es, perturbation_matrices(es), rule.coefficients, cls.epsilon)
+                rule.diagnostics.update(perturbation_relative_bound=bound.relative,
+                                        perturbation_absolute_estimate=bound.absolute,
+                                        perturbation_loose_bound=bound.loose)
         return rule, cls, [Attempt("equidistant")]
 
     phases = auto_phases(freq, seed) if phases is None else phases

@@ -39,7 +39,7 @@ SETTINGS = settings(max_examples=100, derandomize=True, deadline=None)
 # -- the earlier implementations ---------------------------------------------
 
 def _ref_frequency_differences(spectrum, dedup_tol=DEFAULT_DEDUP_TOL):
-    lam = spectrum.as_array()
+    lam = np.asarray(spectrum.eigenvalues, dtype=float)
     scale = max(float(np.abs(lam).max()), 1e-300)
     tol = dedup_tol * scale
     levels = np.asarray([float(np.mean(lam[g])) for g in _dedup_values(lam, tol)])

@@ -375,6 +375,17 @@ def test_synthesize_perturbed_equidistant_carries_bounds(tmp_path):
     assert diag["perturbation_loose_bound"] >= diag["perturbation_absolute_estimate"]
 
 
+@pytest.mark.parametrize("order", ["2", "3"])
+def test_synthesize_perturbed_equidistant_claims_no_bound_beyond_first_order(tmp_path, order):
+    path = _write(tmp_path, "pert.json", {"eigenvalues": [0.0, 1.02, 1.97, 3.01, 4.0]})
+    result = run_cli(["--output", str(tmp_path / "rule.json"), "synthesize", path, "-p", order])
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert [k for k in report["diagnostics"] if k.startswith("perturbation_")] == ["perturbation_epsilon"]
+    assert report["warnings"] == ["spectrum is perturbed-equidistant; closed-form rule carries "
+                                  f"no coefficient error bound for order {order}"]
+
+
 def test_validate_good_rule(eq_spectrum, tmp_path):
     out = str(tmp_path / "rule.json")
     assert run_cli(["--output", out, "synthesize", eq_spectrum]).exit_code == 0
@@ -560,7 +571,7 @@ def test_rule_file_round_trip_is_bit_identical(eq_spectrum, tmp_path):
 def test_spectrum_file_round_trip(tmp_path):
     spec = Spectrum((0.0, 0.1 + 0.2, 2.7), label="roundtrip")
     path = tmp_path / "spec.json"
-    serialize.save_spectrum(spec, path, rel_tol=1e-8)
+    path.write_text('{"eigenvalues": [2.7, 0.30000000000000004, 0.0], "label": "roundtrip", "rel_tol": 1e-8}')
     loaded, rel_tol = serialize.load_spectrum(path)
     assert loaded.eigenvalues == spec.eigenvalues
     assert loaded.label == "roundtrip"
@@ -634,6 +645,14 @@ def test_variance_report_is_deterministic(two_level, tmp_path):
     first = run_cli(args)
     second = run_cli(args)
     assert first.output == second.output
+
+
+def test_variance_uses_the_whole_seed(two_level, tmp_path):
+    out = str(tmp_path / "rule.json")
+    run_cli(["--output", out, "synthesize", two_level])
+    variances = [json.loads(run_cli(["--seed", seed, "variance", out, "--shots", "100"]).output)
+                 ["empirical_variance"] for seed in ("0", str(2**64))]
+    assert variances[0] != variances[1]
 
 
 def test_variance_invalid_eta(two_level, tmp_path):

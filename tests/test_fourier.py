@@ -217,6 +217,14 @@ def test_noise_spec_rejects_bad_seed(seed):
 
 def test_noise_spec_accepts_integer_seeds_with_unchanged_draws():
     model = FourierModel(a0=0.0)
-    for seed in (0, np.int64(7), 2**64 - 1, 2**70):
-        want = np.random.default_rng([int(seed) % 2**64, 0]).standard_normal(3)
-        assert np.array_equal(sample_noisy_batch(model, 0.0, NoiseSpec(1.0, seed), 3), want)
+    t_bits = int(np.float64(-0.3).view(np.uint64))
+    for seed in (0, np.int64(7), 2**63, 2**64 - 1):  # the earlier stream, keyed by seed % 2**64
+        want = np.random.default_rng([int(seed) % 2**64, t_bits]).standard_normal(3)
+        assert np.array_equal(sample_noisy_batch(model, -0.3, NoiseSpec(1.0, seed), 3), want)
+
+
+def test_noise_seeds_from_2_64_up_do_not_alias():
+    model = FourierModel(a0=0.0)
+    seeds = (0, 1, 2**64, 2**64 + 1, 2**70)
+    draws = {sample_noisy_batch(model, 0.3, NoiseSpec(1.0, seed), 3).tobytes() for seed in seeds}
+    assert len(draws) == len(seeds)

@@ -35,9 +35,16 @@ CASES = {
     "synth_s7_direct_phases": ((0, 1, 2.5), ["synthesize", "--method", "direct",
                                              "--phases", S7_PHASES]),
     "synth_s7_tikhonov": ((0, 1, 2.5), ["synthesize", "--method", "tikhonov"]),
+    "synth_s7_tikhonov_discrepancy": ((0, 1, 2.5), ["synthesize", "--method", "tikhonov"]),
     "opt_n2": ((0, 1), ["optimize"]),
     "opt_u1.6": ((0, 1, 2.6), ["optimize"]),
     "opt_n4": ((0, 1, 2.5, 4.1), ["optimize"]),
+}
+
+# name -> the config file a case runs with (--config); the other cases run without one
+CONFIGS = {
+    # a data error above r(GAMMA_MIN): the discrepancy bisection brackets gamma
+    "synth_s7_tikhonov_discrepancy": {"regularization": {"data_error": 1e-3}},
 }
 
 
@@ -47,8 +54,13 @@ def _run(name: str, workdir: Path) -> str:
     spectrum = workdir / f"{name}.spectrum.json"
     spectrum.write_text(json.dumps({"eigenvalues": [float(v) for v in eigenvalues]}))
     out = workdir / f"{name}.rule.json"
+    global_options = ["--seed", "0", "--output", str(out)]
+    if name in CONFIGS:
+        config = workdir / f"{name}.config.json"
+        config.write_text(json.dumps(CONFIGS[name]))
+        global_options += ["--config", str(config)]
     command, *options = args
-    result = run_cli(["--seed", "0", "--output", str(out), command, str(spectrum), *options])
+    result = run_cli([*global_options, command, str(spectrum), *options])
     assert result.exit_code == 0, result.output
     return out.read_text()
 

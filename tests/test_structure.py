@@ -20,6 +20,7 @@ from shiftrules import (
     equidistant,
     fourier,
     perturbation,
+    regularization,
     serialize,
     spectrum,
     synthesis,
@@ -165,6 +166,15 @@ def test_synthesis_keeps_only_the_general_system():
         assert not hasattr(synthesis, name), name
 
 
+def test_every_solver_rule_is_built_by_synthesis_rule():
+    """solve_direct, the closed form and the Tikhonov rule end in synthesis._rule."""
+    for solver in (synthesis.solve_direct, equidistant.closed_form_rule,
+                   regularization.regularized_rule):
+        assert "ShiftRule(" not in inspect.getsource(solver), solver.__name__
+    assert "ShiftRule(" in inspect.getsource(synthesis._rule)
+    assert not hasattr(synthesis, "_extract_real")
+
+
 def test_cli_holds_no_rule_selection():
     """synthesize hands the choice of method to synthesis.rule_for."""
     source = inspect.getsource(cli)
@@ -192,7 +202,7 @@ def test_config_sections_default_to_the_dataclasses(tmp_path):
 
 def test_cli_defaults_are_the_library_defaults(tmp_path):
     path = tmp_path / "spectrum.json"
-    serialize.save_spectrum(spectrum.Spectrum((0.0, 1.0)), path)
+    path.write_text(json.dumps({"eigenvalues": [0.0, 1.0]}))
     _, rel_tol = serialize.load_spectrum(path)  # the rel_tol the CLI classifies with
     assert rel_tol == inspect.signature(spectrum.classify_structure).parameters["rel_tol"].default
     assert spectrum.DEFAULT_DEDUP_TOL == inspect.signature(spectrum.frequency_differences).parameters["dedup_tol"].default

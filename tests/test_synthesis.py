@@ -33,7 +33,7 @@ from shiftrules.synthesis import (
     condition_number,
     rule_for,
 )
-from shiftrules.variance import build_reduced_system
+from shiftrules.variance import OptimizationConfig, build_reduced_system, optimize_shifts
 
 FREQ01 = frequency_differences(Spectrum((0.0, 1.0)))
 EQ_PHASES = np.array([-2 * np.pi / 3, -4 * np.pi / 3, -2 * np.pi])
@@ -381,6 +381,31 @@ def test_batched_rank_test_equals_the_per_row_test():
 
 S7 = (0.0, 1.0, 2.5)
 NEAR = (0.0, 1.0, 1.0 + 1e-9)
+PERTURBED = (0.0, 1.02, 1.97, 3.01, 4.0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_perturbation_bounds_only_for_the_first_derivative(order):
+    """error_bound perturbs the p = 1 system, so only an order-1 rule carries its bounds."""
+    rule, cls, _ = rule_for(Spectrum(PERTURBED), order)
+    keys = [k for k in rule.diagnostics if k.startswith("perturbation_")]
+    assert rule.diagnostics["perturbation_epsilon"] == cls.epsilon
+    assert keys == (["perturbation_epsilon", "perturbation_relative_bound",
+                     "perturbation_absolute_estimate", "perturbation_loose_bound"]
+                    if order == 1 else ["perturbation_epsilon"])
+
+
+def test_every_solver_records_its_frequencies_as_floats():
+    freq = frequency_differences(Spectrum(S7))
+    phases = auto_phases(freq, 0)
+    rules = {"direct": synthesize_rule(freq, phases),
+             "equidistant": closed_form_rule(EquidistantStructure(4, 0.7)),
+             "tikhonov": regularized_rule(freq, phases),
+             "optimized": optimize_shifts(freq, phases, OptimizationConfig(multistarts=1))[1]}
+    for name, rule in rules.items():
+        assert rule.frequencies and all(type(w) is float for w in rule.frequencies), name
+    for name in ("direct", "tikhonov", "optimized"):
+        assert rules[name].frequencies == freq.unique_frequencies, name
 
 
 @pytest.mark.parametrize("eigenvalues, kwargs, expected", [
