@@ -9,8 +9,8 @@ body, so a process loads only those: ``--help`` and usage errors load no
 numpy and no module but ``serialize``, ``analyze`` adds ``spectrum``, and
 ``validate`` and ``variance`` load ``rule`` and ``fourier`` but neither
 ``spectrum`` nor the solver.  Only the commands that draw with numpy
-(auto phases, the optimizer screen, ``variance``'s noise) load
-``numpy.random``.
+(the optimizer screen, ``variance``'s noise) load ``numpy.random``;
+``synthesize`` draws nothing and ignores ``--seed``.
 """
 
 from __future__ import annotations
@@ -108,8 +108,7 @@ def _synthesize(obj, spectrum_file, order, method, phases):
         _fail(EXIT_INVALID, "order must be non-negative")
     explicit = None if phases == "auto" else _parse_phases(phases)
     try:
-        rule, cls, attempts = rule_for(spec, order, method, explicit, obj["seed"],
-                                       obj["config"][0], rel_tol)
+        rule, cls, attempts = rule_for(spec, order, method, explicit, obj["config"][0], rel_tol)
     except ValueError as exc:
         _fail(EXIT_INVALID, str(exc))
     except IllPosedError as exc:
@@ -233,27 +232,18 @@ def _validate(obj, rule_file, model, t_grid, bound):
 
 def _optimize(obj, spectrum_file, order, phases):
     """Minimize the coefficient square-norm over shift phases."""
-    from .spectrum import StructureKind
     from .synthesis import IllPosedError, auto_phases, synthesize_rule
     from .variance import OptimizationConfig, optimize_shifts
 
     t0 = time.perf_counter()
-    spec, _, cls, freq = _load_spectrum(spectrum_file)
+    *_, freq = _load_spectrum(spectrum_file)
     if order < 0:
         _fail(EXIT_INVALID, "order must be non-negative")
     orders = ((order, 1.0),)
 
-    if phases == "auto":
-        if cls.kind is StructureKind.EQUIDISTANT:
-            from .equidistant import EquidistantStructure, optimal_phases
-
-            phi0 = optimal_phases(EquidistantStructure(spec.n, cls.delta))
-        else:
-            phi0 = auto_phases(freq, obj["seed"])
-    else:
-        phi0 = _parse_phases(phases)
-        if len(phi0) != freq.m:
-            _fail(EXIT_INVALID, f"need {freq.m} starting phases (one per distinct gap), got {len(phi0)}")
+    phi0 = auto_phases(freq) if phases == "auto" else _parse_phases(phases)
+    if len(phi0) != freq.m:
+        _fail(EXIT_INVALID, f"need {freq.m} starting phases (one per distinct gap), got {len(phi0)}")
 
     before = None
     try:
@@ -324,7 +314,8 @@ def _seed(text: str) -> int:
 
     validate draws its models with ``random.Random(seed)``; numpy's
     generators, which take only non-negative integers, take ``--seed`` in
-    ``synthesize``, ``optimize`` and ``variance``.
+    ``optimize`` and ``variance``.  ``synthesize`` draws nothing and
+    ignores it.
     """
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")

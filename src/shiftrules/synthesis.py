@@ -21,6 +21,7 @@ from .spectrum import (DEFAULT_REL_TOL, FrequencySet, StructureKind, classify_st
                        frequency_differences, gap_generator)
 
 CONDITION_CAP = 1e8
+GRID_FACTOR = 16  # auto_phases' candidates per phase
 IMAG_TOL = 1e-9
 
 
@@ -267,22 +268,30 @@ def compatibility_residual(rule: ShiftRule, freq: FrequencySet) -> float:
     return float(np.abs(sys.matrix @ rule.coefficients - sys.rhs).max())
 
 
-def auto_phases(freq: FrequencySet, seed):
-    """Best-conditioned random phase set out of 64 seeded draws.
+def auto_phases(freq: FrequencySet) -> np.ndarray:
+    """freq.m phases, a greedy D-optimal pick out of ``GRID_FACTOR * freq.m`` candidates.
 
-    The window is one period, 2*pi / resolution, of the frequency
-    resolution: the smallest spacing of (0, w_1, ..., w_R), floored at
-    1e-2 times the largest gap.  Gap values closer than the floor are
-    unresolvable at practical shifts and surface as ill-posed downstream.
+    The candidates are equispaced on [-2*pi / resolution, 0): one period of
+    the smallest spacing of (0, w_1, ..., w_R), floored at 1e-2 times the
+    largest gap.  Each step keeps the candidate column of E with the largest
+    norm orthogonal to those kept (pivoted Gram-Schmidt: approximate Fekete
+    points), the first on a tie.  On an equidistant spectrum the picks are
+    ``optimal_phases``, in their order.
     """
     freqs = np.asarray(freq.unique_frequencies)
-    resolution = np.diff(freqs, prepend=0.0).min()
-    lo = -2 * np.pi / max(resolution, 1e-2 * freqs[-1])
-    margin = min(1e-3, -lo / 4)  # keeps the draw interval non-empty for a tiny window
-    draws = np.random.default_rng(seed).uniform(lo + margin, -margin, (64, freq.m))
-    E = np.exp(1j * freq.distinct_gaps[:, None] * draws[:, None, :])  # one design matrix per draw
-    s = np.linalg.svd(E, compute_uv=False)
-    return draws[np.argmin(_singular_value_condition(s, freq.m))]
+    lo = -2 * np.pi / max(np.diff(freqs, prepend=0.0).min(), 1e-2 * freqs[-1])
+    grid = lo * np.linspace(1, 0, GRID_FACTOR * freq.m, endpoint=False)  # lo first, 0 left out
+    R = np.exp(1j * np.outer(freq.distinct_gaps, grid))
+    norm2 = np.full(len(grid), float(freq.m))  # every column has unit-modulus entries
+    picks = []
+    for _ in range(freq.m):
+        j = int(np.argmax(norm2))
+        picks.append(j)
+        q = R[:, j] / np.linalg.norm(R[:, j])
+        R -= np.outer(q, q.conj() @ R)
+        norm2 = (R.real**2 + R.imag**2).sum(axis=0)
+        norm2[picks] = -1.0
+    return grid[sorted(picks, reverse=True)]
 
 
 class Attempt(NamedTuple):
@@ -292,8 +301,8 @@ class Attempt(NamedTuple):
     condition_number: float | None = None  # and its condition number
 
 
-def rule_for(spectrum, order: int = 1, method: str = "auto", phases=None, seed=0,
-             config=None, rel_tol: float = DEFAULT_REL_TOL):
+def rule_for(spectrum, order: int = 1, method: str = "auto", phases=None, config=None,
+             rel_tol: float = DEFAULT_REL_TOL):
     """The order-``order`` rule for a spectrum, by the method its structure calls for.
 
     ``method`` is "equidistant" (the closed form), "direct", "tikhonov"
@@ -301,7 +310,7 @@ def rule_for(spectrum, order: int = 1, method: str = "auto", phases=None, seed=0
     for an equidistant or perturbed-equidistant spectrum when no
     ``phases`` are given, else a direct solve that falls back to the
     Tikhonov rule when it is ill-posed.  Without ``phases`` the direct
-    and Tikhonov paths run at ``auto_phases(freq, seed)``.  A perturbed
+    and Tikhonov paths run at ``auto_phases(freq)``.  A perturbed
     closed form carries ``perturbation_epsilon`` in its diagnostics, and
     for order 1 also the first-order ``perturbation_*`` bounds.
 
@@ -337,7 +346,7 @@ def rule_for(spectrum, order: int = 1, method: str = "auto", phases=None, seed=0
                                         perturbation_loose_bound=bound.loose)
         return rule, cls, [Attempt("equidistant")]
 
-    phases = auto_phases(freq, seed) if phases is None else phases
+    phases = auto_phases(freq) if phases is None else phases
     orders, attempts = ((order, 1.0),), []
     if method != "tikhonov":
         try:

@@ -22,7 +22,7 @@ from shiftrules import (
 )
 from shiftrules.cli import _parser, _random_models
 from shiftrules.fourier import evaluate_models
-from shiftrules.synthesis import CONDITION_CAP, auto_phases, build_system, condition_number
+from shiftrules.synthesis import CONDITION_CAP, build_system, condition_number
 
 SRC = str(Path(shiftrules.__file__).resolve().parents[1])
 
@@ -232,6 +232,9 @@ def test_synthesize_auto_falls_back_to_tikhonov(near_degenerate, tmp_path):
 
 
 def test_synthesize_warns_when_regularized_rule_is_inexact(near_degenerate, tmp_path):
+    """The auto Tikhonov rule of (0, 1, 1+1e-9) misses the validation bound, and
+    synthesize exits 0 saying so: validate's sampled verdict on it depends on the
+    seed (at the default random:3 it passes at --seed 0 and fails at --seed 1)."""
     out = str(tmp_path / "rule.json")
     result = run_cli(["--seed", "0", "--output", out, "synthesize", near_degenerate])
     assert result.exit_code == 0
@@ -308,16 +311,16 @@ def test_synthesize_auto_phases_resolve_close_gaps(tmp_path, eigenvalues):
     assert json.loads(result.output)["passed"] is True
 
 
-def test_auto_phases_fit_a_window_below_their_margin(tmp_path):
-    """(0, 1e4, 2.5e4), S7 in larger units: the phase window 2*pi/5e3 (one period
-    of the gap resolution) is narrower than twice the 1e-3 margin."""
+def test_auto_phases_fit_a_narrow_window(tmp_path):
+    """(0, 1e4, 2.5e4), S7 in larger units: the phase window [-2*pi/5e3, 0) is one
+    period of the gap resolution, and the pick may include its left end."""
     spec = _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1e4, 2.5e4]})
     out, opt = str(tmp_path / "rule.json"), str(tmp_path / "opt.json")
     result = run_cli(["--output", out, "synthesize", spec])
     assert result.exit_code == 0, result.exception
     assert json.loads(result.output)["method"] == "direct"
     phases = serialize.load_rule(out).phases
-    assert ((-2 * np.pi / 5e3 < phases) & (phases < 0)).all()
+    assert ((-2 * np.pi / 5e3 <= phases) & (phases < 0)).all()
     result = run_cli(["validate", out, "--model", "random:4"])
     assert result.exit_code == 0, result.output
     result = run_cli(["--output", opt, "optimize", spec])
@@ -326,25 +329,19 @@ def test_auto_phases_fit_a_window_below_their_margin(tmp_path):
     assert report["square_norm_after"] < report["square_norm_before"]
 
 
-@pytest.mark.parametrize("eigenvalues", [
-    (0.0, 1.0, 2.5), (0.0, 1.0, 2.6), (0.0, 1.0, 2.5, 4.1), (0.0, 1.0, 2.5, 4.1, 6.0),
-    (0.0, 1.0, 1.0 + 1e-9),
-])
-def test_auto_phases_match_per_draw_loop(eigenvalues):
-    # the batched draw returns exactly the first best-conditioned of the
-    # same 64 draws taken and conditioned one at a time
-    freq = frequency_differences(Spectrum(eigenvalues))
-    freqs = np.asarray(freq.unique_frequencies)
-    lo = -2 * np.pi / max(np.diff(freqs, prepend=0.0).min(), 1e-2 * freqs[-1])
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        best_cond, best = np.inf, None
-        for _ in range(64):
-            ph = rng.uniform(lo + 1e-3, -1e-3, freq.m)
-            c = condition_number(build_system(freq, ph).matrix)
-            if best is None or c < best_cond:
-                best_cond, best = c, ph
-        assert np.array_equal(auto_phases(freq, seed), best)
+@pytest.mark.parametrize("eigenvalues, method", [
+    ([0.0, 1.0, 2.5], "direct"), ([0.0, 1.0, 1.0 + 1e-9], "regularized"),
+], ids=["S7", "near-degenerate"])
+def test_synthesize_rule_file_does_not_depend_on_the_seed(tmp_path, eigenvalues, method):
+    spec = _write(tmp_path, "spec.json", {"eigenvalues": eigenvalues})
+    texts = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"rule-{seed}.json"
+        result = run_cli(["--seed", seed, "--output", str(out), "synthesize", spec])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["method"] == method
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
 
 
 def test_synthesize_duplicate_phases(two_level, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftrules import (
+    EquidistantStructure,
     HamiltonianModel,
     Spectrum,
     StructureKind,
@@ -15,6 +16,7 @@ from shiftrules import (
     condition_number,
     frequency_differences,
     from_hamiltonian,
+    optimal_phases,
     solve_direct,
     synthesize_rule,
 )
@@ -74,12 +76,23 @@ def test_synthesized_rule_is_compatible(spec, seed, p):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(spec=spectra(), seed=st.integers(0, 2**32 - 1))
-def test_auto_phases_give_exact_direct_rule(spec, seed):
+@given(spec=spectra())
+def test_auto_phases_give_exact_direct_rule(spec):
     # the CLI's auto phases resolve every gap separation >= 1e-3 here
     freq = frequency_differences(spec)
-    rule = synthesize_rule(freq, auto_phases(freq, seed))
+    rule = synthesize_rule(freq, auto_phases(freq))
     assert compatibility_residual(rule, freq) <= 1e-8
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(2, 8), mantissa=st.floats(1.0, 10.0), decade=st.integers(-4, 4))
+def test_auto_phases_on_an_equidistant_spectrum_are_its_optimal_phases(n, mantissa, decade):
+    delta = mantissa * 10.0**decade
+    freq = frequency_differences(Spectrum(tuple(k * delta for k in range(n))))
+    phases = auto_phases(freq)
+    optimal = optimal_phases(EquidistantStructure(n, delta))
+    np.testing.assert_allclose(phases, optimal, rtol=1e-12, atol=0)
+    assert condition_number(build_system(freq, phases).matrix) <= 1 + 1e-12
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

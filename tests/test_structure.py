@@ -76,22 +76,21 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     optimize = synthesize | {"variance"}
     oracle = {"serialize", "rule", "fourier"}
     # command -> (arguments, the modules it loads besides the CLI, whether it
-    # draws with numpy: auto phases, the optimizer screen, variance's noise)
+    # draws with numpy: the optimizer screen, variance's noise)
     runs = {
         "analyze": (["analyze", "s7.json"], analyze, False),
         "help": (["--help"], front, False),
         "usage error": (["synthesize", "s7.json", "--order", "abc"], front, False),
         "synthesize": (["--output", "rule.json", "synthesize", "s7.json", "--method", "direct"],
-                       synthesize, True),
+                       synthesize, False),
         "closed form": (["--output", "eq-rule.json", "synthesize", "eq.json"],
                         synthesize | {"equidistant"}, False),
         "validate": (["validate", "rule.json"], oracle, False),
         "variance": (["variance", "rule.json"], oracle, True),
         "tikhonov fallback": (["--output", "near-rule.json", "synthesize", "near.json"],
-                              synthesize | {"regularization"}, True),
+                              synthesize | {"regularization"}, False),
         "optimize": (["--output", "opt.json", "optimize", "s7.json"], optimize, True),
-        "optimize equidistant": (["--output", "opt.json", "optimize", "eq.json"],
-                                 optimize | {"equidistant"}, True),
+        "optimize equidistant": (["--output", "opt.json", "optimize", "eq.json"], optimize, True),
     }
     for command, (args, modules, draws) in runs.items():
         code, loaded = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
@@ -147,7 +146,8 @@ def test_unused_tolerances_are_constants():
                (variance._evaluate_reduced, "condition_cap"),
                (spectrum.classify_structure, "perturbed_fraction"), (spectrum.gap_generator, "rel_tol"),
                (fourier.from_hamiltonian, "dedup_tol"), (fourier.from_hamiltonian, "coeff_tol"),
-               (synthesis.auto_phases, "tries"), (RegularizationConfig, "operator_error"),
+               (synthesis.auto_phases, "tries"), (synthesis.auto_phases, "seed"),
+               (synthesis.rule_for, "seed"), (RegularizationConfig, "operator_error"),
                (RegularizationConfig, "grid_min"), (RegularizationConfig, "grid_max"),
                (OptimizationConfig, "max_iters"), (variance._newton, "max_iters")]
     for function, name in removed:

@@ -384,6 +384,23 @@ NEAR = (0.0, 1.0, 1.0 + 1e-9)
 PERTURBED = (0.0, 1.02, 1.97, 3.01, 4.0)
 
 
+@pytest.mark.parametrize("eigenvalues", [
+    S7, (0.0, 1.0, 2.5, 4.1, 6.0), (0.0, 0.7, 1.9, 3.2, 3.3, 5.0), (0.0, 1.0, 2.5, 4.1),
+], ids=["S7", "S21", "S31", "N4"])
+def test_auto_phases_scale_with_the_spectrum_bit_for_bit(eigenvalues):
+    phases = auto_phases(frequency_differences(Spectrum(eigenvalues)))
+    for k in range(-30, 31):
+        scaled = frequency_differences(Spectrum(tuple(2.0**k * v for v in eigenvalues)))
+        assert np.array_equal(auto_phases(scaled), phases * 2.0**-k), k
+
+
+def test_auto_phases_are_well_conditioned_on_random_spectra():
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        freq = frequency_differences(random_spectrum(rng, int(rng.integers(2, 7))))
+        assert condition_number(build_system(freq, auto_phases(freq)).matrix) <= 10
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_perturbation_bounds_only_for_the_first_derivative(order):
     """error_bound perturbs the p = 1 system, so only an order-1 rule carries its bounds."""
@@ -397,7 +414,7 @@ def test_perturbation_bounds_only_for_the_first_derivative(order):
 
 def test_every_solver_records_its_frequencies_as_floats():
     freq = frequency_differences(Spectrum(S7))
-    phases = auto_phases(freq, 0)
+    phases = auto_phases(freq)
     rules = {"direct": synthesize_rule(freq, phases),
              "equidistant": closed_form_rule(EquidistantStructure(4, 0.7)),
              "tikhonov": regularized_rule(freq, phases),
@@ -445,8 +462,8 @@ def test_rule_for_paths(eigenvalues, kwargs, expected):
     if method == "equidistant":
         reference = closed_form_rule(EquidistantStructure(spec.n, cls.delta))
     elif method == "direct":
-        reference = synthesize_rule(freq, auto_phases(freq, 0))
+        reference = synthesize_rule(freq, auto_phases(freq))
     else:
-        reference = regularized_rule(freq, auto_phases(freq, 0))
+        reference = regularized_rule(freq, auto_phases(freq))
     assert np.array_equal(rule.phases, reference.phases)
     assert np.array_equal(rule.coefficients, reference.coefficients)

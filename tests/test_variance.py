@@ -186,7 +186,7 @@ from shiftrules import OptimizationConfig, Spectrum, frequency_differences, opti
 from shiftrules.synthesis import auto_phases
 freq = frequency_differences(Spectrum((0.0, 1.0, 2.6)))
 cfg = OptimizationConfig()
-_, rule = optimize_shifts(freq, auto_phases(freq, 0), cfg)
+_, rule = optimize_shifts(freq, auto_phases(freq), cfg)
 print(json.dumps({"square_norm": rule.square_norm, "tol": cfg.tol, **rule.diagnostics}))
 """
 
@@ -212,7 +212,7 @@ from shiftrules.synthesis import auto_phases
 out = {}
 for ev in ((0.0, 1.0, 2.9), (0.0, 1.0, 2.5, 4.1)):
     freq = frequency_differences(Spectrum(ev))
-    out[str(ev)] = optimize_shifts(freq, auto_phases(freq, 0), OptimizationConfig())[1].square_norm
+    out[str(ev)] = optimize_shifts(freq, auto_phases(freq), OptimizationConfig())[1].square_norm
 print(json.dumps(out))
 """
 
@@ -279,7 +279,7 @@ def test_optimize_skips_phi0_descent_when_reduced_certifies(eigenvalues, square_
     # the optimize benchmark spectra from the CLI's --seed 0 start: the
     # symmetric search certifies, so only its eight descents run
     freq = frequency_differences(Spectrum(eigenvalues))
-    _, rule = optimize_shifts(freq, auto_phases(freq, 0), OptimizationConfig())
+    _, rule = optimize_shifts(freq, auto_phases(freq), OptimizationConfig())
     assert rule.diagnostics["starts"] == 8
     assert rule.diagnostics["winner_start"] == "reduced"
     assert rule.diagnostics["certified"] is True
@@ -317,7 +317,7 @@ def test_optimize_screen_survives_exactly_singular_point():
     # cos block, which must not fail the batched screen solve
     freq = frequency_differences(Spectrum((0.0, 1.4598697485727319, 2.660772350287959,
                                            3.7165231409500312)))
-    phi0, orders = auto_phases(freq, 0), ((2, 1.0),)
+    phi0, orders = auto_phases(freq), ((2, 1.0),)
     _, rule = optimize_shifts(freq, phi0, OptimizationConfig(), orders=orders)
     assert rule.square_norm < synthesize_rule(freq, phi0, orders).square_norm
 
