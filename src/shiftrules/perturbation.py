@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equidistant import EquidistantStructure, normalized_system
-from .synthesis import _singular_value_condition
+from .synthesis import _norm, _singular_value_condition
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,9 @@ def perturbation_matrices(es: EquidistantStructure) -> PerturbationData:
     n, d, tau, m = es.n, es.delta, es.tau, es.m
     R = np.zeros((m, m), dtype=complex)
     x = np.arange(1, m + 1)
-    for k in range(1, n):
-        R[2 * k - 1] = (1j * tau / d) * x * np.exp(-1j * k * x * tau)
-        R[2 * k] = -(1j * tau / d) * x * np.exp(1j * k * x * tau)
+    kx = np.arange(1, n)[:, None] * x  # k * x for k = 1..n-1, exact integers
+    R[1::2] = (1j * tau / d) * x * np.exp(-1j * kx * tau)  # the rows 2k - 1
+    R[2::2] = -(1j * tau / d) * x * np.exp(1j * kx * tau)  # the rows 2k
     R /= np.sqrt(m)
     r = 1j * np.ones(m) / np.sqrt(m)
     return PerturbationData(matrix=R, vector=r)
@@ -79,15 +79,16 @@ def error_bound(
         raise ValueError("eps must be non-negative")
     E, mu = normalized_system(es)
     b0 = np.asarray(b0, dtype=float)
-    s = np.linalg.svd(E, compute_uv=False)  # one factorization for cond(E) and |E|_2
-    kE = float(_singular_value_condition(s, max(E.shape)))
-    norm_E = float(s.max())
-    norm_R = float(np.linalg.norm(pd.matrix, 2))
-    norm_r = float(np.linalg.norm(pd.vector))
-    norm_mu = float(np.linalg.norm(mu))
-    relative = kE * (eps * norm_r / norm_mu + eps * norm_R / norm_E)
-    absolute = eps * (norm_r + norm_R) * float(np.linalg.norm(b0))
+    # one batched factorization for cond(E), |E|_2 and |R|_2 (np.linalg.norm(R, 2) is max s_R)
+    s_E, s_R = np.linalg.svd(np.stack((E, pd.matrix)), compute_uv=False)
+    kE = float(_singular_value_condition(s_E, max(E.shape)))
+    norm_E = float(s_E.max())
+    norm_R = float(s_R.max())
+    norm_r = _norm(pd.vector)
+    relative = kE * (eps * norm_r / _norm(mu) + eps * norm_R / norm_E)
+    absolute = eps * (norm_r + norm_R) * _norm(b0)
     n, m, d = es.n, es.m, es.delta
-    r_max = float(np.abs(pd.matrix).max()) * np.sqrt(m)
-    loose = 4 * eps * d * (1 + np.sqrt(m) * r_max) * (n - 1) * (2**n - 1) ** 2 / np.sqrt(m)
+    sqrt_m = np.sqrt(m)
+    r_max = float(np.abs(pd.matrix).max()) * sqrt_m
+    loose = 4 * eps * d * (1 + sqrt_m * r_max) * (n - 1) * (2**n - 1) ** 2 / sqrt_m
     return PerturbationBound(relative=relative, absolute=absolute, loose=loose)

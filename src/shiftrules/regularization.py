@@ -24,7 +24,7 @@ import numpy as np
 
 from .rule import FIRST_DERIVATIVE, ShiftRule, _finite
 from .spectrum import FrequencySet
-from .synthesis import LinearSystem, _coefficient_norm, _rule, _singular_value_condition, build_system
+from .synthesis import LinearSystem, _coefficient_norm, _norm, _rule, _singular_value_condition, build_system
 
 GAMMA_MIN = 1e-14  # the interval on which the discrepancy principle bisects gamma
 GAMMA_MAX = 1e2
@@ -87,7 +87,7 @@ def tikhonov_solve(sys: LinearSystem, gamma: float) -> RegularizedSolution:
     return RegularizedSolution(
         coefficients=coeffs,
         gamma=float(gamma),
-        residual=float(np.linalg.norm(sys.matrix @ coeffs - sys.rhs)),
+        residual=_norm(sys.matrix @ coeffs - sys.rhs),
         norm=norm,
         max_imag_discarded=float(np.abs(b.imag).max()),
     )
@@ -115,7 +115,7 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
     target = float(cfg.data_error)
     U, s, _ = sys.svd
     beta = U.conj().T @ sys.rhs
-    outside = np.linalg.norm(sys.rhs - U @ beta)  # the part of mu outside range(E)
+    outside = _norm(sys.rhs - U @ beta)  # the part of mu outside range(E)
     s2 = s**2
 
     def residual(gamma):
@@ -137,7 +137,7 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
     floats = 1e-140 < target < 1e140
     target2, margin = target * target, max(1e-13, 8 * len(s) * math.ulp(1.0))
     pairs = list(zip(np.abs(beta).tolist(), s2.tolist()))
-    outside2 = float(outside) ** 2
+    outside2 = outside**2
 
     def below(mid):
         """residual(exp(mid)) < target, from the float form unless it is too close to call."""

@@ -93,15 +93,23 @@ class VarianceReport:
 
 
 def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:
-    """Sum of b_x^2 * sigma_x^2, plus the equal-variance square-norm."""
+    """Sum of b_x^2 * sigma_x^2, plus the equal-variance square-norm.
+
+    ``per_point_variance`` is one variance for every phase or one per
+    phase; each must be finite and non-negative (ValueError otherwise).
+    """
     b = np.asarray(rule.coefficients, dtype=float)
     sig2 = np.asarray(per_point_variance, dtype=float)
     if sig2.ndim == 0:
-        sig2 = np.full(len(b), float(sig2))
-    if len(sig2) != len(b):
+        s = float(sig2)
+        if not 0 <= s < math.inf:
+            raise ValueError(f"variances must be finite and non-negative, got {s!r}")
+        sig2 = np.empty(len(b))
+        sig2.fill(s)
+    elif len(sig2) != len(b):
         raise ValueError("per-point variances must match the number of phases")
-    if (sig2 < 0).any():
-        raise ValueError("variances must be non-negative")
+    elif not (np.isfinite(sig2) & (sig2 >= 0)).all():
+        raise ValueError("variances must be finite and non-negative")
     return VarianceReport(variance=float(b**2 @ sig2), square_norm=rule.square_norm)
 
 

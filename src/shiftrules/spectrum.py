@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
-from operator import add
+from functools import reduce
+from operator import add, gt, lt
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy loads only where an array is built
@@ -37,13 +37,13 @@ class Spectrum:
     label: str | None = None
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.eigenvalues)
+        vals = tuple(map(float, self.eigenvalues))
         object.__setattr__(self, "eigenvalues", vals)
         if len(vals) < 2:
             raise ValueError("need at least 2 eigenvalues")
         if not all(map(math.isfinite, vals)):
             raise ValueError("eigenvalues must be finite")
-        if any(a > b for a, b in zip(vals, vals[1:])):
+        if any(map(gt, vals, vals[1:])):
             raise ValueError("eigenvalues must be sorted non-decreasing")
 
     @property
@@ -69,19 +69,22 @@ class FrequencySet:
             raise ValueError("frequencies must be finite")
         if len(self.multiplicities) != len(freqs):
             raise ValueError("need one multiplicity per frequency")
-        if any(f <= 0 for f in freqs):
-            raise ValueError("frequencies must be positive")
-        if any(a >= b for a, b in zip(freqs, freqs[1:])):
+        if not all(map(lt, (0, *freqs), freqs)):  # 0 < w_1 < w_2 < ... fails: say which part
+            if any(f <= 0 for f in freqs):
+                raise ValueError("frequencies must be positive")
             raise ValueError("frequencies must be strictly increasing")
 
     @property
     def m(self) -> int:
         return 2 * len(self.unique_frequencies) + 1
 
-    @cached_property
+    @property
     def signed_gaps(self) -> tuple[float, ...]:
         """Distinct gap values ordered (0, +w1, -w1, +w2, -w2, ...)."""
-        return (0.0, *(g for w in self.unique_frequencies for g in (w, -w)))
+        gaps = [0.0] * self.m
+        gaps[1::2] = self.unique_frequencies
+        gaps[2::2] = [-w for w in self.unique_frequencies]
+        return tuple(gaps)
 
     @property
     def distinct_gaps(self) -> np.ndarray:
@@ -117,13 +120,20 @@ def _dedup_values(values, tol: float) -> list[list[int]]:
     share a group when they differ by less than tol.
     """
     vals = [float(v) for v in values]
-    groups: list[list[int]] = []
-    for i in sorted(range(len(vals)), key=vals.__getitem__):
-        if groups and vals[i] - vals[groups[-1][-1]] < tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    return [order[a:b] for a, b in _runs([vals[i] for i in order], tol)]
+
+
+def _runs(ordered, tol: float) -> list[tuple[int, int]]:
+    """(start, stop) of each single-linkage group of ascending values at threshold tol.
+
+    A value joins the group of the value before it when it lies less
+    than tol above it (a NaN difference opens a new group).
+    """
+    if not ordered:
+        return []
+    cuts = [i for i in range(1, len(ordered)) if not ordered[i] - ordered[i - 1] < tol]
+    return list(zip([0, *cuts], [*cuts, len(ordered)]))
 
 
 def frequency_differences(spectrum: Spectrum, dedup_tol: float = DEFAULT_DEDUP_TOL) -> FrequencySet:
@@ -139,23 +149,23 @@ def frequency_differences(spectrum: Spectrum, dedup_tol: float = DEFAULT_DEDUP_T
     lam = spectrum.eigenvalues  # sorted, so max|eigenvalue| sits at an end
     tol = dedup_tol * max(abs(lam[0]), abs(lam[-1]), 1e-300)
 
-    levels = _group_means(lam, _dedup_values(lam, tol))
+    levels = _group_means(lam, _runs(lam, tol))
     n = len(levels)
     if n < 2:
         raise ValueError("need at least 2 distinct eigenvalues after merging")
 
-    # levels[k] - levels[l] for the pairs k > l, k-major
-    positive = [levels[k] - levels[l] for k in range(1, n) for l in range(k)]
-    groups = _dedup_values(positive, tol)
+    # levels[k] - levels[l] for the pairs k > l, in the ascending order _dedup_values groups them
+    positive = sorted([levels[k] - levels[l] for k in range(1, n) for l in range(k)])
+    runs = _runs(positive, tol)
     return FrequencySet(
-        unique_frequencies=_group_means(positive, groups),
-        multiplicities=tuple(len(g) for g in groups),
+        unique_frequencies=_group_means(positive, runs),
+        multiplicities=tuple(b - a for a, b in runs),
     )
 
 
-def _group_means(values, groups) -> tuple[float, ...]:
-    """The mean of each group of values; a group of one keeps its value as it is."""
-    return tuple(values[g[0]] if len(g) == 1 else _mean([values[i] for i in g]) for g in groups)
+def _group_means(ordered, runs) -> tuple[float, ...]:
+    """The mean of each run of ascending values; a run of one keeps its value as it is."""
+    return tuple(ordered[a] if b - a == 1 else _mean(ordered[a:b]) for a, b in runs)
 
 
 def _mean(values) -> float:
@@ -217,6 +227,8 @@ def gap_generator(values) -> float | None:
     tol = 1e-9 * vals[-1]
     g = vals[0]
     for v in vals[1:]:
+        if tol < g <= 100 * tol:
+            break  # above tol, g only shrinks: the test below rejects it already
         a, b = v, g
         while b > tol:
             a, b = b, a % b

@@ -10,8 +10,10 @@ is (i * mu) ** p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,6 +65,10 @@ class LinearSystem:
 
 def _gap_rhs(gaps: np.ndarray, orders: Orders) -> np.ndarray:
     """Target sum_p w_p (i * g) ** p per gap value g (p = 0 gives 1); IllPosedError on overflow."""
+    if orders == FIRST_DERIVATIVE:
+        # the general sum's bits: 0 + 1.0 * (i g) ** 1 leaves the real part +0 and the
+        # imaginary part g, and a finite g cannot overflow
+        return 1j * gaps + 0.0
     rhs = np.zeros(len(gaps), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for p, w in orders:
@@ -102,7 +108,8 @@ def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearS
     if last is not None and last[0] == key:
         return last[1]
     gaps = _read_only(freq.distinct_gaps)
-    sys = LinearSystem(matrix=_read_only(np.exp(1j * np.outer(gaps, phases))),
+    # gaps[:, None] * phases are np.outer's products, without its dispatch
+    sys = LinearSystem(matrix=_read_only(np.exp(1j * (gaps[:, None] * phases))),
                        rhs=_read_only(_gap_rhs(gaps, orders)), row_gaps=gaps,
                        phases=_read_only(phases), orders=orders)
     _last_system = (key, sys)
@@ -126,7 +133,7 @@ def check_phase_distinctness(phases, frequencies) -> None:
     ordered = sorted(phases)
     if period is None or ordered[-1] - ordered[0] < 0.5 * period:
         # every distance below is then |phi_i - phi_j|, and sorted neighbours hold the smallest
-        if all(b - a >= tol for a, b in zip(ordered, ordered[1:])):
+        if all(map(tol.__le__, map(sub, ordered[1:], ordered))):  # every b - a >= tol
             return
     # plain floats: Python's % equals np.remainder for these non-negative operands
     for i, a in enumerate(phases):
@@ -148,14 +155,19 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(_singular_value_condition(np.linalg.svd(matrix, compute_uv=False), max(matrix.shape)))
 
 
-def _singular_value_condition(s: np.ndarray, size: int) -> np.ndarray:
+def _singular_value_condition(s: np.ndarray, size: int):
     """max / min of the singular values on the last axis, for one row or a batch.
 
     +inf where the smallest is at most the largest times ``size * eps``
-    (the rank tolerance) or is not finite.
+    (the rank tolerance) or is not finite.  One row gives a float, a
+    batch an array; both come from the same comparison and quotient.
     """
+    eps = np.finfo(float).eps
+    if s.ndim == 1:  # Python floats round as numpy's float64 does, without its dispatch
+        smax, smin = float(s.max()), float(s.min())
+        return smax / smin if smin > smax * size * eps else math.inf
     smax, smin = s.max(axis=-1), s.min(axis=-1)
-    regular = smin > smax * size * np.finfo(float).eps  # False for NaN; an inf smin has an inf smax
+    regular = smin > smax * size * eps  # False for NaN; an inf smin has an inf smax
     return np.divide(smax, smin, out=np.full(smin.shape, np.inf), where=regular)
 
 
@@ -170,11 +182,20 @@ def _capped_solve(E: np.ndarray, rhs: np.ndarray):
     return np.linalg.solve(E, rhs), cond
 
 
+def _norm(x: np.ndarray) -> float:
+    """float(np.linalg.norm(x)) for a 1-d float or complex array: its dot products, without its dispatch."""
+    x = x.ravel(order="K")  # as norm does: a strided x would take another BLAS summation order
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def _coefficient_norm(b: np.ndarray, context: str, condition_number=None) -> float:
     """|b|; IllPosedError when sum b^2 overflows, so no finite square-norm or variance."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(b))
-    if not np.isfinite(norm):
+    with np.errstate(over="ignore"):  # the dot products warn where they overflow
+        norm = _norm(b)
+    if not math.isfinite(norm):
         raise IllPosedError(f"{context}: coefficient norm overflows", condition_number=condition_number)
     return norm
 
@@ -217,26 +238,30 @@ def _exact_rule(sys: LinearSystem, b: np.ndarray, method: str, condition_number:
             f"({max_imag:.3g} vs norm {scale:.3g})",
             condition_number=condition_number,
         )
-    residual = float(np.linalg.norm(sys.matrix @ b - sys.rhs))
-    return _rule(sys, b.real.copy(), method, condition_number, residual, max_imag)
+    return _rule(sys, b.real.copy(), method, condition_number, _norm(sys.matrix @ b - sys.rhs), max_imag)
 
 
 def solve_direct(sys: LinearSystem) -> ShiftRule:
     """Solve the square system E b = rhs and return the real coefficients.
 
     The rule is labelled with the orders the system was built for.
-    Raises IllPosedError when the system is not square, contains
-    duplicate phases, has a condition number above ``CONDITION_CAP`` or
+    Raises IllPosedError when the phases hold duplicates, the system is
+    not square, has a condition number above ``CONDITION_CAP`` or
     a solution with a non-negligible imaginary part (ill-posed spectra
     must go through the equidistant or regularized paths instead).
     """
+    check_phase_distinctness(sys.phases, sys.row_gaps[1::2].tolist())
+    return _solve_distinct(sys)
+
+
+def _solve_distinct(sys: LinearSystem) -> ShiftRule:
+    """``solve_direct`` at phases already checked for duplicates."""
     E = sys.matrix
     if not sys.is_square:
         raise IllPosedError(
             f"system is not square ({E.shape[0]} gap rows, {E.shape[1]} phases); "
             "the direct solver needs exactly one phase per distinct gap"
         )
-    check_phase_distinctness(sys.phases, sys.row_gaps[1::2].tolist())
     b, cond = _capped_solve(E, sys.rhs)
     return _exact_rule(sys, b, "direct", cond, "solve_direct")
 
@@ -346,11 +371,13 @@ def rule_for(spectrum, order: int = 1, method: str = "auto", phases=None, config
                                         perturbation_loose_bound=bound.loose)
         return rule, cls, [Attempt("equidistant")]
 
+    # explicit phases were checked above, auto phases are checked once by solve_direct
+    solve = solve_direct if phases is None else _solve_distinct
     phases = auto_phases(freq) if phases is None else phases
     orders, attempts = ((order, 1.0),), []
     if method != "tikhonov":
         try:
-            return synthesize_rule(freq, phases, orders), cls, [Attempt("direct")]
+            return solve(build_system(freq, phases, orders)), cls, [Attempt("direct")]
         except IllPosedError as exc:
             cond = exc.condition_number
             if method == "direct":

@@ -6,6 +6,8 @@ reference.  The current code must reproduce it exactly: the same floats
 the same error message for the same first offending pair.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,14 +26,19 @@ from shiftrules import (
     evaluate,
     frequency_differences,
     perturbation_matrices,
+    regularized_rule,
     synthesize_rule,
 )
-from shiftrules.equidistant import normalized_system
+from shiftrules import spectrum, synthesis
+from shiftrules.equidistant import normalized_system, optimal_phases
 from shiftrules.fourier import evaluate_models
-from shiftrules.perturbation import PerturbationBound
-from shiftrules.regularization import GAMMA_MAX, GAMMA_MIN, GammaSelection, select_gamma_discrepancy
+from shiftrules.perturbation import PerturbationBound, PerturbationData
+from shiftrules.regularization import (GAMMA_MAX, GAMMA_MIN, GammaSelection, RegularizedSolution,
+                                       select_gamma_discrepancy, tikhonov_solve)
+from shiftrules.rule import ShiftRule, VarianceReport, _normalize_orders, variance_of_estimate
 from shiftrules.spectrum import DEFAULT_DEDUP_TOL, FrequencySet, _dedup_values, gap_generator
-from shiftrules.synthesis import build_system, check_phase_distinctness, condition_number
+from shiftrules.synthesis import (CONDITION_CAP, IMAG_TOL, LinearSystem, build_system,
+                                  check_phase_distinctness, condition_number, solve_direct)
 
 SETTINGS = settings(max_examples=100, derandomize=True, deadline=None)
 
@@ -335,3 +342,305 @@ def test_evaluate_models_matches_per_model_evaluate(seed, k, shared):
                 assert np.array_equal(evaluate_models(models, x, p)[i], ref)
     scalar = float(t[0, 0])
     assert all(type(f(fm, scalar)) is float for fm in models for f in (evaluate, analytic_derivative))
+
+
+# -- the direct solve, closed form, Tikhonov rule and variance ----------------
+#
+# The references below are the numpy-dispatch forms the solvers had before
+# their hot path was trimmed.  A solver output counts as equal when every
+# array has the same dtype, shape and bytes (so -0.0 differs from 0.0) and
+# every diagnostic the same type and value.
+
+
+def _ref_gap_rhs(gaps, orders):
+    rhs = np.zeros(len(gaps), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, w in orders:
+            rhs += w * (1j * gaps) ** p
+    if not np.isfinite(rhs).all():
+        raise IllPosedError(f"derivative target (i g)^p overflows for orders {list(orders)}")
+    return rhs
+
+
+def _ref_build_system(freq, phases, orders):
+    phases = np.array(phases, dtype=float)
+    orders = _normalize_orders(orders)
+    gaps = np.array((0.0, *(g for w in freq.unique_frequencies for g in (w, -w))), dtype=float)
+    return LinearSystem(matrix=np.exp(1j * np.outer(gaps, phases)), rhs=_ref_gap_rhs(gaps, orders),
+                        row_gaps=gaps, phases=phases, orders=orders)
+
+
+def _ref_singular_value_condition(s, size):
+    smax, smin = s.max(axis=-1), s.min(axis=-1)
+    regular = smin > smax * size * np.finfo(float).eps
+    return np.divide(smax, smin, out=np.full(smin.shape, np.inf), where=regular)
+
+
+def _ref_coefficient_norm(b, context, condition_number=None):
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(b))
+    if not np.isfinite(norm):
+        raise IllPosedError(f"{context}: coefficient norm overflows", condition_number=condition_number)
+    return norm
+
+
+def _ref_rule(sys, coefficients, method, condition_number, residual, max_imag, **extra):
+    return ShiftRule(phases=sys.phases.copy(), coefficients=coefficients, orders=sys.orders,
+                     frequencies=tuple(sys.row_gaps[1::2].tolist()),
+                     diagnostics={"method": method, "condition_number": condition_number,
+                                  "residual": residual, "max_imag_discarded": max_imag, **extra})
+
+
+def _ref_exact_rule(sys, b, method, condition_number, context):
+    scale = max(_ref_coefficient_norm(b, context, condition_number), 1e-300)
+    max_imag = float(np.abs(b.imag).max())
+    if max_imag > IMAG_TOL * scale:
+        raise IllPosedError(
+            f"{context}: solution has non-negligible imaginary part "
+            f"({max_imag:.3g} vs norm {scale:.3g})",
+            condition_number=condition_number,
+        )
+    residual = float(np.linalg.norm(sys.matrix @ b - sys.rhs))
+    return _ref_rule(sys, b.real.copy(), method, condition_number, residual, max_imag)
+
+
+def _ref_solve_direct(sys):
+    E = sys.matrix
+    if not sys.is_square:
+        raise IllPosedError(
+            f"system is not square ({E.shape[0]} gap rows, {E.shape[1]} phases); "
+            "the direct solver needs exactly one phase per distinct gap"
+        )
+    _ref_check_phase_distinctness(sys.phases, sys.row_gaps[1::2].tolist())
+    cond = float(_ref_singular_value_condition(np.linalg.svd(E, compute_uv=False), max(E.shape)))
+    if not np.isfinite(cond) or cond > CONDITION_CAP:
+        raise IllPosedError(f"condition number {cond:.3g} exceeds cap {CONDITION_CAP:.3g}",
+                            condition_number=cond)
+    return _ref_exact_rule(sys, np.linalg.solve(E, sys.rhs), "direct", cond, "solve_direct")
+
+
+def _ref_closed_form_rule(es, p=1):
+    sys = _ref_build_system(es.frequency_set(), optimal_phases(es), ((p, 1.0),))
+    b = sys.matrix.conj().T @ sys.rhs / es.m
+    return _ref_exact_rule(sys, b, "equidistant", 1.0, "closed_form_rule")
+
+
+def _ref_tikhonov_solve(sys, gamma):
+    U, s, Vh = np.linalg.svd(sys.matrix, full_matrices=False)
+    b = Vh.conj().T @ (s / (s**2 + gamma) * (U.conj().T @ sys.rhs))
+    coeffs = b.real.copy()
+    norm = _ref_coefficient_norm(coeffs, "tikhonov_solve")
+    return RegularizedSolution(coefficients=coeffs, gamma=float(gamma),
+                               residual=float(np.linalg.norm(sys.matrix @ coeffs - sys.rhs)),
+                               norm=norm, max_imag_discarded=float(np.abs(b.imag).max()))
+
+
+def _ref_perturbation_matrices(es):
+    n, d, tau, m = es.n, es.delta, es.tau, es.m
+    R = np.zeros((m, m), dtype=complex)
+    x = np.arange(1, m + 1)
+    for k in range(1, n):
+        R[2 * k - 1] = (1j * tau / d) * x * np.exp(-1j * k * x * tau)
+        R[2 * k] = -(1j * tau / d) * x * np.exp(1j * k * x * tau)
+    R /= np.sqrt(m)
+    return PerturbationData(matrix=R, vector=1j * np.ones(m) / np.sqrt(m))
+
+
+def _ref_variance_of_estimate(rule, per_point_variance):
+    b = np.asarray(rule.coefficients, dtype=float)
+    sig2 = np.asarray(per_point_variance, dtype=float)
+    if sig2.ndim == 0:
+        sig2 = np.full(len(b), float(sig2))
+    if len(sig2) != len(b):
+        raise ValueError("per-point variances must match the number of phases")
+    if (sig2 < 0).any():
+        raise ValueError("variances must be non-negative")
+    return VarianceReport(variance=float(b**2 @ sig2), square_norm=rule.square_norm)
+
+
+def _ref_frequency_set_checks(freqs, multiplicities):
+    if not all(map(math.isfinite, freqs)):
+        raise ValueError("frequencies must be finite")
+    if len(multiplicities) != len(freqs):
+        raise ValueError("need one multiplicity per frequency")
+    if any(f <= 0 for f in freqs):
+        raise ValueError("frequencies must be positive")
+    if any(a >= b for a, b in zip(freqs, freqs[1:])):
+        raise ValueError("frequencies must be strictly increasing")
+
+
+def _ref_dedup_values(values, tol):
+    vals = [float(v) for v in values]
+    groups = []
+    for i in sorted(range(len(vals)), key=vals.__getitem__):
+        if groups and vals[i] - vals[groups[-1][-1]] < tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+def _ref_gap_generator(values):
+    vals = sorted(float(v) for v in values if v > 0)
+    if not vals:
+        return None
+    tol = 1e-9 * vals[-1]
+    g = vals[0]
+    for v in vals[1:]:
+        a, b = v, g
+        while b > tol:
+            a, b = b, a % b
+        g = a
+    if g <= 100 * tol:
+        return None
+    if any(abs(v / g - round(v / g)) * g > tol for v in vals):
+        return None
+    return g
+
+
+def _bits(x):
+    """Everything == would compare, plus the dtype, the bytes and the sign of zero."""
+    if isinstance(x, np.ndarray):
+        return "array", x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return type(x), x.hex()
+    if isinstance(x, dict):
+        return tuple((k, _bits(v)) for k, v in x.items())
+    if isinstance(x, (tuple, list)):
+        return type(x), tuple(_bits(v) for v in x)
+    if hasattr(x, "__dataclass_fields__"):
+        return type(x), tuple(_bits(getattr(x, k)) for k in x.__dataclass_fields__)
+    if isinstance(x, Exception):
+        return type(x), str(x), _bits(getattr(x, "condition_number", None))
+    return type(x), x
+
+
+def _outcome_bits(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except (ValueError, IllPosedError) as exc:
+        return _bits(exc)
+
+
+orders_lists = st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1.0, -0.0, 0.5, -2.0, 3e-3])),
+                        min_size=1, max_size=3)
+
+
+@st.composite
+def systems(draw):
+    """Spectra of 2-6 levels (some nearly degenerate) and m phases, some duplicated or huge."""
+    n = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.floats(0.05, 3.0), min_size=n - 1, max_size=n - 1))
+    if n > 2 and draw(st.booleans()):  # a near-coincident gap pair: the cap or the imaginary test
+        steps[-1] = steps[0] * (1 + draw(st.sampled_from([1e-4, 1e-7, 1e-10])))
+    lam = np.cumsum([draw(st.floats(-5.0, 5.0)), *steps])
+    freq = frequency_differences(Spectrum(tuple(lam.tolist())))
+    width = draw(st.sampled_from([2 * np.pi, 20.0, 1e3]))
+    phases = draw(st.lists(st.floats(-width, 0.0), min_size=freq.m, max_size=freq.m))
+    if draw(st.booleans()):
+        phases[-1] = phases[0]
+    orders = draw(st.sampled_from([((1, 1.0),), [(1, 1)], ((2, 1.0),)]) | orders_lists)
+    return freq, phases, orders
+
+
+@SETTINGS
+@given(case=systems())
+def test_solve_direct_is_bit_identical(case):
+    freq, phases, orders = case
+    got = _outcome_bits(lambda: solve_direct(build_system(freq, phases, orders)))
+    assert got == _outcome_bits(lambda: _ref_solve_direct(_ref_build_system(freq, phases, orders)))
+
+
+@SETTINGS
+@given(case=systems(), gamma=st.sampled_from([1e-14, 1e-9, 1e-6, 1e-3, 1.0, 1e2]))
+def test_tikhonov_solve_is_bit_identical(case, gamma):
+    freq, phases, orders = case
+    got = _outcome_bits(tikhonov_solve, build_system(freq, phases, orders), gamma)
+    assert got == _outcome_bits(_ref_tikhonov_solve, _ref_build_system(freq, phases, orders), gamma)
+
+
+@SETTINGS
+@given(n=st.integers(2, 10), delta=scales, p=st.integers(0, 4))
+def test_closed_form_and_perturbation_matrices_are_bit_identical(n, delta, p):
+    es = EquidistantStructure(n, delta)
+    assert _bits(closed_form_rule(es, p)) == _bits(_ref_closed_form_rule(es, p))
+    assert _bits(perturbation_matrices(es)) == _bits(_ref_perturbation_matrices(es))
+
+
+@SETTINGS
+@given(gaps=st.lists(st.floats(0.0, 1e200) | st.sampled_from([1e-300, 3.0, 1e100]), min_size=1,
+                     max_size=8),
+       orders=orders_lists)
+def test_gap_rhs_is_bit_identical(gaps, orders):
+    """p = 0..3, both targets of the first derivative, and the overflow error for huge gaps."""
+    row_gaps = np.array([0.0, *(g for w in gaps for g in (w, -w))])
+    for target in (_normalize_orders(orders), synthesis.FIRST_DERIVATIVE, _normalize_orders([(1, 1)])):
+        assert _outcome_bits(synthesis._gap_rhs, row_gaps, target) == _outcome_bits(
+            _ref_gap_rhs, row_gaps, target)
+
+
+def test_gap_rhs_overflow_is_reported_like_before():
+    row_gaps = np.array([0.0, 1e200, -1e200])
+    for orders in (((2, 1.0),), ((3, 1.0), (1, 1.0))):
+        with pytest.raises(IllPosedError, match="overflows for orders"):
+            synthesis._gap_rhs(row_gaps, orders)
+        assert _outcome_bits(synthesis._gap_rhs, row_gaps, orders) == _outcome_bits(
+            _ref_gap_rhs, row_gaps, orders)
+
+
+singular_values = st.floats(0.0, 1e300) | st.sampled_from([0.0, 5e-324, 1e-300, 1.0, np.inf, np.nan])
+
+
+@SETTINGS
+@given(rows=st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(singular_values, min_size=k, max_size=k), min_size=1, max_size=6)),
+    size=st.integers(1, 40))
+def test_singular_value_condition_is_bit_identical(rows, size):
+    s = np.array(rows)
+    assert _bits(synthesis._singular_value_condition(s, size)) == _bits(
+        _ref_singular_value_condition(s, size))
+    for row in s:
+        got = synthesis._singular_value_condition(row, size)
+        assert type(got) is float and _bits(got) == _bits(float(_ref_singular_value_condition(row, size)))
+
+
+@SETTINGS
+@given(case=systems(), scalar=st.floats(0.0, 1e100) | st.sampled_from([0.0, -0.0, 1e-300, 1.0]),
+       seed=st.integers(0, 2**16))
+def test_variance_of_estimate_is_bit_identical(case, scalar, seed):
+    """Equal to the former code wherever that accepted the variances, ``-0.0`` included."""
+    freq, phases, _ = case
+    rule = regularized_rule(freq, phases, cfg=RegularizationConfig(gamma=1e-6))
+    per_point = np.random.default_rng(seed).uniform(0, 3, len(rule.coefficients))
+    for arg in (scalar, int(min(scalar, 1e6)), np.float64(scalar), per_point, per_point.tolist(),
+                per_point[:-1], -per_point):
+        want = _outcome_bits(_ref_variance_of_estimate, rule, arg)
+        if want == _bits(ValueError("variances must be non-negative")):  # now named with finiteness
+            want = _bits(ValueError("variances must be finite and non-negative"))
+        assert _outcome_bits(variance_of_estimate, rule, arg) == want
+
+
+values = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0, 1 + 2**-52, np.nan, np.inf, -np.inf])
+
+
+@SETTINGS
+@given(freqs=st.lists(values | st.integers(-3, 9), max_size=6), ordered=st.booleans(),
+       extra=st.sampled_from([0, 0, -1, 1]))
+def test_frequency_set_checks_are_unchanged(freqs, ordered, extra):
+    """FrequencySet accepts and rejects the inputs it did, with the same message, ints included."""
+    freqs = tuple(sorted(set(freqs), key=float) if ordered else freqs)
+    mults = (1,) * max(len(freqs) + extra, 0)
+    want = _outcome(_ref_frequency_set_checks, freqs, mults)
+    got = _outcome(FrequencySet, freqs, mults)
+    assert isinstance(got, FrequencySet) if want is None else got == want
+
+
+@SETTINGS
+@given(vals=st.lists(values, max_size=12), tol=st.sampled_from([1e-12, 1e-3, 0.5, 10.0]))
+def test_dedup_values_and_gap_generator_are_unchanged(vals, tol):
+    assert spectrum._dedup_values(vals, tol) == _ref_dedup_values(vals, tol)
+    finite = [v for v in vals if math.isfinite(v)]
+    commensurate = [abs(v) // 0.25 * 0.25 for v in finite]
+    for cands in (finite, commensurate):
+        got, want = gap_generator(cands), _ref_gap_generator(cands)
+        assert got == want and type(got) is type(want)

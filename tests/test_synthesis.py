@@ -23,6 +23,7 @@ from shiftrules import (
     synthesize_rule,
 )
 from paper_forms import build_full_system, cramer_coefficient, jacobi_coefficient
+from shiftrules import synthesis
 from shiftrules.synthesis import (
     CONDITION_CAP,
     Attempt,
@@ -380,6 +381,7 @@ def test_batched_rank_test_equals_the_per_row_test():
 
 
 S7 = (0.0, 1.0, 2.5)
+S7_PHASES = [-0.9, -1.7, -2.6, -3.8, -4.4, -5.3, -6.1]
 NEAR = (0.0, 1.0, 1.0 + 1e-9)
 PERTURBED = (0.0, 1.02, 1.97, 3.01, 4.0)
 
@@ -436,9 +438,14 @@ def test_every_solver_records_its_frequencies_as_floats():
      (ValueError, "^the equidistant method fixes its own phases$")),
     (S7, {"phases": [-1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]},
      (IllPosedError, "^duplicate shift phases: phi_0 and phi_1 coincide")),
+    (S7, {"method": "direct", "phases": [-1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]},
+     (IllPosedError, "^duplicate shift phases: phi_0 and phi_1 coincide")),
+    (S7, {"method": "tikhonov", "phases": [-1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]},
+     (IllPosedError, "^duplicate shift phases: phi_0 and phi_1 coincide")),
     (NEAR, {"method": "direct"}, (IllPosedError, "^direct synthesis is ill-posed .*; condition number")),
 ], ids=["closed-form", "perturbed-closed-form", "direct", "auto-fallback", "forced-tikhonov",
-        "closed-form-unstructured", "closed-form-with-phases", "duplicate-phases", "direct-ill-posed"])
+        "closed-form-unstructured", "closed-form-with-phases", "duplicate-phases",
+        "duplicate-phases-direct", "duplicate-phases-tikhonov", "direct-ill-posed"])
 def test_rule_for_paths(eigenvalues, kwargs, expected):
     spec = Spectrum(eigenvalues)
     if isinstance(expected, tuple):
@@ -467,3 +474,17 @@ def test_rule_for_paths(eigenvalues, kwargs, expected):
         reference = regularized_rule(freq, auto_phases(freq))
     assert np.array_equal(rule.phases, reference.phases)
     assert np.array_equal(rule.coefficients, reference.coefficients)
+
+
+@pytest.mark.parametrize("eigenvalues, kwargs", [
+    (S7, {}), (S7, {"phases": S7_PHASES}), (S7, {"method": "direct", "phases": S7_PHASES}),
+    (S7, {"method": "tikhonov", "phases": S7_PHASES}), (NEAR, {"phases": [-1.0, -2.5, -4.0, -5.5, -7.0]}),
+], ids=["auto-phases", "explicit", "explicit-direct", "explicit-tikhonov", "explicit-fallback"])
+def test_rule_for_checks_phases_once(monkeypatch, eigenvalues, kwargs):
+    """Each path checks the phases for duplicates exactly once, explicit or auto."""
+    calls = []
+    check = synthesis.check_phase_distinctness
+    monkeypatch.setattr(synthesis, "check_phase_distinctness",
+                        lambda *args: calls.append(args) or check(*args))
+    rule_for(Spectrum(eigenvalues), **kwargs)
+    assert len(calls) == 1

@@ -62,6 +62,15 @@ def test_variance_rejects_negative():
         variance_of_estimate(EQ_RULE, [-1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -1.0, np.float64("nan"),
+                                    [1.0, float("nan"), 1.0], [1.0, 1.0, float("inf")],
+                                    np.array([0.5, -np.inf, 1.0])])
+def test_variance_rejects_non_finite(sigma2):
+    """A NaN or infinite variance, scalar or per point, is refused like a negative one."""
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        variance_of_estimate(EQ_RULE, sigma2)
+
+
 @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", True), ("seed", 1.5),
                                           ("multistarts", -1), ("multistarts", 2.9)])
 def test_optimization_config_rejects_bad_counts(field, value):
