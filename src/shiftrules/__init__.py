@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 # module -> the names the package exports from it
 _EXPORTS = {
     "equidistant": ("EquidistantStructure", "closed_form_rule", "optimal_phases"),
-    "fourier": ("FourierModel", "HamiltonianModel", "NoiseSpec", "analytic_derivative",
-                "evaluate", "from_hamiltonian"),
+    "fourier": ("FourierModel", "NoiseSpec", "analytic_derivative", "evaluate"),
     "perturbation": ("error_bound", "perturbation_matrices"),
     "regularization": ("RegularizationConfig", "regularized_rule", "tikhonov_solve"),
     "rule": ("ShiftRule", "confidence_interval", "variance_of_estimate"),

@@ -283,8 +283,9 @@ def _variance(obj, rule_file, sigma, shots, eta):
     from .rule import confidence_interval, variance_of_estimate
 
     rule = _file(serialize.load_rule, rule_file)
-    if not 0 <= sigma < np.inf or shots < 1 or not 0 < eta < 1:
-        _fail(EXIT_INVALID, "need finite sigma >= 0, shots >= 1, eta in (0, 1)")
+    # sigma**2 raises OverflowError where sigma * sigma is inf
+    if not (0 <= sigma and sigma * sigma < np.inf) or shots < 1 or not 0 < eta < 1:
+        _fail(EXIT_INVALID, "need sigma >= 0 with a finite square, shots >= 1, eta in (0, 1)")
 
     report = variance_of_estimate(rule, sigma**2)
     nu = confidence_interval(report, eta)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rule import FIRST_DERIVATIVE, Orders, ShiftRule
+from .rule import ShiftRule
 from .spectrum import FrequencySet
 from .synthesis import _exact_rule, build_system
 
@@ -68,13 +68,13 @@ def optimal_phases(es: EquidistantStructure) -> np.ndarray:
     return -2 * np.pi * j / (m * es.delta)
 
 
-def normalized_system(es: EquidistantStructure, orders: Orders = FIRST_DERIVATIVE):
+def normalized_system(es: EquidistantStructure):
     """(E_tilde, rhs_tilde): the reduced system scaled by 1/sqrt(2n-1).
 
     E_tilde is unitary at the equidistant phases, so its inverse is the
     conjugate transpose and its condition number is exactly one.
     """
-    sys = build_system(es.frequency_set(), optimal_phases(es), orders)
+    sys = build_system(es.frequency_set(), optimal_phases(es))
     scale = 1.0 / np.sqrt(es.m)
     return sys.matrix * scale, sys.rhs * scale
 

@@ -1,10 +1,8 @@
 """Exact trigonometric expectation functions and their derivatives.
 
 This is the validation oracle: every synthesized shift rule is checked
-against models whose derivatives we can evaluate in closed form.  Models
-come either directly as a finite cosine/sine series or from a
-(eigenvalues, observable, state) triple via the finite-power expansion of
-the evolution operator.
+against models whose derivatives we can evaluate in closed form: finite
+cosine/sine series.
 """
 
 from __future__ import annotations
@@ -39,33 +37,6 @@ class FourierModel:
     @property
     def frequencies(self) -> tuple[float, ...]:
         return tuple(w for w, _, _ in self.terms)
-
-
-@dataclass(frozen=True)
-class HamiltonianModel:
-    """Eigenvalues, observable (in the eigenbasis), and a unit-norm state."""
-
-    eigenvalues: tuple[float, ...]
-    observable: np.ndarray
-    state: np.ndarray
-
-    def __post_init__(self):
-        lam = tuple(float(v) for v in self.eigenvalues)
-        object.__setattr__(self, "eigenvalues", lam)
-        C = np.asarray(self.observable, dtype=complex)
-        psi = np.asarray(self.state, dtype=complex)
-        n = len(lam)
-        if C.shape != (n, n):
-            raise ValueError("observable must be n x n")
-        if psi.shape != (n,):
-            raise ValueError("state must be an n-vector")
-        scale = max(1.0, float(np.abs(C).max()))
-        if not np.allclose(C, C.conj().T, rtol=0, atol=1e-12 * scale):
-            raise ValueError("observable must be Hermitian")
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
-            raise ValueError("state must have unit norm")
-        object.__setattr__(self, "observable", C)
-        object.__setattr__(self, "state", psi)
 
 
 @dataclass(frozen=True)
@@ -124,42 +95,6 @@ def evaluate_models(models, t, p: int = 0) -> list:
 def analytic_derivative(model: FourierModel, t, p: int = 1):
     """Exact p-th derivative of the series at t; p=0 is plain evaluation."""
     return evaluate_models([model], t, p)[0]
-
-
-def from_hamiltonian(hm: HamiltonianModel) -> FourierModel:
-    """Expand <psi| U(t)^dag C U(t) |psi> into a FourierModel.
-
-    Works entirely in the eigenbasis: the weight of each signed gap
-    g = lam_l - lam_k is w_kl = conj(psi_k) C_kl psi_l, and conjugate
-    gap pairs combine into real cosine/sine terms.  Gap values are merged
-    into frequencies by the single-linkage grouping of
-    ``frequency_differences`` at ``DEFAULT_DEDUP_TOL * max|lam|``.  Terms
-    whose combined amplitude falls below 1e-13 (relative) are dropped.
-    """
-    from .spectrum import DEFAULT_DEDUP_TOL, _dedup_values
-
-    lam = np.asarray(hm.eigenvalues, dtype=float)
-    weights = np.conj(hm.state)[:, None] * hm.observable * hm.state[None, :]
-    gaps = lam[None, :] - lam[:, None]  # gaps[k, l] = lam_l - lam_k
-
-    tol = DEFAULT_DEDUP_TOL * max(float(np.abs(lam).max()), 1e-300)
-    # weights are summed in (k, l) order, the order of the expansion,
-    # so each group's members are taken in index order
-    a0 = sum(weights[np.abs(gaps) <= tol], 0j)
-    positive = gaps > tol
-    pos_gaps, pos_weights = gaps[positive], weights[positive]
-    groups = [sorted(g) for g in _dedup_values(pos_gaps, tol)]
-
-    if abs(a0.imag) > 1e-10 * max(1.0, abs(a0)):
-        raise ValueError("constant term came out non-real; observable not Hermitian?")
-
-    terms = []
-    for g in groups:
-        z = sum(pos_weights[g], 0j)
-        terms.append((float(np.mean(pos_gaps[g])), 2.0 * z.real, -2.0 * z.imag))
-    amp_scale = max(1.0, max((abs(a) + abs(b) for _, a, b in terms), default=0.0))
-    terms = [(w, a, b) for (w, a, b) in terms if abs(a) + abs(b) > 1e-13 * amp_scale]
-    return FourierModel(a0=float(a0.real), terms=tuple(terms))
 
 
 def _stream(noise: NoiseSpec, t: float) -> np.random.Generator:

@@ -117,8 +117,9 @@ def _finite_vector(data: dict, key: str, path) -> np.ndarray:
 
 
 def load_rule(path: str | Path) -> ShiftRule:
-    """Read a rule file; ValueError for a missing field, an invalid order, a non-finite
-    value or frequencies that are not positive and strictly increasing."""
+    """Read a rule file; ValueError for a missing field, no phases, an invalid order, a
+    non-finite value, frequencies that are not positive and strictly increasing or
+    diagnostics that are not an object."""
     from .rule import ShiftRule, _normalize_orders
 
     data = load_json(path)
@@ -132,12 +133,18 @@ def load_rule(path: str | Path) -> ShiftRule:
     frequencies = tuple(_finite_vector(data, "frequencies", path).tolist())
     if not all(a < b for a, b in zip((0.0, *frequencies), frequencies)):
         raise ValueError(f"{path}: 'frequencies' must be positive and strictly increasing")
+    diagnostics = data.get("diagnostics", {})
+    if not isinstance(diagnostics, dict):
+        raise ValueError(f"{path}: 'diagnostics' must be an object")
+    phases = _finite_vector(data, "phases", path)
+    if not len(phases):
+        raise ValueError(f"{path}: 'phases' must not be empty")
     return ShiftRule(
-        phases=_finite_vector(data, "phases", path),
+        phases=phases,
         coefficients=_finite_vector(data, "coefficients", path),
         orders=orders,
         frequencies=frequencies,
-        diagnostics=dict(data.get("diagnostics", {})),
+        diagnostics=diagnostics,
     )
 
 

@@ -112,18 +112,6 @@ class StructureClass:
             raise ValueError("epsilon is only meaningful for perturbed-equidistant spectra")
 
 
-def _dedup_values(values, tol: float) -> list[list[int]]:
-    """Single-linkage grouping of values with link threshold tol.
-
-    Returns the indices into ``values`` of each group, groups in increasing
-    value order and members in ascending value order: two sorted neighbours
-    share a group when they differ by less than tol.
-    """
-    vals = [float(v) for v in values]
-    order = sorted(range(len(vals)), key=vals.__getitem__)
-    return [order[a:b] for a, b in _runs([vals[i] for i in order], tol)]
-
-
 def _runs(ordered, tol: float) -> list[tuple[int, int]]:
     """(start, stop) of each single-linkage group of ascending values at threshold tol.
 
@@ -154,7 +142,7 @@ def frequency_differences(spectrum: Spectrum, dedup_tol: float = DEFAULT_DEDUP_T
     if n < 2:
         raise ValueError("need at least 2 distinct eigenvalues after merging")
 
-    # levels[k] - levels[l] for the pairs k > l, in the ascending order _dedup_values groups them
+    # levels[k] - levels[l] for the pairs k > l, sorted ascending as _runs groups them
     positive = sorted([levels[k] - levels[l] for k in range(1, n) for l in range(k)])
     runs = _runs(positive, tol)
     return FrequencySet(

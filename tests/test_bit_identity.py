@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _dedup_values
 from shiftrules import (
     EquidistantStructure,
     FourierModel,
@@ -29,14 +30,14 @@ from shiftrules import (
     regularized_rule,
     synthesize_rule,
 )
-from shiftrules import spectrum, synthesis
+from shiftrules import synthesis
 from shiftrules.equidistant import normalized_system, optimal_phases
 from shiftrules.fourier import evaluate_models
 from shiftrules.perturbation import PerturbationBound, PerturbationData
 from shiftrules.regularization import (GAMMA_MAX, GAMMA_MIN, GammaSelection, RegularizedSolution,
                                        select_gamma_discrepancy, tikhonov_solve)
 from shiftrules.rule import ShiftRule, VarianceReport, _normalize_orders, variance_of_estimate
-from shiftrules.spectrum import DEFAULT_DEDUP_TOL, FrequencySet, _dedup_values, gap_generator
+from shiftrules.spectrum import DEFAULT_DEDUP_TOL, FrequencySet, gap_generator
 from shiftrules.synthesis import (CONDITION_CAP, IMAG_TOL, LinearSystem, build_system,
                                   check_phase_distinctness, condition_number, solve_direct)
 
@@ -638,7 +639,7 @@ def test_frequency_set_checks_are_unchanged(freqs, ordered, extra):
 @SETTINGS
 @given(vals=st.lists(values, max_size=12), tol=st.sampled_from([1e-12, 1e-3, 0.5, 10.0]))
 def test_dedup_values_and_gap_generator_are_unchanged(vals, tol):
-    assert spectrum._dedup_values(vals, tol) == _ref_dedup_values(vals, tol)
+    assert _dedup_values(vals, tol) == _ref_dedup_values(vals, tol)
     finite = [v for v in vals if math.isfinite(v)]
     commensurate = [abs(v) // 0.25 * 0.25 for v in finite]
     for cands in (finite, commensurate):

@@ -711,6 +711,15 @@ _RULE = {"phases": [-2.0943951023931953, -4.1887902047863905, -6.283185307179586
     ["validate", "{rule_string_frequency}"],
     ["variance", "--sigma", "nan", "{rule}"],
     ["variance", "--sigma", "inf", "{rule}"],
+    ["variance", "--sigma", "1e200", "{rule}"],
+    ["validate", "{rule_diagnostics_number}"],
+    ["validate", "{rule_diagnostics_null}"],
+    ["validate", "{rule_diagnostics_list}"],
+    ["variance", "{rule_diagnostics_number}"],
+    ["variance", "{rule_diagnostics_null}"],
+    ["variance", "{rule_diagnostics_list}"],
+    ["validate", "{rule_empty}"],
+    ["variance", "{rule_empty}"],
 ])
 def test_malformed_input_exits_invalid(tmp_path, args):
     files = {
@@ -758,6 +767,10 @@ def test_malformed_input_exits_invalid(tmp_path, args):
         "rule_bool_coeff": _write(tmp_path, "bool_b.json",
                                   dict(_RULE, coefficients=_RULE["coefficients"][:2] + [False])),
         "rule_string_frequency": _write(tmp_path, "str_f.json", dict(_RULE, frequencies=["1.0"])),
+        "rule_diagnostics_number": _write(tmp_path, "diag_5.json", dict(_RULE, diagnostics=5)),
+        "rule_diagnostics_null": _write(tmp_path, "diag_null.json", dict(_RULE, diagnostics=None)),
+        "rule_diagnostics_list": _write(tmp_path, "diag_list.json", dict(_RULE, diagnostics=[1, 2])),
+        "rule_empty": _write(tmp_path, "empty.json", dict(_RULE, phases=[], coefficients=[])),
     }
     out = str(tmp_path / "out.json")
     result = run_cli(["--output", out] + [a.format(**files) for a in args])

@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_model_terms
-from shiftrules import (
-    FourierModel,
-    HamiltonianModel,
-    NoiseSpec,
-    analytic_derivative,
-    evaluate,
-    from_hamiltonian,
-)
+from conftest import HamiltonianModel, from_hamiltonian, random_model_terms
+from shiftrules import FourierModel, NoiseSpec, analytic_derivative, evaluate
 from paper_forms import vandermonde_expansion_coeffs
 from shiftrules.fourier import sample_noisy_batch
 

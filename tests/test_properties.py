@@ -6,16 +6,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import HamiltonianModel, from_hamiltonian
 from shiftrules import (
     EquidistantStructure,
-    HamiltonianModel,
     Spectrum,
     StructureKind,
     classify_structure,
     compatibility_residual,
     condition_number,
     frequency_differences,
-    from_hamiltonian,
     optimal_phases,
     solve_direct,
     synthesize_rule,

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_spectrum
+from conftest import _dedup_values, random_spectrum
 from shiftrules import (
     Spectrum,
     StructureKind,
     classify_structure,
     frequency_differences,
 )
-from shiftrules.spectrum import FrequencySet, _dedup_values, gap_generator
+from shiftrules.spectrum import FrequencySet, gap_generator
 
 
 def test_spectrum_rejects_short_unsorted_and_nonfinite():

@@ -102,7 +102,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
 
 def test_exports_come_from_one_table_and_resolve_to_their_module():
     names = [name for names in shiftrules._EXPORTS.values() for name in names]
-    assert len(set(names)) == len(names) == 31
+    assert len(set(names)) == len(names) == 29
     assert shiftrules.__all__ == sorted(names)
     assert set(names) <= set(dir(shiftrules))
     star = {}
@@ -134,10 +134,16 @@ def test_package_holds_only_the_program():
     assert modules <= {"__init__", "cli", "serialize", *shiftrules._EXPORTS}
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("shiftrules.checks")
+    # the Hamiltonian model builder is a test reference, in tests/conftest.py
+    for module, name in ((fourier, "HamiltonianModel"), (fourier, "from_hamiltonian"),
+                         (spectrum, "_dedup_values")):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    with pytest.raises(AttributeError):
+        shiftrules.HamiltonianModel  # noqa: B018
 
 
 def test_public_surface_is_small():
-    assert len(shiftrules.__all__) <= 31
+    assert len(shiftrules.__all__) <= 29
 
 
 def test_unused_tolerances_are_constants():
@@ -145,7 +151,7 @@ def test_unused_tolerances_are_constants():
                (synthesis._capped_solve, "condition_cap"), (variance._evaluate_point, "condition_cap"),
                (variance._evaluate_reduced, "condition_cap"),
                (spectrum.classify_structure, "perturbed_fraction"), (spectrum.gap_generator, "rel_tol"),
-               (fourier.from_hamiltonian, "dedup_tol"), (fourier.from_hamiltonian, "coeff_tol"),
+               (equidistant.normalized_system, "orders"),
                (synthesis.auto_phases, "tries"), (synthesis.auto_phases, "seed"),
                (synthesis.rule_for, "seed"), (RegularizationConfig, "operator_error"),
                (RegularizationConfig, "grid_min"), (RegularizationConfig, "grid_max"),
