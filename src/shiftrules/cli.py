@@ -117,12 +117,6 @@ def _synthesize(obj, spectrum_file, order, method, phases):
     warnings = [f"direct synthesis ill-posed ({a.message}); falling back to tikhonov"
                 for a in attempts if a.left == "ill_posed"]
     method_used, residual = attempts[-1].method, rule.diagnostics["residual"]
-    if "perturbation_relative_bound" in rule.diagnostics:  # a perturbed closed form, order 1
-        warnings.append("spectrum is perturbed-equidistant; closed-form rule carries "
-                        "a first-order coefficient error bound in its diagnostics")
-    elif "perturbation_epsilon" in rule.diagnostics:  # a perturbed closed form, other orders
-        warnings.append(f"spectrum is perturbed-equidistant; closed-form rule carries "
-                        f"no coefficient error bound for order {order}")
     if method_used == "tikhonov" and residual > VALIDATION_BOUND:
         warnings.append(f"regularized rule is inexact: residual {residual:.3g} "
                         f"exceeds validation_bound {VALIDATION_BOUND:.3g}")
@@ -241,7 +235,10 @@ def _optimize(obj, spectrum_file, order, phases):
         _fail(EXIT_INVALID, "order must be non-negative")
     orders = ((order, 1.0),)
 
-    phi0 = auto_phases(freq) if phases == "auto" else _parse_phases(phases)
+    try:
+        phi0 = auto_phases(freq) if phases == "auto" else _parse_phases(phases)
+    except IllPosedError as exc:
+        _fail(EXIT_ILL_POSED, str(exc))
     if len(phi0) != freq.m:
         _fail(EXIT_INVALID, f"need {freq.m} starting phases (one per distinct gap), got {len(phi0)}")
 
@@ -283,20 +280,25 @@ def _variance(obj, rule_file, sigma, shots, eta):
     from .rule import confidence_interval, variance_of_estimate
 
     rule = _file(serialize.load_rule, rule_file)
-    # sigma**2 raises OverflowError where sigma * sigma is inf
+    # sigma * sigma, unlike sigma**2, gives inf where the square overflows
     if not (0 <= sigma and sigma * sigma < np.inf) or shots < 1 or not 0 < eta < 1:
         _fail(EXIT_INVALID, "need sigma >= 0 with a finite square, shots >= 1, eta in (0, 1)")
 
-    report = variance_of_estimate(rule, sigma**2)
+    with np.errstate(over="ignore"):  # sum b^2 sigma^2 may overflow to inf; nu then is inf too
+        report = variance_of_estimate(rule, sigma * sigma)
     nu = confidence_interval(report, eta)
+    if nu == np.inf:
+        _fail(EXIT_INVALID, f"--sigma {sigma:g} is too large: the estimator's variance "
+                            f"or its Chebyshev half-width overflows")
 
+    # unit-sigma draws, their variance scaled once by sigma^2: nothing overflows before the result
     zero = FourierModel(a0=0.0)
-    noise = NoiseSpec(sigma=sigma, seed=obj["seed"])
+    noise = NoiseSpec(sigma=1.0, seed=obj["seed"])
     draws = np.stack([
         sample_noisy_batch(zero, float(p), noise, shots) for p in rule.phases
     ])
     estimates = np.asarray(rule.coefficients) @ draws
-    empirical = float(np.var(estimates, ddof=1)) if shots > 1 else 0.0
+    empirical = float(np.var(estimates, ddof=1)) * (sigma * sigma) if shots > 1 else 0.0
 
     _emit(obj, {
         "analytic_variance": report.variance,

@@ -15,13 +15,14 @@ at +-pi/(2*delta) has 1/2 (see ``variance.optimize_shifts``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rule import ShiftRule
 from .spectrum import FrequencySet
-from .synthesis import _exact_rule, build_system
+from .synthesis import IllPosedError, _exact_rule, build_system
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,12 @@ def optimal_phases(es: EquidistantStructure) -> np.ndarray:
     unitary, its condition number is 1 and |det E| reaches Hadamard's bound
     (2n-1)^((2n-1)/2).  Not optimal for the shot budget: they are not a
     stationary point of the coefficient square-norm (n = 2: the closed form
-    gives 2/3, the two-term rule at +-pi/(2*delta) gives 1/2).
+    gives 2/3, the two-term rule at +-pi/(2*delta) gives 1/2).  Raises
+    IllPosedError where 2*pi/delta overflows.
     """
     m = es.m
+    if -2 * math.pi * m / (m * es.delta) == -math.inf:  # the j = m phase below, in Python floats
+        raise IllPosedError(f"phase period 2*pi/{es.delta!r} overflows: the gap spacing is too small")
     j = np.arange(1, m + 1)
     return -2 * np.pi * j / (m * es.delta)
 

@@ -5,6 +5,10 @@ unitary-normalized design system (E + eps*R) b(eps) = mu + eps*r.  This
 module builds the canonical (R, r) pair for the equidistant phases,
 propagates the first-order solution, and evaluates the condition-number
 error bounds.
+
+A library-only analysis: no CLI command loads it.  ``synthesize`` gives a
+perturbed-equidistant spectrum the direct solve on its own gaps, not the
+closed form of its mean gap, so these bounds describe no rule it writes.
 """
 
 from __future__ import annotations

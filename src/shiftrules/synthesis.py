@@ -298,13 +298,17 @@ def auto_phases(freq: FrequencySet) -> np.ndarray:
 
     The candidates are equispaced on [-2*pi / resolution, 0): one period of
     the smallest spacing of (0, w_1, ..., w_R), floored at 1e-2 times the
-    largest gap.  Each step keeps the candidate column of E with the largest
-    norm orthogonal to those kept (pivoted Gram-Schmidt: approximate Fekete
-    points), the first on a tie.  On an equidistant spectrum the picks are
-    ``optimal_phases``, in their order.
+    largest gap (IllPosedError where that period overflows).  Each step
+    keeps the candidate column of E with the largest norm orthogonal to
+    those kept (pivoted Gram-Schmidt: approximate Fekete points), the first
+    on a tie.  On an equidistant spectrum the picks are ``optimal_phases``,
+    in their order.
     """
     freqs = np.asarray(freq.unique_frequencies)
-    lo = -2 * np.pi / max(np.diff(freqs, prepend=0.0).min(), 1e-2 * freqs[-1])
+    spacing = float(max(np.diff(freqs, prepend=0.0).min(), 1e-2 * freqs[-1]))
+    lo = -2 * np.pi / spacing  # a Python float: inf, not a numpy warning, where it overflows
+    if lo == -math.inf:
+        raise IllPosedError(f"phase period 2*pi/{spacing!r} overflows: the gap spacing is too small")
     grid = lo * np.linspace(1, 0, GRID_FACTOR * freq.m, endpoint=False)  # lo first, 0 left out
     R = np.exp(1j * np.outer(freq.distinct_gaps, grid))
     norm2 = np.full(len(grid), float(freq.m))  # every column has unit-modulus entries
@@ -332,52 +336,38 @@ def rule_for(spectrum, order: int = 1, method: str = "auto", phases=None, config
 
     ``method`` is "equidistant" (the closed form), "direct", "tikhonov"
     (the regularized rule under ``config``) or "auto": the closed form
-    for an equidistant or perturbed-equidistant spectrum when no
-    ``phases`` are given, else a direct solve that falls back to the
-    Tikhonov rule when it is ill-posed.  Without ``phases`` the direct
-    and Tikhonov paths run at ``auto_phases(freq)``.  A perturbed
-    closed form carries ``perturbation_epsilon`` in its diagnostics, and
-    for order 1 also the first-order ``perturbation_*`` bounds.
+    for an equidistant spectrum when no ``phases`` are given, else a
+    direct solve that falls back to the Tikhonov rule when it is
+    ill-posed.  A perturbed-equidistant spectrum takes the direct solve,
+    which is exact on its own gaps.  Without ``phases`` the direct and
+    Tikhonov paths run at ``auto_phases(freq)``.
 
     Returns (rule, structure class, attempts): one ``Attempt`` per method
     tried, in order; each but the last, which gave the rule, was left as
     ill-posed.  Raises ValueError for the closed form on a non-equidistant
     spectrum or with explicit phases, and IllPosedError for duplicate
-    phases, for an ill-posed solve under method="direct" and wherever the
-    path taken raises it.
+    phases, for phases that overflow, for an ill-posed solve under
+    method="direct" and wherever the path taken raises it.
     """
     cls = classify_structure(spectrum, rel_tol=rel_tol)
     freq = frequency_differences(spectrum)
-    if phases is not None:
-        if method == "equidistant":
-            raise ValueError("the equidistant method fixes its own phases")
-        check_phase_distinctness(phases, freq.unique_frequencies)
     if method == "equidistant" or (method == "auto" and phases is None
-                                   and cls.kind is not StructureKind.UNSTRUCTURED):
-        if cls.delta is None:
+                                   and cls.kind is StructureKind.EQUIDISTANT):
+        if phases is not None:
+            raise ValueError("the equidistant method fixes its own phases")
+        if cls.kind is not StructureKind.EQUIDISTANT:
             raise ValueError("spectrum is not equidistant; cannot use the closed form")
         from .equidistant import EquidistantStructure, closed_form_rule
 
-        es = EquidistantStructure(n=spectrum.n, delta=cls.delta)
-        rule = closed_form_rule(es, order)
-        if cls.kind is StructureKind.PERTURBED_EQUIDISTANT:
-            rule.diagnostics["perturbation_epsilon"] = cls.epsilon
-            if order == 1:  # error_bound perturbs the first-derivative system only
-                from .perturbation import error_bound, perturbation_matrices
-
-                bound = error_bound(es, perturbation_matrices(es), rule.coefficients, cls.epsilon)
-                rule.diagnostics.update(perturbation_relative_bound=bound.relative,
-                                        perturbation_absolute_estimate=bound.absolute,
-                                        perturbation_loose_bound=bound.loose)
+        rule = closed_form_rule(EquidistantStructure(n=spectrum.n, delta=cls.delta), order)
         return rule, cls, [Attempt("equidistant")]
 
-    # explicit phases were checked above, auto phases are checked once by solve_direct
-    solve = solve_direct if phases is None else _solve_distinct
     phases = auto_phases(freq) if phases is None else phases
+    check_phase_distinctness(phases, freq.unique_frequencies)
     orders, attempts = ((order, 1.0),), []
     if method != "tikhonov":
         try:
-            return solve(build_system(freq, phases, orders)), cls, [Attempt("direct")]
+            return _solve_distinct(build_system(freq, phases, orders)), cls, [Attempt("direct")]
         except IllPosedError as exc:
             cond = exc.condition_number
             if method == "direct":

@@ -124,6 +124,16 @@ def test_overflowing_derivative_target_exits_ill_posed(tmp_path, args):
     assert not (tmp_path / "rule.json").exists()
 
 
+@pytest.mark.parametrize("args", [["synthesize"], ["synthesize", "--method", "direct"], ["optimize"]])
+def test_overflowing_phase_period_exits_ill_posed(tmp_path, args):
+    spec = _write(tmp_path, "tiny.json", {"eigenvalues": [0.0, 1e-310]})
+    result = _python(["-m", "shiftrules.cli", "--output", "rule.json", *args, spec], cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert "overflow" in result.stderr and "1e-310" in result.stderr
+    assert not (tmp_path / "rule.json").exists()
+
+
 def test_validate_fails_on_non_finite_errors(tmp_path):
     result = _python(["-m", "shiftrules.cli", "validate", _overflow_rule_file(tmp_path)])
     assert result.returncode == 1
@@ -358,29 +368,22 @@ def test_synthesize_unstructured_direct(unstructured, tmp_path):
     assert json.loads(result.output)["method"] == "direct"
 
 
-def test_synthesize_perturbed_equidistant_carries_bounds(tmp_path):
-    path = _write(tmp_path, "pert.json", {"eigenvalues": [0.0, 1.001, 2.0, 2.999]})
+@pytest.mark.parametrize("eigenvalues", [
+    [0.0, 1.001, 2.0, 2.999], [0.0, 1.02, 1.97, 3.01, 4.0], [0.0, 1e-300, 2e-300, 3.1e-300],
+])
+def test_synthesize_perturbed_equidistant_solves_directly(tmp_path, eigenvalues):
+    """A perturbed-equidistant spectrum gets the direct rule on its own gaps, not a closed form."""
+    path = _write(tmp_path, "pert.json", {"eigenvalues": eigenvalues})
     out = str(tmp_path / "rule.json")
     result = run_cli(["--output", out, "synthesize", path])
-    assert result.exit_code == 0
+    assert result.exit_code == 0, result.output
     report = json.loads(result.output)
-    assert report["method"] == "equidistant"
-    assert report["warnings"]
-    diag = report["diagnostics"]
-    assert 0 < diag["perturbation_epsilon"] < 0.01
-    assert diag["perturbation_absolute_estimate"] > 0
-    assert diag["perturbation_loose_bound"] >= diag["perturbation_absolute_estimate"]
-
-
-@pytest.mark.parametrize("order", ["2", "3"])
-def test_synthesize_perturbed_equidistant_claims_no_bound_beyond_first_order(tmp_path, order):
-    path = _write(tmp_path, "pert.json", {"eigenvalues": [0.0, 1.02, 1.97, 3.01, 4.0]})
-    result = run_cli(["--output", str(tmp_path / "rule.json"), "synthesize", path, "-p", order])
-    assert result.exit_code == 0
-    report = json.loads(result.output)
-    assert [k for k in report["diagnostics"] if k.startswith("perturbation_")] == ["perturbation_epsilon"]
-    assert report["warnings"] == ["spectrum is perturbed-equidistant; closed-form rule carries "
-                                  f"no coefficient error bound for order {order}"]
+    assert report["structure"] == "perturbed_equidistant"
+    assert report["method"] == "direct" and report["warnings"] == []
+    assert run_cli(["validate", out]).exit_code == 0
+    result = run_cli(["--output", str(tmp_path / "eq.json"), "synthesize", path, "--method", "equidistant"])
+    assert result.exit_code == 3
+    assert "not equidistant" in result.output
 
 
 def test_validate_good_rule(eq_spectrum, tmp_path):
@@ -635,6 +638,16 @@ def test_variance_equidistant_two_level(two_level, tmp_path):
     assert report["empirical_variance"] == pytest.approx(2.0 / 3.0, rel=0.1)
 
 
+def test_variance_at_large_sigma_is_finite_and_quiet(eq_spectrum, tmp_path):
+    """The sample variance scales unit-sigma draws once, so it overflows no sooner than its value."""
+    assert run_cli(["--output", str(tmp_path / "rule.json"), "synthesize", eq_spectrum]).exit_code == 0
+    result = _python(["-m", "shiftrules.cli", "variance", "rule.json", "--sigma", "1e153"], cwd=tmp_path)
+    assert result.returncode == 0 and result.stderr == ""
+    report = json.loads(result.stdout)
+    assert report["analytic_variance"] == pytest.approx(2e306)
+    assert report["empirical_variance"] == pytest.approx(report["analytic_variance"], rel=0.05)
+
+
 def test_variance_report_is_deterministic(two_level, tmp_path):
     out = str(tmp_path / "rule.json")
     run_cli(["--output", out, "synthesize", two_level])
@@ -712,6 +725,7 @@ _RULE = {"phases": [-2.0943951023931953, -4.1887902047863905, -6.283185307179586
     ["variance", "--sigma", "nan", "{rule}"],
     ["variance", "--sigma", "inf", "{rule}"],
     ["variance", "--sigma", "1e200", "{rule}"],
+    ["variance", "--sigma", "1e154", "{rule}"],
     ["validate", "{rule_diagnostics_number}"],
     ["validate", "{rule_diagnostics_null}"],
     ["validate", "{rule_diagnostics_list}"],

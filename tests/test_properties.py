@@ -19,9 +19,10 @@ from shiftrules import (
     solve_direct,
     synthesize_rule,
 )
+from shiftrules.cli import VALIDATION_BOUND
 from shiftrules.serialize import dumps_report
 from shiftrules.spectrum import DEFAULT_REL_TOL, PERTURBED_FRACTION, StructureClass, _mean
-from shiftrules.synthesis import auto_phases, build_system
+from shiftrules.synthesis import auto_phases, build_system, rule_for
 
 MIN_SEPARATION = 1e-3
 
@@ -92,6 +93,23 @@ def test_auto_phases_on_an_equidistant_spectrum_are_its_optimal_phases(n, mantis
     optimal = optimal_phases(EquidistantStructure(n, delta))
     np.testing.assert_allclose(phases, optimal, rtol=1e-12, atol=0)
     assert condition_number(build_system(freq, phases).matrix) <= 1 + 1e-12
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(n=st.integers(3, 6), delta=st.floats(0.2, 5.0), offset=st.floats(-5.0, 5.0),
+       jitter=st.lists(st.floats(-0.05, 0.05), min_size=6, max_size=6), p=st.integers(1, 2))
+def test_perturbed_spectra_get_a_rule_exact_on_their_own_gaps(n, delta, offset, jitter, p):
+    """Auto synthesis gives a perturbed spectrum no closed form of its mean gap."""
+    exact = Spectrum(tuple(offset + k * delta for k in range(n)))
+    assert [a.method for a in rule_for(exact, p)[2]] == ["equidistant"]
+    spec = Spectrum(tuple(offset + (k + jitter[k]) * delta for k in range(n)))
+    rule, cls, attempts = rule_for(spec, p)
+    assume(cls.kind is StructureKind.PERTURBED_EQUIDISTANT)
+    assert "equidistant" not in [a.method for a in attempts]
+    if attempts[-1].method == "direct":
+        assert compatibility_residual(rule, frequency_differences(spec)) <= VALIDATION_BOUND
+    else:
+        assert [(a.method, a.left) for a in attempts] == [("direct", "ill_posed"), ("tikhonov", None)]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -68,7 +68,7 @@ def test_import_leaves_checks_and_scipy_unloaded():
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for name, eigenvalues in (("s7", [0.0, 1.0, 2.5]), ("near", [0.0, 1.0, 1.0 + 1e-9]),
-                              ("eq", [0.0, 1.0, 2.0])):
+                              ("eq", [0.0, 1.0, 2.0]), ("pert", [0.0, 1.02, 1.97, 3.01, 4.0])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"eigenvalues": eigenvalues}))
     front = {"serialize"}
     analyze = {"serialize", "spectrum"}
@@ -85,6 +85,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                        synthesize, False),
         "closed form": (["--output", "eq-rule.json", "synthesize", "eq.json"],
                         synthesize | {"equidistant"}, False),
+        "perturbed": (["--output", "pert-rule.json", "synthesize", "pert.json"], synthesize, False),
         "validate": (["validate", "rule.json"], oracle, False),
         "variance": (["variance", "rule.json"], oracle, True),
         "tikhonov fallback": (["--output", "near-rule.json", "synthesize", "near.json"],

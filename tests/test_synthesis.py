@@ -9,7 +9,6 @@ from shiftrules import (
     FourierModel,
     IllPosedError,
     Spectrum,
-    StructureKind,
     analytic_derivative,
     apply_rule,
     build_system,
@@ -403,17 +402,6 @@ def test_auto_phases_are_well_conditioned_on_random_spectra():
         assert condition_number(build_system(freq, auto_phases(freq)).matrix) <= 10
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_perturbation_bounds_only_for_the_first_derivative(order):
-    """error_bound perturbs the p = 1 system, so only an order-1 rule carries its bounds."""
-    rule, cls, _ = rule_for(Spectrum(PERTURBED), order)
-    keys = [k for k in rule.diagnostics if k.startswith("perturbation_")]
-    assert rule.diagnostics["perturbation_epsilon"] == cls.epsilon
-    assert keys == (["perturbation_epsilon", "perturbation_relative_bound",
-                     "perturbation_absolute_estimate", "perturbation_loose_bound"]
-                    if order == 1 else ["perturbation_epsilon"])
-
-
 def test_every_solver_records_its_frequencies_as_floats():
     freq = frequency_differences(Spectrum(S7))
     phases = auto_phases(freq)
@@ -429,11 +417,12 @@ def test_every_solver_records_its_frequencies_as_floats():
 
 @pytest.mark.parametrize("eigenvalues, kwargs, expected", [
     ((0.0, 1.0, 2.0), {}, ["equidistant"]),
-    ((0.0, 1.02, 1.97, 3.01, 4.0), {}, ["equidistant"]),
+    (PERTURBED, {}, ["direct"]),
     (S7, {}, ["direct"]),
     (NEAR, {}, ["direct ill_posed", "tikhonov"]),
     (S7, {"method": "tikhonov"}, ["tikhonov"]),
     (S7, {"method": "equidistant"}, (ValueError, "^spectrum is not equidistant; cannot use")),
+    (PERTURBED, {"method": "equidistant"}, (ValueError, "^spectrum is not equidistant; cannot use")),
     ((0.0, 1.0, 2.0), {"method": "equidistant", "phases": [-1.0, -2.0, -3.0, -4.0, -5.0]},
      (ValueError, "^the equidistant method fixes its own phases$")),
     (S7, {"phases": [-1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]},
@@ -444,7 +433,7 @@ def test_every_solver_records_its_frequencies_as_floats():
      (IllPosedError, "^duplicate shift phases: phi_0 and phi_1 coincide")),
     (NEAR, {"method": "direct"}, (IllPosedError, "^direct synthesis is ill-posed .*; condition number")),
 ], ids=["closed-form", "perturbed-closed-form", "direct", "auto-fallback", "forced-tikhonov",
-        "closed-form-unstructured", "closed-form-with-phases", "duplicate-phases",
+        "closed-form-unstructured", "closed-form-perturbed", "closed-form-with-phases", "duplicate-phases",
         "duplicate-phases-direct", "duplicate-phases-tikhonov", "direct-ill-posed"])
 def test_rule_for_paths(eigenvalues, kwargs, expected):
     spec = Spectrum(eigenvalues)
@@ -459,11 +448,7 @@ def test_rule_for_paths(eigenvalues, kwargs, expected):
         assert left.condition_number > CONDITION_CAP and "exceeds cap" in left.message
     method = attempts[-1].method
     assert attempts[-1] == Attempt(method) and rule.diagnostics["method"] == method
-    perturbation = {k: v for k, v in rule.diagnostics.items() if k.startswith("perturbation_")}
-    if cls.kind is StructureKind.PERTURBED_EQUIDISTANT:
-        assert perturbation["perturbation_epsilon"] == cls.epsilon and len(perturbation) == 4
-    else:
-        assert not perturbation
+    assert not [k for k in rule.diagnostics if k.startswith("perturbation_")]
     # the rule the library functions give on the same path
     freq = frequency_differences(spec)
     if method == "equidistant":
