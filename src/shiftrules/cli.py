@@ -284,9 +284,11 @@ def _variance(obj, rule_file, sigma, shots, eta):
     if not (0 <= sigma and sigma * sigma < np.inf) or shots < 1 or not 0 < eta < 1:
         _fail(EXIT_INVALID, "need sigma >= 0 with a finite square, shots >= 1, eta in (0, 1)")
 
-    with np.errstate(over="ignore"):  # sum b^2 sigma^2 may overflow to inf; nu then is inf too
+    try:  # sum b^2 sigma^2 may overflow (ValueError), or nu = sqrt(variance / eta)
         report = variance_of_estimate(rule, sigma * sigma)
-    nu = confidence_interval(report, eta)
+        nu = confidence_interval(report, eta)
+    except ValueError:
+        nu = np.inf
     if nu == np.inf:
         _fail(EXIT_INVALID, f"--sigma {sigma:g} is too large: the estimator's variance "
                             f"or its Chebyshev half-width overflows")

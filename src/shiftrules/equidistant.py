@@ -1,13 +1,13 @@
 """Closed-form shift rules for equidistant spectra.
 
 When the eigenvalues form an arithmetic progression with gap delta, the
-distinct gap values collapse to 2n-1 and the design matrix at the
+distinct gap values collapse to 2n-1 and the real design matrix C at the
 equidistant phases -2*pi*j/((2n-1)*delta) has orthogonal columns: scaled
-by 1/sqrt(2n-1) it is unitary, so the coefficients come from a single
-conjugate-transpose product instead of a solve.
+by 1/sqrt(2n-1) it is an orthogonal matrix, so the coefficients come from
+a single transpose product instead of a solve.
 
 These phases are "optimal" for the design matrix only: the condition
-number is 1 and |det E| reaches Hadamard's bound (2n-1)^((2n-1)/2).  They
+number is 1 and |det C| reaches Hadamard's bound (2n-1)^((2n-1)/2).  They
 are not a stationary point of the coefficient square-norm ||b||^2: for
 n = 2 the closed form has ||b||^2 = 2/3, while the symmetric two-term rule
 at +-pi/(2*delta) has 1/2 (see ``variance.optimize_shifts``).
@@ -59,7 +59,7 @@ def optimal_phases(es: EquidistantStructure) -> np.ndarray:
     """The 2n-1 equidistant phases -2*pi*j/((2n-1)*delta), j = 1..2n-1.
 
     Optimal in the sense of the design matrix: scaled by 1/sqrt(2n-1) it is
-    unitary, its condition number is 1 and |det E| reaches Hadamard's bound
+    orthogonal, its condition number is 1 and |det C| reaches Hadamard's bound
     (2n-1)^((2n-1)/2).  Not optimal for the shot budget: they are not a
     stationary point of the coefficient square-norm (n = 2: the closed form
     gives 2/3, the two-term rule at +-pi/(2*delta) gives 1/2).  Raises
@@ -73,10 +73,10 @@ def optimal_phases(es: EquidistantStructure) -> np.ndarray:
 
 
 def normalized_system(es: EquidistantStructure):
-    """(E_tilde, rhs_tilde): the reduced system scaled by 1/sqrt(2n-1).
+    """(C_tilde, t_tilde): the real design system scaled by 1/sqrt(2n-1).
 
-    E_tilde is unitary at the equidistant phases, so its inverse is the
-    conjugate transpose and its condition number is exactly one.
+    C_tilde is orthogonal at the equidistant phases, so its inverse is the
+    transpose and its condition number is exactly one.
     """
     sys = build_system(es.frequency_set(), optimal_phases(es))
     scale = 1.0 / np.sqrt(es.m)
@@ -84,14 +84,14 @@ def normalized_system(es: EquidistantStructure):
 
 
 def closed_form_rule(es: EquidistantStructure, p: int = 1) -> ShiftRule:
-    """Order-p rule at the equidistant phases via the unitary inverse.
+    """Order-p rule at the equidistant phases via the orthogonal inverse.
 
-    Coefficients are (1/(2n-1)) * E^dagger * rhs.  For p = 1 the
+    Coefficients are (1/(2n-1)) * C^T t.  For p = 1 the
     coefficient at phase -2*pi/delta vanishes, so the rule costs 2n-2
     active evaluations.
     """
     if p < 0:
         raise ValueError("derivative order must be non-negative")
     sys = build_system(es.frequency_set(), optimal_phases(es), ((p, 1.0),))
-    b = sys.matrix.conj().T @ sys.rhs / es.m
+    b = sys.matrix.T @ sys.rhs / es.m
     return _exact_rule(sys, b, "equidistant", 1.0, "closed_form_rule")

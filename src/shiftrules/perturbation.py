@@ -78,18 +78,19 @@ def error_bound(
     b0: np.ndarray,
     eps: float,
 ) -> PerturbationBound:
-    """Evaluate the perturbation bounds for the unitary equidistant system."""
+    """The perturbation bounds for the unitary equidistant system; ValueError where |mu| underflows."""
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    E, mu = normalized_system(es)
+    E, mu = normalized_system(es)  # the real rotation: E's norms and cond(E)
     b0 = np.asarray(b0, dtype=float)
-    # one batched factorization for cond(E), |E|_2 and |R|_2 (np.linalg.norm(R, 2) is max s_R)
-    s_E, s_R = np.linalg.svd(np.stack((E, pd.matrix)), compute_uv=False)
+    s_E = np.linalg.svd(E, compute_uv=False)  # np.linalg.norm(X, 2) is the largest s of X
     kE = float(_singular_value_condition(s_E, max(E.shape)))
     norm_E = float(s_E.max())
-    norm_R = float(s_R.max())
-    norm_r = _norm(pd.vector)
-    relative = kE * (eps * norm_r / _norm(mu) + eps * norm_R / norm_E)
+    norm_R = float(np.linalg.svd(pd.matrix, compute_uv=False).max())
+    norm_r, norm_mu = float(np.linalg.norm(pd.vector)), _norm(mu)
+    if norm_mu == 0.0:  # mu(k delta) = i k delta / sqrt(m) is not zero: its square sum underflowed
+        raise ValueError(f"the target norm |mu| underflows to 0 at delta={es.delta!r}")
+    relative = kE * (eps * norm_r / norm_mu + eps * norm_R / norm_E)
     absolute = eps * (norm_r + norm_R) * _norm(b0)
     n, m, d = es.n, es.m, es.delta
     sqrt_m = np.sqrt(m)

@@ -2,17 +2,17 @@
 
 Coincident or nearly coincident gaps make the design system singular or
 hopelessly ill-conditioned, so the plain inverse is replaced by the
-minimizer of |E b - mu|^2 + gamma |b|^2, trading a controlled bias for
-stability.  With the thin SVD E = U diag(s) V^dag it is
-b = V diag(s / (s^2 + gamma)) U^dag mu (filter factors; Hansen, SIAM
-Review 34, 1992): one factorization serves every gamma, and the normal
-equations, which square cond(E), are never formed.  The residual
-r(gamma)^2 = sum (gamma / (s^2 + gamma))^2 |U^dag mu|^2 + |mu - U U^dag mu|^2
-is non-decreasing in gamma; gamma is either supplied or picked by the
-discrepancy principle, where r(gamma) meets the known error level.  The
-bisection for it decides each step in Python floats from |U^dag mu|_i and
-s_i^2, taken once, and falls back to the numpy residual only when the
-float value is within round-off of the target.
+minimizer of |C b - t|^2 + gamma |b|^2 over the real design system
+(``synthesis``), trading a controlled bias for stability.  With the thin
+SVD C = U diag(s) V^T it is b = V diag(s / (s^2 + gamma)) U^T t (filter
+factors; Hansen, SIAM Review 34, 1992): one factorization serves every
+gamma, and the normal equations, which square cond(C), are never formed.
+The residual r(gamma)^2 = sum (gamma / (s^2 + gamma))^2 (U^T t)_i^2 +
+|t - U U^T t|^2 is non-decreasing in gamma; gamma is either supplied or
+picked by the discrepancy principle, where r(gamma) meets the known error
+level.  The bisection for it decides each step in Python floats from
+(U^T t)_i and s_i^2, taken once, and falls back to the numpy residual only
+when the float value is within round-off of the target.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class RegularizedSolution:
     gamma: float
     residual: float
     norm: float
-    max_imag_discarded: float
 
 
 @dataclass(frozen=True)
@@ -70,27 +69,19 @@ class GammaSelection:
 
 
 def tikhonov_solve(sys: LinearSystem, gamma: float) -> RegularizedSolution:
-    """Minimize |E b - mu|^2 + gamma |b|^2 with the filter factors s / (s^2 + gamma).
+    """Minimize |C b - t|^2 + gamma |b|^2 with the filter factors s / (s^2 + gamma).
 
-    Works for singular and non-square systems (rows = distinct gaps,
-    columns = phases).  The minimizer for a conjugate-row-paired system
-    is real up to round-off; the real part is returned, and ``residual``
-    is |E b - mu| for those real coefficients, the ones a rule stores.
-    Raises IllPosedError when their sum b^2 overflows.
+    Works for singular and non-square systems (rows = the constant, cos
+    and sin rows of the gaps, columns = phases); ``residual`` is |C b - t|.
+    Raises IllPosedError when sum b^2 overflows.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     U, s, Vh = sys.svd
-    b = Vh.conj().T @ (s / (s**2 + gamma) * (U.conj().T @ sys.rhs))
-    coeffs = b.real.copy()
-    norm = _coefficient_norm(coeffs, "tikhonov_solve")
-    return RegularizedSolution(
-        coefficients=coeffs,
-        gamma=float(gamma),
-        residual=_norm(sys.matrix @ coeffs - sys.rhs),
-        norm=norm,
-        max_imag_discarded=float(np.abs(b.imag).max()),
-    )
+    b = Vh.T @ (s / (s**2 + gamma) * (U.T @ sys.rhs))
+    norm = _coefficient_norm(b, "tikhonov_solve")
+    return RegularizedSolution(coefficients=b, gamma=float(gamma),
+                               residual=_norm(sys.matrix @ b - sys.rhs), norm=norm)
 
 
 @np.errstate(over="ignore")  # an overflowing residual is inf; tikhonov_solve refuses its rule
@@ -106,7 +97,7 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
     it, GAMMA_MAX with status "target_above_max".
 
     Each bisection step compares the float sum
-    |mu - U U^dag mu|^2 + sum_i (|U^dag mu|_i gamma / (s_i^2 + gamma))^2 with
+    |t - U U^T t|^2 + sum_i ((U^T t)_i gamma / (s_i^2 + gamma))^2 with
     target^2.  When the two lie within max(1e-13, 8 m eps) (relative) of
     each other, the numpy ``residual`` decides instead.  Both forms
     agree far closer than that, so every step goes the way the numpy
@@ -114,14 +105,14 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
     """
     target = float(cfg.data_error)
     U, s, _ = sys.svd
-    beta = U.conj().T @ sys.rhs
-    outside = _norm(sys.rhs - U @ beta)  # the part of mu outside range(E)
+    beta = U.T @ sys.rhs
+    outside = _norm(sys.rhs - U @ beta)  # the part of t outside range(C)
     s2 = s**2
 
     def residual(gamma):
         x = gamma / (s2 + gamma) * beta
-        # np.linalg.norm(x) spelled out: the same dot products, without its dispatch
-        return float(np.hypot(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)), outside))
+        # np.linalg.norm(x) spelled out: the same dot product, without its dispatch
+        return float(np.hypot(np.sqrt(x.dot(x)), outside))
 
     r_min = residual(GAMMA_MIN)
     if r_min >= target:
@@ -136,7 +127,7 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
     # (1e-140, 1e140) no square that matters underflows or overflows.
     floats = 1e-140 < target < 1e140
     target2, margin = target * target, max(1e-13, 8 * len(s) * math.ulp(1.0))
-    pairs = list(zip(np.abs(beta).tolist(), s2.tolist()))
+    pairs = list(zip(beta.tolist(), s2.tolist()))
     outside2 = outside**2
 
     def below(mid):
@@ -186,4 +177,4 @@ def regularized_rule(
         extra.update(gamma_selection=selection.status, discrepancy_target=selection.target)
     return _rule(sys, sol.coefficients, "tikhonov",
                  float(_singular_value_condition(sys.svd[1], max(sys.matrix.shape))),
-                 sol.residual, sol.max_imag_discarded, **extra)
+                 sol.residual, **extra)

@@ -34,7 +34,7 @@ class ShiftRule:
     ``orders`` lists (derivative order p, weight) pairs defining the
     target sum_p w_p f^(p).  ``frequencies`` records the positive gap
     values the rule is valid for.  ``diagnostics`` carries at least
-    condition_number, residual, and max_imag_discarded.
+    method, condition_number and residual.
     """
 
     phases: np.ndarray
@@ -95,8 +95,8 @@ class VarianceReport:
 def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:
     """Sum of b_x^2 * sigma_x^2, plus the equal-variance square-norm.
 
-    ``per_point_variance`` is one variance for every phase or one per
-    phase; each must be finite and non-negative (ValueError otherwise).
+    ``per_point_variance`` is one variance for every phase or one per phase;
+    each, and the sum, must be finite and non-negative (else ValueError).
     """
     b = np.asarray(rule.coefficients, dtype=float)
     sig2 = np.asarray(per_point_variance, dtype=float)
@@ -110,7 +110,11 @@ def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:
         raise ValueError("per-point variances must match the number of phases")
     elif not (np.isfinite(sig2) & (sig2 >= 0)).all():
         raise ValueError("variances must be finite and non-negative")
-    return VarianceReport(variance=float(b**2 @ sig2), square_norm=rule.square_norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        variance = float(b**2 @ sig2)
+    if not variance < math.inf:
+        raise ValueError(f"the variance sum_x b_x^2 sigma_x^2 overflows ({variance!r})")
+    return VarianceReport(variance=variance, square_norm=rule.square_norm)
 
 
 def confidence_interval(report: VarianceReport, eta: float) -> float:

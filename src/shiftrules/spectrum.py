@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add, gt, lt
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # numpy loads only where an array is built
-    import numpy as np
 
 DEFAULT_DEDUP_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-9
@@ -85,13 +81,6 @@ class FrequencySet:
         gaps[1::2] = self.unique_frequencies
         gaps[2::2] = [-w for w in self.unique_frequencies]
         return tuple(gaps)
-
-    @property
-    def distinct_gaps(self) -> np.ndarray:
-        """``signed_gaps`` as a float array."""
-        import numpy as np
-
-        return np.array(self.signed_gaps, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Design-matrix construction and well-posed shift-rule solving.
 
 A shift rule expresses a target combination of derivatives of the
-expectation function as a weighted sum of shifted evaluations.  The
-coefficients solve a linear system whose rows are indexed by the distinct
-eigenvalue gaps and whose columns are the shift phases: row mu, column x
-holds exp(i * mu * phi_x), and the right-hand side for derivative order p
-is (i * mu) ** p.
+expectation function as a weighted sum of shifted evaluations.  In the
+paper its coefficients solve E b = mu: row g in (0, +-w_1, ..., +-w_R),
+column x holds exp(i g phi_x), and mu(g) = sum_p w_p (i g) ** p.  The rows
++-w are conjugates, so the unitary rotation (r_+ + r_-) / sqrt2,
+(r_+ - r_-) / (i sqrt2) of each pair turns E b = mu into the real system
+C = [1; sqrt2 cos(w_j phi_x); sqrt2 sin(w_j phi_x)], t = [mu(0);
+sqrt2 Re mu(w_j); sqrt2 Im mu(w_j)], with E's singular values and, for
+every real b, |C b - t| = |E b - mu|.  Every solver works on C.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .spectrum import (DEFAULT_REL_TOL, FrequencySet, StructureKind, classify_st
 
 CONDITION_CAP = 1e8
 GRID_FACTOR = 16  # auto_phases' candidates per phase
-IMAG_TOL = 1e-9
+SQRT2 = math.sqrt(2.0)
 
 
 class IllPosedError(RuntimeError):
@@ -42,11 +45,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """The design system E b = mu for a fixed gap set, phase vector and target."""
+    """The real design system C b = t for a fixed gap set, phase vector and target."""
 
-    matrix: np.ndarray          # (rows, cols) complex, E[r, x] = exp(i g_r phi_x)
-    rhs: np.ndarray             # (rows,) complex
-    row_gaps: np.ndarray        # gap value per row
+    matrix: np.ndarray          # (2R+1, cols): rows 1, sqrt2 cos(w_j phi_x), sqrt2 sin(w_j phi_x)
+    rhs: np.ndarray             # (2R+1,): mu(0), sqrt2 Re mu(w_j), sqrt2 Im mu(w_j)
+    row_gaps: np.ndarray        # gap value per row: (0, w_1..w_R, w_1..w_R)
     phases: np.ndarray          # phase per column
     orders: Orders              # the target sum_p w_p f^(p) that rhs encodes
 
@@ -54,28 +57,36 @@ class LinearSystem:
     def is_square(self) -> bool:
         return self.matrix.shape[0] == self.matrix.shape[1]
 
+    @property
+    def gaps(self) -> np.ndarray:
+        """The positive gaps w_1..w_R of the cos rows (and of the sin rows)."""
+        return self.row_gaps[1:len(self.row_gaps) // 2 + 1]
+
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD (U, s, Vh) of E, computed once per system; read-only, like the system."""
+        """Thin SVD (U, s, Vh) of C, computed once per system; read-only, like the system."""
         usv = np.linalg.svd(self.matrix, full_matrices=False)
         for a in usv:
             _read_only(a)
         return usv
 
 
-def _gap_rhs(gaps: np.ndarray, orders: Orders) -> np.ndarray:
-    """Target sum_p w_p (i * g) ** p per gap value g (p = 0 gives 1); IllPosedError on overflow."""
-    if orders == FIRST_DERIVATIVE:
-        # the general sum's bits: 0 + 1.0 * (i g) ** 1 leaves the real part +0 and the
-        # imaginary part g, and a finite g cannot overflow
-        return 1j * gaps + 0.0
-    rhs = np.zeros(len(gaps), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p, w in orders:
-            rhs += w * (1j * gaps) ** p
-    if not np.isfinite(rhs).all():
+def _target(w: np.ndarray, orders: Orders) -> np.ndarray:
+    """t = (mu(0), sqrt2 Re mu(w_j), sqrt2 Im mu(w_j)) at the ascending gaps w; IllPosedError on overflow."""
+    R = len(w)
+    t = np.zeros(2 * R + 1)
+    if orders == FIRST_DERIVATIVE and (R == 0 or w[-1] < 1e308):  # mu(g) = i g: sqrt2 g is finite
+        np.multiply(w, SQRT2, out=t[R + 1:])
+        return t
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing target is refused below
+        for p, weight in orders:  # (i g)^p is g^p times 1, i, -1, -i for p = 0, 1, 2, 3 mod 4
+            t[0] += weight * (p == 0)
+            part = t[R + 1:] if p % 2 else t[1:R + 1]
+            part += (weight if p % 4 < 2 else -weight) * w**p
+        t[1:] *= SQRT2
+    if not np.isfinite(t).all():
         raise IllPosedError(f"derivative target (i g)^p overflows for orders {list(orders)}")
-    return rhs
+    return t
 
 
 # The last system build_system made, as (key, LinearSystem); see build_system.
@@ -83,12 +94,11 @@ _last_system: tuple | None = None
 
 
 def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearSystem:
-    """Build the design system with one row per distinct gap value.
+    """Build the real design system C b = t (see the module docstring).
 
-    The row order is (0, +w1, -w1, +w2, -w2, ...), so the first row is
-    the all-ones row with right-hand side 0 for pure derivative targets,
-    and rows come in conjugate pairs.  The number of phases may differ
-    from freq.m; only the direct solver insists on a square system.
+    Rows: the ones row (target 0 for pure derivatives), the R cos rows,
+    the R sin rows.  The number of phases may differ from freq.m; only
+    the direct solver insists on a square system.
 
     The system's arrays are read-only, and a call with the same
     frequencies, phase values and orders as the previous call returns
@@ -107,10 +117,12 @@ def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearS
     last = _last_system
     if last is not None and last[0] == key:
         return last[1]
-    gaps = _read_only(freq.distinct_gaps)
-    # gaps[:, None] * phases are np.outer's products, without its dispatch
-    sys = LinearSystem(matrix=_read_only(np.exp(1j * (gaps[:, None] * phases))),
-                       rhs=_read_only(_gap_rhs(gaps, orders)), row_gaps=gaps,
+    w = np.array(freq.unique_frequencies, dtype=float)
+    z = np.exp(1j * (w[:, None] * phases))  # the paper's rows +w; the rows -w are their conjugates
+    C = np.concatenate((np.ones((1, len(phases))), z.real, z.imag))
+    C[1:] *= SQRT2
+    sys = LinearSystem(matrix=_read_only(C), rhs=_read_only(_target(w, orders)),
+                       row_gaps=_read_only(np.concatenate(([0.0], w, w))),
                        phases=_read_only(phases), orders=orders)
     _last_system = (key, sys)
     return sys
@@ -171,23 +183,17 @@ def _singular_value_condition(s: np.ndarray, size: int):
     return np.divide(smax, smin, out=np.full(smin.shape, np.inf), where=regular)
 
 
-def _capped_solve(E: np.ndarray, rhs: np.ndarray):
-    """(np.linalg.solve(E, rhs), cond(E)); IllPosedError when cond(E) exceeds CONDITION_CAP."""
-    cond = condition_number(E)
+def _capped_solve(C: np.ndarray, rhs: np.ndarray):
+    """(np.linalg.solve(C, rhs), cond(C)); IllPosedError when cond(C) exceeds CONDITION_CAP."""
+    cond = condition_number(C)
     if not np.isfinite(cond) or cond > CONDITION_CAP:
-        raise IllPosedError(
-            f"condition number {cond:.3g} exceeds cap {CONDITION_CAP:.3g}",
-            condition_number=cond,
-        )
-    return np.linalg.solve(E, rhs), cond
+        raise IllPosedError(f"condition number {cond:.3g} exceeds cap {CONDITION_CAP:.3g}", cond)
+    return np.linalg.solve(C, rhs), cond
 
 
 def _norm(x: np.ndarray) -> float:
-    """float(np.linalg.norm(x)) for a 1-d float or complex array: its dot products, without its dispatch."""
+    """float(np.linalg.norm(x)) for a 1-d float array: its dot product, without its dispatch."""
     x = x.ravel(order="K")  # as norm does: a strided x would take another BLAS summation order
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
     return math.sqrt(x.dot(x))
 
 
@@ -201,68 +207,49 @@ def _coefficient_norm(b: np.ndarray, context: str, condition_number=None) -> flo
 
 
 def _rule(sys: LinearSystem, coefficients: np.ndarray, method: str, condition_number: float,
-          residual: float, max_imag: float, **extra) -> ShiftRule:
+          residual: float, **extra) -> ShiftRule:
     """A solver's rule: the system's phases, orders and positive gaps, and its diagnostics.
 
-    The positive gaps are the rows +w_1, +w_2, ... of ``build_system``'s
-    row order, as Python floats; ``extra`` adds diagnostics after the
-    four every rule carries.
+    The positive gaps are stored as Python floats; ``extra`` adds
+    diagnostics after the three every rule carries.
     """
-    return ShiftRule(
-        phases=sys.phases.copy(),
-        coefficients=coefficients,
-        orders=sys.orders,
-        frequencies=tuple(sys.row_gaps[1::2].tolist()),
-        diagnostics={
-            "method": method,
-            "condition_number": condition_number,
-            "residual": residual,
-            "max_imag_discarded": max_imag,
-            **extra,
-        },
-    )
+    return ShiftRule(phases=sys.phases.copy(), coefficients=coefficients, orders=sys.orders,
+                     frequencies=tuple(sys.gaps.tolist()),
+                     diagnostics={"method": method, "condition_number": condition_number,
+                                  "residual": residual, **extra})
 
 
 def _exact_rule(sys: LinearSystem, b: np.ndarray, method: str, condition_number: float,
                 context: str) -> ShiftRule:
-    """The rule of a solution b of E b = rhs: its real part, with the residual of b itself.
+    """The rule of a solution b of C b = t, with its residual |C b - t|.
 
-    Raises IllPosedError, naming ``context``, when |b| overflows or the
-    imaginary part of b exceeds ``IMAG_TOL`` times |b|.
+    Raises IllPosedError, naming ``context``, when |b| overflows.
     """
-    scale = max(_coefficient_norm(b, context, condition_number), 1e-300)
-    max_imag = float(np.abs(b.imag).max())
-    if max_imag > IMAG_TOL * scale:
-        raise IllPosedError(
-            f"{context}: solution has non-negligible imaginary part "
-            f"({max_imag:.3g} vs norm {scale:.3g})",
-            condition_number=condition_number,
-        )
-    return _rule(sys, b.real.copy(), method, condition_number, _norm(sys.matrix @ b - sys.rhs), max_imag)
+    _coefficient_norm(b, context, condition_number)
+    return _rule(sys, b, method, condition_number, _norm(sys.matrix @ b - sys.rhs))
 
 
 def solve_direct(sys: LinearSystem) -> ShiftRule:
-    """Solve the square system E b = rhs and return the real coefficients.
+    """Solve the square system C b = t for the rule's coefficients.
 
     The rule is labelled with the orders the system was built for.
     Raises IllPosedError when the phases hold duplicates, the system is
-    not square, has a condition number above ``CONDITION_CAP`` or
-    a solution with a non-negligible imaginary part (ill-posed spectra
-    must go through the equidistant or regularized paths instead).
+    not square or has a condition number above ``CONDITION_CAP``
+    (ill-posed spectra must go through the regularized path instead).
     """
-    check_phase_distinctness(sys.phases, sys.row_gaps[1::2].tolist())
+    check_phase_distinctness(sys.phases, sys.gaps.tolist())
     return _solve_distinct(sys)
 
 
 def _solve_distinct(sys: LinearSystem) -> ShiftRule:
     """``solve_direct`` at phases already checked for duplicates."""
-    E = sys.matrix
+    C = sys.matrix
     if not sys.is_square:
         raise IllPosedError(
-            f"system is not square ({E.shape[0]} gap rows, {E.shape[1]} phases); "
+            f"system is not square ({C.shape[0]} gap rows, {C.shape[1]} phases); "
             "the direct solver needs exactly one phase per distinct gap"
         )
-    b, cond = _capped_solve(E, sys.rhs)
+    b, cond = _capped_solve(C, sys.rhs)
     return _exact_rule(sys, b, "direct", cond, "solve_direct")
 
 
@@ -284,13 +271,16 @@ def apply_rule(rule: ShiftRule, f: Callable[[float], float], t: float) -> float:
 
 
 def compatibility_residual(rule: ShiftRule, freq: FrequencySet) -> float:
-    """Defining residual max over gaps |sum_x b_x e^{i mu phi_x} - target(mu)|.
+    """Defining residual max over gaps g of |r(g)| = |sum_x b_x e^{i g phi_x} - mu(g)|.
 
     Independent of any test function: a rule is exact for every in-band
-    model precisely when this vanishes.
+    model precisely when this vanishes.  From r = C b - t: r(0) is its
+    first entry and |r(w_j)| = hypot(cos row, sin row) / sqrt2.
     """
     sys = build_system(freq, rule.phases, rule.orders)
-    return float(np.abs(sys.matrix @ rule.coefficients - sys.rhs).max())
+    r = sys.matrix @ rule.coefficients - sys.rhs
+    R = len(sys.gaps)
+    return max(abs(float(r[0])), *(np.hypot(r[1:R + 1], r[R + 1:]) / SQRT2).tolist())
 
 
 def auto_phases(freq: FrequencySet) -> np.ndarray:
@@ -299,10 +289,11 @@ def auto_phases(freq: FrequencySet) -> np.ndarray:
     The candidates are equispaced on [-2*pi / resolution, 0): one period of
     the smallest spacing of (0, w_1, ..., w_R), floored at 1e-2 times the
     largest gap (IllPosedError where that period overflows).  Each step
-    keeps the candidate column of E with the largest norm orthogonal to
-    those kept (pivoted Gram-Schmidt: approximate Fekete points), the first
-    on a tie.  On an equidistant spectrum the picks are ``optimal_phases``,
-    in their order.
+    keeps the candidate column of C with the largest norm orthogonal to
+    those kept (pivoted Gram-Schmidt: approximate Fekete points); norms
+    within m * eps (relative) of the largest tie, and the first of them
+    wins.  On an equidistant spectrum the picks are ``optimal_phases``, in
+    their order.
     """
     freqs = np.asarray(freq.unique_frequencies)
     spacing = float(max(np.diff(freqs, prepend=0.0).min(), 1e-2 * freqs[-1]))
@@ -310,17 +301,27 @@ def auto_phases(freq: FrequencySet) -> np.ndarray:
     if lo == -math.inf:
         raise IllPosedError(f"phase period 2*pi/{spacing!r} overflows: the gap spacing is too small")
     grid = lo * np.linspace(1, 0, GRID_FACTOR * freq.m, endpoint=False)  # lo first, 0 left out
-    R = np.exp(1j * np.outer(freq.distinct_gaps, grid))
-    norm2 = np.full(len(grid), float(freq.m))  # every column has unit-modulus entries
+    return grid[sorted(_greedy_columns(build_system(freq, grid).matrix, freq.m), reverse=True)]
+
+
+def _greedy_columns(candidates: np.ndarray, k: int) -> list[int]:
+    """k column indices by pivoted Gram-Schmidt with downdated column norms; see ``auto_phases``."""
+    A = candidates.copy()
+    norm2 = np.full(A.shape[1], float(len(A)))  # 1 + 2 (cos^2 + sin^2) per gap in every column
+    exact = norm2.copy()  # each column's last exactly computed norm2
+    eps = math.ulp(1.0)
     picks = []
-    for _ in range(freq.m):
-        j = int(np.argmax(norm2))
+    for _ in range(k):
+        j = int(np.argmax(norm2 >= norm2.max() * (1.0 - len(A) * eps)))  # the first near-largest
         picks.append(j)
-        q = R[:, j] / np.linalg.norm(R[:, j])
-        R -= np.outer(q, q.conj() @ R)
-        norm2 = (R.real**2 + R.imag**2).sum(axis=0)
-        norm2[picks] = -1.0
-    return grid[sorted(picks, reverse=True)]
+        q = A[:, j] / _norm(A[:, j])
+        c = q @ A
+        A -= np.outer(q, c)
+        norm2 -= c * c
+        lost = norm2 <= math.sqrt(eps) * exact  # the downdate cancelled: recompute, as LAPACK's xGEQP3
+        norm2[lost] = exact[lost] = (A[:, lost] ** 2).sum(axis=0)
+        norm2[picks] = -np.inf
+    return picks
 
 
 class Attempt(NamedTuple):

@@ -22,7 +22,7 @@ import numpy as np
 from .rule import (FIRST_DERIVATIVE, Orders, ShiftRule, _check_non_negative_int, _finite,
                    _normalize_orders)
 from .spectrum import FrequencySet, gap_generator
-from .synthesis import (CONDITION_CAP, IllPosedError, _gap_rhs, _singular_value_condition,
+from .synthesis import (CONDITION_CAP, IllPosedError, _singular_value_condition, _target,
                         build_system, condition_number, synthesize_rule)
 
 SCREEN_SIZE = 4096  # seeded points of the symmetric family ranked before any Newton step
@@ -54,20 +54,22 @@ class OptimizationConfig:
 class ReducedSystem:
     """The design system at the negation-symmetric phases (0, -x_1..-x_R, +x_1..+x_R).
 
-    Unitary row and column rotations (rows 1, sqrt2*cos(w .), sqrt2*sin(w .);
-    columns e_0, (e_+x +- e_-x)/sqrt2) split E into two real blocks, so E's
-    singular values are those of ``cos`` and ``sin`` together:
+    The column rotation e_0, (e_+x +- e_-x)/sqrt2 splits the real system
+    C b = t of ``synthesis.build_system`` into its constant and cos rows and
+    its sin rows, so C's singular values are those of both blocks together:
 
       cos = [[1, sqrt2 * 1^T], [sqrt2 * 1, 2 cos(w_j x_k)]]   (R+1, R+1)
       sin = 2 sin(w_j x_k)                                     (R, R)
 
-    A target of one parity excites one block: ``matrix`` u = ``rhs`` with
-    ``matrix`` = sin for odd orders and cos for even ones.  u holds
+    A target of one parity excites one block: ``matrix`` u = ``rhs``, with
+    sin and t's sin rows for odd orders, cos and t's other rows for even
+    ones.  u holds
     sqrt2 * c_k per pair (the coefficients are -c_k, +c_k for odd orders
     and b_0 = u_0, c_k, c_k for even ones), so sum b^2 = |u|^2.  x may
     carry leading batch axes, which both blocks keep.  Each block is
     computed from ``wx`` = w_j x_k on first use, so a caller that needs
-    only ``matrix`` pays for one block's trig.
+    only ``matrix`` pays for one block's trig: R^2 sines per point, where
+    C itself would take R (2R + 1) complex exponentials.
     """
 
     wx: np.ndarray
@@ -92,7 +94,7 @@ class ReducedSystem:
         return self.sin if self.odd else self.cos
 
     def condition_number(self) -> np.ndarray:
-        """cond(E) at the lifted phases per batch entry; +inf where singular."""
+        """cond(C) at the lifted phases per batch entry; +inf where singular."""
         s = np.concatenate([np.linalg.svd(self.cos, compute_uv=False),
                             np.linalg.svd(self.sin, compute_uv=False)], axis=-1)
         return _singular_value_condition(s, s.shape[-1])
@@ -117,14 +119,13 @@ def build_reduced_system(freq: FrequencySet, x, orders=FIRST_DERIVATIVE) -> Redu
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != w.shape:
         raise ValueError(f"need {len(w)} magnitudes on the last axis, got shape {x.shape}")
-    t = _gap_rhs(np.concatenate([[0.0], w]), _normalize_orders(orders))
-    t[1:] *= np.sqrt(2.0)
-    rhs = t[1:].imag if odd else t.real
+    t = _target(w, _normalize_orders(orders))
+    rhs = t[len(w) + 1:] if odd else t[:len(w) + 1]
     return ReducedSystem(wx=w[:, None] * x[..., None, :], rhs=rhs, odd=odd)
 
 
 class _Point:
-    """sum u^2 for u = Re(M^{-1} t), with its exact gradient and Hessian.
+    """sum u^2 for u = M^{-1} t, with its exact gradient and Hessian.
 
     Variable k moves only column ``cols[k]`` of M; ``dM`` and ``ddM`` hold
     the first and second derivatives of those columns.  One solve of
@@ -137,18 +138,17 @@ class _Point:
     def __init__(self, M, t, dM, ddM, cols):
         k = len(cols)
         sol = np.linalg.solve(M, np.column_stack([t, dM, ddM]))
-        self.u = sol[:, 0].real
+        self.u = sol[:, 0]
         self.value = float(self.u @ self.u)
         self._A, self._B, self._cols = sol[:, 1:k + 1], sol[:, k + 1:], cols
         self._D = -self.u[cols] * self._A
-        self.gradient = 2.0 * (self.u @ self._D.real)
+        self.gradient = 2.0 * (self.u @ self._D)
 
     @cached_property
     def hessian(self) -> np.ndarray:
         u, D, cols = self.u, self._D, self._cols
         aP = (u @ self._A)[:, None] * D[cols]
-        H = D.real.T @ D.real - (aP + aP.T).real - np.diag(u[cols] * (u @ self._B).real)
-        return 2.0 * H
+        return 2.0 * (D.T @ D - (aP + aP.T) - np.diag(u[cols] * (u @ self._B)))
 
     @property
     def finite(self) -> bool:
@@ -160,15 +160,16 @@ class _Point:
 def _evaluate_point(freq, phases, orders) -> _Point | None:
     """Sum b^2 at ``phases`` (u = b, one variable per phase); None past CONDITION_CAP."""
     sys = build_system(freq, phases, orders)
-    if not condition_number(sys.matrix) <= CONDITION_CAP:
+    C = sys.matrix
+    if not condition_number(C) <= CONDITION_CAP:
         return None
-    ig = (1j * sys.row_gaps)[:, None]
-    U = ig * sys.matrix  # dE[:, y]/dphi_y
-    return _Point(sys.matrix, sys.rhs, U, ig * U, np.arange(len(sys.phases)))
+    R, w = len(sys.gaps), sys.gaps[:, None]  # d/dphi: cos row -> -w sin row, sin row -> w cos row
+    dC = np.concatenate((np.zeros((1, C.shape[1])), -w * C[R + 1:], w * C[1:R + 1]))
+    return _Point(C, sys.rhs, dC, -(sys.row_gaps**2)[:, None] * C, np.arange(len(sys.phases)))
 
 
 def _evaluate_reduced(freq, x, orders) -> _Point | None:
-    """Sum b^2 at the lifted phases (0, -x, +x) from the real block; None past CONDITION_CAP on cond(E).
+    """Sum b^2 at the lifted phases (0, -x, +x) from the real block; None past CONDITION_CAP on cond(C).
 
     d/dx_k 2 sin(w x_k) = w * 2 cos(w x_k), an entry of the cos block, and
     d/dx_k 2 cos(w x_k) = -w * 2 sin(w x_k); second derivatives are -w^2 times the block.

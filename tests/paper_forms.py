@@ -4,36 +4,70 @@ Cramer and Jacobi coefficients, the finite-difference, determinant and
 explicit stationarity residuals, the symmetric Vandermonde expansion,
 the Dirichlet kernel in its sum and ratio forms, the column
 orthogonality residual, the linearized and the exactly perturbed
-solutions and the undeduplicated design system: independent checks of
-the production paths, cost-capped where they take determinants.
-``shiftrules`` itself does not import this module.
+solutions, and the paper's complex design system E b = mu (one row per
+signed gap, deduplicated or not), which the package replaces by its real
+rotation C b = t: independent checks of the production paths,
+cost-capped where they take determinants.  ``shiftrules`` itself does not
+import this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from shiftrules.equidistant import EquidistantStructure, optimal_phases
 from shiftrules.perturbation import PerturbationData
 from shiftrules.regularization import tikhonov_solve
 from shiftrules.spectrum import FrequencySet
 from shiftrules.synthesis import (
     FIRST_DERIVATIVE,
-    IMAG_TOL,
     IllPosedError,
     LinearSystem,
     Orders,
     _capped_solve,
-    _gap_rhs,
     _normalize_orders,
     build_system,
 )
 
 CRAMER_SIZE_CAP = 9
 DETERMINANT_SIZE_CAP = 7
+IMAG_TOL = 1e-9  # Cramer's quotient of complex determinants must come out real to this
+
+
+def paper_target(gaps, orders=FIRST_DERIVATIVE) -> np.ndarray:
+    """mu(g) = sum_p w_p (i g) ** p per gap value g (p = 0 gives 1)."""
+    gaps = np.asarray(gaps, dtype=float)
+    mu = np.zeros(len(gaps), dtype=complex)
+    for p, w in _normalize_orders(orders):
+        mu += w * (1j * gaps) ** p
+    return mu
+
+
+def _complex_system(gaps, phases, orders) -> LinearSystem:
+    phases = np.asarray(phases, dtype=float)
+    orders = _normalize_orders(orders)
+    return LinearSystem(matrix=np.exp(1j * np.outer(gaps, phases)), rhs=paper_target(gaps, orders),
+                        row_gaps=gaps, phases=phases, orders=orders)
+
+
+def paper_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearSystem:
+    """The paper's design system E b = mu, one row per distinct signed gap.
+
+    Rows are (0, +w_1, -w_1, +w_2, -w_2, ...): E[g, x] = exp(i g phi_x).
+    ``synthesis.build_system`` solves its real rotation C b = t instead.
+    """
+    return _complex_system(np.array(freq.signed_gaps), phases, orders)
+
+
+def paper_normalized_system(es: EquidistantStructure):
+    """(E / sqrt(m), mu / sqrt(m)) at the equidistant phases: unitary, and in the
+    row layout of ``perturbation.perturbation_matrices``."""
+    sys = paper_system(es.frequency_set(), optimal_phases(es))
+    return sys.matrix / np.sqrt(es.m), sys.rhs / np.sqrt(es.m)
 
 
 def build_full_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearSystem:
-    """Design system with one row per signed eigenvalue pair (no dedup).
+    """The paper's design system with one row per signed eigenvalue pair (no dedup).
 
     Rows are the zero gap once, then +w and -w for each frequency w,
     each repeated ``multiplicity`` times.  Coincident gaps therefore
@@ -41,20 +75,25 @@ def build_full_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> Li
     exists for ill-posedness experiments and for the regularized path,
     which tolerates rank deficiency.
     """
-    phases = np.asarray(phases, dtype=float)
-    orders = _normalize_orders(orders)
     counts = np.concatenate([[1], np.repeat(freq.multiplicities, 2)])
-    gaps = np.repeat(freq.distinct_gaps, counts)
-    E = np.exp(1j * np.outer(gaps, phases))
-    return LinearSystem(matrix=E, rhs=_gap_rhs(gaps, orders), row_gaps=gaps, phases=phases,
-                        orders=orders)
+    return _complex_system(np.repeat(freq.signed_gaps, counts), phases, orders)
+
+
+def _paper_form(sys: LinearSystem) -> LinearSystem:
+    """The paper's complex system at ``sys``'s gaps, phases and orders; a complex ``sys`` is one."""
+    if np.iscomplexobj(sys.matrix):
+        return sys
+    freq = FrequencySet(tuple(sys.gaps.tolist()), (1,) * len(sys.gaps))
+    return paper_system(freq, sys.phases, sys.orders)
 
 
 def cramer_coefficient(sys: LinearSystem, x: int) -> float:
     """Coefficient b_x via Cramer's rule: det E(phi/phi_x) / det E.
 
-    Restricted to systems of size <= 9 (determinant cost guard).
+    Works on the paper's complex E (``_paper_form``); restricted to
+    systems of size <= 9 (determinant cost guard).
     """
+    sys = _paper_form(sys)
     E = sys.matrix
     if not sys.is_square:
         raise ValueError("Cramer's rule needs a square system")
@@ -81,8 +120,9 @@ def jacobi_coefficient(sys: LinearSystem, x: int, step: float = 1e-4) -> float:
     (Richardson-extrapolated central differences); denominator: det E at
     the given phases.  Agrees with cramer_coefficient because the
     phase-derivative of a column at zero phase is exactly the
-    first-derivative right-hand side.
+    first-derivative right-hand side.  Works on the paper's complex E.
     """
+    sys = _paper_form(sys)
     E = sys.matrix
     if not sys.is_square:
         raise ValueError("Jacobi form needs a square system")
@@ -126,13 +166,13 @@ def stationarity_residual(
 
     All components vanish exactly at a stationary point of the
     square-norm objective.  The derivatives are central differences of
-    condition-capped re-solves; the realness assertion is skipped, as
-    round-off imaginaries grow with conditioning.
+    condition-capped re-solves of the paper's complex system, whose
+    round-off imaginary parts are dropped.
     """
     orders = _normalize_orders(orders)
 
     def solve(ph):
-        sys = build_system(freq, ph, orders)
+        sys = paper_system(freq, ph, orders)
         return _capped_solve(sys.matrix, sys.rhs)[0].real
 
     return _fd_stationarity(solve, np.asarray(phases, dtype=float), step)
@@ -156,7 +196,7 @@ def determinant_stationarity_residual(
         raise ValueError("determinant form is defined for the first-derivative target")
     if m > DETERMINANT_SIZE_CAP:
         raise ValueError(f"determinant form limited to m <= {DETERMINANT_SIZE_CAP}")
-    sys = build_system(freq, phases, orders)
+    sys = paper_system(freq, phases, orders)
     E, mu, gaps = sys.matrix, sys.rhs, sys.row_gaps
     D = np.linalg.det(E)
     if D == 0:
@@ -213,7 +253,7 @@ def regularized_stationarity_residual(
     if method == "explicit":
         if m > DETERMINANT_SIZE_CAP:
             raise ValueError(f"explicit form limited to m <= {DETERMINANT_SIZE_CAP}")
-        sys = build_system(freq, phases, orders)
+        sys = paper_system(freq, phases, orders)
         E, mu, gaps = sys.matrix, sys.rhs, sys.row_gaps
         M = gamma * np.eye(m) + E.conj().T @ E
         b = np.linalg.solve(M, E.conj().T @ mu)
@@ -294,7 +334,7 @@ def orthogonality_residual(freq: FrequencySet, phases) -> float:
     Zero exactly when the (reduced) design columns are orthogonal, which
     happens only for equidistant spectra at the equidistant phases.
     """
-    sys = build_system(freq, phases)
+    sys = paper_system(freq, phases)
     G = sys.matrix.conj().T @ sys.matrix
     off = G - np.diag(np.diag(G))
     return float(np.abs(off).max() / sys.matrix.shape[0])

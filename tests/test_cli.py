@@ -14,6 +14,7 @@ from shiftrules import (
     analytic_derivative,
     apply_rule,
     cli,
+    compatibility_residual,
     evaluate,
     fourier,
     frequency_differences,
@@ -260,8 +261,9 @@ def test_synthesize_warns_when_regularized_rule_is_inexact(near_degenerate, tmp_
 
 @pytest.fixture
 def imaginary_part_case(tmp_path):
-    """A spectrum and phases under the condition cap (cond 6.4e7) whose direct
-    solution keeps an imaginary part above the 1e-9 relative tolerance."""
+    """A spectrum and phases under the condition cap (cond 6.4e7) where a solve of
+    the paper's complex system leaves an imaginary round-off part above 1e-9
+    relative; the real system has none to refuse."""
     eigenvalues = (0.0, 0.513114, 1.229844, 2.009326, 3.425672)
     freq = frequency_differences(Spectrum(eigenvalues))
     w = np.asarray(freq.unique_frequencies)
@@ -273,34 +275,36 @@ def imaginary_part_case(tmp_path):
     return path, ",".join(repr(float(p)) for p in phases)
 
 
-def test_synthesize_direct_imaginary_part_is_ill_posed(imaginary_part_case, tmp_path):
+def test_synthesize_direct_imaginary_part_case_is_exact(imaginary_part_case, tmp_path):
     spec, phases = imaginary_part_case
     out = str(tmp_path / "rule.json")
     result = run_cli(["--output", out, "synthesize", spec, "--method", "direct",
                       "--phases", phases])
-    assert result.exit_code == 2
-    assert "error: direct synthesis is ill-posed" in result.output
-    assert "imaginary part" in result.output and "condition number 6375" in result.output
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["method"] == "direct"
+    rule = serialize.load_rule(out)
+    freq = frequency_differences(Spectrum(tuple(json.loads(Path(spec).read_text())["eigenvalues"])))
+    assert compatibility_residual(rule, freq) <= 1e-12
+    assert run_cli(["validate", out]).exit_code == 0
 
 
-def test_synthesize_auto_imaginary_part_falls_back(imaginary_part_case, tmp_path):
+def test_synthesize_auto_imaginary_part_case_solves_directly(imaginary_part_case, tmp_path):
     spec, phases = imaginary_part_case
     out = str(tmp_path / "rule.json")
     result = run_cli(["--output", out, "synthesize", spec, "--phases", phases])
     assert result.exit_code == 0
     report = json.loads(result.output)
-    assert report["method"] == "regularized"
-    assert any("imaginary part" in w and "falling back to tikhonov" in w
-               for w in report["warnings"])
+    assert report["method"] == "direct"
+    assert not any("falling back" in w for w in report["warnings"])
 
 
-def test_optimize_imaginary_part_start_has_no_before(imaginary_part_case, tmp_path):
+def test_optimize_imaginary_part_case_has_a_before(imaginary_part_case, tmp_path):
     spec, phases = imaginary_part_case
     out = str(tmp_path / "opt.json")
     result = run_cli(["--output", out, "optimize", spec, "--phases", phases])
     assert result.exit_code == 0
     report = json.loads(result.output)
-    assert report["square_norm_before"] is None
+    assert np.isfinite(report["square_norm_before"])
     assert report["square_norm_after"] > 0
 
 

@@ -87,16 +87,19 @@ def test_normalized_matrix_is_unitary(n):
 
 
 def test_reduced_system_layout_at_optimal_phases():
-    # row for gap +-k*delta, column j: exp(-+ i*k*j*tau); the last column
-    # (phase -2*pi/delta) is a full period of every row, hence all ones
+    # column j (phase -j*tau/delta): 1, then sqrt2 cos(k*j*tau) and -sqrt2 sin(k*j*tau)
+    # for gap k*delta; the last column (phase -2*pi/delta) is a full period of every
+    # row, hence (1, sqrt2, sqrt2, 0, 0)
     es = EquidistantStructure(3, 1.0)
     sys = build_system(es.frequency_set(), optimal_phases(es))
-    np.testing.assert_allclose(sys.row_gaps, [0.0, 1.0, -1.0, 2.0, -2.0])
-    j = np.arange(1, 6)
-    for r, k in enumerate([0, 1, -1, 2, -2]):
-        np.testing.assert_allclose(sys.matrix[r], np.exp(-1j * k * j * es.tau), atol=1e-14)
-    np.testing.assert_allclose(sys.matrix[:, -1], 1.0, atol=1e-14)
-    np.testing.assert_allclose(sys.rhs, 1j * np.array([0.0, 1.0, -1.0, 2.0, -2.0]))
+    np.testing.assert_allclose(sys.row_gaps, [0.0, 1.0, 2.0, 1.0, 2.0])
+    j, r2 = np.arange(1, 6), np.sqrt(2)
+    np.testing.assert_allclose(sys.matrix[0], 1.0)
+    for k in (1, 2):
+        np.testing.assert_allclose(sys.matrix[k], r2 * np.cos(k * j * es.tau), atol=1e-14)
+        np.testing.assert_allclose(sys.matrix[2 + k], -r2 * np.sin(k * j * es.tau), atol=1e-14)
+    np.testing.assert_allclose(sys.matrix[:, -1], [1.0, r2, r2, 0.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(sys.rhs, r2 * np.array([0.0, 0.0, 0.0, 1.0, 2.0]))  # mu(k) = i k
 
 
 def test_closed_form_n2_coefficients():

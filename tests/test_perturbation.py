@@ -1,19 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from shiftrules import (
     EquidistantStructure,
+    Spectrum,
+    classify_structure,
+    closed_form_rule,
     condition_number,
     error_bound,
     perturbation_matrices,
 )
-from shiftrules.equidistant import normalized_system
-from paper_forms import exact_perturbed_solution, linearized_solution
+from paper_forms import exact_perturbed_solution, linearized_solution, paper_normalized_system
 
 
 def _unperturbed(n, delta=1.0):
     es = EquidistantStructure(n, delta)
-    E, mu = normalized_system(es)
+    E, mu = paper_normalized_system(es)  # the complex layout perturbation_matrices perturbs
     b0 = np.linalg.solve(E, mu)
     return es, E, mu, b0
 
@@ -85,6 +89,17 @@ def test_error_bound_zero_eps():
     assert bound.relative == 0.0
     assert bound.absolute == 0.0
     assert bound.loose == 0.0
+
+
+def test_error_bound_refuses_an_underflowing_target_norm():
+    spec = Spectrum((0.0, 1e-300, 2e-300, 3.1e-300))  # perturbed equidistant, |mu|^2 underflows
+    cls = classify_structure(spec)
+    es = EquidistantStructure(spec.n, cls.delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b0 = closed_form_rule(es).coefficients
+        with pytest.raises(ValueError, match="target norm"):
+            error_bound(es, perturbation_matrices(es), b0, cls.epsilon)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

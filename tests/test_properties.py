@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import HamiltonianModel, from_hamiltonian
+from paper_forms import paper_system
 from shiftrules import (
     EquidistantStructure,
     Spectrum,
@@ -18,6 +19,7 @@ from shiftrules import (
     optimal_phases,
     solve_direct,
     synthesize_rule,
+    tikhonov_solve,
 )
 from shiftrules.cli import VALIDATION_BOUND
 from shiftrules.serialize import dumps_report
@@ -93,6 +95,41 @@ def test_auto_phases_on_an_equidistant_spectrum_are_its_optimal_phases(n, mantis
     optimal = optimal_phases(EquidistantStructure(n, delta))
     np.testing.assert_allclose(phases, optimal, rtol=1e-12, atol=0)
     assert condition_number(build_system(freq, phases).matrix) <= 1 + 1e-12
+
+
+@st.composite
+def paper_spectra(draw):
+    """Random, near-degenerate (two gaps 1e-12 to 1e-4 apart, relative) and equidistant, n <= 6."""
+    n, kind = draw(st.integers(2, 6)), draw(st.sampled_from(["random", "near", "equidistant"]))
+    steps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+    if kind == "equidistant":
+        steps = [steps[0]] * (n - 1)
+    elif kind == "near" and n > 2:
+        steps[-1] = steps[0] * (1 + draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-4])))
+    return Spectrum(tuple(np.concatenate([[0.0], np.cumsum(steps)]).tolist()))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(spec=paper_spectra(), p=st.integers(1, 3))
+def test_real_system_is_the_paper_system_rotated(spec, p):
+    """C b = t against the paper's complex E b = mu at the rule's phases: the same
+    residual norm, condition number, per-gap residual and Tikhonov rule."""
+    rule, _, _ = rule_for(spec, p)
+    freq, b = frequency_differences(spec), rule.coefficients
+    real, paper = build_system(freq, rule.phases, rule.orders), paper_system(freq, rule.phases, rule.orders)
+    scale = 1 + np.linalg.norm(b)
+    r = np.linalg.norm(real.matrix @ b - real.rhs)
+    assert abs(r - np.linalg.norm(paper.matrix @ b - paper.rhs)) <= 1e-14 * scale
+    cond = condition_number(paper.matrix)
+    if cond < 1e6:  # each factorization moves s_min by about m * eps * s_max
+        assert abs(condition_number(real.matrix) / cond - 1) <= 1e-12 + freq.m * 2.0**-52 * cond
+    per_gap = np.abs(paper.matrix @ b - paper.rhs).max()
+    assert abs(compatibility_residual(rule, freq) - per_gap) <= 1e-14 * scale
+    gamma = 1e-6
+    U, s, Vh = np.linalg.svd(paper.matrix, full_matrices=False)
+    filtered = (Vh.conj().T @ (s / (s**2 + gamma) * (U.conj().T @ paper.rhs))).real
+    tikhonov = tikhonov_solve(real, gamma).coefficients
+    assert np.linalg.norm(tikhonov - filtered) <= 1e-12 * np.linalg.norm(filtered)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -23,7 +23,6 @@ from shiftrules import (
     synthesize_rule,
     tikhonov_solve,
 )
-from paper_forms import build_full_system
 from shiftrules import synthesis
 from shiftrules.regularization import GAMMA_MAX, GAMMA_MIN, select_gamma_discrepancy
 from shiftrules.variance import OptimizationConfig
@@ -61,7 +60,7 @@ def test_rank_deficient_full_system_recovers_derivative():
     freq = frequency_differences(Spectrum((0.0, 1.0, 2.0)))
     rng = np.random.default_rng(2)
     phases = rng.uniform(-2 * np.pi, 0, 7)
-    sys = build_full_system(freq, phases)  # rank 5 despite 7 rows
+    sys = build_system(freq, phases)  # rank 5: 5 rows, 7 phases
     sol = tikhonov_solve(sys, 1e-8)
     model = FourierModel(a0=0.2, terms=((1.0, 0.0, 1.0), (2.0, 0.5, 0.0)))
     est = sum(b * evaluate(model, p) for b, p in zip(sol.coefficients, phases))
@@ -111,7 +110,7 @@ def test_discrepancy_brackets_noise_level():
         d = float(rng.uniform(0.5, 2.0))
         freq = frequency_differences(Spectrum((0.0, d, 2 * d)))  # 5x5 reduced system
         sys = build_system(freq, well_posed_phases(freq, rng))
-        noise = rng.standard_normal(freq.m) + 1j * rng.standard_normal(freq.m)
+        noise = rng.standard_normal(freq.m)  # on the real target t
         noise *= 1e-3 / np.linalg.norm(noise)
         noisy = _noisy_system(sys, noise)
         sel = select_gamma_discrepancy(noisy, RegularizationConfig(data_error=1e-3))
@@ -160,7 +159,7 @@ def test_discrepancy_gamma_beats_tiny_gamma_under_noise():
 
     err_raw, err_disc = [], []
     for _ in range(20):
-        noise = rng.standard_normal(freq.m) + 1j * rng.standard_normal(freq.m)
+        noise = rng.standard_normal(freq.m)  # on the real target t
         noise *= 1e-3 / np.linalg.norm(noise)
         noisy = _noisy_system(sys, noise)
         err_raw.append(deriv_error(tikhonov_solve(noisy, 1e-14)))
@@ -175,7 +174,7 @@ def test_convergence_as_noise_vanishes():
     phases = well_posed_phases(freq, rng)
     sys = build_system(freq, phases)
     b_true = solve_direct(sys).coefficients
-    direction = rng.standard_normal(freq.m) + 1j * rng.standard_normal(freq.m)
+    direction = rng.standard_normal(freq.m)  # on the real target t
     direction /= np.linalg.norm(direction)
     errors = []
     for delta in (1e-2, 1e-4, 1e-6):

@@ -34,7 +34,7 @@ def test_single_pair_gaps():
     freq = frequency_differences(Spectrum((0.0, 1.0)), dedup_tol=1e-12)
     assert freq.m == 3
     assert freq.unique_frequencies == (1.0,)
-    assert sorted(freq.distinct_gaps) == [-1.0, 0.0, 1.0]
+    assert sorted(freq.signed_gaps) == [-1.0, 0.0, 1.0]
 
 
 def test_equidistant_gap_count_reduces():
@@ -42,7 +42,7 @@ def test_equidistant_gap_count_reduces():
     assert freq.m == 5  # 2n - 1
     assert freq.unique_frequencies == (1.0, 2.0)
     assert freq.multiplicities == (2, 1)
-    np.testing.assert_allclose(freq.distinct_gaps, [0.0, 1.0, -1.0, 2.0, -2.0])
+    np.testing.assert_allclose(freq.signed_gaps, [0.0, 1.0, -1.0, 2.0, -2.0])
 
 
 def test_all_distinct_gaps_full_count():
@@ -57,7 +57,7 @@ def test_equidistant_yields_2n_minus_1(n):
     freq = frequency_differences(spec)
     assert freq.m == 2 * n - 1
     np.testing.assert_allclose(
-        sorted(set(np.abs(freq.distinct_gaps))), [0.7 * k for k in range(n)]
+        sorted(set(np.abs(freq.signed_gaps))), [0.7 * k for k in range(n)]
     )
 
 
@@ -66,7 +66,7 @@ def test_signed_gaps_closed_under_negation_zero_once():
     for _ in range(20):
         spec = random_spectrum(rng, int(rng.integers(2, 6)))
         freq = frequency_differences(spec)
-        gaps = freq.distinct_gaps
+        gaps = np.array(freq.signed_gaps)
         assert np.count_nonzero(gaps == 0.0) == 1
         nonzero = sorted(gaps[gaps != 0.0])
         np.testing.assert_allclose(nonzero, sorted(-g for g in nonzero))

@@ -1,5 +1,6 @@
 """Package layout: what ``import shiftrules`` loads and exports, and where defaults live."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -145,6 +146,38 @@ def test_package_holds_only_the_program():
 
 def test_public_surface_is_small():
     assert len(shiftrules.__all__) <= 29
+
+
+def _complex_exponentials() -> list[tuple[str, str]]:
+    """(module, innermost function) of every np.exp call in src/ whose argument holds an imaginary literal."""
+    found = []
+    for path in sorted(Path(shiftrules.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call) and ast.unparse(call.func) == "np.exp"
+                    and any(isinstance(c, ast.Constant) and isinstance(c.value, complex)
+                            for c in ast.walk(call))):
+                inner = max((f for f in functions if f.lineno <= call.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                found.append((path.stem, inner.name if inner else "<module>"))
+    return found
+
+
+def test_one_real_design_system():
+    """One builder of the gap-phase exponentials, and no imaginary-part plumbing.
+
+    Every solver works on the real system C b = t that ``build_system``
+    makes from one complex exponential; ``perturbation_matrices`` builds
+    the perturbation pair (R, r) of the paper's complex system, whose
+    norms ``error_bound`` reads, from exponentials of k x tau.
+    """
+    assert _complex_exponentials() == [("perturbation", "perturbation_matrices")] * 2 + [
+        ("synthesis", "build_system")]
+    source = "".join(path.read_text() for path in Path(shiftrules.__file__).parent.glob("*.py"))
+    for name in ("IMAG_TOL", "max_imag", ".conj()"):
+        assert name not in source, name
+    assert len(shiftrules.__all__) == 29
 
 
 def test_unused_tolerances_are_constants():

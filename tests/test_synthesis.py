@@ -17,11 +17,12 @@ from shiftrules import (
     compatibility_residual,
     evaluate,
     frequency_differences,
+    optimal_phases,
     regularized_rule,
     solve_direct,
     synthesize_rule,
 )
-from paper_forms import build_full_system, cramer_coefficient, jacobi_coefficient
+from paper_forms import build_full_system, cramer_coefficient, jacobi_coefficient, paper_system
 from shiftrules import synthesis
 from shiftrules.synthesis import (
     CONDITION_CAP,
@@ -40,20 +41,23 @@ EQ_PHASES = np.array([-2 * np.pi / 3, -4 * np.pi / 3, -2 * np.pi])
 
 
 def test_build_system_two_level_matrix():
+    """Rows 1, sqrt2 cos(w phi), sqrt2 sin(w phi); target (mu(0), sqrt2 Re mu(w), sqrt2 Im mu(w))."""
     sys = build_system(FREQ01, [0.0, np.pi / 2, np.pi])
-    expected = np.array(
-        [[1, 1, 1], [1, 1j, -1], [1, -1j, -1]], dtype=complex
-    )
+    r2 = np.sqrt(2)
+    expected = np.array([[1, 1, 1], [r2, 0, -r2], [0, r2, 0]])
+    assert sys.matrix.dtype == sys.rhs.dtype == np.float64
     np.testing.assert_allclose(sys.matrix, expected, atol=1e-15)
-    np.testing.assert_allclose(sys.rhs, [0.0, 1j, -1j], atol=1e-15)
-    np.testing.assert_allclose(sys.row_gaps, [0.0, 1.0, -1.0])
+    np.testing.assert_allclose(sys.rhs, [0.0, 0.0, r2], atol=1e-15)  # mu(1) = i
+    np.testing.assert_allclose(sys.row_gaps, [0.0, 1.0, 1.0])
 
 
 def test_build_system_zero_phases_rank_one():
     rng = np.random.default_rng(0)
     freq = frequency_differences(random_spectrum(rng, 3))
     sys = build_system(freq, np.zeros(freq.m))
-    assert np.allclose(sys.matrix, 1.0)
+    R = len(freq.unique_frequencies)
+    assert np.array_equal(sys.matrix[0], np.ones(freq.m))
+    assert np.allclose(sys.matrix[1:R + 1], np.sqrt(2)) and not sys.matrix[R + 1:].any()
     assert np.linalg.matrix_rank(sys.matrix) == 1
 
 
@@ -186,11 +190,13 @@ def test_jacobi_form_matches_cramer():
 
 
 def test_derivative_rhs_orders():
-    rhs = {p: build_system(FREQ01, EQ_PHASES, ((p, 1.0),)).rhs for p in (1, 2, 3)}
-    assert np.allclose(rhs[1], build_system(FREQ01, EQ_PHASES).rhs)
-    np.testing.assert_allclose(rhs[2], [0.0, -1.0, -1.0], atol=1e-15)
-    assert rhs[3][1] == pytest.approx(-1j)  # (i*g)^3 = -i g^3 at g = 1
-    assert rhs[3][2] == pytest.approx(1j)
+    rhs = {p: build_system(FREQ01, EQ_PHASES, ((p, 1.0),)).rhs for p in (0, 1, 2, 3)}
+    assert np.array_equal(rhs[1], build_system(FREQ01, EQ_PHASES).rhs)
+    r2 = np.sqrt(2)  # rows (mu(0), sqrt2 Re mu(1), sqrt2 Im mu(1)) of mu(g) = (i g)^p
+    np.testing.assert_allclose(rhs[0], [1.0, r2, 0.0], atol=1e-15)
+    np.testing.assert_allclose(rhs[1], [0.0, 0.0, r2], atol=1e-15)
+    np.testing.assert_allclose(rhs[2], [0.0, -r2, 0.0], atol=1e-15)
+    np.testing.assert_allclose(rhs[3], [0.0, 0.0, -r2], atol=1e-15)  # (i g)^3 = -i g^3
 
 
 @pytest.mark.parametrize("p", [1.5, True, float("inf"), "1"])
@@ -269,12 +275,17 @@ def test_compatibility_residual_zero_rule():
 
 
 def test_solutions_are_real():
+    """The real solve is the paper's complex solve, whose imaginary part is round-off."""
     rng = np.random.default_rng(9)
     for _ in range(20):
         freq = frequency_differences(random_spectrum(rng, int(rng.integers(2, 5))))
         rule = synthesize_rule(freq, well_posed_phases(freq, rng))
+        assert rule.coefficients.dtype == np.float64
+        paper = paper_system(freq, rule.phases)
+        b = np.linalg.solve(paper.matrix, paper.rhs)
         scale = max(np.linalg.norm(rule.coefficients), 1e-300)
-        assert rule.diagnostics["max_imag_discarded"] <= 1e-9 * scale
+        assert np.abs(b.imag).max() <= 1e-9 * scale
+        np.testing.assert_allclose(rule.coefficients, b.real, rtol=0, atol=1e-9 * scale)
 
 
 def test_duplicate_phases_rejected():
@@ -393,6 +404,29 @@ def test_auto_phases_scale_with_the_spectrum_bit_for_bit(eigenvalues):
     for k in range(-30, 31):
         scaled = frequency_differences(Spectrum(tuple(2.0**k * v for v in eigenvalues)))
         assert np.array_equal(auto_phases(scaled), phases * 2.0**-k), k
+
+
+def test_auto_phase_picks_do_not_depend_on_the_grid_spelling():
+    """Two spellings of the candidate grid that differ in the last bits pick the same columns."""
+    rng = np.random.default_rng(31)
+    spectra = [Spectrum(S7), Spectrum((0.0, 1.0, 2.5, 4.1, 6.0)), Spectrum((0.0, 0.7, 1.9, 3.2, 3.3, 5.0))]
+    spectra += [random_spectrum(rng, int(rng.integers(2, 7))) for _ in range(200)]
+    for spec in spectra:
+        freq = frequency_differences(spec)
+        freqs = np.asarray(freq.unique_frequencies)
+        lo = -2 * np.pi / max(np.diff(freqs, prepend=0.0).min(), 1e-2 * freqs[-1])  # as auto_phases
+        N = synthesis.GRID_FACTOR * freq.m
+        picks = [synthesis._greedy_columns(build_system(freq, grid).matrix, freq.m)
+                 for grid in (lo * (1 - np.arange(N) / N), lo * np.linspace(1, 0, N, endpoint=False))]
+        assert picks[0] == picks[1], spec.eigenvalues
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_auto_phases_of_equidistant_spectra_are_the_optimal_phases(n):
+    for delta in (1e-3, 0.37, 1.0, 2.9, 1e3):
+        freq = frequency_differences(Spectrum(tuple(k * delta for k in range(n))))
+        np.testing.assert_allclose(auto_phases(freq), optimal_phases(EquidistantStructure(n, delta)),
+                                   rtol=1e-14, atol=0)
 
 
 def test_auto_phases_are_well_conditioned_on_random_spectra():

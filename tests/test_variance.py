@@ -57,6 +57,16 @@ def test_variance_is_linear_in_noise():
     assert r2.variance == pytest.approx(2 * r1.variance)
 
 
+def test_variance_refuses_an_overflowing_sum_without_a_warning():
+    rule = closed_form_rule(EquidistantStructure(3, 1.0), 1)  # sum b^2 > 1: 1e308 * sum b^2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            variance_of_estimate(rule, 1e308)
+        with pytest.raises(ValueError, match="overflows"):
+            variance_of_estimate(rule, [1e308] * len(rule.coefficients))
+
+
 def test_variance_rejects_negative():
     with pytest.raises(ValueError):
         variance_of_estimate(EQ_RULE, [-1.0, 0.0, 0.0])
@@ -266,10 +276,12 @@ def test_optimize_reports_which_start_won():
     # the reduced search certifies here, so phi0 is not descended
     _, rule = optimize_shifts(FREQ01, EQ_RULE.phases, OptimizationConfig(multistarts=3))
     assert rule.diagnostics["starts"] == 3
-    # no reduced candidate certifies at tol 1e-300: the phi0 fallback runs and wins
+    # no reduced candidate certifies at tol 1e-300: the phi0 fallback runs; it and the
+    # reduced candidates all reach sum b^2 = 1/2, so which one wins is a round-off tie
     cfg = OptimizationConfig(tol=1e-300, multistarts=3)
     _, rule = optimize_shifts(FREQ01, EQ_RULE.phases, cfg)
-    assert (rule.diagnostics["starts"], rule.diagnostics["winner_start"]) == (4, "phi0")
+    assert rule.diagnostics["starts"] == 4
+    assert rule.square_norm == pytest.approx(0.5, rel=0, abs=1e-12)
     # p = 2: the reduced optima do not certify, so phi0 is descended as well
     _, rule = optimize_shifts(FREQ01, EQ_RULE.phases, OptimizationConfig(), orders=((2, 1.0),))
     assert rule.diagnostics["starts"] == 9
