@@ -100,17 +100,25 @@ def _analyze(obj, spectrum_file):
 
 def _synthesize(obj, spectrum_file, order, method, phases):
     """Synthesize a shift rule for a spectrum and write it to a rule file."""
-    from .synthesis import IllPosedError, rule_for
+    from .synthesis import Attempt, IllPosedError, compatibility_residual, rule_for
 
     t0 = time.perf_counter()
-    spec, rel_tol = _file(serialize.load_spectrum, spectrum_file)
+    spec, _, cls, freq = _load_spectrum(spectrum_file)
     if order < 0:
         _fail(EXIT_INVALID, "order must be non-negative")
     explicit = None if phases == "auto" else _parse_phases(phases)
     try:
-        rule, cls, attempts = rule_for(spec, order, method, explicit, obj["config"][0], rel_tol)
-    except ValueError as exc:
-        _fail(EXIT_INVALID, str(exc))
+        if method == "equidistant":  # the closed form of the mean gap, on request only
+            if explicit is not None:
+                _fail(EXIT_INVALID, "the equidistant method fixes its own phases")
+            if cls.kind.value != "equidistant":
+                _fail(EXIT_INVALID, "spectrum is not equidistant; cannot use the closed form")
+            from .equidistant import EquidistantStructure, closed_form_rule
+
+            es = EquidistantStructure(spec.n, cls.delta)
+            rule, attempts = closed_form_rule(es, order), [Attempt("equidistant")]
+        else:
+            rule, attempts = rule_for(freq, order, method, explicit, obj["config"][0])
     except IllPosedError as exc:
         _fail(EXIT_ILL_POSED, str(exc))
 
@@ -120,6 +128,11 @@ def _synthesize(obj, spectrum_file, order, method, phases):
     if method_used == "tikhonov" and residual > VALIDATION_BOUND:
         warnings.append(f"regularized rule is inexact: residual {residual:.3g} "
                         f"exceeds validation_bound {VALIDATION_BOUND:.3g}")
+    if method_used == "equidistant":  # solved on the mean gap's lattice: check the spectrum's own gaps
+        residual = compatibility_residual(rule, freq)
+        if residual > VALIDATION_BOUND:
+            warnings.append(f"closed-form rule is inexact on the spectrum's own gaps: residual "
+                            f"{residual:.3g} exceeds validation_bound {VALIDATION_BOUND:.3g}")
     out_path = obj["output"] or "rule.json"
     _file(serialize.save_rule, rule, out_path)
     _emit(obj, {

@@ -22,8 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .rule import FIRST_DERIVATIVE, Orders, ShiftRule, _normalize_orders
-from .spectrum import (DEFAULT_REL_TOL, FrequencySet, StructureKind, classify_structure,
-                       frequency_differences, gap_generator)
+from .spectrum import FrequencySet, gap_generator
 
 CONDITION_CAP = 1e8
 GRID_FACTOR = 16  # auto_phases' candidates per phase
@@ -325,50 +324,36 @@ def _greedy_columns(candidates: np.ndarray, k: int) -> list[int]:
 
 
 class Attempt(NamedTuple):
-    method: str  # "equidistant" (the closed form), "direct" or "tikhonov"
+    method: str  # "direct" or "tikhonov"; the CLI adds "equidistant" for its closed form
     left: str | None = None  # why rule_for left it: "ill_posed", or None when it gave the rule
     message: str | None = None  # the IllPosedError's message
     condition_number: float | None = None  # and its condition number
 
 
-def rule_for(spectrum, order: int = 1, method: str = "auto", phases=None, config=None,
-             rel_tol: float = DEFAULT_REL_TOL):
-    """The order-``order`` rule for a spectrum, by the method its structure calls for.
+def rule_for(freq: FrequencySet, order: int = 1, method: str = "auto", phases=None, config=None):
+    """The order-``order`` rule on the gaps ``freq``, solved on those gaps for every spectrum.
 
-    ``method`` is "equidistant" (the closed form), "direct", "tikhonov"
-    (the regularized rule under ``config``) or "auto": the closed form
-    for an equidistant spectrum when no ``phases`` are given, else a
-    direct solve that falls back to the Tikhonov rule when it is
-    ill-posed.  A perturbed-equidistant spectrum takes the direct solve,
-    which is exact on its own gaps.  Without ``phases`` the direct and
-    Tikhonov paths run at ``auto_phases(freq)``.
+    ``method`` is "direct", "tikhonov" (the regularized rule under
+    ``config``) or "auto": the direct solve, capped at ``CONDITION_CAP``,
+    falling back to the Tikhonov rule when it is ill-posed.  No structure
+    is classified: on an exact lattice the direct solve at ``auto_phases``
+    is the closed form of ``equidistant.closed_form_rule``, at condition
+    number 1.  Without ``phases`` both solvers run at ``auto_phases(freq)``.
 
-    Returns (rule, structure class, attempts): one ``Attempt`` per method
-    tried, in order; each but the last, which gave the rule, was left as
-    ill-posed.  Raises ValueError for the closed form on a non-equidistant
-    spectrum or with explicit phases, and IllPosedError for duplicate
-    phases, for phases that overflow, for an ill-posed solve under
-    method="direct" and wherever the path taken raises it.
+    Returns (rule, attempts): one ``Attempt`` per method tried, in order;
+    each but the last, which gave the rule, was left as ill-posed.
+    Raises ValueError for an unknown method, and IllPosedError for
+    duplicate phases, for phases that overflow, for an ill-posed solve
+    under method="direct" and wherever the path taken raises it.
     """
-    cls = classify_structure(spectrum, rel_tol=rel_tol)
-    freq = frequency_differences(spectrum)
-    if method == "equidistant" or (method == "auto" and phases is None
-                                   and cls.kind is StructureKind.EQUIDISTANT):
-        if phases is not None:
-            raise ValueError("the equidistant method fixes its own phases")
-        if cls.kind is not StructureKind.EQUIDISTANT:
-            raise ValueError("spectrum is not equidistant; cannot use the closed form")
-        from .equidistant import EquidistantStructure, closed_form_rule
-
-        rule = closed_form_rule(EquidistantStructure(n=spectrum.n, delta=cls.delta), order)
-        return rule, cls, [Attempt("equidistant")]
-
+    if method not in ("auto", "direct", "tikhonov"):
+        raise ValueError(f"unknown method {method!r}: need auto, direct or tikhonov")
     phases = auto_phases(freq) if phases is None else phases
     check_phase_distinctness(phases, freq.unique_frequencies)
     orders, attempts = ((order, 1.0),), []
     if method != "tikhonov":
         try:
-            return _solve_distinct(build_system(freq, phases, orders)), cls, [Attempt("direct")]
+            return _solve_distinct(build_system(freq, phases, orders)), [Attempt("direct")]
         except IllPosedError as exc:
             cond = exc.condition_number
             if method == "direct":
@@ -377,4 +362,4 @@ def rule_for(spectrum, order: int = 1, method: str = "auto", phases=None, config
             attempts.append(Attempt("direct", "ill_posed", str(exc), cond))
     from .regularization import regularized_rule
 
-    return regularized_rule(freq, phases, orders, config), cls, [*attempts, Attempt("tikhonov")]
+    return regularized_rule(freq, phases, orders, config), [*attempts, Attempt("tikhonov")]

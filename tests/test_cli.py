@@ -99,9 +99,69 @@ def test_synthesize_equidistant_auto(two_level, tmp_path):
         rule.phases, [-2 * np.pi / 3, -4 * np.pi / 3, -2 * np.pi], atol=1e-12
     )
     report = json.loads(result.output)
-    assert report["method"] == "equidistant"
+    assert report["method"] == "direct" and report["structure"] == "equidistant"
     assert report["attempts"] == [
-        {"method": "equidistant", "left": None, "message": None, "condition_number": None}]
+        {"method": "direct", "left": None, "message": None, "condition_number": None}]
+
+
+@pytest.mark.parametrize("eigenvalues, options, message", [
+    ([0.0, 1.0, 2.5], [], "spectrum is not equidistant; cannot use the closed form"),
+    ([0.0, 1.02, 1.97, 3.01, 4.0], [], "spectrum is not equidistant; cannot use the closed form"),
+    ([0.0, 1.0, 2.0], ["--phases", "-1,-2,-3,-4,-5"], "the equidistant method fixes its own phases"),
+], ids=["closed-form-unstructured", "closed-form-perturbed", "closed-form-with-phases"])
+def test_synthesize_closed_form_exits_invalid(tmp_path, eigenvalues, options, message):
+    path = _write(tmp_path, "spec.json", {"eigenvalues": eigenvalues})
+    out = tmp_path / "rule.json"
+    result = run_cli(["--output", str(out), "synthesize", path, "--method", "equidistant", *options])
+    assert result.exit_code == 3
+    assert result.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eigenvalues, rel_tol, method", [
+    # 8 levels, one 2e-4 off the lattice: equidistant at rel_tol 1e-3, well-posed on its own gaps
+    ([0.0, 1.0, 2.0, 3.0002, 4.0, 5.0, 6.0, 7.0], 1e-3, "direct"),
+    # 16 levels, the top one 9e-10 high: ill-posed on its own gaps, so a Tikhonov rule, warned
+    ([*map(float, range(15)), 15 + 9e-10], 1e-9, "regularized"),
+], ids=["n8-rel-tol-1e-3", "n16-top-9e-10"])
+def test_synthesize_near_lattice_solves_on_its_own_gaps(tmp_path, eigenvalues, rel_tol, method):
+    """A spectrum within rel_tol of a lattice gets no closed form of its mean gap."""
+    path = _write(tmp_path, "spec.json", {"eigenvalues": eigenvalues, "rel_tol": rel_tol})
+    out = str(tmp_path / "rule.json")
+    result = run_cli(["--output", out, "synthesize", path])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    assert (report["structure"], report["method"]) == ("equidistant", method)
+    if method == "direct":
+        assert report["warnings"] == []
+        freq = frequency_differences(Spectrum(eigenvalues))
+        assert compatibility_residual(serialize.load_rule(out), freq) <= 1e-13
+    else:
+        assert report["warnings"][-1].startswith("regularized rule is inexact: residual")
+
+
+@pytest.mark.parametrize("eigenvalues, rel_tol, order, inexact", [
+    ([0.0, 1.0, 2.4], 0.5, 1, True),
+    ([0.0, 1.0, 2.0, 3.0002, 4.0, 5.0, 6.0, 7.0], 1e-3, 1, True),
+    ([*map(float, range(16))], 1e-9, 3, False),
+], ids=["n3-rel-tol-0.5", "n8-rel-tol-1e-3", "lattice-n16-p3"])
+def test_closed_form_warns_when_inexact_on_the_spectrums_own_gaps(tmp_path, eigenvalues, rel_tol,
+                                                                  order, inexact):
+    """--method equidistant solves the mean gap's lattice; off it, the rule is written with a warning."""
+    path = _write(tmp_path, "spec.json", {"eigenvalues": eigenvalues, "rel_tol": rel_tol})
+    out = str(tmp_path / "rule.json")
+    result = run_cli(["--output", out, "synthesize", path, "--method", "equidistant", "-p", str(order)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    assert report["method"] == "equidistant"
+    residual = compatibility_residual(serialize.load_rule(out), frequency_differences(Spectrum(eigenvalues)))
+    assert (residual > cli.VALIDATION_BOUND) is inexact
+    if inexact:
+        assert report["warnings"] == [
+            f"closed-form rule is inexact on the spectrum's own gaps: residual {residual:.3g} "
+            f"exceeds validation_bound {cli.VALIDATION_BOUND:.3g}"]
+    else:
+        assert report["warnings"] == []
 
 
 def test_synthesize_forced_direct_ill_posed(near_degenerate, tmp_path):

@@ -30,7 +30,7 @@ CASES = {
     "synth_s21": ((0, 1, 2.5, 4.1, 6.0), ["synthesize"]),
     "synth_near_degenerate": ((0, 1, 1 + 1e-9), ["synthesize"]),
     "synth_equidistant_n3": ((0, 1, 2), ["synthesize"]),
-    "synth_equidistant_n8": (tuple(range(8)), ["synthesize"]),
+    "synth_equidistant_n8": (tuple(range(8)), ["synthesize", "--method", "equidistant"]),
     "synth_perturbed": ((0, 1.02, 1.97, 3.01, 4.0), ["synthesize"]),
     "synth_s7_direct_phases": ((0, 1, 2.5), ["synthesize", "--method", "direct",
                                              "--phases", S7_PHASES]),

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from shiftrules import (
     Spectrum,
     StructureKind,
     classify_structure,
+    closed_form_rule,
     compatibility_residual,
     condition_number,
     frequency_differences,
@@ -114,7 +116,7 @@ def paper_spectra(draw):
 def test_real_system_is_the_paper_system_rotated(spec, p):
     """C b = t against the paper's complex E b = mu at the rule's phases: the same
     residual norm, condition number, per-gap residual and Tikhonov rule."""
-    rule, _, _ = rule_for(spec, p)
+    rule, _ = rule_for(frequency_differences(spec), p)
     freq, b = frequency_differences(spec), rule.coefficients
     real, paper = build_system(freq, rule.phases, rule.orders), paper_system(freq, rule.phases, rule.orders)
     scale = 1 + np.linalg.norm(b)
@@ -138,15 +140,51 @@ def test_real_system_is_the_paper_system_rotated(spec, p):
 def test_perturbed_spectra_get_a_rule_exact_on_their_own_gaps(n, delta, offset, jitter, p):
     """Auto synthesis gives a perturbed spectrum no closed form of its mean gap."""
     exact = Spectrum(tuple(offset + k * delta for k in range(n)))
-    assert [a.method for a in rule_for(exact, p)[2]] == ["equidistant"]
+    assert [a.method for a in rule_for(frequency_differences(exact), p)[1]] == ["direct"]
     spec = Spectrum(tuple(offset + (k + jitter[k]) * delta for k in range(n)))
-    rule, cls, attempts = rule_for(spec, p)
-    assume(cls.kind is StructureKind.PERTURBED_EQUIDISTANT)
+    assume(classify_structure(spec).kind is StructureKind.PERTURBED_EQUIDISTANT)
+    rule, attempts = rule_for(frequency_differences(spec), p)
     assert "equidistant" not in [a.method for a in attempts]
     if attempts[-1].method == "direct":
         assert compatibility_residual(rule, frequency_differences(spec)) <= VALIDATION_BOUND
     else:
         assert [(a.method, a.left) for a in attempts] == [("direct", "ill_posed"), ("tikhonov", None)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(n=st.integers(3, 8), delta=st.floats(0.2, 5.0), offset=st.floats(-5.0, 5.0),
+       decade=st.floats(-10.0, -3.0), jitter=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       p=st.integers(1, 3))
+def test_spectra_near_a_lattice_are_solved_on_their_own_gaps(n, delta, offset, decade, jitter, p):
+    """A spectrum within rel_tol of a lattice gets no closed form of its mean gap.
+
+    Each level moves by up to 10**decade (relative to delta), so the
+    spectrum classifies as equidistant at rel_tol = 4 * 10**decade; auto
+    synthesis still solves on the spectrum's own gaps, exactly or through
+    a Tikhonov fallback that follows an ill-posed direct solve.
+    """
+    size = 10.0**decade
+    spec = Spectrum(tuple(offset + (k + size * jitter[k]) * delta for k in range(n)))
+    assert classify_structure(spec, rel_tol=4 * size).kind is StructureKind.EQUIDISTANT
+    freq = frequency_differences(spec)
+    rule, attempts = rule_for(freq, p)
+    assert "equidistant" not in [a.method for a in attempts]
+    if attempts[-1].method == "direct":
+        assert compatibility_residual(rule, freq) <= VALIDATION_BOUND
+    else:
+        assert [(a.method, a.left) for a in attempts] == [("direct", "ill_posed"), ("tikhonov", None)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16])
+def test_auto_rule_on_an_exact_lattice_is_the_closed_form(n):
+    """On an exact lattice the direct solve at auto_phases reproduces closed_form_rule."""
+    for delta in (0.37, 1.0, 2.9):
+        for p in (1, 2, 3):
+            lattice = Spectrum(tuple(k * delta for k in range(n)))
+            rule, attempts = rule_for(frequency_differences(lattice), p)
+            closed = closed_form_rule(EquidistantStructure(n, delta), p).coefficients
+            assert [a.method for a in attempts] == ["direct"], (n, delta, p)
+            assert np.linalg.norm(rule.coefficients - closed) <= 1e-12 * np.linalg.norm(closed), (n, delta, p)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

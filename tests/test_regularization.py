@@ -322,7 +322,7 @@ def test_ill_posed_request_shares_one_system(monkeypatch):
     # the selection chain the CLI runs takes the same one build and one SVD
     calls.clear()
     monkeypatch.setattr(synthesis, "_last_system", None)
-    rule, _, attempts = rule_for(ILL_POSED, phases=phases)
+    rule, attempts = rule_for(freq, phases=phases)
     assert calls == [False, True]
     assert [a.method for a in attempts] == ["direct", "tikhonov"]
     assert np.array_equal(rule.coefficients, shared[0].coefficients)

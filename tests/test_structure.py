@@ -84,8 +84,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "usage error": (["synthesize", "s7.json", "--order", "abc"], front, False),
         "synthesize": (["--output", "rule.json", "synthesize", "s7.json", "--method", "direct"],
                        synthesize, False),
-        "closed form": (["--output", "eq-rule.json", "synthesize", "eq.json"],
+        "closed form": (["--output", "eq-rule.json", "synthesize", "eq.json", "--method", "equidistant"],
                         synthesize | {"equidistant"}, False),
+        "lattice": (["--output", "eq-rule.json", "synthesize", "eq.json"], synthesize, False),
         "perturbed": (["--output", "pert-rule.json", "synthesize", "pert.json"], synthesize, False),
         "validate": (["validate", "rule.json"], oracle, False),
         "variance": (["variance", "rule.json"], oracle, True),
@@ -216,11 +217,28 @@ def test_every_solver_rule_is_built_by_synthesis_rule():
 
 
 def test_cli_holds_no_rule_selection():
-    """synthesize hands the choice of method to synthesis.rule_for."""
+    """synthesize hands the choice of method to synthesis.rule_for.
+
+    Only ``--method equidistant`` calls the closed form, in ``_synthesize``.
+    """
     source = inspect.getsource(cli)
-    for name in ("closed_form_rule", "regularized_rule", "error_bound", "perturbation_matrices",
+    for name in ("regularized_rule", "error_bound", "perturbation_matrices",
                  "check_phase_distinctness", "_singular_value_condition"):
         assert name not in source, name
+    assert "closed_form_rule" not in source.replace(inspect.getsource(cli._synthesize), "")
+
+
+def test_synthesis_classifies_nothing():
+    """The classification decision lives in spectrum and the CLI: synthesis names none of it."""
+    tree = ast.parse(inspect.getsource(synthesis))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {alias.name for alias in node.names}
+    for name in ("classify_structure", "StructureKind", "DEFAULT_REL_TOL", "equidistant"):
+        assert name not in names, name
+    assert "rel_tol" not in inspect.signature(synthesis.rule_for).parameters
 
 
 def test_cross_checks_live_only_in_checks():

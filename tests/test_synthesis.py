@@ -12,7 +12,6 @@ from shiftrules import (
     analytic_derivative,
     apply_rule,
     build_system,
-    classify_structure,
     closed_form_rule,
     compatibility_residual,
     evaluate,
@@ -450,15 +449,12 @@ def test_every_solver_records_its_frequencies_as_floats():
 
 
 @pytest.mark.parametrize("eigenvalues, kwargs, expected", [
-    ((0.0, 1.0, 2.0), {}, ["equidistant"]),
+    ((0.0, 1.0, 2.0), {}, ["direct"]),
     (PERTURBED, {}, ["direct"]),
     (S7, {}, ["direct"]),
     (NEAR, {}, ["direct ill_posed", "tikhonov"]),
     (S7, {"method": "tikhonov"}, ["tikhonov"]),
-    (S7, {"method": "equidistant"}, (ValueError, "^spectrum is not equidistant; cannot use")),
-    (PERTURBED, {"method": "equidistant"}, (ValueError, "^spectrum is not equidistant; cannot use")),
-    ((0.0, 1.0, 2.0), {"method": "equidistant", "phases": [-1.0, -2.0, -3.0, -4.0, -5.0]},
-     (ValueError, "^the equidistant method fixes its own phases$")),
+    (S7, {"method": "equidistant"}, (ValueError, "^unknown method 'equidistant': need auto, direct")),
     (S7, {"phases": [-1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]},
      (IllPosedError, "^duplicate shift phases: phi_0 and phi_1 coincide")),
     (S7, {"method": "direct", "phases": [-1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]},
@@ -466,17 +462,16 @@ def test_every_solver_records_its_frequencies_as_floats():
     (S7, {"method": "tikhonov", "phases": [-1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]},
      (IllPosedError, "^duplicate shift phases: phi_0 and phi_1 coincide")),
     (NEAR, {"method": "direct"}, (IllPosedError, "^direct synthesis is ill-posed .*; condition number")),
-], ids=["closed-form", "perturbed-closed-form", "direct", "auto-fallback", "forced-tikhonov",
-        "closed-form-unstructured", "closed-form-perturbed", "closed-form-with-phases", "duplicate-phases",
-        "duplicate-phases-direct", "duplicate-phases-tikhonov", "direct-ill-posed"])
+], ids=["lattice", "perturbed-closed-form", "direct", "auto-fallback", "forced-tikhonov",
+        "unknown-method", "duplicate-phases", "duplicate-phases-direct", "duplicate-phases-tikhonov",
+        "direct-ill-posed"])
 def test_rule_for_paths(eigenvalues, kwargs, expected):
-    spec = Spectrum(eigenvalues)
+    freq = frequency_differences(Spectrum(eigenvalues))
     if isinstance(expected, tuple):
         with pytest.raises(expected[0], match=expected[1]):
-            rule_for(spec, **kwargs)
+            rule_for(freq, **kwargs)
         return
-    rule, cls, attempts = rule_for(spec, **kwargs)
-    assert cls == classify_structure(spec)
+    rule, attempts = rule_for(freq, **kwargs)
     assert [" ".join(filter(None, a[:2])) for a in attempts] == expected
     for left in attempts[:-1]:
         assert left.condition_number > CONDITION_CAP and "exceeds cap" in left.message
@@ -484,10 +479,7 @@ def test_rule_for_paths(eigenvalues, kwargs, expected):
     assert attempts[-1] == Attempt(method) and rule.diagnostics["method"] == method
     assert not [k for k in rule.diagnostics if k.startswith("perturbation_")]
     # the rule the library functions give on the same path
-    freq = frequency_differences(spec)
-    if method == "equidistant":
-        reference = closed_form_rule(EquidistantStructure(spec.n, cls.delta))
-    elif method == "direct":
+    if method == "direct":
         reference = synthesize_rule(freq, auto_phases(freq))
     else:
         reference = regularized_rule(freq, auto_phases(freq))
@@ -505,5 +497,5 @@ def test_rule_for_checks_phases_once(monkeypatch, eigenvalues, kwargs):
     check = synthesis.check_phase_distinctness
     monkeypatch.setattr(synthesis, "check_phase_distinctness",
                         lambda *args: calls.append(args) or check(*args))
-    rule_for(Spectrum(eigenvalues), **kwargs)
+    rule_for(frequency_differences(Spectrum(eigenvalues)), **kwargs)
     assert len(calls) == 1
