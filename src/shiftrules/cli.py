@@ -26,7 +26,7 @@ from . import serialize
 EXIT_VALIDATION = 1
 EXIT_ILL_POSED = 2
 EXIT_INVALID = 3
-VALIDATION_BOUND = 1e-8  # validate's default --bound; synthesize warns above it
+VALIDATION_BOUND = 1e-8  # validate's default --bound; synthesize warns of any rule above it
 ORACLE_BLOCK = 1 << 16  # validate's shifted evaluations (points x phases x models) per grid block
 
 
@@ -124,15 +124,10 @@ def _synthesize(obj, spectrum_file, order, method, phases):
 
     warnings = [f"direct synthesis ill-posed ({a.message}); falling back to tikhonov"
                 for a in attempts if a.left == "ill_posed"]
-    method_used, residual = attempts[-1].method, rule.diagnostics["residual"]
-    if method_used == "tikhonov" and residual > VALIDATION_BOUND:
-        warnings.append(f"regularized rule is inexact: residual {residual:.3g} "
+    method_used, residual = attempts[-1].method, compatibility_residual(rule, freq)
+    if residual > VALIDATION_BOUND:  # every rule is judged on the spectrum's own gaps
+        warnings.append(f"rule is inexact on the spectrum's own gaps: residual {residual:.3g} "
                         f"exceeds validation_bound {VALIDATION_BOUND:.3g}")
-    if method_used == "equidistant":  # solved on the mean gap's lattice: check the spectrum's own gaps
-        residual = compatibility_residual(rule, freq)
-        if residual > VALIDATION_BOUND:
-            warnings.append(f"closed-form rule is inexact on the spectrum's own gaps: residual "
-                            f"{residual:.3g} exceeds validation_bound {VALIDATION_BOUND:.3g}")
     out_path = obj["output"] or "rule.json"
     _file(serialize.save_rule, rule, out_path)
     _emit(obj, {

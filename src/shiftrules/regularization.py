@@ -10,9 +10,12 @@ gamma, and the normal equations, which square cond(C), are never formed.
 The residual r(gamma)^2 = sum (gamma / (s^2 + gamma))^2 (U^T t)_i^2 +
 |t - U U^T t|^2 is non-decreasing in gamma; gamma is either supplied or
 picked by the discrepancy principle, where r(gamma) meets the known error
-level.  The bisection for it decides each step in Python floats from
-(U^T t)_i and s_i^2, taken once, and falls back to the numpy residual only
-when the float value is within round-off of the target.
+level, and at least the square of the rank cut: it damps only directions
+below the numerical rank, where t has next to nothing (discrete Picard
+condition; Hansen, BIT 30, 1990), so near-degenerate rules stay exact.
+The bisection decides each step in Python floats from (U^T t)_i and s_i^2,
+taken once, and falls back to the numpy residual only when the float value
+is within round-off of the target.
 """
 
 from __future__ import annotations
@@ -26,16 +29,15 @@ from .rule import FIRST_DERIVATIVE, ShiftRule, _finite
 from .spectrum import FrequencySet
 from .synthesis import LinearSystem, _coefficient_norm, _norm, _rule, _singular_value_condition, build_system
 
-GAMMA_MIN = 1e-14  # the interval on which the discrepancy principle bisects gamma
-GAMMA_MAX = 1e2
+GAMMA_MAX = 1e2  # the discrepancy principle's upper end for gamma
 
 
 @dataclass(frozen=True)
 class RegularizationConfig:
     """Regularization strength and the error level of the data.
 
-    ``gamma=None`` means automatic selection by the discrepancy
-    principle with target ``data_error``, searched on [GAMMA_MIN, GAMMA_MAX].
+    ``gamma=None`` means automatic selection by the discrepancy principle
+    with target ``data_error``, from the squared rank cut up to GAMMA_MAX.
     """
 
     gamma: float | None = None
@@ -89,12 +91,13 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
     """Pick gamma so the residual matches the error target (discrepancy principle).
 
     The closed-form residual r(gamma) is non-decreasing, so up to 60
-    bisection steps in log-gamma on [GAMMA_MIN, GAMMA_MAX] locate the
+    bisection steps in log-gamma on [gamma_min, GAMMA_MAX] locate the
     target; the bisection stops early once the interval reaches float
     resolution, where its midpoint, and so gamma, can no longer move.
-    When r(GAMMA_MIN) already reaches the target, GAMMA_MIN is returned
-    with status "target_below_min"; when r(GAMMA_MAX) stays at or below
-    it, GAMMA_MAX with status "target_above_max".
+    gamma_min = (max(M, N) eps s_max)^2 squares ``condition_number``'s rank
+    cut.  When r(gamma_min) already reaches the target (data_error 0 does),
+    gamma_min is returned with status "target_below_min"; when
+    r(GAMMA_MAX) stays at or below it, GAMMA_MAX with "target_above_max".
 
     Each bisection step compares the float sum
     |t - U U^T t|^2 + sum_i ((U^T t)_i gamma / (s_i^2 + gamma))^2 with
@@ -108,15 +111,16 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
     beta = U.T @ sys.rhs
     outside = _norm(sys.rhs - U @ beta)  # the part of t outside range(C)
     s2 = s**2
+    gamma_min = (float(s.max()) * max(sys.matrix.shape) * math.ulp(1.0)) ** 2  # the rank cut, squared
 
     def residual(gamma):
         x = gamma / (s2 + gamma) * beta
         # np.linalg.norm(x) spelled out: the same dot product, without its dispatch
         return float(np.hypot(np.sqrt(x.dot(x)), outside))
 
-    r_min = residual(GAMMA_MIN)
+    r_min = residual(gamma_min)
     if r_min >= target:
-        return GammaSelection(GAMMA_MIN, r_min, target, "target_below_min")
+        return GammaSelection(gamma_min, r_min, target, "target_below_min")
     r_max = residual(GAMMA_MAX)
     if r_max <= target:
         return GammaSelection(GAMMA_MAX, r_max, target, "target_above_max")
@@ -141,7 +145,7 @@ def select_gamma_discrepancy(sys: LinearSystem, cfg: RegularizationConfig) -> Ga
                 return r2 < target2
         return residual(np.exp(mid)) < target
 
-    lo, hi = float(np.log(GAMMA_MIN)), float(np.log(GAMMA_MAX))
+    lo, hi = float(np.log(gamma_min)), float(np.log(GAMMA_MAX))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

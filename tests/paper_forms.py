@@ -4,15 +4,17 @@ Cramer and Jacobi coefficients, the finite-difference, determinant and
 explicit stationarity residuals, the symmetric Vandermonde expansion,
 the Dirichlet kernel in its sum and ratio forms, the column
 orthogonality residual, the linearized and the exactly perturbed
-solutions, and the paper's complex design system E b = mu (one row per
+solutions, the paper's complex design system E b = mu (one row per
 signed gap, deduplicated or not), which the package replaces by its real
-rotation C b = t: independent checks of the production paths,
-cost-capped where they take determinants.  ``shiftrules`` itself does not
+rotation C b = t, and a rule's residual on the true gaps in 40-digit
+mpmath: independent checks of the production paths, cost-capped where
+they take determinants.  ``shiftrules`` itself does not
 import this module.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 from shiftrules.equidistant import EquidistantStructure, optimal_phases
@@ -57,6 +59,25 @@ def paper_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearS
     ``synthesis.build_system`` solves its real rotation C b = t instead.
     """
     return _complex_system(np.array(freq.signed_gaps), phases, orders)
+
+
+def true_gap_residual(rule, eigenvalues) -> float:
+    """max |sum_x b_x e^{i g phi_x} - mu(g)| / max(1, |mu(g)|) over every eigenvalue difference g.
+
+    g runs over lambda_k - lambda_l for every pair k, l (0 included), taken
+    in 40-digit mpmath from the eigenvalues as given, before any merging of
+    close gaps, so it also sees gaps that ``frequency_differences`` merged.
+    """
+    with mpmath.workdps(40):
+        lam = [mpmath.mpf(float(v)) for v in eigenvalues]
+        terms = [(mpmath.mpf(float(b)), mpmath.mpf(float(phi)))
+                 for b, phi in zip(rule.coefficients, rule.phases)]
+        worst = mpmath.mpf(0)
+        for g in {a - c for a in lam for c in lam}:
+            mu = sum(mpmath.mpf(w) * mpmath.mpc(0, g) ** p for p, w in rule.orders)
+            r = sum(b * mpmath.expj(g * phi) for b, phi in terms) - mu
+            worst = max(worst, abs(r) / max(1, abs(mu)))
+        return float(worst)
 
 
 def paper_normalized_system(es: EquidistantStructure):

@@ -34,7 +34,7 @@ from shiftrules import synthesis
 from shiftrules.equidistant import normalized_system, optimal_phases
 from shiftrules.fourier import evaluate_models
 from shiftrules.perturbation import PerturbationBound, PerturbationData
-from shiftrules.regularization import (GAMMA_MAX, GAMMA_MIN, GammaSelection, RegularizedSolution,
+from shiftrules.regularization import (GAMMA_MAX, GammaSelection, RegularizedSolution,
                                        select_gamma_discrepancy, tikhonov_solve)
 from shiftrules.rule import ShiftRule, VarianceReport, variance_of_estimate
 from shiftrules.spectrum import DEFAULT_DEDUP_TOL, FrequencySet, gap_generator
@@ -113,6 +113,8 @@ def _ref_error_bound(es, pd, b0, eps):
 
 
 def _ref_select_gamma_discrepancy(sys, cfg):
+    # the code's lower end, which data_error 0 returns: this pins the bisection, not the floor
+    gamma_min = select_gamma_discrepancy(sys, RegularizationConfig()).gamma
     target = cfg.data_error
     U, s, _ = sys.svd
     beta = U.T @ sys.rhs
@@ -121,13 +123,13 @@ def _ref_select_gamma_discrepancy(sys, cfg):
     def residual(gamma):
         return float(np.hypot(np.linalg.norm(gamma / (s**2 + gamma) * beta), outside))
 
-    r_min = residual(GAMMA_MIN)
+    r_min = residual(gamma_min)
     if r_min >= target:
-        return GammaSelection(float(GAMMA_MIN), r_min, target, "target_below_min")
+        return GammaSelection(float(gamma_min), r_min, target, "target_below_min")
     r_max = residual(GAMMA_MAX)
     if r_max <= target:
         return GammaSelection(float(GAMMA_MAX), r_max, target, "target_above_max")
-    lo, hi = np.log(GAMMA_MIN), np.log(GAMMA_MAX)
+    lo, hi = np.log(gamma_min), np.log(GAMMA_MAX)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if residual(np.exp(mid)) < target:

@@ -43,7 +43,7 @@ CASES = {
 
 # name -> the config file a case runs with (--config); the other cases run without one
 CONFIGS = {
-    # a data error above r(GAMMA_MIN): the discrepancy bisection brackets gamma
+    # a data error above r at the gamma floor: the discrepancy bisection brackets gamma
     "synth_s7_tikhonov_discrepancy": {"regularization": {"data_error": 1e-3}},
 }
 

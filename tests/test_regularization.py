@@ -24,10 +24,15 @@ from shiftrules import (
     tikhonov_solve,
 )
 from shiftrules import synthesis
-from shiftrules.regularization import GAMMA_MAX, GAMMA_MIN, select_gamma_discrepancy
+from shiftrules.regularization import GAMMA_MAX, select_gamma_discrepancy
 from shiftrules.variance import OptimizationConfig
 from shiftrules.synthesis import LinearSystem, rule_for
 from test_bit_identity import _ref_select_gamma_discrepancy
+
+
+def _gamma_floor(sys):
+    """The square of condition_number's rank cut max(M, N) eps s_max, from the cached SVD."""
+    return (sys.svd[1].max() * max(sys.matrix.shape) * np.finfo(float).eps) ** 2
 
 
 def _noisy_system(sys, noise):
@@ -99,7 +104,7 @@ def test_discrepancy_noiseless_returns_grid_minimum():
     freq = frequency_differences(random_spectrum(rng, 2))
     sys = build_system(freq, well_posed_phases(freq, rng))
     sel = select_gamma_discrepancy(sys, RegularizationConfig(data_error=0.0))
-    assert sel.gamma == GAMMA_MIN
+    assert sel.gamma == _gamma_floor(sys)
     assert sel.status == "target_below_min"
 
 
@@ -233,7 +238,7 @@ def test_regularized_rule_is_finite_at_grid_floor_of_ill_conditioned_system():
     freq, phases = _ill_conditioned_s31()
     assert condition_number(build_system(freq, phases).matrix) >= 1e12
     rule = regularized_rule(freq, phases)
-    assert rule.diagnostics["gamma"] == GAMMA_MIN
+    assert rule.diagnostics["gamma"] == _gamma_floor(build_system(freq, phases))
     assert rule.diagnostics["gamma_selection"] == "target_below_min"
     assert rule.diagnostics["condition_number"] >= 1e12
     assert np.isfinite(rule.coefficients).all()
@@ -374,7 +379,7 @@ def test_select_gamma_discrepancy_decides_near_ties_exactly(a, rel, fourth, seed
     def residual(gamma):  # the reference's residual
         return float(np.hypot(np.linalg.norm(gamma / (s**2 + gamma) * beta), outside))
 
-    lo, hi = np.log(GAMMA_MIN), np.log(GAMMA_MAX)
+    lo, hi = np.log(_gamma_floor(sys)), np.log(GAMMA_MAX)
     for _ in range(steps):  # the reference's midpoints on the way to 10**level
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if residual(np.exp(mid)) < 10**level else (lo, mid)

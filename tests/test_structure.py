@@ -228,6 +228,22 @@ def test_cli_holds_no_rule_selection():
     assert "closed_form_rule" not in source.replace(inspect.getsource(cli._synthesize), "")
 
 
+def test_one_rank_cut_and_one_inexactness_check():
+    """No absolute gamma floor beside the rank cut; synthesize judges every method's rule alike.
+
+    One ``if`` in ``_synthesize`` holds the inexactness warning (so no
+    other ``if`` encloses it), and its test names no method.
+    """
+    source = "".join(path.read_text() for path in Path(shiftrules.__file__).parent.glob("*.py"))
+    assert "GAMMA_MIN" not in source
+    tree = ast.parse(inspect.getsource(cli._synthesize))
+    checks = [node for node in ast.walk(tree) if isinstance(node, ast.If)
+              and any(isinstance(n, ast.Constant) and "inexact" in str(n.value) for n in ast.walk(node))]
+    assert len(checks) == 1
+    named = {n.value for n in ast.walk(checks[0].test) if isinstance(n, ast.Constant)}
+    assert not named & {"tikhonov", "equidistant"}, ast.unparse(checks[0].test)
+
+
 def test_synthesis_classifies_nothing():
     """The classification decision lives in spectrum and the CLI: synthesis names none of it."""
     tree = ast.parse(inspect.getsource(synthesis))
