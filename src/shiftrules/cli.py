@@ -104,8 +104,6 @@ def _synthesize(obj, spectrum_file, order, method, phases):
 
     t0 = time.perf_counter()
     spec, _, cls, freq = _load_spectrum(spectrum_file)
-    if order < 0:
-        _fail(EXIT_INVALID, "order must be non-negative")
     explicit = None if phases == "auto" else _parse_phases(phases)
     try:
         if method == "equidistant":  # the closed form of the mean gap, on request only
@@ -239,8 +237,6 @@ def _optimize(obj, spectrum_file, order, phases):
 
     t0 = time.perf_counter()
     *_, freq = _load_spectrum(spectrum_file)
-    if order < 0:
-        _fail(EXIT_INVALID, "order must be non-negative")
     orders = ((order, 1.0),)
 
     try:
@@ -410,6 +406,8 @@ def main(argv=None) -> None:
     """Run one command; ``argv`` defaults to ``sys.argv[1:]``."""
     args = vars(_parser().parse_args(argv))
     run, config_path = args.pop("run"), args.pop("config_path")
+    if not 0 <= args.get("order", 0) <= sys.float_info.max:  # synthesize's and optimize's --order
+        _fail(EXIT_INVALID, "order must be non-negative and within float range")
     obj = {name: args.pop(name) for name in ("seed", "output", "quiet")}
     obj["config"] = (None, None)  # None: the library's own dataclass defaults
     if config_path is not None:  # read up front, so a bad file exits 3 on every command

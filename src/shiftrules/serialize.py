@@ -47,9 +47,18 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _json_int(text: str) -> int:
+    value = int(text)
+    float(value)  # OverflowError where no float holds it, as a loader's float() would raise later
+    return value
+
+
 def load_json(path: str | Path) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh, parse_int=_json_int)
+        except OverflowError:
+            raise ValueError(f"{path}: an integer is too large for a float") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return data

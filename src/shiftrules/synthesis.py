@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .rule import FIRST_DERIVATIVE, Orders, ShiftRule, _normalize_orders
-from .spectrum import FrequencySet, gap_generator
+from .spectrum import FrequencySet
 
 CONDITION_CAP = 1e8
 GRID_FACTOR = 16  # auto_phases' candidates per phase
@@ -127,34 +127,23 @@ def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearS
     return sys
 
 
-def check_phase_distinctness(phases, frequencies) -> None:
-    """Reject duplicate phases (equal modulo the column period).
+def check_phase_distinctness(phases) -> None:
+    """Reject literal duplicates: |phi_i - phi_j| < 1e-12 * max(1, max |phi|).
 
-    When the positive gaps share a generator g, every matrix column is
-    periodic in its phase with period 2*pi/g, so phases equal modulo that
-    period produce identical columns; the constraint is
-    phi_i != phi_j + 2*pi*c / g for every integer c.  When the phases
-    span less than half a period, sorted neighbours decide; the error
+    Phases equal modulo a period of the gaps, and nearly equal columns of
+    any kind, are left to the one rank test, ``_singular_value_condition``:
+    the direct solve refuses them at ``CONDITION_CAP``, the Tikhonov rule
+    solves them at the rank cut.  Sorted neighbours decide; the error
     names the first offending pair (i, j) in input order.
     """
     phases = np.asarray(phases, dtype=float).tolist()
-    g = gap_generator(frequencies)
     tol = 1e-12 * max(1.0, max(map(abs, phases)))
-    period = None if g is None else 2 * np.pi / g
     ordered = sorted(phases)
-    if period is None or ordered[-1] - ordered[0] < 0.5 * period:
-        # every distance below is then |phi_i - phi_j|, and sorted neighbours hold the smallest
-        if all(map(tol.__le__, map(sub, ordered[1:], ordered))):  # every b - a >= tol
-            return
-    # plain floats: Python's % equals np.remainder for these non-negative operands
+    if all(map(tol.__le__, map(sub, ordered[1:], ordered))):  # every b - a >= tol
+        return
     for i, a in enumerate(phases):
         for j in range(i + 1, len(phases)):
-            d = abs(a - phases[j])
-            if period is not None:
-                d %= period
-                if period - d < d:
-                    d = period - d
-            if d < tol:
+            if abs(a - phases[j]) < tol:
                 raise IllPosedError(
                     f"duplicate shift phases: phi_{i} and phi_{j} coincide "
                     "(phi_i != phi_j + 2*pi*c violated)"
@@ -232,11 +221,12 @@ def solve_direct(sys: LinearSystem) -> ShiftRule:
     """Solve the square system C b = t for the rule's coefficients.
 
     The rule is labelled with the orders the system was built for.
-    Raises IllPosedError when the phases hold duplicates, the system is
-    not square or has a condition number above ``CONDITION_CAP``
-    (ill-posed spectra must go through the regularized path instead).
+    Raises IllPosedError when the phases hold literal duplicates, the
+    system is not square or has a condition number above ``CONDITION_CAP``
+    (inf for phases equal modulo a period of the gaps; ill-posed spectra
+    must go through the regularized path instead).
     """
-    check_phase_distinctness(sys.phases, sys.gaps.tolist())
+    check_phase_distinctness(sys.phases)
     return _solve_distinct(sys)
 
 
@@ -343,13 +333,14 @@ def rule_for(freq: FrequencySet, order: int = 1, method: str = "auto", phases=No
     Returns (rule, attempts): one ``Attempt`` per method tried, in order;
     each but the last, which gave the rule, was left as ill-posed.
     Raises ValueError for an unknown method, and IllPosedError for
-    duplicate phases, for phases that overflow, for an ill-posed solve
-    under method="direct" and wherever the path taken raises it.
+    literal duplicate phases, for phases that overflow, for an ill-posed
+    solve under method="direct" (phases equal modulo a period of the gaps
+    included) and wherever the path taken raises it.
     """
     if method not in ("auto", "direct", "tikhonov"):
         raise ValueError(f"unknown method {method!r}: need auto, direct or tikhonov")
     phases = auto_phases(freq) if phases is None else phases
-    check_phase_distinctness(phases, freq.unique_frequencies)
+    check_phase_distinctness(phases)
     orders, attempts = ((order, 1.0),), []
     if method != "tikhonov":
         try:

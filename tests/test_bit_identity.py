@@ -79,17 +79,12 @@ def _ref_analytic_derivative(model, t, p):
     return _ref_series(model.a0 if p == 0 else 0.0, terms, t)
 
 
-def _ref_check_phase_distinctness(phases, frequencies):
+def _ref_check_phase_distinctness(phases):
     phases = np.asarray(phases, dtype=float)
-    g = gap_generator(frequencies)
     tol = 1e-12 * max(1.0, float(np.abs(phases).max()))
     for i in range(len(phases)):
         for j in range(i + 1, len(phases)):
-            d = abs(phases[i] - phases[j])
-            if g is not None:
-                period = 2 * np.pi / g
-                d = min(d % period, period - d % period)
-            if d < tol:
+            if abs(phases[i] - phases[j]) < tol:
                 raise IllPosedError(
                     f"duplicate shift phases: phi_{i} and phi_{j} coincide "
                     "(phi_i != phi_j + 2*pi*c violated)"
@@ -211,38 +206,33 @@ def test_frequency_differences_rejects_single_level_like_before():
 
 @st.composite
 def phase_sets(draw):
-    """Phases with exact duplicates, duplicates modulo 2*pi/g and near misses."""
-    g = draw(st.sampled_from([None, 0.5, 1.0, 0.37]))
-    freqs = (0.7, 1.3, 2.9) if g is None else tuple(k * g for k in (1, 2, 3, 5))
+    """Phases with exact duplicates, near misses and pairs 2*pi apart (not duplicates)."""
     m = draw(st.integers(2, 21))
     phases = draw(st.lists(st.floats(-30.0, 30.0), min_size=m, max_size=m))
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
-        shift = 0.0 if g is None else draw(st.integers(-4, 4)) * 2 * np.pi / g
+        shift = draw(st.sampled_from([0.0, 0.0, 2 * np.pi]))
         nudge = draw(st.sampled_from([0.0, 0.0, 1e-13, -1e-13, 1e-11]))
         phases[j] = phases[i] + shift + nudge * max(1.0, abs(phases[i]))
-    return phases, freqs
+    return phases
 
 
 @SETTINGS
-@given(case=phase_sets())
-def test_check_phase_distinctness_is_bit_identical(case):
-    phases, freqs = case
-    assert _outcome(check_phase_distinctness, phases, freqs) == _outcome(
-        _ref_check_phase_distinctness, phases, freqs)
+@given(phases=phase_sets())
+def test_check_phase_distinctness_is_bit_identical(phases):
+    assert _outcome(check_phase_distinctness, phases) == _outcome(
+        _ref_check_phase_distinctness, phases)
 
 
-@pytest.mark.parametrize("phases, freqs, pair", [
-    ([0.3, -1.2, 0.3, -1.2], (1.0, 2.0), (0, 2)),
-    ([0.3, -1.2, 0.7, -1.2 + 2 * np.pi], (1.0, 2.0), (1, 3)),
-    ([0.5, 0.5 + 4 * np.pi / 0.5, 2.0], (0.5, 1.5), (0, 1)),
-    ([1.0, 2.0, 3.0, 2.0, 1.0], (0.7, 1.9), (0, 4)),
+@pytest.mark.parametrize("phases, pair", [
+    ([0.3, -1.2, 0.3, -1.2], (0, 2)),
+    ([1.0, 2.0, 3.0, 2.0, 1.0], (0, 4)),
 ])
-def test_check_phase_distinctness_names_the_first_pair(phases, freqs, pair):
+def test_check_phase_distinctness_names_the_first_pair(phases, pair):
     with pytest.raises(IllPosedError, match=rf"phi_{pair[0]} and phi_{pair[1]} coincide"):
-        check_phase_distinctness(phases, freqs)
+        check_phase_distinctness(phases)
     with pytest.raises(IllPosedError, match=rf"phi_{pair[0]} and phi_{pair[1]} coincide"):
-        _ref_check_phase_distinctness(phases, freqs)
+        _ref_check_phase_distinctness(phases)
 
 
 # -- perturbation bound ------------------------------------------------------
@@ -407,7 +397,7 @@ def _ref_solve_direct(sys):
             f"system is not square ({E.shape[0]} gap rows, {E.shape[1]} phases); "
             "the direct solver needs exactly one phase per distinct gap"
         )
-    _ref_check_phase_distinctness(sys.phases, _positive_gaps(sys).tolist())
+    _ref_check_phase_distinctness(sys.phases)
     cond = float(_ref_singular_value_condition(np.linalg.svd(E, compute_uv=False), max(E.shape)))
     if not np.isfinite(cond) or cond > CONDITION_CAP:
         raise IllPosedError(f"condition number {cond:.3g} exceeds cap {CONDITION_CAP:.3g}",

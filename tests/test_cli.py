@@ -438,10 +438,35 @@ def test_synthesize_rule_file_does_not_depend_on_the_seed(tmp_path, eigenvalues,
 
 
 def test_synthesize_duplicate_phases(two_level, tmp_path):
+    """Literal duplicates exit 2; duplicates modulo 2*pi (the period of gap 1) go to the rank cut."""
     out = str(tmp_path / "rule.json")
     result = run_cli(["--output", out, "synthesize", two_level, "--phases", "-1.0,-1.0,-2.0"])
     assert result.exit_code == 2
     assert "phi_i != phi_j" in result.output
+    modulo = ["--phases", f"-1.0,{-1.0 - 2 * np.pi!r},-2.0"]
+    result = run_cli(["--output", out, "synthesize", two_level, *modulo])
+    assert result.exit_code == 0, result.output
+    fallback, inexact = json.loads(result.stdout)["warnings"]
+    assert fallback.startswith("direct synthesis ill-posed (condition number inf exceeds cap")
+    assert inexact.startswith("rule is inexact on the spectrum's own gaps")
+    assert run_cli(["validate", out]).exit_code == 1
+    result = run_cli(["--output", str(tmp_path / "direct.json"), "synthesize", two_level,
+                      "--method", "direct", *modulo])
+    assert result.exit_code == 2
+    assert result.stderr.endswith("condition number inf\n")
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_synthesize_spectrum_with_a_level_pair_below_the_period_tolerance(tmp_path, p):
+    """A level pair 1.17e-12 apart: auto_phases picks two phases equal modulo the other
+    gap's period; the Tikhonov fallback gives an exact rule, and validate passes it."""
+    spec = _write(tmp_path, "s3.json", {"eigenvalues": [-0.4817804553308287, -0.48178045532965874,
+                                                        0.6179017046085349]})
+    out = str(tmp_path / "rule.json")
+    result = run_cli(["--output", out, "synthesize", spec, "-p", str(p)])
+    assert result.exit_code == 0, result.output
+    assert not [w for w in json.loads(result.stdout)["warnings"] if "inexact" in w]
+    assert run_cli(["validate", out]).exit_code == 0
 
 
 def test_synthesize_unstructured_direct(unstructured, tmp_path):
@@ -875,6 +900,34 @@ def test_malformed_input_exits_invalid(tmp_path, args):
     assert result.exit_code == 3
     assert "Traceback" not in result.output
     assert not (tmp_path / "out.json").exists()
+
+
+_HUGE = 10**400  # no float holds it
+
+
+@pytest.mark.parametrize("name, payload, args", [
+    ("spectrum", {"eigenvalues": [0.0, 1.0, _HUGE]}, ["synthesize", "{file}"]),
+    ("spectrum", {"eigenvalues": [0.0, 1.0, _HUGE]}, ["analyze", "{file}"]),
+    ("rule", dict(_RULE, phases=[_HUGE, *_RULE["phases"][1:]]), ["validate", "{file}"]),
+    ("rule", dict(_RULE, orders=[{"p": _HUGE, "weight": 1.0}]), ["variance", "{file}"]),
+    ("model", {"a0": _HUGE, "terms": []}, ["validate", "--model", "{file}", "{rule}"]),
+    ("config", {"regularization": {"data_error": _HUGE}}, ["--config", "{file}", "synthesize", "{spec}"]),
+    (None, None, ["synthesize", "{spec}", "--order", str(_HUGE)]),
+    (None, None, ["optimize", "{spec}", "--order", str(_HUGE)]),
+], ids=["eigenvalue", "eigenvalue-analyze", "rule-phase", "rule-order", "model-a0",
+        "config-data-error", "synthesize-order", "optimize-order"])
+def test_integers_beyond_float_range_exit_invalid(tmp_path, name, payload, args):
+    """An integer no float can hold, in a file or as --order, is invalid input: one error line."""
+    files = {"spec": _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0]}),
+             "rule": _write(tmp_path, "rule.json", _RULE)}
+    if name is not None:
+        files["file"] = _write(tmp_path, f"{name}-huge.json", payload)
+    out = tmp_path / "out.json"
+    result = run_cli(["--output", str(out)] + [a.format(**files) for a in args])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 3
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
+    assert result.stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "synthesize", "validate", "optimize", "variance"])

@@ -196,10 +196,15 @@ def test_unused_tolerances_are_constants():
 
 
 def test_synthesis_keeps_only_the_general_system():
-    """One rank test in src/; the symmetric family lives in variance; no re-exported checks."""
+    """One rank test in src/; the symmetric family lives in variance; no re-exported checks.
+
+    The duplicate check sees only the phases, so no gap period decides a rank.
+    """
     source = "".join(path.read_text() for path in Path(shiftrules.__file__).parent.glob("*.py"))
     assert source.count("np.finfo(float).eps") == 1
     assert "np.finfo(float).eps" in inspect.getsource(synthesis._singular_value_condition)
+    assert "gap_generator" not in inspect.getsource(synthesis)
+    assert list(inspect.signature(synthesis.check_phase_distinctness).parameters) == ["phases"]
     for name in ("ReducedSystem", "build_reduced_system", "reduced_parity"):
         assert not hasattr(synthesis, name), name
         assert getattr(variance, name).__module__ == variance.__name__, name

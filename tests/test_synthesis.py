@@ -290,9 +290,10 @@ def test_solutions_are_real():
 def test_duplicate_phases_rejected():
     with pytest.raises(IllPosedError, match="phi_i != phi_j"):
         synthesize_rule(FREQ01, [-1.0, -1.0, -2.0])
-    # duplicates modulo the column period 2*pi/g are equally singular
-    with pytest.raises(IllPosedError, match="phi_i != phi_j"):
+    # duplicates modulo the column period 2*pi/g give equal columns: the rank cut refuses them
+    with pytest.raises(IllPosedError, match="^condition number inf exceeds cap") as exc:
         synthesize_rule(FREQ01, [-1.0, -1.0 - 2 * np.pi, -2.0])
+    assert exc.value.condition_number == np.inf
 
 
 def test_symmetric_two_term_phases_are_allowed():
