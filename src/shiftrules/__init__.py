@@ -16,10 +16,10 @@ _EXPORTS = {
     "fourier": ("FourierModel", "NoiseSpec", "analytic_derivative", "evaluate"),
     "perturbation": ("error_bound", "perturbation_matrices"),
     "regularization": ("RegularizationConfig", "regularized_rule", "tikhonov_solve"),
-    "rule": ("ShiftRule", "confidence_interval", "variance_of_estimate"),
+    "rule": ("ShiftRule", "apply_rule", "confidence_interval", "variance_of_estimate"),
     "spectrum": ("FrequencySet", "Spectrum", "StructureKind", "classify_structure",
                  "frequency_differences"),
-    "synthesis": ("IllPosedError", "apply_rule", "build_system",
+    "synthesis": ("IllPosedError", "build_system",
                   "compatibility_residual", "condition_number", "solve_direct", "synthesize_rule"),
     "variance": ("OptimizationConfig", "optimize_shifts"),
 }

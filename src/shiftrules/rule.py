@@ -1,8 +1,11 @@
-"""The shift-rule record, the checks of its derivative orders, and its variance.
+"""The shift-rule record, the checks of its derivative orders, its scalar
+application and its variance.
 
 Kept apart from ``synthesis``, so that reading and checking a rule file
 (``validate``) or reporting its variance (``variance``) loads neither the
-gap analysis nor the solver.
+gap analysis nor the solver.  numpy is imported only inside
+``square_norm`` and ``variance_of_estimate``, so a rule read as floats and
+applied by ``apply_rule`` (``validate`` on a small grid) loads none.
 """
 
 from __future__ import annotations
@@ -10,8 +13,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    from typing import Callable
+
+    import numpy as np
 
 Orders = tuple[tuple[int, float], ...]
 
@@ -34,7 +41,9 @@ class ShiftRule:
     ``orders`` lists (derivative order p, weight) pairs defining the
     target sum_p w_p f^(p).  ``frequencies`` records the positive gap
     values the rule is valid for.  ``diagnostics`` carries at least
-    method, condition_number and residual.
+    method, condition_number and residual.  ``serialize.read_rule``
+    gives phases and coefficients as tuples of floats, every other
+    builder as arrays.
     """
 
     phases: np.ndarray
@@ -49,8 +58,17 @@ class ShiftRule:
 
     @property
     def square_norm(self) -> float:
+        import numpy as np
+
         b = np.asarray(self.coefficients)
         return float(b @ b)
+
+
+def apply_rule(rule: ShiftRule, f: Callable[[float], float], t: float) -> float:
+    """Evaluate sum_x b_x f(t + phi_x)."""
+    return float(
+        sum(b * f(t + p) for b, p in zip(rule.coefficients, rule.phases))
+    )
 
 
 def _finite(x) -> bool:
@@ -98,6 +116,8 @@ def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:
     ``per_point_variance`` is one variance for every phase or one per phase;
     each, and the sum, must be finite and non-negative (else ValueError).
     """
+    import numpy as np
+
     b = np.asarray(rule.coefficients, dtype=float)
     sig2 = np.asarray(per_point_variance, dtype=float)
     if sig2.ndim == 0:
@@ -126,4 +146,4 @@ def confidence_interval(report: VarianceReport, eta: float) -> float:
     """
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
-    return float(np.sqrt(report.variance / eta))
+    return math.sqrt(report.variance / eta)

@@ -13,8 +13,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # each loader imports its module, numpy included, when it runs
-    import numpy as np
-
     from .fourier import FourierModel
     from .regularization import RegularizationConfig
     from .rule import ShiftRule
@@ -113,22 +111,23 @@ def save_rule(rule: ShiftRule, path: str | Path) -> None:
     }, path)
 
 
-def _finite_vector(data: dict, key: str, path) -> np.ndarray:
-    import numpy as np
-
+def _finite_vector(data: dict, key: str, path) -> tuple[float, ...]:
     values = data.get(key, [])
     if not isinstance(values, list) or not all(_is_number(v) for v in values):
         raise ValueError(f"{path}: '{key}' must be an array of numbers")
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
+    values = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{path}: '{key}' must be an array of finite numbers")
     return values
 
 
-def load_rule(path: str | Path) -> ShiftRule:
-    """Read a rule file; ValueError for a missing field, no phases, an invalid order, a
-    non-finite value, frequencies that are not positive and strictly increasing or
-    diagnostics that are not an object."""
+def read_rule(path: str | Path) -> ShiftRule:
+    """Read a rule file without numpy: its phases and coefficients are tuples of floats.
+
+    ValueError for a missing field, no phases, an invalid order, a
+    non-finite value, frequencies that are not positive and strictly
+    increasing or diagnostics that are not an object.
+    """
     from .rule import ShiftRule, _normalize_orders
 
     data = load_json(path)
@@ -139,7 +138,7 @@ def load_rule(path: str | Path) -> ShiftRule:
         orders = _normalize_orders((o["p"], o["weight"]) for o in data["orders"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed 'orders' entry: {exc!r}") from exc
-    frequencies = tuple(_finite_vector(data, "frequencies", path).tolist())
+    frequencies = _finite_vector(data, "frequencies", path)
     if not all(a < b for a, b in zip((0.0, *frequencies), frequencies)):
         raise ValueError(f"{path}: 'frequencies' must be positive and strictly increasing")
     diagnostics = data.get("diagnostics", {})
@@ -155,6 +154,17 @@ def load_rule(path: str | Path) -> ShiftRule:
         frequencies=frequencies,
         diagnostics=diagnostics,
     )
+
+
+def load_rule(path: str | Path) -> ShiftRule:
+    """``read_rule`` with the phases and coefficients as float arrays."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    rule = read_rule(path)
+    return replace(rule, phases=np.asarray(rule.phases, dtype=float),
+                   coefficients=np.asarray(rule.coefficients, dtype=float))
 
 
 # -- CLI config --------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,7 +146,7 @@ def check_phase_distinctness(phases) -> None:
             if abs(a - phases[j]) < tol:
                 raise IllPosedError(
                     f"duplicate shift phases: phi_{i} and phi_{j} coincide "
-                    "(phi_i != phi_j + 2*pi*c violated)"
+                    "(phi_i != phi_j violated)"
                 )
 
 
@@ -250,13 +250,6 @@ def synthesize_rule(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> Shif
     Raises IllPosedError as ``solve_direct`` does, e.g. above ``CONDITION_CAP``.
     """
     return solve_direct(build_system(freq, phases, orders))
-
-
-def apply_rule(rule: ShiftRule, f: Callable[[float], float], t: float) -> float:
-    """Evaluate sum_x b_x f(t + phi_x)."""
-    return float(
-        sum(b * f(t + p) for b, p in zip(rule.coefficients, rule.phases))
-    )
 
 
 def compatibility_residual(rule: ShiftRule, freq: FrequencySet) -> float:

@@ -87,7 +87,7 @@ def _ref_check_phase_distinctness(phases):
             if abs(phases[i] - phases[j]) < tol:
                 raise IllPosedError(
                     f"duplicate shift phases: phi_{i} and phi_{j} coincide "
-                    "(phi_i != phi_j + 2*pi*c violated)"
+                    "(phi_i != phi_j violated)"
                 )
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shiftrules
 from conftest import run_cli, well_posed_phases
@@ -595,6 +597,8 @@ _ORACLE_CASES = [
 @pytest.mark.parametrize("case, t_grid, block", _ORACLE_CASES, ids=[
     f"{case}-{t_grid}" + (f"-block{block}" if block else "") for case, t_grid, block in _ORACLE_CASES])
 def test_validate_matches_scalar_oracle(tmp_path, monkeypatch, case, t_grid, block):
+    """Each case on both oracle paths, forced by cli.ORACLE_BREAK_EVEN: the plain
+    path calls no evaluate_models, the block path calls it once per block and order."""
     seed = 3
     rule_file = {"mixed": _mixed_order_rule_file, "broken": _broken_rule_file,
                  "overflow": _overflow_rule_file}.get(case, _s7_rule_file)(tmp_path)
@@ -609,26 +613,56 @@ def test_validate_matches_scalar_oracle(tmp_path, monkeypatch, case, t_grid, blo
         models = _random_models(rule.frequencies, 3, seed)
     lo, hi, count = t_grid.split(":")
     grid = np.linspace(float(lo), float(hi), int(count))
+    blocks = 1
     if block is not None:
         monkeypatch.setattr(cli, "ORACLE_BLOCK", block)
-        assert len(grid) > 2 * (block // (len(rule.phases) * len(models)))
+        blocks = -(-len(grid) // (block // (len(rule.phases) * len(models))))
+        assert blocks > 2
+    reference = None if case == "overflow" else _scalar_validate(rule, models, grid)
 
-    result = run_cli(["--seed", str(seed), "validate", rule_file,
-                      "--model", model_arg, "--t-grid", t_grid])
-    report = json.loads(result.output)
-    assert report["grid_points"] == len(grid)
-    if case == "overflow":  # the target overflows: no finite error, so no pass
-        assert report["passed"] is False and result.exit_code == 1
-        assert report["max_abs_error"] is report["mean_abs_error"] is None
-        assert report["max_scaled_error"] is None
-        return
-    max_err, mean_err, max_scaled = _scalar_validate(rule, models, grid)
-    assert report["max_abs_error"] == pytest.approx(max_err, rel=0, abs=1e-14)
-    assert report["mean_abs_error"] == pytest.approx(mean_err, rel=0, abs=1e-14)
-    assert report["max_scaled_error"] == pytest.approx(max_scaled, rel=0, abs=1e-14)
-    assert report["passed"] is (max_scaled <= report["bound"])
-    assert result.exit_code == (0 if report["passed"] else 1)
-    assert report["passed"] is (case != "broken")
+    for path, break_even in (("plain", 1 << 62), ("block", 0)):
+        monkeypatch.setattr(cli, "ORACLE_BREAK_EVEN", break_even)
+        calls = []
+        monkeypatch.setattr(fourier, "evaluate_models",
+                            lambda *args: calls.append(args) or evaluate_models(*args))
+        result = run_cli(["--seed", str(seed), "validate", rule_file,
+                          "--model", model_arg, "--t-grid", t_grid])
+        report = json.loads(result.output)
+        assert len(calls) == (0 if path == "plain" else blocks * (1 + len(rule.orders))), path
+        assert report["grid_points"] == len(grid)
+        if reference is None:  # the target overflows: no finite error, so no pass
+            assert report["passed"] is False and result.exit_code == 1, path
+            assert report["max_abs_error"] is report["mean_abs_error"] is None, path
+            assert report["max_scaled_error"] is None, path
+            continue
+        max_err, mean_err, max_scaled = reference
+        assert report["max_abs_error"] == pytest.approx(max_err, rel=0, abs=1e-14), path
+        assert report["mean_abs_error"] == pytest.approx(mean_err, rel=0, abs=1e-14), path
+        assert report["max_scaled_error"] == pytest.approx(max_scaled, rel=0, abs=1e-14), path
+        assert report["passed"] is (max_scaled <= report["bound"])
+        assert result.exit_code == (0 if report["passed"] else 1)
+        assert report["passed"] is (case != "broken")
+
+
+_finite_or_not = st.floats(width=64) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lo=_finite_or_not, hi=_finite_or_not, count=st.integers(0, 40))
+@example(lo=0.3, hi=0.3, count=1)
+@example(lo=0.3, hi=0.3, count=5)
+@example(lo=-1e308, hi=1e308, count=1)
+@example(lo=-1e308, hi=1e308, count=3)
+@example(lo=0.0, hi=1e-323, count=5)  # the step underflows to 0: numpy scales i / (count - 1)
+@example(lo=-3.141592653589793, hi=3.141592653589793, count=100)
+def test_plain_grid_is_numpy_linspace(lo, hi, count):
+    with np.errstate(all="ignore"):
+        expected = np.linspace(lo, hi, count)
+    plain = np.array(cli._linspace(lo, hi, count), dtype=float)
+    assert plain.shape == expected.shape
+    np.testing.assert_array_equal(np.isnan(plain), np.isnan(expected))
+    same = ~np.isnan(expected)
+    assert plain[same].tobytes() == expected[same].tobytes()
 
 
 def test_validate_streams_the_grid_in_blocks_within_budget(tmp_path, monkeypatch):
@@ -842,6 +876,9 @@ _RULE = {"phases": [-2.0943951023931953, -4.1887902047863905, -6.283185307179586
     ["variance", "{rule_diagnostics_list}"],
     ["validate", "{rule_empty}"],
     ["variance", "{rule_empty}"],
+    ["validate", "--t-grid", "-1e308:1e308:3", "{rule}"],
+    ["validate", "--t-grid", f"0:1:{10**18}", "{rule}"],
+    ["validate", "--t-grid", f"0:1:{2**63}", "{rule}"],
 ])
 def test_malformed_input_exits_invalid(tmp_path, args):
     files = {

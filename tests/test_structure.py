@@ -71,6 +71,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for name, eigenvalues in (("s7", [0.0, 1.0, 2.5]), ("near", [0.0, 1.0, 1.0 + 1e-9]),
                               ("eq", [0.0, 1.0, 2.0]), ("pert", [0.0, 1.02, 1.97, 3.01, 4.0])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"eigenvalues": eigenvalues}))
+    (tmp_path / "model.json").write_text(json.dumps({"a0": 0.1, "terms": [{"omega": 1.0, "a": 0.5, "b": -0.2}]}))
     front = {"serialize"}
     analyze = {"serialize", "spectrum"}
     synthesize = {"serialize", "spectrum", "rule", "synthesis"}
@@ -89,17 +90,22 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "lattice": (["--output", "eq-rule.json", "synthesize", "eq.json"], synthesize, False),
         "perturbed": (["--output", "pert-rule.json", "synthesize", "pert.json"], synthesize, False),
         "validate": (["validate", "rule.json"], oracle, False),
+        "validate model file": (["validate", "rule.json", "--model", "model.json"], oracle, False),
+        "validate dense": (["validate", "rule.json", "--t-grid", "-3:3:5000", "--model", "random:4"],
+                           oracle, False),
         "variance": (["variance", "rule.json"], oracle, True),
         "tikhonov fallback": (["--output", "near-rule.json", "synthesize", "near.json"],
                               synthesize | {"regularization"}, False),
         "optimize": (["--output", "opt.json", "optimize", "s7.json"], optimize, True),
         "optimize equidistant": (["--output", "opt.json", "optimize", "eq.json"], optimize, True),
     }
+    # no numpy in these: cli imports it where it computes with arrays, and
+    # validate's oracle work on a small grid is plain Python
+    numpy_free = {"analyze", "help", "usage error", "validate", "validate model file"}
     for command, (args, modules, draws) in runs.items():
         code, loaded = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
         assert code == (cli.EXIT_INVALID if command == "usage error" else 0), command
-        # no numpy in these two: cli imports it where it computes with arrays
-        numpy = [] if modules in (front, analyze) else ["numpy"] + ["numpy.random"] * draws
+        numpy = [] if command in numpy_free else ["numpy"] + ["numpy.random"] * draws
         assert loaded == numpy + sorted(f"shiftrules.{m}" for m in modules), command
 
 

@@ -33,7 +33,8 @@ from paper_forms import (
     stationarity_residual,
 )
 from shiftrules.fourier import evaluate, sample_noisy_batch
-from shiftrules.synthesis import FIRST_DERIVATIVE, apply_rule, auto_phases
+from shiftrules.rule import FIRST_DERIVATIVE, apply_rule
+from shiftrules.synthesis import auto_phases
 from shiftrules.variance import _evaluate_point, _evaluate_reduced, build_reduced_system
 
 SRC = str(Path(shiftrules.__file__).resolve().parents[1])
