@@ -8,9 +8,11 @@ Each command imports the modules it runs, numpy included, inside its
 body, so a process loads only those: ``--help`` and usage errors load no
 numpy and no module but ``serialize``, ``analyze`` adds ``spectrum``, and
 ``validate`` and ``variance`` load ``rule`` and ``fourier`` but neither
-``spectrum`` nor the solver.  ``validate`` loads numpy only where its
-oracle work reaches ``ORACLE_BREAK_EVEN``; below it the scalar rule runs
-in plain Python.  Only the commands that draw with numpy
+``spectrum`` nor the solver.  ``validate`` builds one t-grid, in plain
+Python, and chooses its oracle path once, in ``_validate``, from a cost
+that counts evaluations and frequencies: numpy loads only where that
+work reaches ``ORACLE_BREAK_EVEN``, and below it the scalar rule runs in
+plain Python.  Only the commands that draw with numpy
 (the optimizer screen, ``variance``'s noise) load ``numpy.random``;
 ``synthesize`` draws nothing and ignores ``--seed``.
 """
@@ -29,15 +31,17 @@ from . import serialize
 EXIT_VALIDATION = 1
 EXIT_ILL_POSED = 2
 EXIT_INVALID = 3
-VALIDATION_BOUND = 1e-8  # validate's default --bound; synthesize warns of any rule above it
+VALIDATION_BOUND = 1e-8  # validate's default --bound; synthesize warns where a gap's |r| / (1 + |mu|) exceeds it
 ORACLE_BLOCK = 1 << 16  # validate's shifted evaluations (points x phases x models) per grid block
-# validate's oracle work in terms, points x phases x the models' frequencies: below
-# ORACLE_BREAK_EVEN the oracle runs in plain Python and loads no numpy.  Measured on 2
-# cores (Python 3.11.7, numpy 2.4.6): the plain path takes 0.42-0.46 us per term with 3
-# frequencies per model and 0.20-0.32 with 15, the block path 0.04 and 0.015, and
-# importing numpy 81 ms.  The two cross at about 200k terms (3 frequencies) and 415k
-# (15); 2^18 lies between them, near their geometric mean.
-ORACLE_BREAK_EVEN = 1 << 18
+# validate's oracle work: points x phases x the sum over models of ORACLE_EVALUATION plus
+# the model's frequencies.  Below ORACLE_BREAK_EVEN the oracle runs in plain Python and
+# loads no numpy.  Measured on 2 cores (Python 3.11.7, numpy 2.4.6, 3 models): the plain
+# path takes 0.61 us per evaluation plus 0.14 per frequency, so an evaluation costs about
+# 4 frequencies; medians of 9 subprocess runs per path put the crossover at 3500 points
+# for S7 (3 frequencies), 1350 for (0,1,2.5,4.1) (6), 600 for S21 (10) and 300 for S31
+# (15), each at 515k-530k of this work.
+ORACLE_EVALUATION = 4
+ORACLE_BREAK_EVEN = 1 << 19
 
 
 def _fail(code: int, message: str) -> None:
@@ -133,7 +137,7 @@ def _synthesize(obj, spectrum_file, order, method, phases):
     warnings = [f"direct synthesis ill-posed ({a.message}); falling back to tikhonov"
                 for a in attempts if a.left == "ill_posed"]
     method_used, residual = attempts[-1].method, compatibility_residual(rule, freq)
-    if residual > VALIDATION_BOUND:  # every rule is judged on the spectrum's own gaps
+    if compatibility_residual(rule, freq, relative=True) > VALIDATION_BOUND:  # each gap, any method
         warnings.append(f"rule is inexact on the spectrum's own gaps: residual {residual:.3g} "
                         f"exceeds validation_bound {VALIDATION_BOUND:.3g}")
     out_path = obj["output"] or "rule.json"
@@ -166,52 +170,37 @@ def _random_models(frequencies, count, seed):
     return models
 
 
-def _linspace(lo: float, hi: float, count: int) -> list[float]:
-    """np.linspace(lo, hi, count) in plain Python floats, bit for bit.
+def _linspace(lo: float, hi: float, count: int):
+    """np.linspace(lo, hi, count) as an array('d'), 8 bytes a point, bit for bit.
 
     numpy's formula: point i is i * step + lo with step = (hi - lo) / (count - 1),
     or (i / (count - 1)) * (hi - lo) + lo where step underflows to 0; the last
-    point is hi, and a single point is 0 * (hi - lo) + lo.
+    point is hi, and a single point is 0 * (hi - lo) + lo.  The array is
+    allocated before it is filled, so a count no memory holds fails at once.
     """
+    from array import array
+
     if count < 0:
         raise ValueError(f"Number of samples, {count}, must be non-negative.")
     div, delta = count - 1, hi - lo
     if div <= 0:
-        return [0.0 * delta + lo] * count
-    step = delta / div
-    if step == 0:
-        points = [i / div * delta + lo for i in range(count)]
-    else:
-        points = [i * step + lo for i in range(count)]
-    points[-1] = hi
+        return array("d", [0.0 * delta + lo]) * count
+    points, step = array("d", [hi]) * count, delta / div
+    for i in range(div):
+        points[i] = i * step + lo if step else i / div * delta + lo
     return points
 
 
-def _t_grid(text: str, per_point: int):
-    """The --t-grid points lo:hi:count, as np.linspace makes them; exit 3 if malformed.
-
-    A list of floats where count * per_point, a floor of the oracle's work,
-    is below ORACLE_BREAK_EVEN, so the plain path may run on it, else a
-    numpy array.
-    """
+def _t_grid(text: str):
+    """The --t-grid points lo:hi:count, as np.linspace makes them; exit 3 if malformed."""
     try:
         lo, hi, count = text.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
-        if count * per_point < ORACLE_BREAK_EVEN:
-            grid = _linspace(lo, hi, count)
-            finite = all(map(math.isfinite, grid))
-        else:
-            import numpy as np
-
-            if count > sys.maxsize // 8:  # not addressable; numpy fails unevenly above this
-                raise ValueError("Maximum allowed size exceeded")
-            grid = np.linspace(lo, hi, count)
-            finite = np.isfinite(grid).all()
+        grid = _linspace(float(lo), float(hi), int(count))
     except ValueError as exc:
         _fail(EXIT_INVALID, f"cannot parse t-grid {text!r}: {exc}")
-    except MemoryError as exc:
-        _fail(EXIT_INVALID, f"cannot allocate t-grid {text!r}: {exc}")
-    if len(grid) == 0 or not finite:
+    except (MemoryError, OverflowError):
+        _fail(EXIT_INVALID, f"cannot allocate t-grid {text!r} at 8 bytes a point")
+    if len(grid) == 0 or not all(map(math.isfinite, grid)):
         _fail(EXIT_INVALID, f"t-grid {text!r} needs finite ends and at least one point")
     return grid
 
@@ -222,7 +211,7 @@ def _validate(obj, rule_file, model, t_grid, bound):
     if not 0 <= bound < math.inf:
         _fail(EXIT_INVALID, f"bound must be finite and non-negative, got {bound}")
     rule = _file(serialize.read_rule, rule_file)
-    grid = _t_grid(t_grid, len(rule.phases))
+    grid = _t_grid(t_grid)
 
     if model.startswith("random:"):
         try:
@@ -244,8 +233,8 @@ def _validate(obj, rule_file, model, t_grid, bound):
 
     from .fourier import rule_errors, rule_errors_blocked
 
-    terms = len(grid) * len(rule.phases) * sum(max(1, len(m.terms)) for m in models)
-    if terms < ORACLE_BREAK_EVEN:
+    work = len(grid) * len(rule.phases) * sum(ORACLE_EVALUATION + len(m.terms) for m in models)
+    if work < ORACLE_BREAK_EVEN:
         max_err, err_sum, max_scaled = rule_errors(rule, models, grid)
     else:
         max_err, err_sum, max_scaled = rule_errors_blocked(rule, models, grid, ORACLE_BLOCK)

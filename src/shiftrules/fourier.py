@@ -4,11 +4,12 @@ This is the validation oracle: every synthesized shift rule is checked
 against models whose derivatives we can evaluate in closed form: finite
 cosine/sine series.
 
-At a Python float, ``evaluate`` and ``analytic_derivative`` sum the
-series in plain Python, term by term in ``evaluate_models``' order, so
-``rule_errors``, the scalar oracle that ``validate`` runs on a small
-grid, loads no numpy; ``rule_errors_blocked`` is its numpy form for
-large grids.  numpy is imported only inside the array functions.
+``evaluate`` and ``analytic_derivative`` run ``evaluate_models``, the
+one numpy form of the series.  ``rule_errors``, the scalar oracle that
+``validate`` runs where its work is small, sums each model's series in
+plain Python, term by term in ``evaluate_models``' order, and so loads
+no numpy; ``rule_errors_blocked`` is its numpy form for large work.
+numpy is imported only inside the array functions.
 """
 
 from __future__ import annotations
@@ -92,8 +93,6 @@ def _series(a0: float, terms, t: float) -> float:
 
 def evaluate(model: FourierModel, t):
     """Evaluate the series at t (scalar or array)."""
-    if isinstance(t, float):
-        return _series(model.a0, model.terms, t)
     return evaluate_models([model], t)[0]
 
 
@@ -127,24 +126,25 @@ def evaluate_models(models, t, p: int = 0) -> list:
 
 def analytic_derivative(model: FourierModel, t, p: int = 1):
     """Exact p-th derivative of the series at t; p=0 is plain evaluation."""
-    if isinstance(t, float):
-        return _series(0.0 if p else model.a0, _derived(model.terms, p), t)
     return evaluate_models([model], t, p)[0]
 
 
 def rule_errors(rule: ShiftRule, models, grid) -> tuple[float, float, float]:
     """(max |error|, sum of |error|, max scaled error) of the rule over models x grid.
 
-    The error at t is apply_rule's estimate with ``evaluate`` minus the
-    target sum_p w_p ``analytic_derivative``; scaled, it is divided by
-    1 + |target|.  Plain Python on float points; NaN is carried by hand,
-    since max() drops it.
+    The error at t is apply_rule's estimate of the model's series minus
+    the target sum_p w_p (p-th derivative); scaled, it is divided by
+    1 + |target|.  Plain Python on float points: each model's series and
+    its derivatives' terms are bound once, and each value is summed as
+    ``evaluate_models`` sums it.  NaN is carried by hand, since max()
+    drops it.
     """
     errs, scaled = [], []
     for fm in models:
-        f = partial(evaluate, fm)
+        f = partial(_series, fm.a0, fm.terms)
+        targets = [(w, 0.0 if p else fm.a0, _derived(fm.terms, p)) for p, w in rule.orders]
         for t in grid:
-            target = sum(w * analytic_derivative(fm, t, p) for p, w in rule.orders)
+            target = sum(w * _series(a0, terms, t) for w, a0, terms in targets)
             errs.append(abs(apply_rule(rule, f, t) - target))
             scaled.append(errs[-1] / (1.0 + abs(target)))
     max_err, max_scaled = (math.nan if any(map(math.isnan, v)) else max(v) for v in (errs, scaled))

@@ -252,17 +252,21 @@ def synthesize_rule(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> Shif
     return solve_direct(build_system(freq, phases, orders))
 
 
-def compatibility_residual(rule: ShiftRule, freq: FrequencySet) -> float:
+def compatibility_residual(rule: ShiftRule, freq: FrequencySet, relative: bool = False) -> float:
     """Defining residual max over gaps g of |r(g)| = |sum_x b_x e^{i g phi_x} - mu(g)|.
 
     Independent of any test function: a rule is exact for every in-band
     model precisely when this vanishes.  From r = C b - t: r(0) is its
-    first entry and |r(w_j)| = hypot(cos row, sin row) / sqrt2.
+    first entry and |r(w_j)| = hypot(cos row, sin row) / sqrt2, and |mu(g)|
+    likewise from t.  ``relative`` divides each gap's |r(g)| by 1 + |mu(g)|,
+    the scale ``validate`` gives an error against its target, so round-off
+    of a large high-order target counts no more than it would there.
     """
     sys = build_system(freq, rule.phases, rule.orders)
-    r = sys.matrix @ rule.coefficients - sys.rhs
     R = len(sys.gaps)
-    return max(abs(float(r[0])), *(np.hypot(r[1:R + 1], r[R + 1:]) / SQRT2).tolist())
+    r, mu = (np.append(abs(v[0]), np.hypot(v[1:R + 1], v[R + 1:]) / SQRT2)
+             for v in (sys.matrix @ rule.coefficients - sys.rhs, sys.rhs))
+    return float((r / (1.0 + mu) if relative else r).max())
 
 
 def auto_phases(freq: FrequencySet) -> np.ndarray:

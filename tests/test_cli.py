@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import shiftrules
 from conftest import run_cli, well_posed_phases
+from paper_forms import paper_system
 from shiftrules import (
     Spectrum,
     analytic_derivative,
@@ -26,6 +27,8 @@ from shiftrules import (
 from shiftrules.cli import _parser, _random_models
 from shiftrules.fourier import evaluate_models
 from shiftrules.synthesis import CONDITION_CAP, build_system, condition_number
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 from test_regularization import _gamma_floor
 
 SRC = str(Path(shiftrules.__file__).resolve().parents[1])
@@ -338,6 +341,49 @@ def test_synthesize_warns_when_regularized_rule_is_inexact(near_degenerate, tmp_
                        "exceeds validation_bound 1e-08"]
     result = run_cli(["validate", out])
     assert result.exit_code == 1
+
+
+_S21 = (0.0, 1.0, 2.5, 4.1, 6.0)
+# (name, eigenvalues, command and options): the 13 golden cases, S21 at p = 1-12, and a wider
+# spectrum at p = 6 and 12, whose direct rules carry a round-off eps * |b|_1 near or above the bound
+_VERDICT_CASES = [
+    *((name, *GOLDEN_CASES[name]) for name in sorted(GOLDEN_CASES)),
+    *((f"s21-p{p}", _S21, ["synthesize", "-p", str(p)]) for p in range(1, 13)),
+    *((f"wide-p{p}", (0.0, 3.0, 7.5, 12.3, 18.0), ["synthesize", "-p", str(p)]) for p in (6, 12)),
+]
+
+
+@pytest.mark.parametrize("name, eigenvalues, args", _VERDICT_CASES, ids=[c[0] for c in _VERDICT_CASES])
+def test_synthesize_warns_by_each_gaps_scaled_residual(tmp_path, name, eigenvalues, args):
+    """A written rule carries the "inexact" warning exactly when some gap g has
+    |r(g)| / (1 + |mu(g)|) above validate's default bound, r = E b - mu as in the
+    paper's complex system up to either product's round-off.  A constant model sees
+    r(0) alone, at scale 1, so validate fails it only on a warned rule, and likewise
+    its random models at --seed 0; on the goldens those fail exactly the warned rule."""
+    spectrum = _write(tmp_path, "spec.json", {"eigenvalues": [float(v) for v in eigenvalues]})
+    out = str(tmp_path / "rule.json")
+    options = ["--seed", "0", "--output", out]
+    if name in GOLDEN_CONFIGS:
+        options += ["--config", _write(tmp_path, "cfg.json", GOLDEN_CONFIGS[name])]
+    command, *rest = args
+    result = run_cli([*options, command, spectrum, *rest])
+    assert result.exit_code == 0, result.output
+    warned = any("inexact" in w for w in json.loads(result.stdout)["warnings"])
+    rule = serialize.load_rule(out)
+    freq = frequency_differences(Spectrum(tuple(float(v) for v in eigenvalues)))
+    paper, b = paper_system(freq, rule.phases, rule.orders), rule.coefficients
+    scaled = compatibility_residual(rule, freq, relative=True)
+    per_gap = np.abs(paper.matrix @ b - paper.rhs) / (1 + np.abs(paper.rhs))
+    assert abs(scaled - per_gap.max()) <= 2.0**-52 * (1 + np.abs(b).sum())
+    assert warned is (scaled > cli.VALIDATION_BOUND)
+    constant = _write(tmp_path, "const.json", {"a0": 1.0, "terms": []})
+    validated = [run_cli(["--seed", "0", "validate", out, *model]).exit_code
+                 for model in ([], ["--model", constant])]
+    assert set(validated) <= {0, 1}
+    assert warned or validated == [0, 0]
+    if name in GOLDEN_CASES:
+        assert warned is (validated[0] == 1)
+        assert warned is (name == "synth_s7_tikhonov_discrepancy")
 
 
 @pytest.fixture
@@ -655,6 +701,8 @@ _finite_or_not = st.floats(width=64) | st.sampled_from([0.0, -0.0, 5e-324, -5e-3
 @example(lo=-1e308, hi=1e308, count=3)
 @example(lo=0.0, hi=1e-323, count=5)  # the step underflows to 0: numpy scales i / (count - 1)
 @example(lo=-3.141592653589793, hi=3.141592653589793, count=100)
+@example(lo=-3.0, hi=3.0, count=5000)
+@example(lo=-3.0, hi=3.0, count=200_000)
 def test_plain_grid_is_numpy_linspace(lo, hi, count):
     with np.errstate(all="ignore"):
         expected = np.linspace(lo, hi, count)
@@ -699,6 +747,29 @@ def test_validate_streams_the_grid_in_blocks_within_budget(tmp_path, monkeypatch
     for key in ("max_abs_error", "max_scaled_error", "models", "grid_points", "passed"):
         assert whole[key] == report[key], key
     assert whole["mean_abs_error"] == pytest.approx(report["mean_abs_error"], rel=1e-12)
+
+
+@pytest.mark.parametrize("eigenvalues, points, path", [
+    # 611 667 of the oracle's work at the default constants (262 143 counting terms only)
+    ((0.0, 1.0, 2.5), 4161, "block"),
+    # 335 730 (265 050 counting terms only)
+    ((0.0, 0.7, 1.9, 3.2, 3.3, 5.0), 190, "plain"),
+], ids=["s7-block", "s31-plain"])
+def test_validate_path_follows_the_cost(tmp_path, monkeypatch, eigenvalues, points, path):
+    """At the default constants the cost, which charges each evaluation
+    cli.ORACLE_EVALUATION frequencies, sends few-frequency work near the
+    break-even to the block path and many-frequency work to the plain one,
+    where each measured faster."""
+    spectrum = _write(tmp_path, "spec.json", {"eigenvalues": list(eigenvalues)})
+    rule_file = str(tmp_path / "rule.json")
+    assert run_cli(["--output", rule_file, "synthesize", spectrum]).exit_code == 0
+    calls = []
+    monkeypatch.setattr(fourier, "evaluate_models",
+                        lambda *args: calls.append(args) or evaluate_models(*args))
+    result = run_cli(["validate", rule_file, "--t-grid", f"-3:3:{points}"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["grid_points"] == points
+    assert bool(calls) is (path == "block")
 
 
 def test_rule_file_round_trip_is_bit_identical(eq_spectrum, tmp_path):

@@ -255,6 +255,18 @@ def test_one_rank_cut_and_one_inexactness_check():
     assert not named & {"tikhonov", "equidistant"}, ast.unparse(checks[0].test)
 
 
+def test_validate_builds_one_grid_and_chooses_its_path_once():
+    """One way to make the t-grid, in plain Python, and one comparison with the break-even."""
+    tree = ast.parse(inspect.getsource(cli))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr == "linspace"]  # no np.linspace: the docstrings may name it
+    assert list(inspect.signature(cli._t_grid).parameters) == ["text"]
+    choices = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+               and "ORACLE_BREAK_EVEN" in ast.unparse(node)]
+    assert len(choices) == 1
+    assert "ORACLE_EVALUATION" in inspect.getsource(cli._validate)
+
+
 def test_synthesis_classifies_nothing():
     """The classification decision lives in spectrum and the CLI: synthesis names none of it."""
     tree = ast.parse(inspect.getsource(synthesis))
