@@ -434,7 +434,7 @@ def main(argv=None) -> None:
     if not 0 <= args.get("order", 0) <= sys.float_info.max:  # synthesize's and optimize's --order
         _fail(EXIT_INVALID, "order must be non-negative and within float range")
     obj = {name: args.pop(name) for name in ("seed", "output", "quiet")}
-    obj["config"] = (None, None)  # None: the library's own dataclass defaults
+    obj["config"] = (None, None)  # None: the config records' own defaults
     if config_path is not None:  # read up front, so a bad file exits 3 on every command
         try:
             obj["config"] = serialize.load_config(config_path, obj["seed"])

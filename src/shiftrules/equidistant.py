@@ -16,27 +16,26 @@ at +-pi/(2*delta) has 1/2 (see ``variance.optimize_shifts``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _Record
 from .rule import ShiftRule
 from .spectrum import FrequencySet
 from .synthesis import IllPosedError, _exact_rule, build_system
 
 
-@dataclass(frozen=True)
-class EquidistantStructure:
+class EquidistantStructure(_Record):
     """n equidistant eigenvalues with base gap delta."""
 
-    n: int
-    delta: float
+    _fields = ("n", "delta")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, delta: float):
+        if n < 2:
             raise ValueError("need n >= 2")
-        if not (self.delta > 0 and np.isfinite(self.delta)):
+        if not (delta > 0 and np.isfinite(delta)):
             raise ValueError("delta must be positive and finite")
+        self.__dict__.update(n=n, delta=delta)
 
     @property
     def m(self) -> int:

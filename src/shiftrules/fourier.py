@@ -15,10 +15,10 @@ numpy is imported only inside the array functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
+from . import _Record
 from .rule import _check_non_negative_int, apply_rule
 
 if TYPE_CHECKING:
@@ -27,42 +27,39 @@ if TYPE_CHECKING:
     from .rule import ShiftRule
 
 
-@dataclass(frozen=True)
-class FourierModel:
+class FourierModel(_Record):
     """Finite trigonometric series a0 + sum_l a_l cos(w_l t) + b_l sin(w_l t)."""
 
-    a0: float
-    terms: tuple[tuple[float, float, float], ...] = ()
+    _fields = ("a0", "terms")
 
-    def __post_init__(self):
-        terms = tuple((float(w), float(a), float(b)) for (w, a, b) in self.terms)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "a0", float(self.a0))
+    def __init__(self, a0: float, terms: tuple[tuple[float, float, float], ...] = ()):
+        terms = tuple((float(w), float(a), float(b)) for (w, a, b) in terms)
+        a0 = float(a0)
         freqs = [w for w, _, _ in terms]
         if any(w <= 0 for w in freqs):
             raise ValueError("frequencies must be positive")
         if any(x >= y for x, y in zip(freqs, freqs[1:])):
             raise ValueError("frequencies must be strictly increasing")
-        flat = [self.a0] + [x for term in terms for x in term]
+        flat = [a0] + [x for term in terms for x in term]
         if not all(map(math.isfinite, flat)):
             raise ValueError("model coefficients must be finite")
+        self.__dict__.update(a0=a0, terms=terms)
 
     @property
     def frequencies(self) -> tuple[float, ...]:
         return tuple(w for w, _, _ in self.terms)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(_Record):
     """Additive Gaussian noise with a deterministic seed."""
 
-    sigma: float
-    seed: int = 0
+    _fields = ("sigma", "seed")
 
-    def __post_init__(self):
-        if not 0 <= self.sigma < math.inf:
+    def __init__(self, sigma: float, seed: int = 0):
+        if not 0 <= sigma < math.inf:
             raise ValueError("sigma must be finite and non-negative")
-        _check_non_negative_int("seed", self.seed)
+        _check_non_negative_int("seed", seed)
+        self.__dict__.update(sigma=sigma, seed=seed)
 
 
 def _derived(terms, p: int) -> list:

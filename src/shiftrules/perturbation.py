@@ -13,28 +13,26 @@ closed form of its mean gap, so these bounds describe no rule it writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import _Record
 from .equidistant import EquidistantStructure, normalized_system
 from .synthesis import _norm, _singular_value_condition
 
 
-@dataclass(frozen=True)
-class PerturbationData:
+class PerturbationData(_Record):
     """Unit-scale perturbation pair (R, r) for the normalized system.
 
     The gap-0 row of R is identically zero (the diagonal gap never
     moves); the remaining rows follow the sign of their gap.
     """
 
-    matrix: np.ndarray
-    vector: np.ndarray
+    _fields = ("matrix", "vector")
 
-    def __post_init__(self):
-        if np.abs(self.matrix[0]).max() != 0.0:
+    def __init__(self, matrix: np.ndarray, vector: np.ndarray):
+        if np.abs(matrix[0]).max() != 0.0:
             raise ValueError("the gap-0 row of the perturbation matrix must be zero")
+        self.__dict__.update(matrix=matrix, vector=vector)
 
 
 def perturbation_matrices(es: EquidistantStructure) -> PerturbationData:
@@ -55,8 +53,7 @@ def perturbation_matrices(es: EquidistantStructure) -> PerturbationData:
     return PerturbationData(matrix=R, vector=r)
 
 
-@dataclass(frozen=True)
-class PerturbationBound:
+class PerturbationBound(_Record):
     """First-order error bounds on the coefficient deviation.
 
     ``relative``: k(E) * (eps*|r|/|mu| + eps*|R|/|E|), bounding the
@@ -67,9 +64,10 @@ class PerturbationBound:
     with R_max the largest entry magnitude of the unnormalized R.
     """
 
-    relative: float
-    absolute: float
-    loose: float
+    _fields = ("relative", "absolute", "loose")
+
+    def __init__(self, relative: float, absolute: float, loose: float):
+        self.__dict__.update(relative=relative, absolute=absolute, loose=loose)
 
 
 def error_bound(

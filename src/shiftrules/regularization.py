@@ -21,10 +21,10 @@ is within round-off of the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _Record
 from .rule import FIRST_DERIVATIVE, ShiftRule, _finite
 from .spectrum import FrequencySet
 from .synthesis import LinearSystem, _coefficient_norm, _norm, _rule, _singular_value_condition, build_system
@@ -32,42 +32,40 @@ from .synthesis import LinearSystem, _coefficient_norm, _norm, _rule, _singular_
 GAMMA_MAX = 1e2  # the discrepancy principle's upper end for gamma
 
 
-@dataclass(frozen=True)
-class RegularizationConfig:
+class RegularizationConfig(_Record):
     """Regularization strength and the error level of the data.
 
     ``gamma=None`` means automatic selection by the discrepancy principle
     with target ``data_error``, from the squared rank cut up to GAMMA_MAX.
     """
 
-    gamma: float | None = None
-    data_error: float = 0.0
+    _fields = ("gamma", "data_error")
 
-    def __post_init__(self):
-        if self.gamma is not None and not (_finite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be a finite positive number, got {self.gamma!r}")
-        if not (_finite(self.data_error) and self.data_error >= 0):
-            raise ValueError(f"data_error must be finite and non-negative, got {self.data_error!r}")
+    def __init__(self, gamma: float | None = None, data_error: float = 0.0):
+        if gamma is not None and not (_finite(gamma) and gamma > 0):
+            raise ValueError(f"gamma must be a finite positive number, got {gamma!r}")
+        if not (_finite(data_error) and data_error >= 0):
+            raise ValueError(f"data_error must be finite and non-negative, got {data_error!r}")
+        self.__dict__.update(gamma=gamma, data_error=data_error)
 
 
-@dataclass(frozen=True)
-class RegularizedSolution:
+class RegularizedSolution(_Record):
     """Tikhonov output with the residual/norm pair that locates it on the L-curve."""
 
-    coefficients: np.ndarray
-    gamma: float
-    residual: float
-    norm: float
+    _fields = ("coefficients", "gamma", "residual", "norm")
+
+    def __init__(self, coefficients: np.ndarray, gamma: float, residual: float, norm: float):
+        self.__dict__.update(coefficients=coefficients, gamma=gamma, residual=residual, norm=norm)
 
 
-@dataclass(frozen=True)
-class GammaSelection:
+class GammaSelection(_Record):
     """Result of the discrepancy search: chosen gamma plus diagnostics."""
 
-    gamma: float
-    residual: float
-    target: float
-    status: str  # "bracketed" | "target_below_min" | "target_above_max"
+    _fields = ("gamma", "residual", "target", "status")
+
+    def __init__(self, gamma: float, residual: float, target: float, status: str):
+        self.__dict__.update(gamma=gamma, residual=residual, target=target,
+                             status=status)  # "bracketed" | "target_below_min" | "target_above_max"
 
 
 def tikhonov_solve(sys: LinearSystem, gamma: float) -> RegularizedSolution:

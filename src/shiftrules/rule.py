@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from . import _Record
 
 if TYPE_CHECKING:
     from typing import Callable
@@ -34,8 +35,7 @@ class _NormalizedOrders(tuple):
 FIRST_DERIVATIVE: Orders = _NormalizedOrders(((1, 1.0),))
 
 
-@dataclass(frozen=True)
-class ShiftRule:
+class ShiftRule(_Record):
     """Phases, real coefficients, target orders, and solve diagnostics.
 
     ``orders`` lists (derivative order p, weight) pairs defining the
@@ -46,15 +46,14 @@ class ShiftRule:
     builder as arrays.
     """
 
-    phases: np.ndarray
-    coefficients: np.ndarray
-    orders: Orders
-    frequencies: tuple[float, ...]
-    diagnostics: dict = field(default_factory=dict)
+    _fields = ("phases", "coefficients", "orders", "frequencies", "diagnostics")
 
-    def __post_init__(self):
-        if len(self.phases) != len(self.coefficients):
+    def __init__(self, phases: np.ndarray, coefficients: np.ndarray, orders: Orders,
+                 frequencies: tuple[float, ...], diagnostics: dict | None = None):
+        if len(phases) != len(coefficients):
             raise ValueError("phases and coefficients must have equal length")
+        self.__dict__.update(phases=phases, coefficients=coefficients, orders=orders, frequencies=frequencies,
+                             diagnostics={} if diagnostics is None else diagnostics)
 
     @property
     def square_norm(self) -> float:
@@ -102,12 +101,13 @@ def _normalize_orders(orders) -> Orders:
     return _NormalizedOrders(out)
 
 
-@dataclass(frozen=True)
-class VarianceReport:
+class VarianceReport(_Record):
     """Variance of the shift-rule estimator plus the square-norm objective."""
 
-    variance: float
-    square_norm: float
+    _fields = ("variance", "square_norm")
+
+    def __init__(self, variance: float, square_norm: float):
+        self.__dict__.update(variance=variance, square_norm=square_norm)
 
 
 def variance_of_estimate(rule: ShiftRule, per_point_variance) -> VarianceReport:

@@ -74,7 +74,10 @@ def load_spectrum(path: str | Path) -> tuple[Spectrum, float]:
     values = data["eigenvalues"]
     if not isinstance(values, list) or not all(_is_number(v) for v in values):
         raise ValueError(f"{path}: 'eigenvalues' must be an array of numbers")
-    spec = Spectrum(eigenvalues=tuple(float(v) for v in sorted(values)), label=data.get("label"))
+    try:
+        spec = Spectrum(eigenvalues=tuple(float(v) for v in sorted(values)), label=data.get("label"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     rel_tol = data.get("rel_tol", DEFAULT_REL_TOL)
     if not (_is_number(rel_tol) and 0 < rel_tol < math.inf):
         raise ValueError(f"{path}: 'rel_tol' must be a finite positive number")
@@ -96,7 +99,10 @@ def load_fourier_model(path: str | Path) -> FourierModel:
     if not all(_is_number(v) for v in (data["a0"], *(v for term in parsed for v in term))):
         raise ValueError(f"{path}: 'a0' and each term's 'omega', 'a' and 'b' must be numbers")
     terms = tuple(sorted(tuple(float(v) for v in term) for term in parsed))
-    return FourierModel(a0=float(data["a0"]), terms=terms)
+    try:
+        return FourierModel(a0=float(data["a0"]), terms=terms)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # -- shift rule --------------------------------------------------------------
@@ -124,9 +130,10 @@ def _finite_vector(data: dict, key: str, path) -> tuple[float, ...]:
 def read_rule(path: str | Path) -> ShiftRule:
     """Read a rule file without numpy: its phases and coefficients are tuples of floats.
 
-    ValueError for a missing field, no phases, an invalid order, a
-    non-finite value, frequencies that are not positive and strictly
-    increasing or diagnostics that are not an object.
+    ValueError, naming the file, for a missing field, no phases, an
+    invalid order, a non-finite value, more phases than coefficients or
+    fewer, frequencies that are not positive and strictly increasing or
+    diagnostics that are not an object.
     """
     from .rule import ShiftRule, _normalize_orders
 
@@ -147,33 +154,31 @@ def read_rule(path: str | Path) -> ShiftRule:
     phases = _finite_vector(data, "phases", path)
     if not len(phases):
         raise ValueError(f"{path}: 'phases' must not be empty")
-    return ShiftRule(
-        phases=phases,
-        coefficients=_finite_vector(data, "coefficients", path),
-        orders=orders,
-        frequencies=frequencies,
-        diagnostics=diagnostics,
-    )
+    coefficients = _finite_vector(data, "coefficients", path)
+    try:
+        return ShiftRule(phases, coefficients, orders, frequencies, diagnostics)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_rule(path: str | Path) -> ShiftRule:
     """``read_rule`` with the phases and coefficients as float arrays."""
-    from dataclasses import replace
-
     import numpy as np
 
+    from .rule import ShiftRule
+
     rule = read_rule(path)
-    return replace(rule, phases=np.asarray(rule.phases, dtype=float),
-                   coefficients=np.asarray(rule.coefficients, dtype=float))
+    return ShiftRule(np.asarray(rule.phases, dtype=float), np.asarray(rule.coefficients, dtype=float),
+                     rule.orders, rule.frequencies, rule.diagnostics)
 
 
 # -- CLI config --------------------------------------------------------------
 
 def load_config(path: str | Path,
                 seed: int = 0) -> tuple[RegularizationConfig, OptimizationConfig]:
-    """The config file's two settings sections as dataclasses.
+    """The config file's two settings sections as config records.
 
-    A section's keys are the dataclass fields, except ``seed``, which
+    A section's keys are the records' fields, except ``seed``, which
     comes from the argument; ``"gamma": "auto"`` means ``gamma=None``.
     An unknown key, a section that is not an object or an invalid value
     raises TypeError or ValueError naming it.

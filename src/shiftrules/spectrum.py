@@ -9,10 +9,11 @@ signed gaps and the design-system size derive from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add, gt, lt
+
+from . import _Record
 
 DEFAULT_DEDUP_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-9
@@ -25,30 +26,27 @@ class StructureKind(Enum):
     UNSTRUCTURED = "unstructured"
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Record):
     """Ordered eigenvalues of a Hamiltonian plus an optional label."""
 
-    eigenvalues: tuple[float, ...]
-    label: str | None = None
+    _fields = ("eigenvalues", "label")
 
-    def __post_init__(self):
-        vals = tuple(map(float, self.eigenvalues))
-        object.__setattr__(self, "eigenvalues", vals)
+    def __init__(self, eigenvalues: tuple[float, ...], label: str | None = None):
+        vals = tuple(map(float, eigenvalues))
         if len(vals) < 2:
             raise ValueError("need at least 2 eigenvalues")
         if not all(map(math.isfinite, vals)):
             raise ValueError("eigenvalues must be finite")
         if any(map(gt, vals, vals[1:])):
             raise ValueError("eigenvalues must be sorted non-decreasing")
+        self.__dict__.update(eigenvalues=vals, label=label)
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class FrequencySet:
+class FrequencySet(_Record):
     """The distinct positive gaps of a spectrum and how many pairs share each.
 
     ``unique_frequencies`` are strictly increasing; ``multiplicities[j]``
@@ -56,19 +54,19 @@ class FrequencySet:
     The signed gaps and the system size ``m`` derive from the frequencies.
     """
 
-    unique_frequencies: tuple[float, ...]
-    multiplicities: tuple[int, ...]
+    _fields = ("unique_frequencies", "multiplicities")
 
-    def __post_init__(self):
-        freqs = self.unique_frequencies
+    def __init__(self, unique_frequencies: tuple[float, ...], multiplicities: tuple[int, ...]):
+        freqs = unique_frequencies
         if not all(map(math.isfinite, freqs)):
             raise ValueError("frequencies must be finite")
-        if len(self.multiplicities) != len(freqs):
+        if len(multiplicities) != len(freqs):
             raise ValueError("need one multiplicity per frequency")
         if not all(map(lt, (0, *freqs), freqs)):  # 0 < w_1 < w_2 < ... fails: say which part
             if any(f <= 0 for f in freqs):
                 raise ValueError("frequencies must be positive")
             raise ValueError("frequencies must be strictly increasing")
+        self.__dict__.update(unique_frequencies=freqs, multiplicities=multiplicities)
 
     @property
     def m(self) -> int:
@@ -83,22 +81,20 @@ class FrequencySet:
         return tuple(gaps)
 
 
-@dataclass(frozen=True)
-class StructureClass:
+class StructureClass(_Record):
     """Structural classification of a spectrum."""
 
-    kind: StructureKind
-    delta: float | None = None
-    epsilon: float | None = None
+    _fields = ("kind", "delta", "epsilon")
 
-    def __post_init__(self):
-        needs_delta = self.kind is not StructureKind.UNSTRUCTURED
-        if needs_delta and (self.delta is None or self.delta <= 0):
-            raise ValueError(f"{self.kind} requires a positive base gap")
-        if not needs_delta and self.delta is not None:
-            raise ValueError(f"{self.kind} must not carry a base gap")
-        if self.epsilon is not None and self.kind is not StructureKind.PERTURBED_EQUIDISTANT:
+    def __init__(self, kind: StructureKind, delta: float | None = None, epsilon: float | None = None):
+        needs_delta = kind is not StructureKind.UNSTRUCTURED
+        if needs_delta and (delta is None or delta <= 0):
+            raise ValueError(f"{kind} requires a positive base gap")
+        if not needs_delta and delta is not None:
+            raise ValueError(f"{kind} must not carry a base gap")
+        if epsilon is not None and kind is not StructureKind.PERTURBED_EQUIDISTANT:
             raise ValueError("epsilon is only meaningful for perturbed-equidistant spectra")
+        self.__dict__.update(kind=kind, delta=delta, epsilon=epsilon)
 
 
 def _runs(ordered, tol: float) -> list[tuple[int, int]]:

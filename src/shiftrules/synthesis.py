@@ -14,13 +14,13 @@ every real b, |C b - t| = |E b - mu|.  Every solver works on C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _Record
 from .rule import FIRST_DERIVATIVE, Orders, ShiftRule, _normalize_orders
 from .spectrum import FrequencySet
 
@@ -42,15 +42,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(_Record):
     """The real design system C b = t for a fixed gap set, phase vector and target."""
 
-    matrix: np.ndarray          # (2R+1, cols): rows 1, sqrt2 cos(w_j phi_x), sqrt2 sin(w_j phi_x)
-    rhs: np.ndarray             # (2R+1,): mu(0), sqrt2 Re mu(w_j), sqrt2 Im mu(w_j)
-    row_gaps: np.ndarray        # gap value per row: (0, w_1..w_R, w_1..w_R)
-    phases: np.ndarray          # phase per column
-    orders: Orders              # the target sum_p w_p f^(p) that rhs encodes
+    _fields = ("matrix", "rhs", "row_gaps", "phases", "orders")
+
+    def __init__(self, matrix: np.ndarray, rhs: np.ndarray, row_gaps: np.ndarray, phases: np.ndarray,
+                 orders: Orders):
+        self.__dict__.update(
+            matrix=matrix,      # (2R+1, cols): rows 1, sqrt2 cos(w_j phi_x), sqrt2 sin(w_j phi_x)
+            rhs=rhs,            # (2R+1,): mu(0), sqrt2 Re mu(w_j), sqrt2 Im mu(w_j)
+            row_gaps=row_gaps,  # gap value per row: (0, w_1..w_R, w_1..w_R)
+            phases=phases,      # phase per column
+            orders=orders,      # the target sum_p w_p f^(p) that rhs encodes
+        )
 
     @property
     def is_square(self) -> bool:

@@ -13,12 +13,12 @@ are cross-checks in ``tests/paper_forms.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
+from . import _Record
 from .rule import (FIRST_DERIVATIVE, Orders, ShiftRule, _check_non_negative_int, _finite,
                    _normalize_orders)
 from .spectrum import FrequencySet, gap_generator
@@ -29,8 +29,7 @@ SCREEN_SIZE = 4096  # seeded points of the symmetric family ranked before any Ne
 MAX_NEWTON_STEPS = 300  # cap on the Newton steps of one descent
 
 
-@dataclass(frozen=True)
-class OptimizationConfig:
+class OptimizationConfig(_Record):
     """Settings for the square-norm phase search.
 
     ``multistarts`` is the number of Newton starts taken from the best
@@ -39,19 +38,17 @@ class OptimizationConfig:
     gradient, max_y |S_y|, is at most ``tol``.
     """
 
-    tol: float = 1e-9
-    multistarts: int = 8
-    seed: int = 0
+    _fields = ("tol", "multistarts", "seed")
 
-    def __post_init__(self):
-        if not (_finite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
-        for name in ("multistarts", "seed"):
-            _check_non_negative_int(name, getattr(self, name))
+    def __init__(self, tol: float = 1e-9, multistarts: int = 8, seed: int = 0):
+        if not (_finite(tol) and tol > 0):
+            raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+        _check_non_negative_int("multistarts", multistarts)
+        _check_non_negative_int("seed", seed)
+        self.__dict__.update(tol=tol, multistarts=multistarts, seed=seed)
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(_Record):
     """The design system at the negation-symmetric phases (0, -x_1..-x_R, +x_1..+x_R).
 
     The column rotation e_0, (e_+x +- e_-x)/sqrt2 splits the real system
@@ -72,9 +69,10 @@ class ReducedSystem:
     C itself would take R (2R + 1) complex exponentials.
     """
 
-    wx: np.ndarray
-    rhs: np.ndarray
-    odd: bool
+    _fields = ("wx", "rhs", "odd")
+
+    def __init__(self, wx: np.ndarray, rhs: np.ndarray, odd: bool):
+        self.__dict__.update(wx=wx, rhs=rhs, odd=odd)
 
     @cached_property
     def cos(self) -> np.ndarray:

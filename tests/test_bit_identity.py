@@ -2,7 +2,7 @@
 
 Each ``_ref_*`` below is the previous implementation, kept here as the
 reference.  The current code must reproduce it exactly: the same floats
-(compared with ``==`` / ``np.array_equal``), the same dataclasses and
+(compared with ``==`` / ``np.array_equal``), the same records and
 the same error message for the same first offending pair.
 """
 
@@ -492,8 +492,8 @@ def _bits(x):
         return tuple((k, _bits(v)) for k, v in x.items())
     if isinstance(x, (tuple, list)):
         return type(x), tuple(_bits(v) for v in x)
-    if hasattr(x, "__dataclass_fields__"):
-        return type(x), tuple(_bits(getattr(x, k)) for k in x.__dataclass_fields__)
+    if hasattr(x, "_fields"):
+        return type(x), tuple(_bits(getattr(x, k)) for k in x._fields)
     if isinstance(x, Exception):
         return type(x), str(x), _bits(getattr(x, "condition_number", None))
     return type(x), x

@@ -1107,6 +1107,26 @@ def test_rule_frequencies_must_increase_from_zero(tmp_path, command, frequencies
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("command, name, payload, message", [
+    ("validate", "rule.json", dict(_RULE, phases=[0.0, 1.0], coefficients=[1.0]),
+     "phases and coefficients must have equal length"),
+    ("variance", "rule.json", dict(_RULE, phases=[0.0, 1.0], coefficients=[1.0]),
+     "phases and coefficients must have equal length"),
+    ("validate", "model.json", {"a0": 0.1, "terms": [{"omega": 1.0, "a": 0.5, "b": 0.0}] * 2},
+     "frequencies must be strictly increasing"),
+    ("analyze", "spec.json", {"eigenvalues": [0]}, "need at least 2 eigenvalues"),
+], ids=["validate-rule", "variance-rule", "validate-model", "analyze-spectrum"])
+def test_record_check_errors_name_their_file(tmp_path, command, name, payload, message):
+    path = _write(tmp_path, name, payload)
+    args = [command, path] if name != "model.json" else \
+        [command, _write(tmp_path, "rule.json", _RULE), "--model", path]
+    result = run_cli(args)
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stderr == f"error: {path}: {message}\n"
+    assert result.stdout == ""
+
+
 def test_rule_without_frequencies_still_loads(tmp_path):
     rule = _write(tmp_path, "rule.json", dict(_RULE, frequencies=[]))
     assert serialize.load_rule(rule).frequencies == ()

@@ -1,7 +1,6 @@
 """Package layout: what ``import shiftrules`` loads and exports, and where defaults live."""
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import json
@@ -39,8 +38,8 @@ print(json.dumps(sorted(m for m in sys.modules
 
 # Runs the CLI as ``python -m shiftrules.cli ARGS`` does, then prints, on
 # the last line, its exit code and the package's loaded submodules plus
-# "numpy" and "numpy.random" if they are loaded.  The CLI module itself
-# runs as __main__.
+# "dataclasses", "inspect", "numpy" and "numpy.random" if they are loaded.
+# The CLI module itself runs as __main__.
 _CLI_PROBE = """
 import json, runpy, sys
 sys.argv = ["shiftrules", *sys.argv[1:]]
@@ -49,8 +48,8 @@ try:
     runpy.run_module("shiftrules.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code or 0
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("shiftrules.") or m in ("numpy", "numpy.random"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("shiftrules.")
+                               or m in ("dataclasses", "inspect", "numpy", "numpy.random"))]))
 """
 
 
@@ -105,7 +104,12 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for command, (args, modules, draws) in runs.items():
         code, loaded = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
         assert code == (cli.EXIT_INVALID if command == "usage error" else 0), command
+        # the records are plain classes: no command builds dataclasses, and
+        # without numpy nothing imports inspect
+        assert "dataclasses" not in loaded, command
+        assert command not in numpy_free or "inspect" not in loaded, command
         numpy = [] if command in numpy_free else ["numpy"] + ["numpy.random"] * draws
+        loaded = [m for m in loaded if m != "inspect"]  # numpy imports it
         assert loaded == numpy + sorted(f"shiftrules.{m}" for m in modules), command
 
 
@@ -308,7 +312,7 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
 
 def test_config_file_keys_are_the_dataclass_fields(tmp_path):
     sections = {"regularization": RegularizationConfig(), "optimization": OptimizationConfig()}
-    keys = {name: {f.name for f in dataclasses.fields(default)} - {"seed"}
+    keys = {name: set(default._fields) - {"seed"}
             for name, default in sections.items()}
     assert keys == {"regularization": {"gamma", "data_error"},
                     "optimization": {"tol", "multistarts"}}
