@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 validation failure, 2 ill-posed or infeasible
 problem, 3 invalid input, usage errors included.  Reports are JSON on
 stdout (or --output).
 
+The command line comes from one table, ``_GLOBAL`` and ``_COMMANDS``:
+``_parse`` walks argv once against it, and ``--help`` and the usage
+line are written from it, so no command loads argparse, gettext or
+locale.
+
 Each command imports the modules it runs, numpy included, inside its
 body, so a process loads only those: ``--help`` and usage errors load no
 numpy and no module but ``serialize``, ``analyze`` adds ``spectrum``, and
@@ -19,7 +24,6 @@ plain Python.  Only the commands that draw with numpy
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import random
@@ -352,85 +356,142 @@ def _seed(text: str) -> int:
     ignores it.
     """
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
+        raise ValueError(f"need a non-negative integer, got {text!r}")
     return int(text)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse where an option's value may begin with '-'; a usage error exits 3."""
+# The command line, one table.  An option is (flags, type, default, help), stored under
+# its first flag's name (--t-grid: t_grid); type None marks a flag that takes no value,
+# and a tuple of strings lists the choices.  A command is (handler, its positional file,
+# its options), and its help line is the handler's docstring.
+_GLOBAL = (
+    (("--config",), str, None, "JSON config file (regularization and optimization settings)."),
+    (("--seed",), _seed, 0, "Seed for every randomized choice."),
+    (("--output",), str, None, "Destination file (rule file for synthesize/optimize, report otherwise)."),
+    (("--quiet",), None, False, "Suppress stdout reports."),
+)
+_ORDER = (("--order", "-p"), int, 1, "Derivative order of the rule.")
+_COMMANDS = {
+    "analyze": (_analyze, "spectrum_file", ()),
+    "synthesize": (_synthesize, "spectrum_file", (
+        _ORDER,
+        (("--method",), ("auto", "direct", "equidistant", "tikhonov"), "auto", "Synthesis method."),
+        (("--phases",), str, "auto", "'auto' or comma-separated shift phases."),
+    )),
+    "validate": (_validate, "rule_file", (
+        (("--model",), str, "random:3",
+         "'random:K' for K random in-band models, or a model file path."),
+        (("--t-grid",), str, "-3.141592653589793:3.141592653589793:100",
+         "Evaluation grid as start:stop:count."),
+        (("--bound",), float, VALIDATION_BOUND, "Scaled error bound for exit status."),
+    )),
+    "optimize": (_optimize, "spectrum_file", (
+        _ORDER,
+        (("--phases",), str, "auto", "'auto' or comma-separated starting phases."),
+    )),
+    "variance": (_variance, "rule_file", (
+        (("--sigma",), float, 1.0, "Per-evaluation noise standard deviation."),
+        (("--shots",), int, 10000, "Noisy evaluations per phase."),
+        (("--eta",), float, 0.1, "Chebyshev miss probability in (0, 1)."),
+    )),
+}
 
-    def parse_known_args(self, args=None, namespace=None):
-        # An option's value may begin with '-' (--t-grid -3:3:N, --phases
-        # -0.35,-0.9), which argparse would take for an option: pass each
-        # long option that takes a value on as --option=value.
-        valued = {s for a in self._actions if a.nargs is None
-                  for s in a.option_strings if s.startswith("--")}
-        joined, rest = [], iter(sys.argv[1:] if args is None else args)
+
+def _name(flags) -> str:
+    return flags[0][2:].replace("-", "_")
+
+
+def _usage(command) -> str:
+    """The usage line of the top level (command None) or of one command."""
+    if command is None:
+        return "usage: shiftrules [options] COMMAND [options] FILE"
+    return f"usage: shiftrules [options] {command} [options] {_COMMANDS[command][1].upper()}"
+
+
+def _help(command) -> str:
+    """The usage line, the commands or the command's summary, and each option with its default."""
+    lines = [_usage(command), ""]
+    if command:
+        run, _, options = _COMMANDS[command]
+        lines.append(run.__doc__)
+    else:
+        lines.append("Synthesize and validate parameter-shift rules from eigenvalue spectra.\n\ncommands:")
+        lines += [f"  {name:<11} {run.__doc__}" for name, (run, *_) in _COMMANDS.items()]
+        options = _GLOBAL
+    lines.append("\noptions:\n  -h, --help\n      Show this help and exit.")
+    for flags, kind, default, text in options:
+        value = "" if kind is None else " {%s}" % ",".join(kind) if type(kind) is tuple \
+            else " " + _name(flags).upper()
+        shown = "" if default is None or default is False else f" [default: {default}]"
+        lines += ["  " + ", ".join(flag + value for flag in flags), f"      {text}{shown}"]
+    return "\n".join(lines)
+
+
+def _choose(text: str, choices):
+    if text not in choices:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(choices)})")
+    return text
+
+
+def _parse(argv) -> tuple:
+    """(handler, its keyword arguments) for argv, global options included, defaults filled.
+
+    One walk: options before the command are global, those after it the
+    command's; ``--opt value``, ``--opt=value``, ``-p VALUE`` and ``-pVALUE``
+    all work, a value may begin with '-', the last of a repeated option wins
+    and ``--`` ends the options.  ``-h``/``--help`` prints the help of its
+    level and exits 0; a usage error prints the level's usage line and one
+    ``error:`` line, and exits 3.
+    """
+    # file: the positional argument still wanted, the command's file once it is named
+    command, file, options, ended, values = None, "COMMAND", _GLOBAL, False, {}
+    rest = iter(argv)
+    try:
         for arg in rest:
-            if arg == "--":
-                joined += [arg, *rest]
-            elif arg in valued and (value := next(rest, None)) is not None:
-                joined.append(f"{arg}={value}")
+            where = ""  # the argument a ValueError is about
+            if not ended and arg == "--":
+                ended = True
+            elif ended or arg[:1] != "-" or arg == "-":
+                if command is None:
+                    where = "argument COMMAND: "
+                    command, (_, file, options) = arg, _COMMANDS[_choose(arg, _COMMANDS)]
+                elif file in values:
+                    raise ValueError(f"unrecognized arguments: {arg}")
+                else:
+                    values[file] = arg
+            elif arg in ("-h", "--help"):  # one write: print's own newline fails where `| head` closed stdout
+                sys.stdout.write(_help(command) + "\n")
+                sys.exit(0)
             else:
-                joined.append(arg)
-        return super().parse_known_args(joined, namespace)
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        _fail(EXIT_INVALID, message)
-
-
-def _parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="shiftrules", allow_abbrev=False, description=(
-        "Synthesize and validate parameter-shift rules from eigenvalue spectra."))
-    parser.add_argument("--config", dest="config_path", metavar="PATH",
-                        help="JSON config file (regularization and optimization settings).")
-    parser.add_argument("--seed", type=_seed, default=0,
-                        help="Seed for every randomized choice. [default: %(default)s]")
-    parser.add_argument("--output", metavar="PATH", help=(
-        "Destination file (rule file for synthesize/optimize, report otherwise)."))
-    parser.add_argument("--quiet", action="store_true", help="Suppress stdout reports.")
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
-
-    def command(run, file_arg):
-        sub = commands.add_parser(run.__name__[1:], allow_abbrev=False,
-                                  help=run.__doc__, description=run.__doc__)
-        sub.add_argument(file_arg, metavar=file_arg.upper())
-        sub.set_defaults(run=run)
-        return sub.add_argument
-
-    command(_analyze, "spectrum_file")
-    option = command(_synthesize, "spectrum_file")
-    option("--order", "-p", type=int, default=1,
-           help="Derivative order of the rule. [default: %(default)s]")
-    option("--method", choices=["auto", "direct", "equidistant", "tikhonov"], default="auto",
-           help="[default: %(default)s]")
-    option("--phases", default="auto",
-           help="'auto' or comma-separated shift phases. [default: %(default)s]")
-    option = command(_validate, "rule_file")
-    option("--model", default="random:3", help=(
-        "'random:K' for K random in-band models, or a model file path. [default: %(default)s]"))
-    option("--t-grid", default="-3.141592653589793:3.141592653589793:100",
-           help="Evaluation grid as start:stop:count. [default: %(default)s]")
-    option("--bound", type=float, default=VALIDATION_BOUND,
-           help="Scaled error bound for exit status. [default: %(default)s]")
-    option = command(_optimize, "spectrum_file")
-    option("--order", "-p", type=int, default=1, help="[default: %(default)s]")
-    option("--phases", default="auto",
-           help="'auto' or comma-separated starting phases. [default: %(default)s]")
-    option = command(_variance, "rule_file")
-    option("--sigma", type=float, default=1.0,
-           help="Per-evaluation noise standard deviation. [default: %(default)s]")
-    option("--shots", type=int, default=10000, help="[default: %(default)s]")
-    option("--eta", type=float, default=0.1,
-           help="Chebyshev miss probability in (0, 1). [default: %(default)s]")
-    return parser
+                if arg[:2] == "--":
+                    flag, eq, text = arg.partition("=")
+                else:  # -pVALUE and -p=VALUE
+                    flag, eq, text = arg[:2], arg[2:], arg[2:].removeprefix("=")
+                option = next((o for o in options if flag in o[0]), None)
+                if option is None:
+                    raise ValueError(f"unrecognized arguments: {arg}")
+                flags, kind = option[:2]
+                where = f"argument {'/'.join(flags)}: "
+                if kind is None and eq:
+                    raise ValueError(f"ignored explicit argument {text!r}")
+                if kind is not None and not eq and (text := next(rest, None)) is None:
+                    raise ValueError("expected one argument")
+                values[_name(flags)] = True if kind is None else _choose(text, kind) if type(kind) is tuple \
+                    else kind(text)
+        where = ""
+        if file not in values:
+            raise ValueError(f"the following arguments are required: {file.upper()}")
+    except ValueError as exc:
+        print(_usage(command), file=sys.stderr)
+        _fail(EXIT_INVALID, where + str(exc))
+    defaults = {_name(flags): default for flags, _, default, _ in _GLOBAL + options}
+    return _COMMANDS[command][0], defaults | values
 
 
 def main(argv=None) -> None:
     """Run one command; ``argv`` defaults to ``sys.argv[1:]``."""
-    args = vars(_parser().parse_args(argv))
-    run, config_path = args.pop("run"), args.pop("config_path")
+    run, args = _parse(sys.argv[1:] if argv is None else argv)
+    config_path = args.pop("config")
     if not 0 <= args.get("order", 0) <= sys.float_info.max:  # synthesize's and optimize's --order
         _fail(EXIT_INVALID, "order must be non-negative and within float range")
     obj = {name: args.pop(name) for name in ("seed", "output", "quiet")}
@@ -438,7 +499,7 @@ def main(argv=None) -> None:
     if config_path is not None:  # read up front, so a bad file exits 3 on every command
         try:
             obj["config"] = serialize.load_config(config_path, obj["seed"])
-        except (OSError, TypeError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             _fail(EXIT_INVALID, f"cannot read config: {exc}")
     run(obj, **args)
 

@@ -180,21 +180,28 @@ def load_config(path: str | Path,
 
     A section's keys are the records' fields, except ``seed``, which
     comes from the argument; ``"gamma": "auto"`` means ``gamma=None``.
-    An unknown key, a section that is not an object or an invalid value
-    raises TypeError or ValueError naming it.
+    An unknown key (named with its section), a section that is not an
+    object or an invalid value raises ValueError naming the file.
     """
     from .regularization import RegularizationConfig
     from .variance import OptimizationConfig
 
-    sections = {"regularization": {}, "optimization": {}}
+    records = {"regularization": RegularizationConfig, "optimization": OptimizationConfig}
+    sections = {name: {} for name in records}
     for name, section in load_json(path).items():
         if name not in sections:
             raise ValueError(f"{path}: unknown key {name!r}")
         if not isinstance(section, dict):
             raise ValueError(f"{path}: {name!r} must be an object")
+        for key in section:
+            if key not in records[name]._fields or key == "seed":
+                raise ValueError(f"{path}: unknown key {key!r} in {name!r}")
         sections[name] = section
     regularization = sections["regularization"]
     if regularization.get("gamma") == "auto":
         regularization = dict(regularization, gamma=None)
-    return (RegularizationConfig(**regularization),
-            OptimizationConfig(**sections["optimization"], seed=seed))
+    try:
+        return (RegularizationConfig(**regularization),
+                OptimizationConfig(**sections["optimization"], seed=seed))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -24,7 +24,7 @@ from shiftrules import (
     serialize,
     synthesize_rule,
 )
-from shiftrules.cli import _parser, _random_models
+from shiftrules.cli import _parse, _random_models
 from shiftrules.fourier import evaluate_models
 from shiftrules.synthesis import CONDITION_CAP, build_system, condition_number
 from test_golden import CASES as GOLDEN_CASES
@@ -255,7 +255,9 @@ def test_optimize_near_overflow_keeps_the_lowest_point_uncertified(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["synthesize", "{spec}", "--order", "abc"], ["synthesize", "{spec}", "--method", "bogus"],
-    ["frobnicate", "{spec}"], ["synthesize"],
+    ["frobnicate", "{spec}"], ["synthesize"], [], ["{spec}", "analyze"],
+    ["analyze", "{spec}", "--seed", "1"], ["synthesize", "{spec}", "--ord", "2"],
+    ["synthesize", "{spec}", "--order"], ["analyze", "{spec}", "{spec}"], ["--quiet=yes", "analyze", "{spec}"],
 ])
 def test_usage_errors_exit_invalid(tmp_path, args):
     spec = _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0]})
@@ -265,6 +267,14 @@ def test_usage_errors_exit_invalid(tmp_path, args):
     lines = result.stderr.splitlines()
     assert lines[-1].startswith("error: ") and sum(line.startswith("error") for line in lines) == 1
     assert result.stdout == ""
+    assert not (tmp_path / "rule.json").exists()
+
+
+def test_an_option_without_its_value_is_a_usage_error(tmp_path):
+    spec = _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0]})
+    result = run_cli(["--output", str(tmp_path / "rule.json"), "synthesize", spec, "--phases"])
+    assert result.exit_code == 3
+    assert result.stderr.splitlines()[-1] == "error: argument --phases: expected one argument"
     assert not (tmp_path / "rule.json").exists()
 
 
@@ -291,9 +301,45 @@ def test_negative_seed_is_a_usage_error(tmp_path, command):
     (["validate", "r.json", "--model", "-model.json"], "model", "-model.json"),
     (["--output", "-rule.json", "synthesize", "s.json"], "output", "-rule.json"),
     (["synthesize", "s.json", "-p", "-1"], "order", -1),
+    (["optimize", "s.json", "-p2"], "order", 2),
+    (["analyze", "--", "-spectrum.json"], "spectrum_file", "-spectrum.json"),
+    (["synthesize", "s.json", "-p", "2", "--order=3"], "order", 3),
+    (["--seed", "4", "--seed=5", "validate", "r.json"], "seed", 5),
 ])
 def test_option_values_may_begin_with_a_dash(args, name, value):
-    assert getattr(_parser().parse_args(args), name) == value
+    assert _parse(args)[1][name] == value
+
+
+@pytest.mark.parametrize("command, defaults", [
+    (None, {"--config": None, "--seed": "0", "--output": None, "--quiet": None}),
+    ("analyze", {}),
+    ("synthesize", {"--order": "1", "--method": "auto", "--phases": "auto"}),
+    ("validate", {"--model": "random:3", "--t-grid": "-3.141592653589793:3.141592653589793:100",
+                  "--bound": "1e-08"}),
+    ("optimize", {"--order": "1", "--phases": "auto"}),
+    ("variance", {"--sigma": "1.0", "--shots": "10000", "--eta": "0.1"}),
+])
+def test_help_lists_each_option_with_its_default(command, defaults):
+    """Top-level and COMMAND help; test_structure's import probe checks that they load no numpy."""
+    for flag in ("--help", "-h"):
+        result = run_cli([command, flag] if command else [flag])
+        assert (result.exit_code, result.stderr) == (0, ""), result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0].startswith(f"usage: shiftrules [options] {command or 'COMMAND'} [options] ")
+        shown = {line.split()[0]: lines[i + 1] for i, line in enumerate(lines)
+                 if line.startswith("  --") and line.split()[0] != "--help"}
+        assert shown.keys() == defaults.keys()
+        for option, default in defaults.items():  # None: an option without a default
+            assert ("[default: " in shown[option]) == (default is not None), option
+            assert default is None or shown[option].endswith(f"[default: {default}]"), option
+
+
+def test_main_reads_sys_argv(tmp_path, monkeypatch):
+    spec = _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0, 2.5]})
+    monkeypatch.setattr(sys, "argv", ["shiftrules", "analyze", spec])
+    result = run_cli(None)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["m"] == 7
 
 
 def test_negative_grid_and_phases_run_end_to_end(tmp_path):
@@ -1143,6 +1189,19 @@ def test_bad_config_exits_invalid_on_every_command(tmp_path, command):
     assert result.exit_code == 3
     assert result.stderr.startswith("error: cannot read config") and "'unknown'" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"regularization": {"gamma": -1}}, "gamma must be a finite positive number, got -1"),
+    ({"regularization": {"unknown": 1}}, "unknown key 'unknown' in 'regularization'"),
+    ({"optimization": {"seed": 3}}, "unknown key 'seed' in 'optimization'"),
+])
+def test_config_errors_name_their_file(tmp_path, config, message):
+    path = _write(tmp_path, "cfg.json", config)
+    spec = _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0]})
+    result = run_cli(["--config", path, "analyze", spec])
+    assert result.exit_code == 3
+    assert result.stderr == f"error: cannot read config: {path}: {message}\n"
 
 
 def test_config_file_reaches_the_tikhonov_path(near_degenerate, tmp_path):

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,8 @@ print(json.dumps(sorted(m for m in sys.modules
 
 # Runs the CLI as ``python -m shiftrules.cli ARGS`` does, then prints, on
 # the last line, its exit code and the package's loaded submodules plus
-# "dataclasses", "inspect", "numpy" and "numpy.random" if they are loaded.
+# "argparse", "dataclasses", "gettext", "inspect", "locale", "numpy" and
+# "numpy.random" if they are loaded.
 # The CLI module itself runs as __main__.
 _CLI_PROBE = """
 import json, runpy, sys
@@ -49,7 +51,8 @@ try:
 except SystemExit as exc:
     code = exc.code or 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("shiftrules.")
-                               or m in ("dataclasses", "inspect", "numpy", "numpy.random"))]))
+                               or m in ("argparse", "dataclasses", "gettext", "inspect", "locale",
+                                        "numpy", "numpy.random"))]))
 """
 
 
@@ -81,6 +84,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     runs = {
         "analyze": (["analyze", "s7.json"], analyze, False),
         "help": (["--help"], front, False),
+        **{f"{command} --help": ([command, "--help"], front, False) for command in cli._COMMANDS},
         "usage error": (["synthesize", "s7.json", "--order", "abc"], front, False),
         "synthesize": (["--output", "rule.json", "synthesize", "s7.json", "--method", "direct"],
                        synthesize, False),
@@ -100,13 +104,17 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     }
     # no numpy in these: cli imports it where it computes with arrays, and
     # validate's oracle work on a small grid is plain Python
-    numpy_free = {"analyze", "help", "usage error", "validate", "validate model file"}
+    numpy_free = {"analyze", "help", "usage error", "validate", "validate model file",
+                  *(f"{command} --help" for command in cli._COMMANDS)}
     for command, (args, modules, draws) in runs.items():
         code, loaded = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
         assert code == (cli.EXIT_INVALID if command == "usage error" else 0), command
         # the records are plain classes: no command builds dataclasses, and
         # without numpy nothing imports inspect
         assert "dataclasses" not in loaded, command
+        # the command line is parsed from cli's own table: no argparse, nor the
+        # gettext and locale modules its messages load
+        assert not {"argparse", "gettext", "locale"} & set(loaded), command
         assert command not in numpy_free or "inspect" not in loaded, command
         numpy = [] if command in numpy_free else ["numpy"] + ["numpy.random"] * draws
         loaded = [m for m in loaded if m != "inspect"]  # numpy imports it
@@ -307,7 +315,7 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
     _, rel_tol = serialize.load_spectrum(path)  # the rel_tol the CLI classifies with
     assert rel_tol == inspect.signature(spectrum.classify_structure).parameters["rel_tol"].default
     assert spectrum.DEFAULT_DEDUP_TOL == inspect.signature(spectrum.frequency_differences).parameters["dedup_tol"].default
-    assert cli._parser().parse_args(["validate", "rule.json"]).bound == cli.VALIDATION_BOUND
+    assert cli._parse(["validate", "rule.json"])[1]["bound"] == cli.VALIDATION_BOUND
 
 
 def test_config_file_keys_are_the_dataclass_fields(tmp_path):
@@ -323,5 +331,5 @@ def test_config_file_keys_are_the_dataclass_fields(tmp_path):
             if key in keys[name]:
                 assert serialize.load_config(path) == tuple(sections.values())
             else:
-                with pytest.raises(TypeError, match=key):
+                with pytest.raises(ValueError, match=re.escape(f"{path}: unknown key '{key}' in '{name}'")):
                     serialize.load_config(path)
