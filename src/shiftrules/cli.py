@@ -24,6 +24,7 @@ plain Python.  Only the commands that draw with numpy
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import random
@@ -504,5 +505,16 @@ def main(argv=None) -> None:
     run(obj, **args)
 
 
+def entry() -> None:
+    """``main()`` for ``python -m shiftrules.cli`` and the ``shiftrules`` script.
+
+    It freezes the heap when the command ends, so shutdown's collections skip it.
+    """
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    entry()

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1120,13 +1122,31 @@ def _run_with_closed_stdout(args, cwd):
 
 
 def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    # every documented exit code, through the process entry and the interpreter's final flush
     rule = _write(tmp_path, "rule.json", _RULE)
     broken = _write(tmp_path, "broken.json", dict(_RULE, coefficients=[0.0, 0.5773502691896258, 0.0]))
     spec = _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0, 2.5]})
-    for args, code in ((["validate", rule], 0), (["validate", broken], 1),
-                       (["synthesize", spec], 0)):
+    near = _write(tmp_path, "near.json", {"eigenvalues": [0.0, 1.0, 1.0 + 1e-9]})
+    missing = str(tmp_path / "missing.json")
+    ill_posed = (r"error: direct synthesis is ill-posed \(condition number \S+ exceeds cap 1e\+08\); "
+                 r"condition number \S+\n")
+    for args, code, stderr in ((["validate", rule], 0, ""), (["validate", broken], 1, ""),
+                               (["synthesize", spec], 0, ""),
+                               (["synthesize", near, "--method", "direct"], 2, ill_posed),
+                               (["synthesize", missing], 3,
+                                re.escape(f"error: [Errno 2] No such file or directory: '{missing}'\n"))):
         result = _run_with_closed_stdout(args, tmp_path)
-        assert (result.returncode, result.stderr) == (code, ""), args
+        assert result.returncode == code, args
+        assert re.fullmatch(stderr, result.stderr), (args, result.stderr)
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    # only the process entry freezes the heap; main() is the in-process API
+    spec = _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0, 2.5]})
+    before = gc.isenabled(), gc.get_freeze_count()
+    for path, code in ((spec, 0), (str(tmp_path / "missing.json"), 3)):
+        assert run_cli(["--quiet", "analyze", path]).exit_code == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == before, code
 
 
 @pytest.mark.parametrize("eigenvalues", [[-1e308, 1e308], [-1e308, 0.0, 1e308]])

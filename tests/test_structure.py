@@ -37,36 +37,42 @@ print(json.dumps(sorted(m for m in sys.modules
                         if m.startswith("shiftrules.") or m.split(".")[0] == "scipy")))
 """
 
-# Runs the CLI as ``python -m shiftrules.cli ARGS`` does, then prints, on
-# the last line, its exit code and the package's loaded submodules plus
-# "argparse", "dataclasses", "gettext", "inspect", "locale", "numpy" and
-# "numpy.random" if they are loaded.
+# Runs the CLI as ``python -m shiftrules.cli ARGS`` does, then prints its
+# exit code, whether the heap was frozen, whether the collector is still
+# enabled, and the package's loaded submodules plus "argparse",
+# "dataclasses", "gettext", "inspect", "locale", "numpy" and "numpy.random"
+# if they are loaded.  An atexit callback, registered before the run,
+# prints "atexit ran" last: the command ends by freezing its heap, not by
+# os._exit, so the interpreter's exit still runs.
 # The CLI module itself runs as __main__.
 _CLI_PROBE = """
-import json, runpy, sys
+import atexit, gc, json, runpy, sys
 sys.argv = ["shiftrules", *sys.argv[1:]]
+atexit.register(print, "atexit ran")
 code = 0
 try:
     runpy.run_module("shiftrules.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code or 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("shiftrules.")
-                               or m in ("argparse", "dataclasses", "gettext", "inspect", "locale",
-                                        "numpy", "numpy.random"))]))
+print(json.dumps([code, gc.get_freeze_count() > 0, gc.isenabled(),
+                  sorted(m for m in sys.modules if m.startswith("shiftrules.")
+                         or m in ("argparse", "dataclasses", "gettext", "inspect", "locale",
+                                  "numpy", "numpy.random"))]))
 """
 
 
 def _probe(code, *args, cwd=None):
+    """The lines a fresh interpreter running ``code`` with ``args`` prints; it must exit 0."""
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.splitlines()[-1])
+    return result.stdout.splitlines()
 
 
 def test_import_leaves_checks_and_scipy_unloaded():
     """``import shiftrules`` loads no submodule, so neither checks nor scipy."""
-    assert _probe(_IMPORT_PROBE) == []
+    assert json.loads(_probe(_IMPORT_PROBE)[-1]) == []
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
@@ -107,8 +113,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     numpy_free = {"analyze", "help", "usage error", "validate", "validate model file",
                   *(f"{command} --help" for command in cli._COMMANDS)}
     for command, (args, modules, draws) in runs.items():
-        code, loaded = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
+        *_, report, marker = _probe(_CLI_PROBE, "--quiet", *args, cwd=tmp_path)
+        code, frozen, enabled, loaded = json.loads(report)
         assert code == (cli.EXIT_INVALID if command == "usage error" else 0), command
+        assert frozen and enabled and marker == "atexit ran", command
         # the records are plain classes: no command builds dataclasses, and
         # without numpy nothing imports inspect
         assert "dataclasses" not in loaded, command
@@ -119,6 +127,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         numpy = [] if command in numpy_free else ["numpy"] + ["numpy.random"] * draws
         loaded = [m for m in loaded if m != "inspect"]  # numpy imports it
         assert loaded == numpy + sorted(f"shiftrules.{m}" for m in modules), command
+
+
+def test_the_script_and_python_m_run_one_entry():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((Path(SRC).parent / "pyproject.toml").read_text())["project"]["scripts"]
+    guard = ast.parse(Path(cli.__file__).read_text()).body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    entry()"
+    assert scripts == {"shiftrules": "shiftrules.cli:entry"}
 
 
 def test_exports_come_from_one_table_and_resolve_to_their_module():
