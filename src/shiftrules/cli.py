@@ -141,8 +141,9 @@ def _synthesize(obj, spectrum_file, order, method, phases):
 
     warnings = [f"direct synthesis ill-posed ({a.message}); falling back to tikhonov"
                 for a in attempts if a.left == "ill_posed"]
-    method_used, residual = attempts[-1].method, compatibility_residual(rule, freq)
+    method_used = attempts[-1].method
     if compatibility_residual(rule, freq, relative=True) > VALIDATION_BOUND:  # each gap, any method
+        residual = compatibility_residual(rule, freq)
         warnings.append(f"rule is inexact on the spectrum's own gaps: residual {residual:.3g} "
                         f"exceeds validation_bound {VALIDATION_BOUND:.3g}")
     out_path = obj["output"] or "rule.json"
@@ -313,7 +314,7 @@ def _variance(obj, rule_file, sigma, shots, eta):
     from .fourier import FourierModel, NoiseSpec, sample_noisy_batch
     from .rule import confidence_interval, variance_of_estimate
 
-    rule = _file(serialize.load_rule, rule_file)
+    rule = _file(serialize.read_rule, rule_file)
     # sigma * sigma, unlike sigma**2, gives inf where the square overflows
     if not (0 <= sigma and sigma * sigma < np.inf) or shots < 1 or not 0 < eta < 1:
         _fail(EXIT_INVALID, "need sigma >= 0 with a finite square, shots >= 1, eta in (0, 1)")

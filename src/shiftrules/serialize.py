@@ -161,17 +161,6 @@ def read_rule(path: str | Path) -> ShiftRule:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def load_rule(path: str | Path) -> ShiftRule:
-    """``read_rule`` with the phases and coefficients as float arrays."""
-    import numpy as np
-
-    from .rule import ShiftRule
-
-    rule = read_rule(path)
-    return ShiftRule(np.asarray(rule.phases, dtype=float), np.asarray(rule.coefficients, dtype=float),
-                     rule.orders, rule.frequencies, rule.diagnostics)
-
-
 # -- CLI config --------------------------------------------------------------
 
 def load_config(path: str | Path,

@@ -106,8 +106,9 @@ def build_system(freq: FrequencySet, phases, orders=FIRST_DERIVATIVE) -> LinearS
 
     The system's arrays are read-only, and a call with the same
     frequencies, phase values and orders as the previous call returns
-    the previous system, so its cached ``svd`` serves both: the cap
-    check and the Tikhonov fallback of one request share one build.
+    the previous system: the cap check and the Tikhonov fallback of one
+    request share one build.  The cap takes a values-only SVD; the
+    fallback's solves share the thin ``svd`` cached on the system.
     """
     global _last_system
     phases = np.array(phases, dtype=float)  # a copy: the caller may change its array later
@@ -226,12 +227,13 @@ def solve_direct(sys: LinearSystem) -> ShiftRule:
     """Solve the square system C b = t for the rule's coefficients.
 
     The rule is labelled with the orders the system was built for.
-    Raises IllPosedError when the phases hold literal duplicates, the
-    system is not square or has a condition number above ``CONDITION_CAP``
+    Raises IllPosedError when the system is not square, its phases hold
+    literal duplicates or it has a condition number above ``CONDITION_CAP``
     (inf for phases equal modulo a period of the gaps; ill-posed spectra
     must go through the regularized path instead).
     """
-    check_phase_distinctness(sys.phases)
+    if sys.is_square:  # _solve_distinct refuses any other system first
+        check_phase_distinctness(sys.phases)
     return _solve_distinct(sys)
 
 

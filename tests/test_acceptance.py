@@ -457,7 +457,7 @@ def test_criterion_11_cli_contract(tmp_path):
     )
 
     # rule files round-trip bit-identically
-    rule = serialize.load_rule(out)
+    rule = serialize.read_rule(out)
     second = tmp_path / "roundtrip.json"
     serialize.save_rule(rule, second)
     checks.append(second.read_bytes() == (tmp_path / "rule.json").read_bytes())

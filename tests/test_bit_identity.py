@@ -536,6 +536,20 @@ def test_solve_direct_is_bit_identical(case):
 
 
 @SETTINGS
+@given(case=systems(), extra=st.sampled_from([-1, 1, 2]), duplicate=st.booleans(), data=st.data())
+def test_solve_direct_refuses_a_wrong_phase_count_first(case, extra, duplicate, data):
+    """m - 1, m + 1 or m + 2 phases, distinct or with a duplicate: the reference's refusal."""
+    freq, _, orders = case
+    count = freq.m + extra
+    phases = data.draw(st.lists(st.floats(-20.0, 0.0), min_size=count, max_size=count, unique=True))
+    if duplicate:
+        phases[-1] = phases[0]
+    got = _outcome_bits(lambda: solve_direct(build_system(freq, phases, orders)))
+    assert got == _outcome_bits(lambda: _ref_solve_direct(build_system(freq, phases, orders)))
+    assert got[0] is IllPosedError and got[1].startswith("system is not square"), got[:2]
+
+
+@SETTINGS
 @given(case=systems(), gamma=st.sampled_from([1e-14, 1e-9, 1e-6, 1e-3, 1.0, 1e2]))
 def test_tikhonov_solve_is_bit_identical(case, gamma):
     freq, phases, orders = case

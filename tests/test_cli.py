@@ -102,7 +102,7 @@ def test_synthesize_equidistant_auto(two_level, tmp_path):
     out = str(tmp_path / "rule.json")
     result = run_cli(["--output", out, "synthesize", two_level])
     assert result.exit_code == 0
-    rule = serialize.load_rule(out)
+    rule = serialize.read_rule(out)
     np.testing.assert_allclose(
         rule.phases, [-2 * np.pi / 3, -4 * np.pi / 3, -2 * np.pi], atol=1e-12
     )
@@ -142,7 +142,7 @@ def test_synthesize_near_lattice_solves_on_its_own_gaps(tmp_path, eigenvalues, r
     assert (report["structure"], report["method"]) == ("equidistant", method)
     assert not [w for w in report["warnings"] if "inexact" in w]
     freq = frequency_differences(Spectrum(eigenvalues))
-    assert compatibility_residual(serialize.load_rule(out), freq) <= 1e-13
+    assert compatibility_residual(serialize.read_rule(out), freq) <= 1e-13
 
 
 @pytest.mark.parametrize("eigenvalues, rel_tol, order, inexact", [
@@ -159,7 +159,7 @@ def test_closed_form_warns_when_inexact_on_the_spectrums_own_gaps(tmp_path, eige
     assert result.exit_code == 0, result.output
     report = json.loads(result.stdout)
     assert report["method"] == "equidistant"
-    residual = compatibility_residual(serialize.load_rule(out), frequency_differences(Spectrum(eigenvalues)))
+    residual = compatibility_residual(serialize.read_rule(out), frequency_differences(Spectrum(eigenvalues)))
     assert (residual > cli.VALIDATION_BOUND) is inexact
     if inexact:
         assert report["warnings"] == [
@@ -381,7 +381,7 @@ def test_synthesize_warns_when_regularized_rule_is_inexact(near_degenerate, tmp_
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["method"] == "regularized"
-    residual = compatibility_residual(serialize.load_rule(out),
+    residual = compatibility_residual(serialize.read_rule(out),
                                       frequency_differences(Spectrum((0.0, 1.0, 1.0 + 1e-9))))
     assert residual > 1e-8
     inexact = [w for w in report["warnings"] if "inexact" in w]
@@ -417,7 +417,7 @@ def test_synthesize_warns_by_each_gaps_scaled_residual(tmp_path, name, eigenvalu
     result = run_cli([*options, command, spectrum, *rest])
     assert result.exit_code == 0, result.output
     warned = any("inexact" in w for w in json.loads(result.stdout)["warnings"])
-    rule = serialize.load_rule(out)
+    rule = serialize.read_rule(out)
     freq = frequency_differences(Spectrum(tuple(float(v) for v in eigenvalues)))
     paper, b = paper_system(freq, rule.phases, rule.orders), rule.coefficients
     scaled = compatibility_residual(rule, freq, relative=True)
@@ -457,7 +457,7 @@ def test_synthesize_direct_imaginary_part_case_is_exact(imaginary_part_case, tmp
                       "--phases", phases])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["method"] == "direct"
-    rule = serialize.load_rule(out)
+    rule = serialize.read_rule(out)
     freq = frequency_differences(Spectrum(tuple(json.loads(Path(spec).read_text())["eigenvalues"])))
     assert compatibility_residual(rule, freq) <= 1e-12
     assert run_cli(["validate", out]).exit_code == 0
@@ -508,7 +508,7 @@ def test_auto_phases_fit_a_narrow_window(tmp_path):
     result = run_cli(["--output", out, "synthesize", spec])
     assert result.exit_code == 0, result.exception
     assert json.loads(result.output)["method"] == "direct"
-    phases = serialize.load_rule(out).phases
+    phases = np.asarray(serialize.read_rule(out).phases)
     assert ((-2 * np.pi / 5e3 <= phases) & (phases < 0)).all()
     result = run_cli(["validate", out, "--model", "random:4"])
     assert result.exit_code == 0, result.output
@@ -696,7 +696,7 @@ def test_validate_matches_scalar_oracle(tmp_path, monkeypatch, case, t_grid, blo
     seed = 3
     rule_file = {"mixed": _mixed_order_rule_file, "broken": _broken_rule_file,
                  "overflow": _overflow_rule_file}.get(case, _s7_rule_file)(tmp_path)
-    rule = serialize.load_rule(rule_file)
+    rule = serialize.read_rule(rule_file)
     if case == "model_file":
         terms = [{"omega": w, "a": 0.4 - 0.3 * k, "b": 0.2 * k - 0.5}
                  for k, w in enumerate(rule.frequencies)]
@@ -766,7 +766,7 @@ def test_validate_streams_the_grid_in_blocks_within_budget(tmp_path, monkeypatch
     evaluations, and each target order and the shifted grid are evaluated
     over the whole grid exactly once, in order."""
     rule_file = _mixed_order_rule_file(tmp_path)
-    rule = serialize.load_rule(rule_file)
+    rule = serialize.read_rule(rule_file)
     grid = np.linspace(-3.0, 3.0, 200_000)
     calls = []
 
@@ -782,7 +782,7 @@ def test_validate_streams_the_grid_in_blocks_within_budget(tmp_path, monkeypatch
     assert calls and all(n == 3 and t.size * n <= cli.ORACLE_BLOCK for n, _, t in calls)
     shifted = [t for _, _, t in calls if t.ndim == 2]
     assert len(shifted) > 2
-    np.testing.assert_array_equal(np.concatenate(shifted), grid[:, None] + rule.phases[None, :])
+    np.testing.assert_array_equal(np.concatenate(shifted), grid[:, None] + np.asarray(rule.phases)[None, :])
     for order, _ in rule.orders:
         blocks = [t for _, p, t in calls if t.ndim == 1 and p == order]
         np.testing.assert_array_equal(np.concatenate(blocks), grid)
@@ -823,7 +823,7 @@ def test_validate_path_follows_the_cost(tmp_path, monkeypatch, eigenvalues, poin
 def test_rule_file_round_trip_is_bit_identical(eq_spectrum, tmp_path):
     out = str(tmp_path / "rule.json")
     run_cli(["--output", out, "synthesize", eq_spectrum])
-    rule = serialize.load_rule(out)
+    rule = serialize.read_rule(out)
     rewritten = tmp_path / "rule2.json"
     serialize.save_rule(rule, rewritten)
     assert rewritten.read_bytes() == (tmp_path / "rule.json").read_bytes()
@@ -1193,9 +1193,38 @@ def test_record_check_errors_name_their_file(tmp_path, command, name, payload, m
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("args, code, message", [
+    (["validate", "--model", "random:x", "{rule}"], 3,
+     "cannot parse model spec 'random:x': invalid literal for int() with base 10: 'x'"),
+    (["validate", "{rule_no_frequencies}"], 3, "rule file carries no frequency set; supply a model file"),
+    (["synthesize", "--phases", "a,b,c", "{spec}"], 3,
+     "cannot parse phases 'a,b,c': could not convert string to float: 'a'"),
+    # sum b^2 = 3: sigma^2 sum b^2 overflows in variance_of_estimate, before the half-width
+    (["variance", "--sigma", "1e154", "{rule_sum_b2_3}"], 3,
+     "--sigma 1e+154 is too large: the estimator's variance or its Chebyshev half-width overflows"),
+    (["synthesize", "{spec_tiny_gap}"], 2, "phase period 2*pi/1e-308 overflows: the gap spacing is too small"),
+    (["optimize", "{spec_tiny_gap}"], 2, "phase period 2*pi/1e-308 overflows: the gap spacing is too small"),
+], ids=["validate-bad-model-spec", "validate-random-without-frequencies", "synthesize-bad-phases",
+        "variance-sum-overflows", "synthesize-tiny-gap", "optimize-tiny-gap"])
+def test_refusal_exits_with_its_code_and_message(tmp_path, args, code, message):
+    files = {
+        "rule": _write(tmp_path, "rule.json", _RULE),
+        "rule_no_frequencies": _write(tmp_path, "no_freq.json", dict(_RULE, frequencies=[])),
+        "rule_sum_b2_3": _write(tmp_path, "big_b.json", dict(_RULE, coefficients=[-1.0, 1.0, 1.0])),
+        "spec": _write(tmp_path, "spec.json", {"eigenvalues": [0.0, 1.0]}),
+        "spec_tiny_gap": _write(tmp_path, "tiny.json", {"eigenvalues": [0, 1e-308]}),
+    }
+    out = tmp_path / "out.json"
+    result = run_cli(["--output", str(out)] + [a.format(**files) for a in args])
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stderr == f"error: {message}\n"
+    assert result.stdout == "" and not out.exists()
+
+
 def test_rule_without_frequencies_still_loads(tmp_path):
     rule = _write(tmp_path, "rule.json", dict(_RULE, frequencies=[]))
-    assert serialize.load_rule(rule).frequencies == ()
+    assert serialize.read_rule(rule).frequencies == ()
     constant = _write(tmp_path, "model.json", {"a0": 0.5, "terms": []})
     assert run_cli(["validate", rule, "--model", constant]).exit_code == 0
 
@@ -1233,7 +1262,7 @@ def test_config_file_reaches_the_tikhonov_path(near_degenerate, tmp_path):
         assert result.exit_code == 0, result.output
         gammas.append(json.loads(out.read_text())["diagnostics"]["gamma"])
     sys = build_system(frequency_differences(Spectrum((0.0, 1.0, 1.0 + 1e-9))),
-                       serialize.load_rule(str(tmp_path / "rule0.json")).phases)
+                       serialize.read_rule(str(tmp_path / "rule0.json")).phases)
     assert gammas == [_gamma_floor(sys), 1e-3]
 
 
